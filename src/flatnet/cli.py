@@ -19,6 +19,7 @@ from .scenario import (
     ScenarioError,
     emit_report,
     parse_scenario,
+    parse_tolerance,
     run_scenario,
 )
 
@@ -71,10 +72,11 @@ def main(argv=None) -> int:
             return 2
         updates["seed"] = args.seed
     if args.tolerance is not None:
-        if args.tolerance <= 0:
-            print("flatnet: --tolerance must be positive", file=sys.stderr)
+        try:
+            updates["tolerance"] = parse_tolerance(args.tolerance, "--tolerance")
+        except ScenarioError as e:
+            print(f"flatnet: {e}", file=sys.stderr)
             return 2
-        updates["tolerance"] = args.tolerance
         updates["tolerances"] = {}
     if args.command != "report":
         if args.command in ("sector", "amplitude") and config.group_variant != "PhaseU1":

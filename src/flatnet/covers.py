@@ -151,18 +151,6 @@ class NerveGraph:
     def base(self) -> int:
         return self.cover.base_region
 
-    def is_tree_edge(self, u: int, v: int, c: int) -> bool:
-        a, b = min(u, v), max(u, v)
-        return (a, b, c) in self.tree_edges
-
-    def generator_index(self, u: int, v: int, c: int) -> int | None:
-        """Index of the non-tree edge carrying this component, else None."""
-        a, b = min(u, v), max(u, v)
-        try:
-            return self.non_tree_edges.index((a, b, c))
-        except ValueError:
-            return None
-
     def step_letter(self, step: Step) -> int:
         """Signed generator letter contributed by one step (0 for none).
 

@@ -2,11 +2,12 @@
 
 Modes are allocated to regions in blocks (sorted region order), the Fock
 basis is indexed by occupation bitsets in little-endian mode order, and
-smeared fields are Jordan-Wigner creators.  Everything is dense complex
-at the operator level; creators are cached sparse internally since each
-has only 2^(K-1) entries.  The supported envelope is K <= 12 modes
-(4096 x 4096 dense); beyond that construction fails with CapacityError
-rather than degrading.
+smeared fields are Jordan-Wigner creators.  Every operator is one
+complex CSR matrix: creators have 2^(K-1) entries, and implementers and
+transporters are signed partial permutations, so products and sums stay
+sparse and cancel paired monomials to exact zeros.  The supported
+envelope is K <= 12 modes; beyond that construction fails with
+CapacityError rather than degrading.
 
 Operators carry a support tag (the regions whose modes they were built
 from) and a grading inferred from which charge blocks their matrix
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,7 +34,7 @@ GRADE_SCAN_CUTOFF = 1e-13
 
 
 class CapacityError(RuntimeError):
-    """Raised when a construction would exceed the K <= 12 dense envelope."""
+    """Raised when a construction would exceed the K <= 12 mode envelope."""
 
 
 class SupportError(ValueError):
@@ -77,7 +78,7 @@ def allocate_modes(cover: Cover, modes_per_region: int = 2) -> OneParticleSpace:
 
 
 class FockSpace:
-    """Dense antisymmetric Fock space over a OneParticleSpace."""
+    """Antisymmetric Fock space over a OneParticleSpace (dimension 2^K)."""
 
     def __init__(self, space: OneParticleSpace):
         if space.num_modes > CAPACITY_MODES:
@@ -102,12 +103,6 @@ class FockSpace:
         v = np.zeros(self.dim, dtype=complex)
         v[0] = 1.0
         return v
-
-    def basis_index(self, occupied: Sequence[int]) -> int:
-        s = 0
-        for m in occupied:
-            s |= 1 << m
-        return s
 
     def creator(self, mode: int) -> sp.csr_matrix:
         """Jordan-Wigner creation operator for one mode (sparse, exact entries)."""
@@ -140,52 +135,39 @@ class FockSpace:
         return np.power(complex(zeta), self.occupation_counts)
 
 
-SPARSE_PRODUCT_CUTOFF = 0.25
-
-
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # csr products use plain multiply-add, so the paired monomials of
-    # anticommuting fields cancel entrywise to exact zeros; the BLAS
-    # path fuses multiply-adds and leaves rounding dust instead.  The
-    # cutoff keeps every smeared field on the exact route (a field fills
-    # at most K/2^(K+1) <= 1/4 of its matrix) while dense operators
-    # still go through BLAS.
-    limit = SPARSE_PRODUCT_CUTOFF * a.size
-    if np.count_nonzero(a) <= limit and np.count_nonzero(b) <= limit:
-        return (sp.csr_matrix(a) @ sp.csr_matrix(b)).toarray()
-    return a @ b
-
-
-def _scan_grades(fock: FockSpace, matrix: np.ndarray) -> set[int]:
-    scale = np.max(np.abs(matrix))
+def _scan_grades(fock: FockSpace, m: sp.csr_matrix) -> set[int]:
+    c = m.tocoo()
+    mags = np.abs(c.data)
+    scale = mags.max(initial=0.0)
     if scale == 0.0:
         return set()
-    rows, cols = np.nonzero(np.abs(matrix) > GRADE_SCAN_CUTOFF * scale)
+    keep = mags > GRADE_SCAN_CUTOFF * scale
     counts = fock.occupation_counts
-    return set((counts[rows] - counts[cols]).tolist())
+    return set((counts[c.row[keep]] - counts[c.col[keep]]).tolist())
 
 
 @dataclass(frozen=True, eq=False)
 class FieldOp:
-    """Dense operator with support and grading tags.
+    """Sparse (CSR) operator with support and grading tags.
 
+    ``matrix`` is a dense copy built on access, for inspection only.
     ``charge`` is the common charge transfer of all nonzero matrix blocks,
     or None when blocks of different transfer are mixed; ``parity`` is
     'even', 'odd', or 'mixed'.
     """
 
-    matrix: np.ndarray
+    csr: sp.csr_matrix
     fock: FockSpace
     support: frozenset[int]
     charge: int | None = dc_field(init=False)
     parity: str = dc_field(init=False)
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+        m = sp.csr_matrix(self.csr, dtype=complex)
         if m.shape != (self.fock.dim, self.fock.dim):
             raise ValueError(f"matrix shape {m.shape} does not fit the Fock space")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        m.sum_duplicates()  # sorted indices fix the summation order of products
+        object.__setattr__(self, "csr", m)
         grades = _scan_grades(self.fock, m)
         if not grades:
             object.__setattr__(self, "charge", 0)
@@ -202,17 +184,21 @@ class FieldOp:
                                  "even" if parities == {0} else "mixed")
             )
 
+    @property
+    def matrix(self) -> np.ndarray:
+        m = self.csr.toarray()
+        m.setflags(write=False)
+        return m
+
     def __mul__(self, other: "FieldOp") -> "FieldOp":
         if self.fock is not other.fock:
             raise ValueError("operators live on different Fock spaces")
-        return FieldOp(_product(self.matrix, other.matrix), self.fock,
-                       self.support | other.support)
+        return FieldOp(self.csr @ other.csr, self.fock, self.support | other.support)
 
     def __add__(self, other: "FieldOp") -> "FieldOp":
         if self.fock is not other.fock:
             raise ValueError("operators live on different Fock spaces")
-        return FieldOp(self.matrix + other.matrix, self.fock,
-                       self.support | other.support)
+        return FieldOp(self.csr + other.csr, self.fock, self.support | other.support)
 
     def __sub__(self, other: "FieldOp") -> "FieldOp":
         return self + other.scaled(-1.0)
@@ -220,24 +206,24 @@ class FieldOp:
     def scaled(self, factor: complex | PhaseU1) -> "FieldOp":
         if isinstance(factor, PhaseU1):
             factor = factor.complex_value
-        return FieldOp(self.matrix * complex(factor), self.fock, self.support)
+        return FieldOp(self.csr * complex(factor), self.fock, self.support)
 
     def adjoint(self) -> "FieldOp":
-        return FieldOp(self.matrix.conj().T, self.fock, self.support)
+        return FieldOp(self.csr.conj().T, self.fock, self.support)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
+        return self.csr @ vec
 
     def norm_max(self) -> float:
-        return float(np.max(np.abs(self.matrix))) if self.matrix.size else 0.0
+        return float(np.abs(self.csr.data).max(initial=0.0))
 
 
 def zero_op(fock: FockSpace) -> FieldOp:
-    return FieldOp(np.zeros((fock.dim, fock.dim), dtype=complex), fock, frozenset())
+    return FieldOp(sp.csr_matrix((fock.dim, fock.dim), dtype=complex), fock, frozenset())
 
 
 def identity_op(fock: FockSpace) -> FieldOp:
-    return FieldOp(np.eye(fock.dim, dtype=complex), fock, frozenset())
+    return FieldOp(sp.identity(fock.dim, dtype=complex, format="csr"), fock, frozenset())
 
 
 def smeared_field(fock: FockSpace, f: np.ndarray) -> FieldOp:
@@ -248,7 +234,7 @@ def smeared_field(fock: FockSpace, f: np.ndarray) -> FieldOp:
     acc = sp.csr_matrix((fock.dim, fock.dim), dtype=complex)
     for i in np.nonzero(f)[0]:
         acc = acc + f[i] * fock.creator(int(i))
-    return FieldOp(acc.toarray(), fock, fock.space.owners(f))
+    return FieldOp(acc, fock, fock.space.owners(f))
 
 
 def anticommutator(a: FieldOp, b: FieldOp) -> FieldOp:
@@ -267,8 +253,9 @@ def gauge_action(zeta: complex | PhaseU1, t: FieldOp) -> FieldOp:
     if abs(abs(zeta) - 1.0) > 1e-12:
         raise ValueError("gauge parameter must lie on the unit circle")
     d = t.fock.gauge_diagonal(zeta)
-    mat = (d[:, None] * t.matrix) * d.conj()[None, :]
-    return FieldOp(mat, t.fock, t.support)
+    c = t.csr.tocoo()
+    data = (d[c.row] * c.data) * d.conj()[c.col]
+    return FieldOp(sp.coo_matrix((data, (c.row, c.col)), shape=c.shape), t.fock, t.support)
 
 
 def grading(t: FieldOp) -> int:
@@ -347,7 +334,7 @@ def nested_pair_residual(
     rhs = twisted_local_field(fock, pot, src, f).scaled(
         PhaseU1(-pot.lift(dst, src, comp))
     )
-    return float(np.max(np.abs(lhs.matrix - rhs.matrix)))
+    return (lhs - rhs).norm_max()
 
 
 @dataclass(frozen=True)
@@ -388,7 +375,7 @@ def glue_psi_A(
     ]
     spread = 0.0
     for other in ops[1:]:
-        spread = max(spread, np.max(np.abs(ops[0].matrix - other.matrix)))
+        spread = max(spread, (ops[0] - other).norm_max())
     return GlueResult(op=ops[0], chart_residual=float(spread), charts=regions)
 
 

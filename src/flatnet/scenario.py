@@ -50,6 +50,7 @@ digits, exact value recovery).  Exit-code contract, used by the CLI:
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field as dc_field
 
@@ -111,12 +112,30 @@ _PI_FORM = re.compile(
 )
 
 
+def _finite(value: int | float, where: str) -> float:
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ScenarioError("must be a finite number", where)
+    return x
+
+
+def parse_tolerance(value, where: str) -> float:
+    """A finite number > 0; booleans, NaN and infinities are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not _finite(value, where) > 0:
+        raise ScenarioError("must be a positive number", where)
+    return float(value)
+
+
 def parse_angle(value, where: str = "angle") -> float:
-    """Radians from a YAML number or a rational-multiple-of-pi string."""
+    """Radians from a finite YAML number or a rational-multiple-of-pi string."""
     if isinstance(value, bool):
         raise ScenarioError("angle must be a number or a pi fraction", where)
     if isinstance(value, (int, float)):
-        return float(value)
+        return _finite(value, where)
     if isinstance(value, str):
         m = _PI_FORM.match(value)
         if m:
@@ -324,9 +343,7 @@ def load_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
                 "tasks",
             )
 
-    tol = doc.get("tolerance", DEFAULT_TOLERANCE)
-    if not isinstance(tol, (int, float)) or tol <= 0:
-        raise ScenarioError("must be a positive number", "tolerance")
+    tol = parse_tolerance(doc.get("tolerance", DEFAULT_TOLERANCE), "tolerance")
     traw2 = doc.get("tolerances", {}) or {}
     if not isinstance(traw2, dict):
         raise ScenarioError("must map task names to positive numbers", "tolerances")
@@ -334,10 +351,7 @@ def load_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
     for t in traw2:
         if t not in TASK_ORDER:
             raise ScenarioError(f"unknown task {t!r}", "tolerances")
-        v = traw2[t]
-        if not isinstance(v, (int, float)) or v <= 0:
-            raise ScenarioError("must be a positive number", f"tolerances.{t}")
-        tolerances[t] = float(v)
+        tolerances[t] = parse_tolerance(traw2[t], f"tolerances.{t}")
 
     seed = doc.get("seed")
     if seed is not None and (not isinstance(seed, int) or seed < 0):
@@ -359,7 +373,7 @@ def load_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
         paths=paths,
         amplitudes=tuple(amplitudes),
         tasks=tasks,
-        tolerance=float(tol),
+        tolerance=tol,
         tolerances=tolerances,
         seed=seed,
         random_paths=random_paths,
@@ -423,8 +437,8 @@ def run_scenario(config: ScenarioConfig) -> dict:
     """Execute the requested tasks in fixed order and build the report.
 
     Raises CapacityError when a Fock-window task is requested and the
-    total mode count exceeds the dense envelope; task-level errors are
-    folded into the report (status fail), never raised.
+    total mode count exceeds the CAPACITY_MODES (12) envelope; task-level
+    errors are folded into the report (status fail), never raised.
     """
     cover = config.cover
     nerve = build_nerve(cover)
@@ -441,7 +455,7 @@ def run_scenario(config: ScenarioConfig) -> dict:
     if set(config.tasks) & FOCK_TASKS and config.group_variant == "PhaseU1":
         if total_modes > CAPACITY_MODES:
             raise CapacityError(
-                f"{total_modes} modes exceed the dense envelope of "
+                f"{total_modes} modes exceed the Fock envelope of "
                 f"{CAPACITY_MODES}; lower modes_per_region or shrink the cover"
             )
 

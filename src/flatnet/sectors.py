@@ -6,10 +6,11 @@ first kappa private modes.  These are partial isometries, not unitaries
 identity here is asserted after compression to the window subspace
 spanned by the vacuum and the charged vectors v_o, the subspace on
 which the implementer chains act isometrically.  Transporter entries
-pair a dense operator with a symbolic (end, start, coefficient) record;
-path transport multiplies entries with later steps on the left, and on
-the window a transported chain telescopes to its end/start pair times
-the accumulated coefficient.
+pair a sparse operator (a signed partial permutation of the Fock basis,
+times a phase) with a symbolic (end, start, coefficient) record; path
+transport multiplies entries with later steps on the left, and on the
+window a transported chain telescopes to its end/start pair times the
+accumulated coefficient.
 
 Sign bookkeeping: with bare Jordan-Wigner implementers, odd-charge
 implementers of disjoint regions anticommute both with and without
@@ -74,10 +75,9 @@ def implementer(fock: FockSpace, region: int, kappa: int = 1) -> Implementer:
             f"region {region} owns {len(modes)} modes, fewer than charge {kappa}"
         )
     chosen = modes[:kappa]
-    mat = None
-    for m in chosen:  # ascending matrix factors => descending application order
-        c = fock.creator(m).toarray()
-        mat = c if mat is None else mat @ c
+    mat = fock.creator(chosen[0])
+    for m in chosen[1:]:  # ascending matrix factors => descending application order
+        mat = mat @ fock.creator(m)
     return Implementer(
         region=region,
         charge=kappa,
@@ -115,8 +115,8 @@ class WindowSubspace:
         return self.basis @ self.basis.conj().T
 
     def compress(self, op: FieldOp | np.ndarray) -> np.ndarray:
-        m = op.matrix if isinstance(op, FieldOp) else op
-        return self.basis.conj().T @ m @ self.basis
+        m = op.csr if isinstance(op, FieldOp) else op
+        return self.basis.conj().T @ (m @ self.basis)
 
 
 def make_window(fock: FockSpace, cover: Cover, kappa: int = 1) -> WindowSubspace:
@@ -130,7 +130,7 @@ def make_window(fock: FockSpace, cover: Cover, kappa: int = 1) -> WindowSubspace
 
 @dataclass(frozen=True)
 class TransportEntry:
-    """One transport step: dense operator plus its telescoped symbol."""
+    """One transport step: sparse operator plus its telescoped symbol."""
 
     end: int
     start: int

@@ -143,6 +143,7 @@ def test_field_squares_to_zero_exactly():
     for _ in range(10):
         psi = smeared_field(fock, random_mode_vector(rng, fock))
         assert (psi * psi).norm_max() == 0.0
+        assert (psi * psi).csr.nnz == 0  # cancellation leaves no stored entries
 
 
 def test_field_linearity_and_support():

@@ -226,6 +226,32 @@ def test_tolerance_validation():
     assert cfg.task_tolerance("check") == 1e-8
 
 
+def test_tolerance_nan_rejected():
+    # a NaN tolerance made trivialize call the pi/2 annulus a coboundary
+    expect_error(MINIMAL + "tolerance: .nan\n", "tolerance: must be a finite number")
+    expect_error(MINIMAL + "tolerances: {trivialize: .nan}\n", "tolerances.trivialize")
+
+
+def test_tolerance_inf_rejected():
+    # an infinite tolerance classified the pi/2 annulus as DHR, exit 0
+    expect_error(MINIMAL + "tolerance: .inf\n", "tolerance: must be a finite number")
+    expect_error(MINIMAL + "tolerances: {classify: -.inf}\n", "tolerances.classify")
+
+
+def test_tolerance_bool_rejected():
+    expect_error(MINIMAL + "tolerance: true\n", "tolerance: must be a positive number")
+    expect_error(MINIMAL + "tolerances: {check: true}\n", "tolerances.check")
+
+
+def test_sigma_nan_rejected():
+    expect_error(MINIMAL + "sigma: {g0: .nan}\n", "sigma.g0: must be a finite number")
+    expect_error(MINIMAL + "sigma: {g0: -.inf}\n", "sigma.g0")
+    with pytest.raises(ScenarioError):
+        parse_angle(float("inf"))
+    with pytest.raises(ScenarioError):
+        parse_angle(10**400)
+
+
 def test_random_paths_need_seed():
     expect_error(MINIMAL + "random_paths: 3\n", "seed")
     cfg = loads(MINIMAL + "random_paths: 3\nseed: 1\n")
@@ -454,6 +480,11 @@ def test_cli_seed_and_tolerance_overrides(capsys):
         ["check", "--scenario", str(ANNULUS_YAML), "--tolerance", "0"], capsys
     )
     assert code == 2
+    for bad in ("nan", "inf"):
+        code, _, err = run_cli(
+            ["classify", "--scenario", str(ANNULUS_YAML), "--tolerance", bad], capsys
+        )
+        assert code == 2 and "--tolerance: must be a finite number" in err
 
 
 def test_cli_out_writes_file_only(tmp_path, capsys):

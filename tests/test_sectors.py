@@ -84,6 +84,14 @@ def annulus_setup(theta=0.7, m=2, kappa=1):
     return nerve, sigma, coc, fock, window
 
 
+def assert_partial_permutation(op, fock):
+    """At most one stored entry per row and per column, so nnz <= dim."""
+    m = op.csr
+    assert m.nnz <= fock.dim
+    assert np.diff(m.indptr).max() <= 1
+    assert np.bincount(m.indices, minlength=1).max() <= 1
+
+
 def random_walk(rng, cover, length, start=None):
     visited = [start if start is not None else int(rng.choice(cover.regions))]
     for _ in range(length):
@@ -341,9 +349,12 @@ def test_plain_loop_component_is_one():
 
 def test_twisted_loop_component_matches_holonomy():
     theta = 2 * np.pi / 7
-    nerve, sigma, coc, _, window = annulus_setup(theta=theta)
+    nerve, sigma, coc, fock, window = annulus_setup(theta=theta)
     t = twisted_transporter(window, coc)
+    for e in t.entries.values():
+        assert_partial_permutation(e.op, fock)
     loop = generator_loop(nerve, 0)
+    assert_partial_permutation(z_path(t, loop).op, fock)
     comp = topological_component(t, loop)
     want = holonomy(coc, loop).complex_value
     assert comp.value == pytest.approx(want, abs=1e-12)
