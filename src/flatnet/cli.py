@@ -3,8 +3,8 @@
 Subcommands name a single task (check, trivialize, holonomy, sector,
 amplitude, classify) or run every task the scenario requests (report).
 Reports go to stdout or --out; diagnostics go to stderr.  Exit codes:
-0 all tasks passed, 1 some task failed, 2 parse or config error,
-3 capacity exceeded.
+0 all tasks passed, 1 some task failed, 2 parse or config error (or an
+--out path that cannot be written), 3 capacity exceeded.
 """
 
 from __future__ import annotations
@@ -103,8 +103,12 @@ def main(argv=None) -> int:
     if args.out is None:
         sys.stdout.write(rendered)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as e:
+            print(f"flatnet: {e}", file=sys.stderr)
+            return 2
     return int(report["summary"]["exit_code"])
 
 

@@ -159,11 +159,8 @@ def transition_cocycle(sigma: SigmaMorphism, nerve: NerveGraph) -> TransitionCoc
     pres_names = [f"g{i}" for i in range(len(nerve.non_tree_edges))]
     values: dict[Edge, GroupValue] = {}
     for e in nerve.cover.overlaps:
-        if e in nerve.tree_edges:
-            values[e] = sigma.identity
-        else:
-            idx = nerve.non_tree_edges.index(e)
-            values[e] = sigma.value(pres_names[idx])
+        letter = nerve.letters[e]
+        values[e] = sigma.value(pres_names[letter - 1]) if letter else sigma.identity
     return TransitionCocycle(cover=nerve.cover, values=values, identity=sigma.identity)
 
 

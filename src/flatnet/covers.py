@@ -46,7 +46,14 @@ class Step(NamedTuple):
 
 @dataclass(frozen=True)
 class Cover:
-    """Combinatorial cover data; immutable after construction."""
+    """Combinatorial cover data; immutable after construction.
+
+    Construction also derives the lookup tables behind the queries:
+    ``_components`` maps a pair (u, v) with u < v to its overlap component
+    ids in ascending order, ``_neighbors`` maps a region to its sorted
+    overlapping regions, and ``_disjoint`` holds the disjoint pairs.  They
+    take no part in equality and are rebuilt by ``dataclasses.replace``.
+    """
 
     regions: tuple[int, ...]
     overlaps: tuple[Edge, ...]
@@ -55,6 +62,11 @@ class Cover:
     base_region: int = 0
     kind: str = "custom"
     labels: dict[int, str] = field(default_factory=dict, compare=False)
+    _components: dict[tuple[int, int], tuple[int, ...]] = field(
+        init=False, compare=False, repr=False
+    )
+    _neighbors: dict[int, tuple[int, ...]] = field(init=False, compare=False, repr=False)
+    _disjoint: frozenset[tuple[int, int]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         regions = tuple(self.regions)
@@ -86,11 +98,13 @@ class Cover:
                     )
         object.__setattr__(self, "triples", tuple(sorted(self.triples)))
 
-        overlap_pairs = {(u, v) for (u, v, _) in self.overlaps}
+        components: dict[tuple[int, int], tuple[int, ...]] = {}
+        for (u, v, c) in self.overlaps:  # sorted, so component ids ascend
+            components[(u, v)] = components.get((u, v), ()) + (c,)
         for (u, v) in self.disjoint_pairs:
             if not u < v:
                 raise InvalidCover(f"disjoint pair ({u},{v}) must be stored with u < v")
-            if (u, v) in overlap_pairs:
+            if (u, v) in components:
                 raise InvalidCover(f"pair ({u},{v}) both overlaps and is disjoint")
             if u not in rset or v not in rset:
                 raise InvalidCover(f"disjoint pair ({u},{v}) uses unknown region")
@@ -115,22 +129,18 @@ class Cover:
         if seen_r != rset:
             raise InvalidCover("overlap graph is not connected")
 
+        object.__setattr__(self, "_components", components)
+        object.__setattr__(self, "_neighbors", {r: tuple(sorted(adj[r])) for r in regions})
+        object.__setattr__(self, "_disjoint", frozenset(self.disjoint_pairs))
+
     def overlap_components(self, u: int, v: int) -> tuple[int, ...]:
-        a, b = min(u, v), max(u, v)
-        return tuple(c for (x, y, c) in self.overlaps if (x, y) == (a, b))
+        return self._components.get((min(u, v), max(u, v)), ())
 
     def are_disjoint(self, u: int, v: int) -> bool:
-        a, b = min(u, v), max(u, v)
-        return (a, b) in self.disjoint_pairs
+        return (min(u, v), max(u, v)) in self._disjoint
 
     def neighbors(self, r: int) -> tuple[int, ...]:
-        out = set()
-        for (u, v, _) in self.overlaps:
-            if u == r:
-                out.add(v)
-            elif v == r:
-                out.add(u)
-        return tuple(sorted(out))
+        return self._neighbors.get(r, ())
 
     def label(self, r: int) -> str:
         return self.labels.get(r, str(r))
@@ -138,13 +148,18 @@ class Cover:
 
 @dataclass(frozen=True)
 class NerveGraph:
-    """Nerve of a cover plus a deterministic BFS spanning tree."""
+    """Nerve of a cover plus a deterministic BFS spanning tree.
+
+    ``letters`` maps every nerve edge to its generator letter: 0 for a
+    tree edge, i + 1 for non-tree edge i (``non_tree_edges[i]``).
+    """
 
     cover: Cover
     edges: tuple[Edge, ...]
     tree_edges: frozenset[Edge]
     non_tree_edges: tuple[Edge, ...]
     parent: dict[int, Step | None] = field(compare=False)
+    letters: dict[Edge, int] = field(compare=False)
     bfs_order: tuple[int, ...] = ()
 
     @property
@@ -160,17 +175,10 @@ class NerveGraph:
         if step.comp is None:
             return 0
         a, b = min(step.src, step.dst), max(step.src, step.dst)
-        key = (a, b, step.comp)
-        if key not in self._edge_set:
+        letter = self.letters.get((a, b, step.comp))
+        if letter is None:
             raise InvalidPath(f"step {step} does not cross a nerve edge")
-        if key in self.tree_edges:
-            return 0
-        idx = self.non_tree_edges.index(key)
-        return (idx + 1) if step.src == a else -(idx + 1)
-
-    @property
-    def _edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
+        return letter if step.src == a else -letter
 
     def tree_steps_from_base(self, r: int) -> tuple[Step, ...]:
         """Steps walking the spanning tree from the base region out to r."""
@@ -212,12 +220,15 @@ def build_nerve(cover: Cover) -> NerveGraph:
                 order.append(s)
                 queue.append(s)
     non_tree = tuple(e for e in cover.overlaps if e not in tree)
+    letters = dict.fromkeys(tree, 0)
+    letters.update((e, i + 1) for i, e in enumerate(non_tree))
     return NerveGraph(
         cover=cover,
         edges=cover.overlaps,
         tree_edges=frozenset(tree),
         non_tree_edges=non_tree,
         parent=parent,
+        letters=letters,
         bfs_order=tuple(order),
     )
 

@@ -82,7 +82,7 @@ class MatrixUn(GroupValue):
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         defect = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-        if defect > UNITARY_TOL:
+        if not (defect <= UNITARY_TOL):
             raise ValueError(f"matrix is not unitary: max |U*U - I| = {defect:.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)

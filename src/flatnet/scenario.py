@@ -93,6 +93,8 @@ SCHEMA_VERSION = 1
 TASK_ORDER = ("check", "trivialize", "holonomy", "sector", "amplitude", "classify")
 FOCK_TASKS = frozenset({"sector", "amplitude", "classify"})
 DEFAULT_TOLERANCE = 1e-10
+# libyaml's parser when PyYAML was built with it; the pure-Python one otherwise
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ScenarioError(ValueError):
@@ -112,7 +114,10 @@ _PI_FORM = re.compile(
 )
 
 
-def _finite(value: int | float, where: str) -> float:
+def _finite(value, where: str) -> float:
+    """A finite int or float as float; booleans and non-numbers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError("must be a finite number", where)
     try:
         x = float(value)
     except OverflowError:  # an integer beyond float range
@@ -162,9 +167,10 @@ def _parse_matrix(raw, dim: int, where: str) -> MatrixUn:
         for j, ent in enumerate(row):
             if not (isinstance(ent, list) and len(ent) == 2):
                 raise ScenarioError(f"entry ({i},{j}) must be [re, im]", where)
-            mat[i, j] = complex(float(ent[0]), float(ent[1]))
+            at = f"{where}[{i}][{j}]"
+            mat[i, j] = complex(_finite(ent[0], f"{at}[0]"), _finite(ent[1], f"{at}[1]"))
     gap = np.max(np.abs(mat.conj().T @ mat - np.eye(dim)))
-    if gap > 1e-8:
+    if not (gap <= 1e-8):
         raise ScenarioError(f"matrix is not unitary (defect {gap:.3e})", where)
     return MatrixUn(mat)
 
@@ -198,8 +204,11 @@ def _parse_topology(raw) -> tuple[Cover, str]:
         extra = set(raw) - {"builtin", "n"}
         if extra:
             raise ScenarioError(f"unknown keys {sorted(extra)}", "topology")
+        n = raw.get("n")
+        if n is not None and (isinstance(n, bool) or not isinstance(n, int)):
+            raise ScenarioError("must be an integer", "topology.n")
         try:
-            cover = builtin_cover(name, raw.get("n"))
+            cover = builtin_cover(name, n)
         except InvalidCover as e:
             raise ScenarioError(str(e), "topology.builtin") from None
         label = name if name != "circle" else f"circle({len(cover.regions)})"
@@ -230,7 +239,7 @@ def _parse_topology(raw) -> tuple[Cover, str]:
 def load_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
     """Parse and validate scenario text; raises ScenarioError."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as e:
         mark = getattr(e, "problem_mark", None)
         loc = f" at line {mark.line + 1}" if mark is not None else ""

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatnet.covers import (
     Cover,
@@ -334,3 +338,119 @@ def test_overlap_components_symmetric():
     cov = Cover(regions=(0, 1), overlaps=((0, 1, 0), (0, 1, 1)))
     assert cov.overlap_components(0, 1) == cov.overlap_components(1, 0) == (0, 1)
     assert cov.overlap_components(0, 0) == ()
+
+
+# ---------------------------------------------------------------------------
+# lookup tables against linear scans of the cover data
+
+
+def grid_torus_cover(k):
+    """Explicit k x k grid torus: region i*k + j, three overlaps and two
+    triangles per vertex."""
+    rid = lambda i, j: (i % k) * k + (j % k)  # noqa: E731
+    overlaps, faces = set(), set()
+    for i in range(k):
+        for j in range(k):
+            a, right, down, diag = rid(i, j), rid(i, j + 1), rid(i + 1, j), rid(i + 1, j + 1)
+            for b in (right, down, diag):
+                overlaps.add((min(a, b), max(a, b), 0))
+            faces.add(tuple(sorted((a, right, diag))))
+            faces.add(tuple(sorted((a, down, diag))))
+    return Cover(
+        regions=tuple(range(k * k)),
+        overlaps=tuple(sorted(overlaps)),
+        triples=tuple((a, b, c, (0, 0, 0)) for (a, b, c) in sorted(faces)),
+    )
+
+
+def scan_components(cover, u, v):
+    a, b = min(u, v), max(u, v)
+    return tuple(c for (x, y, c) in cover.overlaps if (x, y) == (a, b))
+
+
+def scan_neighbors(cover, r):
+    out = {v for (u, v, _) in cover.overlaps if u == r}
+    out |= {u for (u, v, _) in cover.overlaps if v == r}
+    return tuple(sorted(out))
+
+
+def scan_letter(nerve, step):
+    if step.comp is None:
+        return 0
+    key = (min(step.src, step.dst), max(step.src, step.dst), step.comp)
+    if key not in nerve.edges:
+        raise InvalidPath(f"step {step} does not cross a nerve edge")
+    if key in nerve.tree_edges:
+        return 0
+    idx = nerve.non_tree_edges.index(key) + 1
+    return idx if step.src == key[0] else -idx
+
+
+covers = st.one_of(
+    st.sampled_from(["annulus", "disk", "figure_eight", "torus"]).map(builtin_cover),
+    st.integers(min_value=3, max_value=9).map(circle_cover),
+    st.integers(min_value=3, max_value=6).map(grid_torus_cover),
+    st.just(Cover(regions=(0, 1, 2), overlaps=((0, 1, 0), (0, 1, 2), (1, 2, 0)))),
+)
+
+
+@given(covers, st.data())
+@settings(max_examples=80, deadline=None)
+def test_lookup_tables_match_linear_scans(cover, data):
+    for u in cover.regions:
+        assert cover.neighbors(u) == scan_neighbors(cover, u)
+        for v in cover.regions:
+            assert cover.overlap_components(u, v) == scan_components(cover, u, v)
+            assert cover.are_disjoint(u, v) == ((min(u, v), max(u, v)) in cover.disjoint_pairs)
+
+    nerve = build_nerve(cover)
+    regions = st.sampled_from(cover.regions)
+    crossing = st.sampled_from(cover.overlaps).flatmap(
+        lambda e: st.sampled_from([Step(e[1], e[0], e[2]), Step(e[0], e[1], e[2])])
+    )
+    anything = st.builds(Step, regions, regions, st.none() | st.integers(0, 2))
+    for step in data.draw(st.lists(crossing | anything, max_size=40)):
+        try:
+            want = scan_letter(nerve, step)
+        except InvalidPath:
+            with pytest.raises(InvalidPath):
+                nerve.step_letter(step)
+        else:
+            assert nerve.step_letter(step) == want
+
+    walk = [cover.base_region]
+    for _ in range(data.draw(st.integers(0, 60))):
+        walk.append(data.draw(st.sampled_from(scan_neighbors(cover, walk[-1]))))
+    path = approximate_curve(cover, walk)
+    for s, (u, v) in zip(path.steps, zip(walk, walk[1:])):
+        assert s.comp == (None if u == v else min(scan_components(cover, u, v)))
+    pres = pi1_presentation(nerve)
+    letters = [scan_letter(nerve, s) for s in reversed(path.steps)]
+    assert loop_class(pres, path).letters == pres.word([l for l in letters if l]).letters
+
+
+@pytest.mark.parametrize("cover", [make(n) for n in ALL_BUILTINS] + [grid_torus_cover(4)])
+def test_step_across_non_overlapping_pair_is_invalid(cover):
+    nerve = build_nerve(cover)
+    for u in cover.regions:
+        for v in cover.regions:
+            if u != v and not scan_components(cover, u, v):
+                with pytest.raises(InvalidPath):
+                    nerve.step_letter(Step(dst=v, src=u, comp=0))
+    missing = max(c for (_, _, c) in cover.overlaps) + 1
+    (u, v, _) = cover.overlaps[0]
+    with pytest.raises(InvalidPath):
+        nerve.step_letter(Step(dst=v, src=u, comp=missing))
+
+
+def test_lookup_tables_ignored_by_equality_and_rebuilt_by_replace():
+    ann = annulus_cover()
+    assert ann == annulus_cover()
+    moved = replace(ann, base_region=2)
+    assert moved.neighbors(2) == scan_neighbors(ann, 2)
+    assert moved.overlap_components(3, 0) == (0,)
+    assert moved.are_disjoint(2, 0)
+    grown = replace(ann, overlaps=ann.overlaps + ((0, 2, 0),), disjoint_pairs=((1, 3),))
+    assert grown.neighbors(0) == (1, 2, 3)
+    assert grown.overlap_components(2, 0) == (0,)
+    assert not grown.are_disjoint(0, 2)

@@ -88,6 +88,8 @@ def test_matrix_unitarity_enforced():
         MatrixUn(np.eye(2) * 1.001)
     with pytest.raises(ValueError):
         MatrixUn(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="not unitary"):
+        MatrixUn(np.array([[np.nan]]))
 
 
 def test_matrix_group_ops():

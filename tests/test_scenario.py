@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from flatnet.cli import main as cli_main
 from flatnet.scenario import (
@@ -252,6 +253,41 @@ def test_sigma_nan_rejected():
         parse_angle(10**400)
 
 
+def test_matrix_sigma_non_finite_rejected():
+    head = (
+        "schema_version: 1\n"
+        "topology: {builtin: figure_eight}\n"
+        "group: {variant: MatrixUn, dimension: 1}\n"
+        "tasks: [check]\n"
+    )
+    expect_error(
+        head + "sigma: {g0: [[[.nan, 0.0]]], g1: [[[1.0, 0.0]]]}\n",
+        "sigma.g0[0][0][0]: must be a finite number",
+    )
+    expect_error(
+        head + "sigma: {g0: [[[1.0, 0.0]]], g1: [[[1.0, -.inf]]]}\n",
+        "sigma.g1[0][0][1]: must be a finite number",
+    )
+    expect_error(
+        head + "sigma: {g0: [[[abc, 0.0]]], g1: [[[1.0, 0.0]]]}\n",
+        "sigma.g0[0][0][0]: must be a finite number",
+    )
+
+
+def test_topology_n_non_integer_rejected():
+    expect_error(
+        "schema_version: 1\ntopology: {builtin: circle, n: abc}\nsigma: {g0: 0}\n",
+        "topology.n: must be an integer",
+    )
+
+
+def test_topology_n_boolean_rejected():
+    expect_error(
+        "schema_version: 1\ntopology: {builtin: circle, n: true}\nsigma: {g0: 0}\n",
+        "topology.n: must be an integer",
+    )
+
+
 def test_random_paths_need_seed():
     expect_error(MINIMAL + "random_paths: 3\n", "seed")
     cfg = loads(MINIMAL + "random_paths: 3\nseed: 1\n")
@@ -263,6 +299,25 @@ def test_not_yaml_and_missing_file(tmp_path):
     expect_error("- just\n- a list\n", "mapping")
     with pytest.raises(ScenarioError):
         parse_scenario(str(tmp_path / "nope.yaml"))
+
+
+@pytest.mark.skipif(
+    not hasattr(yaml, "CSafeLoader"), reason="PyYAML was built without libyaml"
+)
+def test_libyaml_and_python_loaders_agree():
+    for path in sorted(GOLDEN_DIR.glob("*.yaml")):
+        text = path.read_text(encoding="utf-8")
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(
+            text, Loader=yaml.SafeLoader
+        ), path.name
+    for bad in ("{:::", "schema_version: 1\ntopology: {builtin: annulus\nsigma: {}\n"):
+        lines = set()
+        for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+            with pytest.raises(yaml.YAMLError) as exc:
+                yaml.load(bad, Loader=loader)
+            lines.add(exc.value.problem_mark.line + 1)
+        assert len(lines) == 1
+        expect_error(bad, f"not valid YAML at line {lines.pop()}")
 
 
 # ---------------------------------------------------------------------------
@@ -494,3 +549,13 @@ def test_cli_out_writes_file_only(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert re.search(r"check\s+PASS", target.read_text(encoding="utf-8"))
+
+
+def test_cli_out_missing_directory(tmp_path, capsys):
+    target = tmp_path / "missing_dir" / "x.txt"
+    code, out, err = run_cli(
+        ["check", "--scenario", str(DISK_YAML), "--out", str(target)], capsys
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("flatnet: ") and "Traceback" not in err
+    assert not target.exists()
