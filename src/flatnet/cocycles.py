@@ -30,6 +30,7 @@ from .covers import (
     PosetPath,
     Triple,
     generator_loop,
+    oriented,
 )
 from .groups import (
     GROUP_EQ_TOL,
@@ -40,6 +41,7 @@ from .groups import (
     compose,
     distance,
     inverse,
+    ordered_product,
     wrap_angle,
 )
 
@@ -81,13 +83,16 @@ class SigmaMorphism:
         return self.assignment[generator]
 
     def evaluate(self, word: FreeWord) -> GroupValue:
-        """Evaluate on a reduced word, letters composed left to right."""
-        acc = self.identity
-        for l in word.letters:
-            name = word.alphabet[abs(l) - 1]
-            v = self.value(name)
-            acc = compose(acc, v if l > 0 else inverse(v))
-        return acc
+        """Evaluate on a reduced word, letters composed left to right.
+
+        One ``ordered_product`` fold: a matrix result is checked for
+        unitarity once, not after every letter.
+        """
+        return ordered_product(
+            self.identity,
+            ((self.value(word.alphabet[abs(l) - 1]), l > 0) for l in word.letters),
+            later_left=False,
+        )
 
 
 def validate_sigma(
@@ -107,7 +112,7 @@ def validate_sigma(
     violations = []
     for rel in presentation.relations:
         resid = distance(sigma.evaluate(rel), sigma.identity)
-        if resid > tol:
+        if not (resid <= tol):
             violations.append((rel, resid))
     return violations
 
@@ -132,17 +137,22 @@ class TransitionCocycle:
         for e, v in self.values.items():
             compose(self.identity, v)  # variant uniformity
 
-    def value(self, dst: int, src: int, comp: int | None) -> GroupValue:
+    def factor(self, dst: int, src: int, comp: int | None) -> tuple[GroupValue, bool]:
+        """Stored value of the crossing src -> dst and whether it enters
+        as is (True) or inverted (False); the identity for a reflexive step."""
         if dst == src:
-            return self.identity
-        a, b = min(src, dst), max(src, dst)
+            return self.identity, True
+        edge, forward = oriented(dst, src, comp)
         try:
-            g = self.values[(a, b, comp)]
+            return self.values[edge], forward
         except KeyError:
             raise CocycleInconsistent(
-                f"no transition value for component ({a},{b},{comp})"
+                "no transition value for component ({},{},{})".format(*edge)
             ) from None
-        return g if (src, dst) == (a, b) else inverse(g)
+
+    def value(self, dst: int, src: int, comp: int | None) -> GroupValue:
+        g, forward = self.factor(dst, src, comp)
+        return g if forward else inverse(g)
 
 
 def identity_cocycle(cover: Cover, identity: GroupValue) -> TransitionCocycle:
@@ -196,7 +206,7 @@ def check_cocycle(cocycle: TransitionCocycle, tol: float = COCYCLE_TOL) -> Cocyc
         rhs = cocycle.value(r3, r1, c13)
         resid = distance(lhs, rhs)
         worst = max(worst, resid)
-        if resid > tol:
+        if not (resid <= tol):
             failures.append((t, resid))
     return CocycleCheck(max_residual=worst, failures=tuple(failures), tolerance=tol)
 
@@ -241,7 +251,7 @@ def trivialize(
     for idx, (u, v, c) in enumerate(nerve.non_tree_edges):
         want = compose(lam[v], inverse(lam[u]))
         resid = distance(cocycle.value(v, u, c), want)
-        if resid > tol:
+        if not (resid <= tol):
             loop = generator_loop(nerve, idx)
             return TrivializationResult(
                 success=False,
@@ -260,14 +270,15 @@ def holonomy(source, path: PosetPath) -> GroupValue:
 
     ``source`` may be a TransitionCocycle or a FlatPotentialU1.  Loops give
     the transported loop-group value; open paths are allowed but their
-    value is chart-dependent bookkeeping, not an invariant.
+    value is chart-dependent bookkeeping, not an invariant.  The product is
+    one ``ordered_product`` fold, so a matrix holonomy is checked for
+    unitarity once, on the returned value.
     """
     if isinstance(source, FlatPotentialU1):
         return PhaseU1(lift_sum(source, path))
-    acc = source.identity
-    for s in path.steps:
-        acc = compose(source.value(s.dst, s.src, s.comp), acc)
-    return acc
+    return ordered_product(
+        source.identity, (source.factor(s.dst, s.src, s.comp) for s in path.steps)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +304,10 @@ class FlatPotentialU1:
         for e in self.cover.overlaps:
             if e not in self.angles:
                 raise InvalidPotential(f"no lift for overlap {e}")
+            if not np.isfinite(self.angles[e]):
+                raise InvalidPotential(f"lift for overlap {e} is not finite")
         for t, (n, defect) in self._triangle_data().items():
-            if defect > TRIANGLE_INT_TOL:
+            if not (defect <= TRIANGLE_INT_TOL):
                 raise InvalidPotential(
                     f"triangle {t}: lift sum off 2 pi Z by {defect:.3e}"
                 )
@@ -306,7 +319,7 @@ class FlatPotentialU1:
                         - (self.primitives[v] - self.primitives[u])
                     )
                 )
-                if gap > TRIANGLE_INT_TOL:
+                if not (gap <= TRIANGLE_INT_TOL):
                     raise InvalidPotential(
                         f"primitives fail on ({u},{v},{c}): gap {gap:.3e}"
                     )
@@ -314,12 +327,14 @@ class FlatPotentialU1:
     def lift(self, dst: int, src: int, comp: int | None) -> float:
         if dst == src:
             return 0.0
-        a, b = min(src, dst), max(src, dst)
+        edge, forward = oriented(dst, src, comp)
         try:
-            th = self.angles[(a, b, comp)]
+            th = self.angles[edge]
         except KeyError:
-            raise InvalidPotential(f"no lift for component ({a},{b},{comp})") from None
-        return th if (src, dst) == (a, b) else -th
+            raise InvalidPotential(
+                "no lift for component ({},{},{})".format(*edge)
+            ) from None
+        return th if forward else -th
 
     def _triangle_data(self) -> dict[Triple, tuple[int, float]]:
         out = {}

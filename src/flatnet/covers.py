@@ -25,6 +25,14 @@ Edge = tuple[int, int, int]  # (u, v, component) with u < v
 Triple = tuple[int, int, int, tuple[int, int, int]]
 
 
+def oriented(dst: int, src: int, comp: int | None) -> tuple[Edge, bool]:
+    """Canonical edge of the crossing from ``src`` into ``dst``, and whether
+    the crossing runs low-to-high, the direction its stored value is for."""
+    if src < dst:
+        return (src, dst, comp), True
+    return (dst, src, comp), False
+
+
 class InvalidCover(ValueError):
     """Raised when cover data violates its structural invariants."""
 
@@ -174,11 +182,11 @@ class NerveGraph:
         """
         if step.comp is None:
             return 0
-        a, b = min(step.src, step.dst), max(step.src, step.dst)
-        letter = self.letters.get((a, b, step.comp))
+        edge, forward = oriented(step.dst, step.src, step.comp)
+        letter = self.letters.get(edge)
         if letter is None:
             raise InvalidPath(f"step {step} does not cross a nerve edge")
-        return letter if step.src == a else -letter
+        return letter if forward else -letter
 
     def tree_steps_from_base(self, r: int) -> tuple[Step, ...]:
         """Steps walking the spanning tree from the base region out to r."""
@@ -216,7 +224,7 @@ def build_nerve(cover: Cover) -> NerveGraph:
         for (s, c) in adj[r]:
             if s not in parent:
                 parent[s] = Step(dst=s, src=r, comp=c)
-                tree.add((min(r, s), max(r, s), c))
+                tree.add(oriented(s, r, c)[0])
                 order.append(s)
                 queue.append(s)
     non_tree = tuple(e for e in cover.overlaps if e not in tree)

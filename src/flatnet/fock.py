@@ -250,7 +250,7 @@ def gauge_action(zeta: complex | PhaseU1, t: FieldOp) -> FieldOp:
     if isinstance(zeta, PhaseU1):
         zeta = zeta.complex_value
     zeta = complex(zeta)
-    if abs(abs(zeta) - 1.0) > 1e-12:
+    if not (abs(abs(zeta) - 1.0) <= 1e-12):
         raise ValueError("gauge parameter must lie on the unit circle")
     d = t.fock.gauge_diagonal(zeta)
     c = t.csr.tocoo()
@@ -365,7 +365,7 @@ def glue_psi_A(
     for (u, v, c) in pot.cover.overlaps:
         if u in vecs and v in vecs:
             gap = np.max(np.abs(vecs[v] - np.exp(1j * pot.lift(v, u, c)) * vecs[u]))
-            if gap > 1e-8:
+            if not (gap <= 1e-8):
                 raise SupportError(
                     f"section inconsistent across ({u},{v},{c}): gap {gap:.3e}"
                 )

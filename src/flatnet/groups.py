@@ -16,7 +16,7 @@ Conventions, fixed once here and relied on everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -199,6 +199,36 @@ def inverse(a: GroupValue) -> GroupValue:
     raise VariantMismatch(f"not a group value: {type(a).__name__}")
 
 
+def ordered_product(
+    identity: GroupValue,
+    factors: Iterable[tuple[GroupValue, bool]],
+    later_left: bool = True,
+) -> GroupValue:
+    """Fold ``(value, forward)`` factors given in path order into one product.
+
+    A factor with ``forward`` False enters as its inverse.  With
+    ``later_left`` each factor multiplies the running product on the left
+    (transport order); otherwise on the right (word order).  The fold
+    starts from ``identity``, so its result equals the step-by-step
+    ``compose``/``inverse`` loop bit for bit.  Matrix factors are
+    multiplied as raw arrays and only the returned MatrixUn is checked
+    against UNITARY_TOL; the other variants compose step by step.
+    """
+    if isinstance(identity, MatrixUn):
+        acc = identity.mat
+        for v, forward in factors:
+            if type(v) is not MatrixUn or v.dim != identity.dim:
+                compose(identity, v)  # raises the matching VariantMismatch
+            m = v.mat if forward else np.array(v.mat.conj().T, dtype=complex)
+            acc = m @ acc if later_left else acc @ m
+        return MatrixUn(acc)
+    acc = identity
+    for v, forward in factors:
+        f = v if forward else inverse(v)
+        acc = compose(f, acc) if later_left else compose(acc, f)
+    return acc
+
+
 def power(a: GroupValue, k: int) -> GroupValue:
     """Integer power by repeated composition (k may be negative)."""
     if k < 0:
@@ -266,7 +296,7 @@ class AntiHermitianUn(LieValue):
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         defect = np.max(np.abs(m + m.conj().T))
-        if defect > ANTIHERM_TOL:
+        if not (defect <= ANTIHERM_TOL):
             raise ValueError(f"matrix is not anti-Hermitian: max |X + X*| = {defect:.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)

@@ -27,7 +27,15 @@ from typing import Callable
 import numpy as np
 
 from .cocycles import TransitionCocycle
-from .covers import Cover, Edge, NerveGraph, PosetPath, InvalidPath, generator_loop
+from .covers import (
+    Cover,
+    Edge,
+    InvalidPath,
+    NerveGraph,
+    PosetPath,
+    generator_loop,
+    oriented,
+)
 from .groups import (
     GroupValue,
     MatrixUn,
@@ -36,6 +44,7 @@ from .groups import (
     compose,
     inverse,
     is_identity,
+    ordered_product,
 )
 from .fock import FieldOp, FockSpace, SupportError, identity_op
 
@@ -102,7 +111,7 @@ class WindowSubspace:
             cols.append(self.implementers[r].op.apply(self.fock.vacuum))
         b = np.stack(cols, axis=1)
         gram = b.conj().T @ b
-        if np.max(np.abs(gram - np.eye(b.shape[1]))) > 1e-12:
+        if not (np.max(np.abs(gram - np.eye(b.shape[1]))) <= 1e-12):
             raise ValueError("window basis failed to come out orthonormal")
         b.setflags(write=False)
         object.__setattr__(self, "regions", regions)
@@ -155,18 +164,29 @@ class SectorTransporter:
     kind: str
     window: WindowSubspace | None = None
 
-    def entry(self, dst: int, src: int, comp: int | None) -> TransportEntry:
+    def factor(
+        self, dst: int, src: int, comp: int | None
+    ) -> tuple[TransportEntry, bool]:
+        """Stored entry of the step src -> dst and whether it applies as is
+        (True) or as its adjoint with inverted coefficient (False); the
+        identity entry for a reflexive step."""
         if dst == src:
             op = None
             if self.window is not None:
                 op = identity_op(self.window.fock)
-            return TransportEntry(end=dst, start=src, coeff=self.identity_coeff, op=op)
-        a, b = min(src, dst), max(src, dst)
+            entry = TransportEntry(end=dst, start=src, coeff=self.identity_coeff, op=op)
+            return entry, True
+        edge, forward = oriented(dst, src, comp)
         try:
-            e = self.entries[(a, b, comp)]
+            return self.entries[edge], forward
         except KeyError:
-            raise MissingEntry(f"no transporter entry for ({a},{b},{comp})") from None
-        if (src, dst) == (a, b):
+            raise MissingEntry(
+                "no transporter entry for ({},{},{})".format(*edge)
+            ) from None
+
+    def entry(self, dst: int, src: int, comp: int | None) -> TransportEntry:
+        e, forward = self.factor(dst, src, comp)
+        if forward:
             return e
         return TransportEntry(
             end=dst,
@@ -238,16 +258,19 @@ def dress_transporter(
 
 
 def z_path(t: SectorTransporter, path: PosetPath) -> TransportEntry:
-    """Ordered product of entries along a path (later steps on the left)."""
-    coeff = t.identity_coeff
+    """Ordered product of entries along a path (later steps on the left).
+
+    The coefficient is one ``ordered_product`` fold; the operator is the
+    sparse product of the entry operators in the same order.
+    """
+    entries = [t.entry(s.dst, s.src, s.comp) for s in path.steps]
+    coeff = ordered_product(t.identity_coeff, ((e.coeff, True) for e in entries))
     op: FieldOp | None = None
     if t.window is not None:
         op = identity_op(t.window.fock)
-    for s in path.steps:
-        e = t.entry(s.dst, s.src, s.comp)
-        coeff = compose(e.coeff, coeff)
-        if op is not None and e.op is not None:
-            op = e.op * op
+        for e in entries:
+            if e.op is not None:
+                op = e.op * op
     return TransportEntry(end=path.end, start=path.start, coeff=coeff, op=op)
 
 
@@ -474,10 +497,12 @@ def rho_layer_transporter(
 
 
 def rho_holonomy(t: SectorTransporter, loop: PosetPath) -> GroupValue:
-    """Ordered coefficient product around a loop (later steps left)."""
+    """Ordered coefficient product around a loop (later steps left).
+
+    One ``ordered_product`` fold over the stored coefficients, so a matrix
+    holonomy is checked for unitarity once, on the returned value.
+    """
     if not loop.is_loop:
         raise InvalidPath("holonomy is defined for loops")
-    acc = t.identity_coeff
-    for s in loop.steps:
-        acc = compose(t.entry(s.dst, s.src, s.comp).coeff, acc)
-    return acc
+    factors = (t.factor(s.dst, s.src, s.comp) for s in loop.steps)
+    return ordered_product(t.identity_coeff, ((e.coeff, fwd) for e, fwd in factors))

@@ -48,6 +48,7 @@ from flatnet.groups import (
     wrap_angle,
 )
 
+NAN = float("nan")
 ALL_BUILTINS = ["circle", "annulus", "disk", "figure_eight", "torus"]
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -347,6 +348,36 @@ def test_holonomy_matches_word_evaluation_matrix():
     assert distance(hol, MatrixUn(I2)) > 0.1  # non-Abelian obstruction
 
 
+def test_matrix_holonomy_and_evaluate_match_stepwise_compose():
+    # the fold keeps each caller's association order: transport puts later
+    # steps on the left, word evaluation folds letters left to right
+    rng = np.random.default_rng(41)
+    cov = torus_cover()
+    nerve = build_nerve(cov)
+    pres = pi1_presentation(nerve)
+    ident = MatrixUn(np.eye(3))
+    sigma = SigmaMorphism(
+        {g: MatrixUn(random_unitary(rng, 3)) for g in pres.generators}, ident
+    )
+    coc = transition_cocycle(sigma, nerve)
+    for _ in range(10):
+        seq = [cov.base_region]
+        for _ in range(40):
+            nbrs = cov.neighbors(seq[-1])
+            seq.append(seq[-1] if rng.random() < 0.2 else int(rng.choice(nbrs)))
+        path = approximate_curve(cov, seq)
+        acc = ident
+        for st in path.steps:
+            acc = compose(coc.value(st.dst, st.src, st.comp), acc)
+        assert np.array_equal(holonomy(coc, path).mat, acc.mat)
+        word = loop_class(pres, path)
+        acc = ident
+        for l in word.letters:
+            v = sigma.value(word.alphabet[abs(l) - 1])
+            acc = compose(acc, v if l > 0 else inverse(v))
+        assert np.array_equal(sigma.evaluate(word).mat, acc.mat)
+
+
 # ---------------------------------------------------------------------------
 # potentials
 
@@ -496,3 +527,56 @@ def test_two_cycle_integer_sum_rerooting_invariant():
         ints = pot.triangle_integers()
         sums.append(sum(cycle[t] * ints[t] for t in cov.triples))
     assert len(set(sums)) == 1
+
+
+# ---------------------------------------------------------------------------
+# NaN residuals and tolerances fail closed
+
+
+def test_validate_sigma_nan_fails_closed():
+    pres = pi1_presentation(build_nerve(torus_cover()))
+    sigma = u1_sigma_from_h1(pres, 0.7, -1.3)
+    assert validate_sigma(pres, sigma) == []
+    assert len(validate_sigma(pres, sigma, tol=NAN)) == len(pres.relations)
+    bad = dict(sigma.assignment)
+    bad[pres.generators[0]] = PhaseU1(NAN)
+    assert validate_sigma(pres, SigmaMorphism(bad, PhaseU1(0.0)))
+
+
+def test_check_cocycle_nan_fails_closed():
+    cov = disk_cover()
+    coc = identity_cocycle(cov, PhaseU1(0.0))
+    assert check_cocycle(coc).ok
+    assert not check_cocycle(coc, tol=NAN).ok
+    values = dict(coc.values)
+    values[(0, 1, 0)] = PhaseU1(NAN)
+    assert not check_cocycle(TransitionCocycle(cov, values, PhaseU1(0.0))).ok
+
+
+def test_trivialize_nan_fails_closed():
+    cov = circle_cover(4)  # no triples, so the triple-law precheck is vacuous
+    nerve = build_nerve(cov)
+    coc = identity_cocycle(cov, PhaseU1(0.0))
+    assert trivialize(coc, nerve).success
+    assert not trivialize(coc, nerve, tol=NAN).success
+    values = dict(coc.values)
+    values[nerve.non_tree_edges[0]] = PhaseU1(NAN)
+    res = trivialize(TransitionCocycle(cov, values, PhaseU1(0.0)), nerve)
+    assert not res.success
+    assert res.witness.edge == nerve.non_tree_edges[0]
+
+
+def test_potential_rejects_non_finite_lifts_and_primitives():
+    cov = disk_cover()
+    angles = {e: 0.0 for e in cov.overlaps}
+    FlatPotentialU1(cover=cov, angles=angles)
+    for bad in (NAN, float("inf")):
+        with pytest.raises(InvalidPotential, match="not finite"):
+            FlatPotentialU1(cover=cov, angles={**angles, (0, 1, 0): bad})
+    ann = annulus_cover()
+    zero = {e: 0.0 for e in ann.overlaps}
+    FlatPotentialU1(cover=ann, angles=zero, primitives={r: 0.0 for r in ann.regions})
+    with pytest.raises(InvalidPotential, match="primitives"):
+        FlatPotentialU1(
+            cover=ann, angles=zero, primitives={0: 0.0, 1: NAN, 2: 0.0, 3: 0.0}
+        )

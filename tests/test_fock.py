@@ -212,6 +212,14 @@ def test_gauge_action_phases():
         gauge_action(2.0, psi)
 
 
+def test_gauge_action_rejects_nan_parameter():
+    rng = np.random.default_rng(19)
+    fock = small_fock(1)
+    psi = smeared_field(fock, random_mode_vector(rng, fock))
+    with pytest.raises(ValueError, match="unit circle"):
+        gauge_action(complex("nan"), psi)
+
+
 # ---------------------------------------------------------------------------
 # normal commutation
 
@@ -336,6 +344,15 @@ def test_glue_transported_section_chart_independent():
         glued = glue_psi_A(fock, pot, section)
         assert glued.chart_residual <= 1e-12
         assert glued.charts == (0, 1, 2, 3)
+
+
+def test_glue_rejects_nan_section():
+    rng = np.random.default_rng(59)
+    fock = small_fock(2)
+    pot = coboundary_potential(ANN, rng)
+    s0 = random_mode_vector(rng, fock)
+    with pytest.raises(SupportError, match="inconsistent"):
+        glue_psi_A(fock, pot, {0: s0, 1: np.full_like(s0, np.nan)})
 
 
 def test_glue_rejects_inconsistent_section():

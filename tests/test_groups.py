@@ -6,6 +6,7 @@ from scipy.linalg import expm
 
 from flatnet.groups import (
     ANTIHERM_TOL,
+    UNITARY_TOL,
     AntiHermitianUn,
     CyclicZn,
     FreeWord,
@@ -19,10 +20,12 @@ from flatnet.groups import (
     inverse,
     is_identity,
     isclose,
+    ordered_product,
     path_ordered_exp,
     path_ordered_exp_subdivided,
     power,
     wrap_angle,
+    _as_unitary_loose,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -226,6 +229,8 @@ def test_antihermitian_guard():
     assert ANTIHERM_TOL < 1e-10
     with pytest.raises(ValueError):
         AntiHermitianUn(bad)
+    with pytest.raises(ValueError, match="not anti-Hermitian"):
+        AntiHermitianUn(np.array([[np.nan]]))
 
 
 def test_scalar_steps_sum_exactly():
@@ -298,3 +303,68 @@ def test_isclose_tolerance():
     assert isclose(PhaseU1(1.0), PhaseU1(1.0 + 5e-11))
     assert not isclose(PhaseU1(1.0), PhaseU1(1.1))
     assert isclose(PhaseU1(1.0), PhaseU1(1.05), tol=0.1)
+
+
+# ---------------------------------------------------------------------------
+# ordered-product fold
+
+
+def stepwise_product(identity, factors, later_left):
+    """The per-step compose/inverse loop the fold replaces."""
+    acc = identity
+    for v, forward in factors:
+        f = v if forward else inverse(v)
+        acc = compose(f, acc) if later_left else compose(acc, f)
+    return acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(["forward", "reverse", "reflexive"]), max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+    later_left=st.booleans(),
+)
+def test_fold_matches_stepwise_compose_bit_for_bit(kinds, seed, later_left):
+    rng = np.random.default_rng(seed)
+    pool = [MatrixUn(random_unitary(rng, 3)) for _ in range(4)]
+    angles = [PhaseU1(float(a)) for a in rng.uniform(-4.0, 4.0, size=4)]
+    for identity, values in ((MatrixUn(np.eye(3)), pool), (PhaseU1(0.0), angles)):
+        factors = []
+        for kind in kinds:
+            if kind == "reflexive":
+                factors.append((identity, True))
+            else:
+                factors.append((values[int(rng.integers(0, 4))], kind == "forward"))
+        folded = ordered_product(identity, factors, later_left=later_left)
+        expected = stepwise_product(identity, factors, later_left)
+        if isinstance(identity, MatrixUn):
+            assert np.array_equal(folded.mat, expected.mat)
+        else:
+            assert folded.angle == expected.angle
+
+
+def test_fold_checks_the_product_for_unitarity():
+    rng = np.random.default_rng(7)
+    u = MatrixUn(random_unitary(rng, 3))
+    h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    coarse = path_ordered_exp_subdivided([AntiHermitianUn(0.5 * (h - h.conj().T))], 2)
+    drift = np.max(np.abs(coarse.mat.conj().T @ coarse.mat - np.eye(3)))
+    assert drift > UNITARY_TOL  # built by _as_unitary_loose, unchecked
+    for later_left in (True, False):
+        for forward in (True, False):
+            factors = [(u, True), (coarse, forward), (u, False)]
+            with pytest.raises(ValueError, match="not unitary"):
+                ordered_product(MatrixUn(np.eye(3)), factors, later_left=later_left)
+    loose = _as_unitary_loose(np.eye(3) * (1.0 + 1e-9))
+    with pytest.raises(ValueError, match="not unitary"):
+        ordered_product(MatrixUn(np.eye(3)), [(u, True)] * 50 + [(loose, True)])
+
+
+def test_fold_rejects_mixed_variants():
+    with pytest.raises(VariantMismatch):
+        ordered_product(MatrixUn(np.eye(2)), [(PhaseU1(0.3), True)])
+    with pytest.raises(VariantMismatch):
+        ordered_product(MatrixUn(np.eye(2)), [(MatrixUn(np.eye(3)), False)])
+    with pytest.raises(VariantMismatch):
+        ordered_product(PhaseU1(0.0), [(MatrixUn(np.eye(2)), True)])
+    assert ordered_product(PhaseU1(0.0), []).angle == 0.0

@@ -1,12 +1,15 @@
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import flatnet.scenario as scenario_module
 from flatnet.cli import main as cli_main
+from flatnet.covers import approximate_curve
 from flatnet.scenario import (
     SCHEMA_VERSION,
     TASK_ORDER,
@@ -286,6 +289,125 @@ def test_topology_n_boolean_rejected():
         "schema_version: 1\ntopology: {builtin: circle, n: true}\nsigma: {g0: 0}\n",
         "topology.n: must be an integer",
     )
+
+
+EXPLICIT = """
+schema_version: 1
+topology:
+  regions: {regions}
+  overlaps: {overlaps}
+  triples: {triples}
+  disjoint: {disjoint}
+  base: {base}
+sigma: {{g0: 0.0}}
+tasks: [check]
+"""
+EXPLICIT_OK = dict(
+    regions="[0, 1, 2, 3]",
+    overlaps="[[0, 1, 0], [1, 2, 0], [0, 2, 0], [2, 3, 0]]",
+    triples="[[0, 1, 2, [0, 0, 0]]]",
+    disjoint="[[0, 3], [1, 3]]",
+    base="0",
+)
+
+
+def explicit(**fields):
+    return EXPLICIT.format(**{**EXPLICIT_OK, **fields})
+
+
+def test_explicit_cover_integers_accepted():
+    cfg = loads(explicit())
+    assert cfg.cover.regions == (0, 1, 2, 3) and cfg.cover.base_region == 0
+
+
+def test_explicit_regions_must_be_integers():
+    expect_error(explicit(regions="[0, 1.7, 2, 3]"), "topology.regions[1]: must be an int")
+    expect_error(explicit(regions="[0, 1, true, 3]"), "topology.regions[2]: must be an int")
+    expect_error(explicit(regions="7"), "topology.regions: must be a list")
+
+
+def test_explicit_overlaps_must_be_integers():
+    expect_error(
+        explicit(overlaps="[[0, 1, 0], [1, 2.0, 0], [0, 2, 0], [2, 3, 0]]"),
+        "topology.overlaps[1][1]: must be an integer",
+    )
+    expect_error(
+        explicit(overlaps="[[0, 1, 0], [1, 2], [0, 2, 0], [2, 3, 0]]"),
+        "topology.overlaps[1]: must be a list of 3 integers",
+    )
+
+
+def test_explicit_triples_must_be_integers():
+    expect_error(
+        explicit(triples="[[0, 1, 2, [0, 0.5, 0]]]"),
+        "topology.triples[0][3][1]: must be an integer",
+    )
+    expect_error(
+        explicit(triples="[[0, '1', 2, [0, 0, 0]]]"),
+        "topology.triples[0][1]: must be an integer",
+    )
+    expect_error(explicit(triples="[[0, 1, 2]]"), "topology.triples[0]")
+
+
+def test_explicit_base_must_be_an_integer():
+    expect_error(explicit(base="true"), "topology.base: must be an integer")
+    expect_error(explicit(base="1.0"), "topology.base: must be an integer")
+
+
+def test_explicit_disjoint_must_be_integers():
+    expect_error(
+        explicit(disjoint="[[0, 3], [1, 3.0]]"),
+        "topology.disjoint[1][1]: must be an integer",
+    )
+
+
+def test_explicit_empty_regions_rejected(tmp_path, capsys):
+    text = explicit(regions="[]", overlaps="[]", triples="[]", disjoint="[]", base="0")
+    expect_error(text.replace("  base: 0\n", ""), "topology")
+    target = tmp_path / "empty.yaml"
+    target.write_text(text.replace("  base: 0\n", ""), encoding="utf-8")
+    code, out, err = run_cli(["check", "--scenario", str(target)], capsys)
+    assert code == 2 and err.startswith("flatnet: topology") and "Traceback" not in err
+
+
+def test_matrix_sigma_between_old_and_new_unitarity_bounds(tmp_path, capsys):
+    # a defect of 2e-9 once passed the parse gate (1e-8) and then crashed
+    # the MatrixUn constructor (UNITARY_TOL = 1e-10) with a traceback
+    text = (
+        "schema_version: 1\n"
+        "topology: {builtin: circle, n: 3}\n"
+        "group: {variant: MatrixUn, dimension: 1}\n"
+        "sigma: {g0: [[[1.000000001, 0.0]]]}\n"
+    )
+    expect_error(text, "sigma.g0: matrix is not unitary")
+    target = tmp_path / "drift.yaml"
+    target.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(["report", "--scenario", str(target)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("flatnet: sigma.g0: matrix is not unitary")
+    assert "Traceback" not in err
+
+
+def test_named_paths_built_once_per_report(monkeypatch):
+    text = ANNULUS_YAML.read_text(encoding="utf-8")
+    text = text.replace("random_paths: 6", "random_paths: 0")
+    calls = []
+
+    def counting(cover, visited):
+        calls.append(tuple(visited))
+        return approximate_curve(cover, visited)
+
+    monkeypatch.setattr(scenario_module, "approximate_curve", counting)
+    cfg = loads(text)
+    assert cfg.amplitudes and "amplitude" in cfg.tasks and "sector" in cfg.tasks
+    assert sorted(calls) == sorted(cfg.paths.values())
+    built = {n: approximate_curve(cfg.cover, p) for n, p in cfg.paths.items()}
+    assert cfg.curves == built
+    run_scenario(cfg)
+    assert len(calls) == len(cfg.paths)
+    other = replace(cfg, seed=11)
+    assert other == replace(cfg, seed=11) and other.seed == 11
+    assert other.curves == cfg.curves
 
 
 def test_random_paths_need_seed():

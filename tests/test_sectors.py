@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,7 @@ from flatnet.groups import (
 from flatnet.sectors import (
     MissingEntry,
     NotGaugeInvariant,
+    WindowSubspace,
     charge_morphism,
     classify,
     coefficient_ratio_cocycle,
@@ -156,6 +159,15 @@ def test_window_basis_orthonormal_and_projector():
     assert np.array_equal(w.charged_vector(2), w.basis[:, 3])
     ident = w.compress(np.eye(fock.dim))
     assert np.max(np.abs(ident - np.eye(5))) <= 1e-14
+
+
+def test_window_orthonormality_gate_fails_closed_on_nan():
+    fock = fock_for(ANN, 2)
+    imps = {r: implementer(fock, r) for r in ANN.regions}
+    WindowSubspace(fock, imps)
+    imps[0] = replace(imps[0], op=imps[0].op.scaled(complex("nan")))
+    with pytest.raises(ValueError, match="orthonormal"):
+        WindowSubspace(fock, imps)
 
 
 def test_window_charge_two():
@@ -497,6 +509,18 @@ def test_fig8_commutator_holonomy():
     word = loop_class(pres, comm)
     assert distance(val, sigma.evaluate(word)) <= 1e-12
     assert distance(val, MatrixUn(np.eye(2))) >= 0.1
+
+
+def test_rho_holonomy_and_matrix_z_path_match_stepwise_compose():
+    cover, nerve, sigma, t = fig8_matrix_transporter()
+    coc = transition_cocycle(sigma, nerve)
+    loop = approximate_curve(cover, [0, 1, 1, 2, 0, 3, 4, 0, 2, 1, 0, 4, 3, 3, 0])
+    acc = t.identity_coeff
+    for st in loop.steps:
+        acc = compose(t.entry(st.dst, st.src, st.comp).coeff, acc)
+    assert np.array_equal(rho_holonomy(t, loop).mat, acc.mat)
+    assert np.array_equal(z_path(t, loop).coeff.mat, acc.mat)
+    assert np.array_equal(holonomy(coc, loop).mat, acc.mat)
 
 
 def test_fig8_classify_topological_dim2():
