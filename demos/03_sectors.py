@@ -37,7 +37,7 @@ nerve = build_nerve(cover)
 fock = FockSpace(allocate_modes(cover, 2))
 window = make_window(fock, cover)
 print("window basis: vacuum + one charged vector per region ->",
-      window.basis.shape[1], "columns")
+      len(window.columns), "columns")
 
 # -- bare transport is invisible to loops -------------------------------------
 

@@ -19,6 +19,7 @@ and those integers are the discrete curvature bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from .groups import (
     distance,
     inverse,
     ordered_product,
+    same_variant,
     wrap_angle,
 )
 
@@ -73,9 +75,8 @@ class SigmaMorphism:
     identity: GroupValue
 
     def __post_init__(self):
-        for name, val in self.assignment.items():
-            # compose raises VariantMismatch on any variant/shape difference
-            compose(self.identity, val)
+        for val in self.assignment.values():
+            same_variant(self.identity, val)
 
     def value(self, generator: str) -> GroupValue:
         if generator not in self.assignment:
@@ -134,8 +135,8 @@ class TransitionCocycle:
         for e in self.cover.overlaps:
             if e not in self.values:
                 raise CocycleInconsistent(f"no transition value for overlap {e}")
-        for e, v in self.values.items():
-            compose(self.identity, v)  # variant uniformity
+        for v in self.values.values():
+            same_variant(self.identity, v)
 
     def factor(self, dst: int, src: int, comp: int | None) -> tuple[GroupValue, bool]:
         """Stored value of the crossing src -> dst and whether it enters
@@ -196,19 +197,25 @@ class CocycleCheck:
         return not self.failures
 
 
+def worst(residuals: Iterable[float]) -> float:
+    """Largest residual (0.0 for none); NaN once any residual is NaN, so an
+    aggregate never hides a comparison that failed."""
+    return float(np.max(np.fromiter(residuals, dtype=float), initial=0.0))
+
+
 def check_cocycle(cocycle: TransitionCocycle, tol: float = COCYCLE_TOL) -> CocycleCheck:
     """Test g(r3<-r2) g(r2<-r1) = g(r3<-r1) on every triple of the cover."""
     failures = []
-    worst = 0.0
+    residuals = []
     for t in cocycle.cover.triples:
         r1, r2, r3, (c12, c13, c23) = t
         lhs = compose(cocycle.value(r3, r2, c23), cocycle.value(r2, r1, c12))
         rhs = cocycle.value(r3, r1, c13)
         resid = distance(lhs, rhs)
-        worst = max(worst, resid)
+        residuals.append(resid)
         if not (resid <= tol):
             failures.append((t, resid))
-    return CocycleCheck(max_residual=worst, failures=tuple(failures), tolerance=tol)
+    return CocycleCheck(worst(residuals), tuple(failures), tol)
 
 
 @dataclass(frozen=True)

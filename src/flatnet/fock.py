@@ -10,14 +10,14 @@ envelope is K <= 12 modes; beyond that construction fails with
 CapacityError rather than degrading.
 
 Operators carry a support tag (the regions whose modes they were built
-from) and a grading inferred from which charge blocks their matrix
-couples; the gauge unitary acts on a grade-k operator as multiplication
-by zeta^k.
+from) and a grading, computed on first read from which charge blocks
+their matrix couples; the gauge unitary acts on a grade-k operator as
+multiplication by zeta^k.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
@@ -29,7 +29,6 @@ from .covers import Cover
 from .groups import PhaseU1
 
 CAPACITY_MODES = 12
-CAR_TOL = 1e-12
 GRADE_SCAN_CUTOFF = 1e-13
 
 
@@ -105,45 +104,41 @@ class FockSpace:
         return v
 
     def creator(self, mode: int) -> sp.csr_matrix:
-        """Jordan-Wigner creation operator for one mode (sparse, exact entries)."""
+        """Jordan-Wigner creation operator for one mode (sparse, exact entries).
+
+        Row s | bit holds the one entry (-1)^(occupied modes below ``mode``)
+        in column s, for every bitset s with ``mode`` empty.
+        """
         if mode not in self._creators:
             if not 0 <= mode < self.K:
                 raise ValueError(f"mode {mode} out of range")
-            rows, cols, vals = [], [], []
             bit = 1 << mode
-            below = bit - 1
-            for s in range(self.dim):
-                if s & bit:
-                    continue
-                sign = -1.0 if bin(s & below).count("1") % 2 else 1.0
-                rows.append(s | bit)
-                cols.append(s)
-                vals.append(sign)
+            filled = (np.arange(self.dim) & bit) != 0
+            cols = np.flatnonzero(filled) ^ bit
+            signs = 1.0 - 2.0 * (self.occupation_counts[cols & (bit - 1)] & 1)
+            indptr = np.concatenate(([0], np.cumsum(filled)))
             self._creators[mode] = sp.csr_matrix(
-                (vals, (rows, cols)), shape=(self.dim, self.dim), dtype=complex
+                (signs.astype(complex), cols, indptr), shape=(self.dim, self.dim)
             )
         return self._creators[mode]
 
     def annihilator(self, mode: int) -> sp.csr_matrix:
         return self.creator(mode).conj().T.tocsr()
 
-    def number_operator(self) -> np.ndarray:
-        return np.diag(self.occupation_counts.astype(complex))
-
     def gauge_diagonal(self, zeta: complex) -> np.ndarray:
         """Diagonal of the gauge unitary zeta^N."""
         return np.power(complex(zeta), self.occupation_counts)
 
 
-def _scan_grades(fock: FockSpace, m: sp.csr_matrix) -> set[int]:
+def _scan_grades(fock: FockSpace, m: sp.csr_matrix) -> frozenset[int]:
     c = m.tocoo()
     mags = np.abs(c.data)
     scale = mags.max(initial=0.0)
     if scale == 0.0:
-        return set()
+        return frozenset()
     keep = mags > GRADE_SCAN_CUTOFF * scale
     counts = fock.occupation_counts
-    return set((counts[c.row[keep]] - counts[c.col[keep]]).tolist())
+    return frozenset((counts[c.row[keep]] - counts[c.col[keep]]).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,36 +148,34 @@ class FieldOp:
     ``matrix`` is a dense copy built on access, for inspection only.
     ``charge`` is the common charge transfer of all nonzero matrix blocks,
     or None when blocks of different transfer are mixed; ``parity`` is
-    'even', 'odd', or 'mixed'.
+    'even', 'odd', or 'mixed'.  Both are computed on first read and cached.
     """
 
     csr: sp.csr_matrix
     fock: FockSpace
     support: frozenset[int]
-    charge: int | None = dc_field(init=False)
-    parity: str = dc_field(init=False)
 
     def __post_init__(self):
-        m = sp.csr_matrix(self.csr, dtype=complex)
+        m = self.csr
+        if not (isinstance(m, sp.csr_matrix) and m.dtype == complex):
+            m = sp.csr_matrix(m, dtype=complex)
         if m.shape != (self.fock.dim, self.fock.dim):
             raise ValueError(f"matrix shape {m.shape} does not fit the Fock space")
         m.sum_duplicates()  # sorted indices fix the summation order of products
         object.__setattr__(self, "csr", m)
-        grades = _scan_grades(self.fock, m)
-        if not grades:
-            object.__setattr__(self, "charge", 0)
-            object.__setattr__(self, "parity", "even")
-        elif len(grades) == 1:
-            g = grades.pop()
-            object.__setattr__(self, "charge", g)
-            object.__setattr__(self, "parity", "odd" if g % 2 else "even")
-        else:
-            object.__setattr__(self, "charge", None)
-            parities = {g % 2 for g in grades}
-            object.__setattr__(
-                self, "parity", ("odd" if parities == {1} else
-                                 "even" if parities == {0} else "mixed")
-            )
+
+    @cached_property
+    def _grades(self) -> frozenset[int]:
+        return _scan_grades(self.fock, self.csr)
+
+    @property
+    def charge(self) -> int | None:
+        return None if len(self._grades) > 1 else next(iter(self._grades), 0)
+
+    @property
+    def parity(self) -> str:
+        parities = {g % 2 for g in self._grades} or {0}
+        return "mixed" if len(parities) > 1 else ("odd" if parities == {1} else "even")
 
     @property
     def matrix(self) -> np.ndarray:

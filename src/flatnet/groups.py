@@ -164,27 +164,38 @@ def identity_like(value: GroupValue) -> GroupValue:
     raise VariantMismatch(f"not a group value: {type(value).__name__}")
 
 
+def _shape(v: GroupValue):
+    if isinstance(v, PhaseU1):
+        return None
+    if isinstance(v, MatrixUn):
+        return v.dim
+    if isinstance(v, FreeWord):
+        return v.alphabet
+    if isinstance(v, CyclicZn):
+        return v.order
+    raise VariantMismatch(f"not a group value: {type(v).__name__}")
+
+
+def same_variant(a: GroupValue, b: GroupValue) -> None:
+    """Raise VariantMismatch unless a and b are one variant of one shape
+    (matrix dimension, word alphabet, cyclic order)."""
+    if type(a) is not type(b) or _shape(a) != _shape(b):
+        raise VariantMismatch(
+            f"cannot combine {type(a).__name__} (shape {_shape(a)}) "
+            f"with {type(b).__name__} (shape {_shape(b)})"
+        )
+
+
 def compose(a: GroupValue, b: GroupValue) -> GroupValue:
     """Group product a*b (a acts after b in transport chains)."""
-    if type(a) is not type(b):
-        raise VariantMismatch(
-            f"cannot compose {type(a).__name__} with {type(b).__name__}"
-        )
+    same_variant(a, b)
     if isinstance(a, PhaseU1):
         return PhaseU1(a.angle + b.angle)
     if isinstance(a, MatrixUn):
-        if a.dim != b.dim:
-            raise VariantMismatch(f"matrix sizes differ: {a.dim} vs {b.dim}")
         return MatrixUn(a.mat @ b.mat)
     if isinstance(a, FreeWord):
-        if a.alphabet != b.alphabet:
-            raise VariantMismatch("free words over different alphabets")
         return FreeWord(a.letters + b.letters, a.alphabet)
-    if isinstance(a, CyclicZn):
-        if a.order != b.order:
-            raise VariantMismatch(f"cyclic orders differ: {a.order} vs {b.order}")
-        return CyclicZn(a.residue + b.residue, a.order)
-    raise VariantMismatch(f"not a group value: {type(a).__name__}")
+    return CyclicZn(a.residue + b.residue, a.order)
 
 
 def inverse(a: GroupValue) -> GroupValue:
@@ -218,7 +229,7 @@ def ordered_product(
         acc = identity.mat
         for v, forward in factors:
             if type(v) is not MatrixUn or v.dim != identity.dim:
-                compose(identity, v)  # raises the matching VariantMismatch
+                same_variant(identity, v)
             m = v.mat if forward else np.array(v.mat.conj().T, dtype=complex)
             acc = m @ acc if later_left else acc @ m
         return MatrixUn(acc)
@@ -241,25 +252,14 @@ def power(a: GroupValue, k: int) -> GroupValue:
 
 def distance(a: GroupValue, b: GroupValue) -> float:
     """Comparison metric: angular gap, max-norm gap, or 0/1 for exact variants."""
-    if type(a) is not type(b):
-        raise VariantMismatch(
-            f"cannot compare {type(a).__name__} with {type(b).__name__}"
-        )
+    same_variant(a, b)
     if isinstance(a, PhaseU1):
         return abs(wrap_angle(a.angle - b.angle))
     if isinstance(a, MatrixUn):
-        if a.dim != b.dim:
-            raise VariantMismatch(f"matrix sizes differ: {a.dim} vs {b.dim}")
         return float(np.max(np.abs(a.mat - b.mat)))
     if isinstance(a, FreeWord):
-        if a.alphabet != b.alphabet:
-            raise VariantMismatch("free words over different alphabets")
         return 0.0 if a.letters == b.letters else 1.0
-    if isinstance(a, CyclicZn):
-        if a.order != b.order:
-            raise VariantMismatch(f"cyclic orders differ: {a.order} vs {b.order}")
-        return 0.0 if a.residue == b.residue else 1.0
-    raise VariantMismatch(f"not a group value: {type(a).__name__}")
+    return 0.0 if a.residue == b.residue else 1.0
 
 
 def isclose(a: GroupValue, b: GroupValue, tol: float = GROUP_EQ_TOL) -> bool:

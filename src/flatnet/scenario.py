@@ -66,6 +66,7 @@ from .cocycles import (
     transition_cocycle,
     trivialize,
     validate_sigma,
+    worst,
 )
 from .covers import (
     Cover,
@@ -130,10 +131,13 @@ def _finite(value, where: str) -> float:
     return x
 
 
-def _int(value, where: str) -> int:
-    """A non-boolean int; floats, booleans and strings are rejected, not coerced."""
+def _int(value, where: str, minimum: int | None = None) -> int:
+    """A non-boolean int, at least ``minimum`` when given; floats, booleans
+    and strings are rejected, not coerced."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError("must be an integer", where)
+    if minimum is not None and value < minimum:
+        raise ScenarioError(f"must be an integer >= {minimum}", where)
     return value
 
 
@@ -142,7 +146,10 @@ def _ints(value, where: str, length: int | None = None) -> tuple[int, ...]:
     if not isinstance(value, list) or (length is not None and len(value) != length):
         size = "" if length is None else f" {length}"
         raise ScenarioError(f"must be a list of{size} integers", where)
-    return tuple(_int(x, f"{where}[{i}]") for i, x in enumerate(value))
+    if not all(type(x) is int for x in value):  # name the first bad entry
+        for i, x in enumerate(value):
+            _int(x, f"{where}[{i}]")
+    return tuple(value)
 
 
 def _rows(value, where: str) -> list:
@@ -327,7 +334,7 @@ def load_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
             raise ScenarioError("dimension applies to MatrixUn only", "group")
         dim = None
     elif variant == "MatrixUn":
-        if not isinstance(dim, int) or dim < 1:
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
             raise ScenarioError("MatrixUn needs an integer dimension >= 1", "group")
     else:
         raise ScenarioError(f"unknown variant {variant!r}", "group.variant")
@@ -351,12 +358,8 @@ def load_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
         else:
             sigma[g] = _parse_matrix(sraw[g], dim, where)
 
-    m = doc.get("modes_per_region", 2)
-    if not isinstance(m, int) or m < 1:
-        raise ScenarioError("must be an integer >= 1", "modes_per_region")
-    kappa = doc.get("charge", 1)
-    if not isinstance(kappa, int) or kappa < 1:
-        raise ScenarioError("must be an integer >= 1", "charge")
+    m = _int(doc.get("modes_per_region", 2), "modes_per_region", 1)
+    kappa = _int(doc.get("charge", 1), "charge", 1)
     if kappa > m:
         raise ScenarioError(
             f"charge {kappa} exceeds modes_per_region {m}", "charge"
@@ -372,10 +375,11 @@ def load_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
         where = f"paths.{name}"
         if not isinstance(seq, list) or not seq:
             raise ScenarioError("must be a non-empty region list", where)
-        for r in seq:
+        visited = _ints(seq, where)
+        for r in visited:
             if r not in rset:
                 raise ScenarioError(f"region {r} is not in the cover", where)
-        paths[str(name)] = tuple(int(r) for r in seq)
+        paths[str(name)] = visited
 
     araw = doc.get("amplitudes", []) or []
     amplitudes = []
@@ -414,11 +418,9 @@ def load_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
         tolerances[t] = parse_tolerance(traw2[t], f"tolerances.{t}")
 
     seed = doc.get("seed")
-    if seed is not None and (not isinstance(seed, int) or seed < 0):
-        raise ScenarioError("must be a non-negative integer", "seed")
-    random_paths = doc.get("random_paths", 0)
-    if not isinstance(random_paths, int) or random_paths < 0:
-        raise ScenarioError("must be an integer >= 0", "random_paths")
+    if seed is not None:
+        _int(seed, "seed", 0)
+    random_paths = _int(doc.get("random_paths", 0), "random_paths", 0)
     if random_paths > 0 and seed is None:
         raise ScenarioError("randomized checks need a seed", "seed")
 
@@ -603,16 +605,14 @@ def run_scenario(config: ScenarioConfig) -> dict:
     def run_sector():
         tol = config.task_tolerance("sector")
         window, plain, twisted = fock_context()
-        triple_max = 0.0
-        for t in cover.triples:
-            triple_max = max(triple_max, triple_law_residual(plain, t))
-            triple_max = max(triple_max, triple_law_residual(twisted, t))
+        triple_max = worst(
+            triple_law_residual(t, tr) for tr in cover.triples for t in (plain, twisted)
+        )
         probe = list(config.curves.values())
         probe += _sample_paths(config, config.random_paths)
-        tele_max = 0.0
-        for p in probe:
-            tele_max = max(tele_max, telescope_residual(plain, p))
-            tele_max = max(tele_max, telescope_residual(twisted, p))
+        tele_max = worst(
+            telescope_residual(t, p) for p in probe for t in (plain, twisted)
+        )
         body = {
             "tolerance": tol,
             "modes": total_modes,
@@ -653,7 +653,7 @@ def run_scenario(config: ScenarioConfig) -> dict:
             cls = classify(twisted, nerve, tol)
         else:
             cls = classify(rho_layer_transporter(cocycle), nerve, tol)
-        res_max = max(cls.residuals.values(), default=0.0)
+        res_max = worst(cls.residuals.values())
         body = {
             "tolerance": tol,
             "kind": cls.kind,

@@ -5,12 +5,14 @@ first kappa private modes.  These are partial isometries, not unitaries
 (a finite Fock space admits no unitary charge raiser), so every sector
 identity here is asserted after compression to the window subspace
 spanned by the vacuum and the charged vectors v_o, the subspace on
-which the implementer chains act isometrically.  Transporter entries
-pair a sparse operator (a signed partial permutation of the Fock basis,
-times a phase) with a symbolic (end, start, coefficient) record; path
-transport multiplies entries with later steps on the left, and on the
-window a transported chain telescopes to its end/start pair times the
-accumulated coefficient.
+which the implementer chains act isometrically.  Each v_o is an
+occupation-basis vector, so the window is a coordinate subspace and a
+compression reads the operator's entries at the window's basis indices.
+Transporter entries pair a sparse operator (a signed partial permutation
+of the Fock basis, times a phase) with a symbolic (end, start,
+coefficient) record; path transport multiplies entries with later steps
+on the left, and on the window a transported chain telescopes to its
+end/start pair times the accumulated coefficient.
 
 Sign bookkeeping: with bare Jordan-Wigner implementers, odd-charge
 implementers of disjoint regions anticommute both with and without
@@ -67,7 +69,6 @@ class Implementer:
     charge: int
     modes: tuple[int, ...]
     op: FieldOp
-    in_window: bool = True
 
 
 def implementer(fock: FockSpace, region: int, kappa: int = 1) -> Implementer:
@@ -97,35 +98,56 @@ def implementer(fock: FockSpace, region: int, kappa: int = 1) -> Implementer:
 
 @dataclass(frozen=True)
 class WindowSubspace:
-    """Span of the vacuum and the charged vectors, with explicit basis."""
+    """Coordinate subspace spanned by the vacuum and the charged vectors.
+
+    Every column is an occupation-basis vector with + sign, so the window
+    is stored as the basis index of each column: ``columns[0]`` is the
+    vacuum, ``columns[1 + i]`` the charged vector of ``regions[i]``.
+    """
 
     fock: FockSpace
     implementers: dict[int, Implementer]
     regions: tuple[int, ...] = dc_field(init=False)
-    basis: np.ndarray = dc_field(init=False)
+    columns: np.ndarray = dc_field(init=False)
+    _position: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         regions = tuple(sorted(self.implementers))
-        cols = [self.fock.vacuum]
+        columns = [0]
         for r in regions:
-            cols.append(self.implementers[r].op.apply(self.fock.vacuum))
-        b = np.stack(cols, axis=1)
-        gram = b.conj().T @ b
-        if not (np.max(np.abs(gram - np.eye(b.shape[1]))) <= 1e-12):
-            raise ValueError("window basis failed to come out orthonormal")
-        b.setflags(write=False)
+            v = self.implementers[r].op.apply(self.fock.vacuum)
+            k = int(np.argmax(v != 0))
+            if v[k] != 1.0 or np.count_nonzero(v) != 1 or k in columns:
+                raise ValueError(
+                    f"window basis failed to come out orthonormal at region {r}: "
+                    "charged vectors must be distinct + occupation-basis vectors"
+                )
+            columns.append(k)
+        columns = np.array(columns)
+        position = np.full(self.fock.dim, -1)
+        position[columns] = np.arange(len(columns))
+        columns.setflags(write=False)
         object.__setattr__(self, "regions", regions)
-        object.__setattr__(self, "basis", b)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "_position", position)
 
     def charged_vector(self, region: int) -> np.ndarray:
-        return self.basis[:, 1 + self.regions.index(region)]
+        v = np.zeros(self.fock.dim, dtype=complex)
+        v[self.columns[1 + self.regions.index(region)]] = 1.0
+        return v
 
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
-
-    def compress(self, op: FieldOp | np.ndarray) -> np.ndarray:
-        m = op.csr if isinstance(op, FieldOp) else op
-        return self.basis.conj().T @ (m @ self.basis)
+    def compress(self, op: FieldOp) -> np.ndarray:
+        """The window block of ``op``: entry (i, j) is op[columns[i], columns[j]],
+        read straight from the stored CSR rows."""
+        m, n = op.csr, len(self.columns)
+        starts, ends = m.indptr[self.columns], m.indptr[self.columns + 1]
+        at = np.concatenate([np.arange(a, b) for a, b in zip(starts.tolist(), ends.tolist())])
+        rows = np.repeat(np.arange(n), ends - starts)
+        cols = self._position[m.indices[at]]
+        hit = cols >= 0
+        out = np.zeros((n, n), dtype=complex)
+        out[rows[hit], cols[hit]] = m.data[at[hit]]
+        return out
 
 
 def make_window(fock: FockSpace, cover: Cover, kappa: int = 1) -> WindowSubspace:
@@ -163,6 +185,7 @@ class SectorTransporter:
     identity_coeff: GroupValue
     kind: str
     window: WindowSubspace | None = None
+    _reverse: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def factor(
         self, dst: int, src: int, comp: int | None
@@ -185,15 +208,20 @@ class SectorTransporter:
             ) from None
 
     def entry(self, dst: int, src: int, comp: int | None) -> TransportEntry:
+        """Entry of the step src -> dst; a reverse entry is built once per
+        edge and reused."""
         e, forward = self.factor(dst, src, comp)
         if forward:
             return e
-        return TransportEntry(
-            end=dst,
-            start=src,
-            coeff=inverse(e.coeff),
-            op=None if e.op is None else e.op.adjoint(),
-        )
+        key = (dst, src, comp)
+        if key not in self._reverse:
+            self._reverse[key] = TransportEntry(
+                end=dst,
+                start=src,
+                coeff=inverse(e.coeff),
+                op=None if e.op is None else e.op.adjoint(),
+            )
+        return self._reverse[key]
 
 
 def z1(window: WindowSubspace, dst: int, src: int) -> FieldOp:
@@ -442,12 +470,6 @@ def classify(
         residuals=residuals,
         dimension=dim,
     )
-
-
-def coefficient_cocycle(t: SectorTransporter) -> TransitionCocycle:
-    """The symbolic coefficients as transition data (for equivalence tests)."""
-    values = {key: e.coeff for key, e in t.entries.items()}
-    return TransitionCocycle(cover=t.cover, values=values, identity=t.identity_coeff)
 
 
 def coefficient_ratio_cocycle(

@@ -580,3 +580,42 @@ def test_potential_rejects_non_finite_lifts_and_primitives():
         FlatPotentialU1(
             cover=ann, angles=zero, primitives={0: 0.0, 1: NAN, 2: 0.0, 3: 0.0}
         )
+
+
+def test_check_cocycle_max_residual_keeps_nan():
+    cov = torus_cover()
+    coc = identity_cocycle(cov, PhaseU1(0.0))
+    last = cov.triples[-1]
+    r1, r3, c13 = last[0], last[2], last[3][1]
+    values = dict(coc.values)
+    values[(min(r1, r3), max(r1, r3), c13)] = PhaseU1(NAN)
+    chk = check_cocycle(TransitionCocycle(cov, values, PhaseU1(0.0)))
+    assert not chk.ok
+    assert np.isnan(chk.max_residual)
+
+
+def test_variant_uniformity_builds_no_products(monkeypatch):
+    cov = figure_eight_cover()
+    nerve = build_nerve(cov)
+    built = []
+    check = MatrixUn.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    sx = MatrixUn(np.array([[0, 1], [1, 0]], dtype=complex))
+    monkeypatch.setattr(MatrixUn, "__post_init__", counting)
+    sigma = SigmaMorphism({"g0": sx, "g1": sx}, MatrixUn(I2))
+    identity = built.pop()
+    TransitionCocycle(cov, {e: sx for e in cov.overlaps}, identity)
+    assert built == []  # no product was formed and unitarity-checked
+    coc = transition_cocycle(sigma, nerve)
+    assert coc.values
+    for bad in (MatrixUn(np.eye(3)), PhaseU1(0.0)):
+        with pytest.raises(VariantMismatch):
+            SigmaMorphism({"g0": sx, "g1": bad}, MatrixUn(I2))
+        with pytest.raises(VariantMismatch):
+            TransitionCocycle(cov, {**coc.values, cov.overlaps[0]: bad}, MatrixUn(I2))
+    with pytest.raises(VariantMismatch):
+        SigmaMorphism({"g0": FreeWord((1,), ("a",))}, FreeWord((), ("b",)))

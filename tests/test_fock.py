@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatnet.cocycles import (
     InvalidPotential,
@@ -13,8 +16,10 @@ from flatnet.covers import annulus_cover, build_nerve, circle_cover, torus_cover
 from flatnet.fock import (
     CAPACITY_MODES,
     CapacityError,
+    FieldOp,
     FockSpace,
     MixedGrade,
+    OneParticleSpace,
     SupportError,
     allocate_modes,
     anticommutator,
@@ -30,6 +35,7 @@ from flatnet.fock import (
     twisted_local_field,
     twisted_product,
     zero_op,
+    _scan_grades,
 )
 from flatnet.groups import PhaseU1
 
@@ -93,13 +99,97 @@ def test_capacity_boundary():
 
 
 def test_vacuum_and_number_operator():
+    # the number operator is diagonal in the occupation basis with
+    # spectrum occupation_counts
     fock = small_fock(1)
     vac = fock.vacuum
     assert np.linalg.norm(vac) == 1.0
-    n = fock.number_operator()
-    evals = np.sort(np.unique(np.real(np.diagonal(n))))
-    assert list(evals) == list(range(fock.K + 1))
-    assert n[0, 0] == 0.0  # vacuum is empty
+    assert vac[0] == 1.0
+    n = fock.occupation_counts
+    assert list(np.unique(n)) == list(range(fock.K + 1))
+    assert n[0] == 0  # vacuum is empty
+    assert [int(c) for c in n] == [bin(s).count("1") for s in range(fock.dim)]
+
+
+def loop_creator(fock, mode):
+    """Reference Jordan-Wigner creator built one basis state at a time."""
+    rows, cols, vals = [], [], []
+    bit = 1 << mode
+    below = bit - 1
+    for s in range(fock.dim):
+        if s & bit:
+            continue
+        sign = -1.0 if bin(s & below).count("1") % 2 else 1.0
+        rows.append(s | bit)
+        cols.append(s)
+        vals.append(sign)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(fock.dim, fock.dim), dtype=complex)
+
+
+@pytest.mark.parametrize("K", range(1, CAPACITY_MODES + 1))
+def test_creator_matches_loop_reference_bit_for_bit(K):
+    fock = FockSpace(OneParticleSpace(tuple(range(K))))
+    for m in range(K):
+        got, want = fock.creator(m), loop_creator(fock, m)
+        assert isinstance(got, sp.csr_matrix) and got.shape == want.shape
+        assert got.dtype == want.dtype and got.has_canonical_format
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert got.data.tobytes() == want.data.tobytes()
+        assert fock.creator(m) is got  # built once per mode
+
+
+def eager_grading(op):
+    """Charge and parity classified eagerly from ``_scan_grades``."""
+    grades = _scan_grades(op.fock, op.csr)
+    if not grades:
+        return 0, "even"
+    if len(grades) == 1:
+        g = next(iter(grades))
+        return g, "odd" if g % 2 else "even"
+    parities = {g % 2 for g in grades}
+    return None, ("odd" if parities == {1} else "even" if parities == {0} else "mixed")
+
+
+GRADING_FOCK = small_fock(1)  # 4 modes, dimension 16
+
+
+def unit_field(m, star, z):
+    op = smeared_field(GRADING_FOCK, np.eye(GRADING_FOCK.K)[m])
+    return (op.adjoint() if star else op).scaled(z)
+
+
+leaf_ops = st.builds(
+    unit_field,
+    st.integers(0, GRADING_FOCK.K - 1),
+    st.booleans(),
+    st.sampled_from([1.0, -1.0, 0.5j, 2.0 - 1.0j]),
+) | st.sampled_from([identity_op(GRADING_FOCK), zero_op(GRADING_FOCK)])
+
+field_exprs = st.recursive(
+    leaf_ops,
+    lambda sub: st.one_of(
+        st.tuples(sub, sub).map(lambda ab: ab[0] * ab[1]),
+        st.tuples(sub, sub).map(lambda ab: ab[0] + ab[1]),
+        st.tuples(sub, sub).map(lambda ab: ab[0] - ab[1]),
+        sub.map(lambda a: a.adjoint()),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_exprs, st.booleans())
+def test_lazy_grading_matches_eager_scan(op, parity_first):
+    fresh = FieldOp(op.csr.copy(), op.fock, op.support)
+    want_charge, want_parity = eager_grading(fresh)
+    if parity_first:
+        assert fresh.parity == want_parity
+        assert fresh.charge == want_charge
+    else:
+        assert fresh.charge == want_charge
+        assert fresh.parity == want_parity
+    assert fresh.charge == want_charge and fresh.parity == want_parity  # cached reads
 
 
 def test_creator_annihilator_adjoint():

@@ -681,3 +681,95 @@ def test_cli_out_missing_directory(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("flatnet: ") and "Traceback" not in err
     assert not target.exists()
+
+
+# ---------------------------------------------------------------------------
+# NaN residuals stay NaN through every aggregation
+
+
+def test_sector_triple_nan_fails_closed(monkeypatch):
+    real = scenario_module.triple_law_residual
+    calls = []
+
+    def nan_on_second(t, triple):
+        calls.append(triple)
+        return float("nan") if len(calls) == 2 else real(t, triple)
+
+    monkeypatch.setattr(scenario_module, "triple_law_residual", nan_on_second)
+    report = run_scenario(loads(DISK_YAML.read_text(encoding="utf-8")))
+    body = report["tasks"]["sector"]
+    assert len(calls) >= 2
+    assert np.isnan(body["max_triple_residual"]) and body["status"] == "fail"
+    assert report["summary"]["status"] == "fail"
+
+
+def test_sector_telescope_nan_fails_closed(monkeypatch):
+    real = scenario_module.telescope_residual
+    calls = []
+
+    def nan_on_third(t, path):
+        calls.append(path)
+        return float("nan") if len(calls) == 3 else real(t, path)
+
+    monkeypatch.setattr(scenario_module, "telescope_residual", nan_on_third)
+    report = run_scenario(loads(ANNULUS_YAML.read_text(encoding="utf-8")))
+    body = report["tasks"]["sector"]
+    assert len(calls) > 3
+    assert np.isnan(body["max_telescope_residual"]) and body["status"] == "fail"
+
+
+def test_classify_nan_fails_closed(monkeypatch):
+    real = scenario_module.classify
+
+    def nan_last(t, nerve, tol):
+        cls = real(t, nerve, tol)
+        last = sorted(cls.residuals, key=lambda g: int(g[1:]))[-1]
+        return replace(cls, residuals={**cls.residuals, last: float("nan")})
+
+    monkeypatch.setattr(scenario_module, "classify", nan_last)
+    report = run_scenario(loads(TORUS_YAML.read_text(encoding="utf-8")))
+    body = report["tasks"]["classify"]
+    assert len(body["components"]) > 1
+    assert np.isnan(body["max_residual"]) and body["status"] == "fail"
+
+
+# ---------------------------------------------------------------------------
+# integer-only fields outside the explicit cover
+
+
+def test_path_entries_must_be_integers():
+    cfg = loads(MINIMAL + "paths: {p: [0, 1, 2]}\n")
+    assert cfg.paths["p"] == (0, 1, 2)
+    expect_error(MINIMAL + "paths: {p: [0, 1.0, true]}\n", "paths.p[1]: must be an integer")
+    expect_error(MINIMAL + "paths: {p: [0, 1, true]}\n", "paths.p[2]: must be an integer")
+    expect_error(MINIMAL + "paths: {p: [0, '1']}\n", "paths.p[1]: must be an integer")
+
+
+@pytest.mark.parametrize(
+    "field, extra",
+    [
+        ("seed", ""),
+        ("modes_per_region", ""),
+        ("charge", ""),
+        ("random_paths", "seed: 1\n"),
+    ],
+)
+def test_integer_scalar_fields_reject_booleans_and_floats(field, extra):
+    for bad in ("true", "false", "1.0", "'1'"):
+        expect_error(MINIMAL + extra + f"{field}: {bad}\n", f"{field}: must be an integer")
+
+
+def test_matrix_dimension_rejects_boolean():
+    expect_error(
+        "schema_version: 1\ntopology: {builtin: annulus}\n"
+        "group: {variant: MatrixUn, dimension: true}\nsigma: {g0: [[[1, 0]]]}\n",
+        "MatrixUn needs an integer dimension",
+    )
+
+
+def test_cli_exit_code_boolean_seed(tmp_path, capsys):
+    target = tmp_path / "bool_seed.yaml"
+    target.write_text(MINIMAL + "seed: true\n", encoding="utf-8")
+    code, out, err = run_cli(["report", "--scenario", str(target)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("flatnet: seed: must be an integer")

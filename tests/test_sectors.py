@@ -2,6 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatnet.cocycles import (
     SigmaMorphism,
@@ -24,7 +27,15 @@ from flatnet.covers import (
     pi1_presentation,
     torus_cover,
 )
-from flatnet.fock import FockSpace, SupportError, allocate_modes, anticommutator, smeared_field
+from flatnet.fock import (
+    FieldOp,
+    FockSpace,
+    SupportError,
+    allocate_modes,
+    anticommutator,
+    identity_op,
+    smeared_field,
+)
 from flatnet.groups import (
     AntiHermitianUn,
     MatrixUn,
@@ -148,16 +159,25 @@ def test_disjoint_implementers_anticommute_uniformly():
     assert anticommutator(a, b.adjoint()).norm_max() == 0.0
 
 
+def dense_basis(w):
+    """The window's columns as a dense matrix: the vacuum, then each
+    region's implementer applied to the vacuum."""
+    vac = w.fock.vacuum
+    return np.stack([vac] + [w.implementers[r].op.apply(vac) for r in w.regions], axis=1)
+
+
 def test_window_basis_orthonormal_and_projector():
     fock = fock_for(ANN, 2)
     w = make_window(fock, ANN)
     assert w.regions == (0, 1, 2, 3)
-    assert w.basis.shape == (fock.dim, 5)
-    p = w.projector()
+    b = dense_basis(w)
+    assert b.shape == (fock.dim, 5) and w.columns.shape == (5,)
+    assert np.array_equal(b, np.eye(fock.dim)[:, w.columns])  # + basis vectors
+    p = b @ b.conj().T
     assert np.max(np.abs(p @ p - p)) <= 1e-14
     assert np.trace(p) == pytest.approx(5.0)
-    assert np.array_equal(w.charged_vector(2), w.basis[:, 3])
-    ident = w.compress(np.eye(fock.dim))
+    assert np.array_equal(w.charged_vector(2), b[:, 3])
+    ident = w.compress(identity_op(fock))
     assert np.max(np.abs(ident - np.eye(5))) <= 1e-14
 
 
@@ -165,17 +185,75 @@ def test_window_orthonormality_gate_fails_closed_on_nan():
     fock = fock_for(ANN, 2)
     imps = {r: implementer(fock, r) for r in ANN.regions}
     WindowSubspace(fock, imps)
-    imps[0] = replace(imps[0], op=imps[0].op.scaled(complex("nan")))
+    for factor in (complex("nan"), -1.0, 1.0 + 1e-13):
+        bad = dict(imps)
+        bad[0] = replace(imps[0], op=imps[0].op.scaled(factor))
+        with pytest.raises(ValueError, match="orthonormal"):
+            WindowSubspace(fock, bad)
     with pytest.raises(ValueError, match="orthonormal"):
-        WindowSubspace(fock, imps)
+        WindowSubspace(fock, {**imps, 1: imps[0]})  # two equal columns
+    with pytest.raises(ValueError, match="orthonormal"):
+        WindowSubspace(fock, {**imps, 1: replace(imps[1], op=identity_op(fock))})
+    spread = replace(imps[0], op=imps[0].op + imps[1].op)  # e_a + e_b
+    with pytest.raises(ValueError, match="orthonormal"):
+        WindowSubspace(fock, {**imps, 0: spread})
 
 
 def test_window_charge_two():
     fock = fock_for(ANN, 2)
     w = make_window(fock, ANN, kappa=2)
-    assert w.basis.shape == (fock.dim, 5)
-    for r in ANN.regions:
+    b = dense_basis(w)
+    assert b.shape == (fock.dim, 5)
+    assert np.array_equal(b, np.eye(fock.dim)[:, w.columns])
+    for i, r in enumerate(w.regions):
         assert w.implementers[r].charge == 2
+        assert w.columns[1 + i] == sum(1 << m for m in w.implementers[r].modes)
+
+
+COMPRESS_SETUP = annulus_setup(theta=0.9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_compress_equals_dense_basis_product(seed):
+    rng = np.random.default_rng(seed)
+    _, _, coc, fock, w = COMPRESS_SETUP
+    b = dense_basis(w)
+
+    def signed_partial_permutation():
+        pool = np.unique(np.concatenate([w.columns, rng.integers(0, fock.dim, 8)]))
+        k = int(rng.integers(0, len(pool) + 1))
+        rows = rng.choice(pool, k, replace=False)
+        cols = rng.choice(pool, k, replace=False)
+        vals = rng.choice(np.array([1, -1, 1j, -1j, np.exp(0.3j)]), k)
+        m = sp.csr_matrix((vals, (rows, cols)), shape=(fock.dim, fock.dim))
+        return FieldOp(m, fock, frozenset())
+
+    full = sp.csr_matrix(
+        (rng.choice([1.0, -1.0], fock.dim), (np.arange(fock.dim), rng.permutation(fock.dim))),
+        shape=(fock.dim, fock.dim),
+    )
+    a, c = signed_partial_permutation(), signed_partial_permutation()
+    t = (plain_transporter(w, ANN), twisted_transporter(w, coc))[seed % 2]
+    path = approximate_curve(ANN, random_walk(rng, ANN, int(rng.integers(1, 8))))
+    ops = [a, a + c, a * c, FieldOp(full, fock, frozenset()), z_path(t, path).op]
+    for op in ops:
+        assert np.array_equal(w.compress(op), b.conj().T @ (op.csr @ b))
+
+
+def test_reverse_entry_built_once_per_edge():
+    _, _, coc, _, window = annulus_setup()
+    for t in (plain_transporter(window, ANN), twisted_transporter(window, coc)):
+        for (u, v, c), e in t.entries.items():
+            assert t.entry(v, u, c) is e
+            rev = t.entry(u, v, c)
+            assert t.entry(u, v, c) is rev
+            assert (rev.end, rev.start) == (u, v)
+            assert distance(rev.coeff, inverse(e.coeff)) == 0.0
+            want = e.op.adjoint().csr
+            assert np.array_equal(rev.op.csr.indptr, want.indptr)
+            assert np.array_equal(rev.op.csr.indices, want.indices)
+            assert rev.op.csr.data.tobytes() == want.data.tobytes()
 
 
 def test_charged_vector_gauge_covariance():
