@@ -89,9 +89,6 @@ def main(argv=None) -> int:
         updates["tasks"] = (args.command,)
     if updates:
         config = replace(config, **updates)
-    if config.random_paths > 0 and config.seed is None:
-        print("flatnet: randomized checks need a seed", file=sys.stderr)
-        return 2
 
     try:
         report = run_scenario(config)

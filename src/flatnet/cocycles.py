@@ -67,8 +67,8 @@ class MissingGenerator(KeyError):
 class SigmaMorphism:
     """Generator assignment defining a morphism from the loop group.
 
-    ``identity`` fixes the target variant (and matrix size / alphabet /
-    cyclic order); every assigned value must live in the same variant.
+    ``identity`` fixes the target variant (and matrix size / alphabet);
+    every assigned value must live in the same variant.
     """
 
     assignment: dict[str, GroupValue]

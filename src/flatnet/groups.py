@@ -1,9 +1,9 @@
 """Group and Lie-algebra values used for transport data.
 
-Four group variants cover everything the rest of the package needs:
-unit phases (stored as canonical angles), unitary matrices, reduced
-free-group words, and cyclic residues.  A small Lie layer (real scalars
-and anti-Hermitian matrices) feeds ``path_ordered_exp``.
+Three group variants cover everything the rest of the package needs:
+unit phases (stored as canonical angles), unitary matrices, and reduced
+free-group words.  A small Lie layer (real scalars and anti-Hermitian
+matrices) feeds ``path_ordered_exp``.
 
 Conventions, fixed once here and relied on everywhere else:
 
@@ -39,7 +39,7 @@ def wrap_angle(theta: float) -> float:
 
 
 class GroupValue:
-    """Base class; concrete variants are PhaseU1, MatrixUn, FreeWord, CyclicZn."""
+    """Base class; concrete variants are PhaseU1, MatrixUn, FreeWord."""
 
     __hash__ = None  # tolerance-based equality is incompatible with hashing
 
@@ -137,20 +137,6 @@ class FreeWord(GroupValue):
         return ".".join(parts)
 
 
-@dataclass(frozen=True, eq=False)
-class CyclicZn(GroupValue):
-    """A residue in the cyclic group of the given order."""
-
-    residue: int
-    order: int
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("cyclic order must be >= 1")
-        object.__setattr__(self, "residue", int(self.residue) % int(self.order))
-        object.__setattr__(self, "order", int(self.order))
-
-
 def identity_like(value: GroupValue) -> GroupValue:
     """The identity element of the same variant (and shape) as ``value``."""
     if isinstance(value, PhaseU1):
@@ -159,8 +145,6 @@ def identity_like(value: GroupValue) -> GroupValue:
         return MatrixUn(np.eye(value.dim))
     if isinstance(value, FreeWord):
         return FreeWord((), value.alphabet)
-    if isinstance(value, CyclicZn):
-        return CyclicZn(0, value.order)
     raise VariantMismatch(f"not a group value: {type(value).__name__}")
 
 
@@ -171,14 +155,12 @@ def _shape(v: GroupValue):
         return v.dim
     if isinstance(v, FreeWord):
         return v.alphabet
-    if isinstance(v, CyclicZn):
-        return v.order
     raise VariantMismatch(f"not a group value: {type(v).__name__}")
 
 
 def same_variant(a: GroupValue, b: GroupValue) -> None:
     """Raise VariantMismatch unless a and b are one variant of one shape
-    (matrix dimension, word alphabet, cyclic order)."""
+    (matrix dimension, word alphabet)."""
     if type(a) is not type(b) or _shape(a) != _shape(b):
         raise VariantMismatch(
             f"cannot combine {type(a).__name__} (shape {_shape(a)}) "
@@ -193,9 +175,7 @@ def compose(a: GroupValue, b: GroupValue) -> GroupValue:
         return PhaseU1(a.angle + b.angle)
     if isinstance(a, MatrixUn):
         return MatrixUn(a.mat @ b.mat)
-    if isinstance(a, FreeWord):
-        return FreeWord(a.letters + b.letters, a.alphabet)
-    return CyclicZn(a.residue + b.residue, a.order)
+    return FreeWord(a.letters + b.letters, a.alphabet)
 
 
 def inverse(a: GroupValue) -> GroupValue:
@@ -205,8 +185,6 @@ def inverse(a: GroupValue) -> GroupValue:
         return MatrixUn(a.mat.conj().T)
     if isinstance(a, FreeWord):
         return FreeWord(tuple(-l for l in reversed(a.letters)), a.alphabet)
-    if isinstance(a, CyclicZn):
-        return CyclicZn(-a.residue, a.order)
     raise VariantMismatch(f"not a group value: {type(a).__name__}")
 
 
@@ -251,15 +229,13 @@ def power(a: GroupValue, k: int) -> GroupValue:
 
 
 def distance(a: GroupValue, b: GroupValue) -> float:
-    """Comparison metric: angular gap, max-norm gap, or 0/1 for exact variants."""
+    """Comparison metric: angular gap, max-norm gap, or 0/1 for words."""
     same_variant(a, b)
     if isinstance(a, PhaseU1):
         return abs(wrap_angle(a.angle - b.angle))
     if isinstance(a, MatrixUn):
         return float(np.max(np.abs(a.mat - b.mat)))
-    if isinstance(a, FreeWord):
-        return 0.0 if a.letters == b.letters else 1.0
-    return 0.0 if a.residue == b.residue else 1.0
+    return 0.0 if a.letters == b.letters else 1.0
 
 
 def isclose(a: GroupValue, b: GroupValue, tol: float = GROUP_EQ_TOL) -> bool:

@@ -8,11 +8,13 @@ spanned by the vacuum and the charged vectors v_o, the subspace on
 which the implementer chains act isometrically.  Each v_o is an
 occupation-basis vector, so the window is a coordinate subspace and a
 compression reads the operator's entries at the window's basis indices.
-Transporter entries pair a sparse operator (a signed partial permutation
-of the Fock basis, times a phase) with a symbolic (end, start,
-coefficient) record; path transport multiplies entries with later steps
-on the left, and on the window a transported chain telescopes to its
-end/start pair times the accumulated coefficient.
+A transporter is a transition cocycle (its coefficients) plus one sparse
+operator per canonical edge (a signed partial permutation of the Fock
+basis, times that edge's phase); coefficients are looked up, folded and
+dressed by ``cocycles``, and only operator products live here.  Path
+transport multiplies step operators with later steps on the left, and on
+the window a transported chain telescopes to its end/start pair times
+the path's holonomy.
 
 Sign bookkeeping: with bare Jordan-Wigner implementers, odd-charge
 implementers of disjoint regions anticommute both with and without
@@ -24,11 +26,12 @@ not reproducible in this finite model; tests pin the uniform signs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .cocycles import TransitionCocycle
+from .cocycles import TransitionCocycle, dress_cocycle, holonomy, identity_cocycle
 from .covers import (
     Cover,
     Edge,
@@ -46,7 +49,6 @@ from .groups import (
     compose,
     inverse,
     is_identity,
-    ordered_product,
 )
 from .fock import FieldOp, FockSpace, SupportError, identity_op
 
@@ -69,6 +71,11 @@ class Implementer:
     charge: int
     modes: tuple[int, ...]
     op: FieldOp
+
+    @cached_property
+    def star(self) -> FieldOp:
+        """The adjoint phi^*, built once."""
+        return self.op.adjoint()
 
 
 def implementer(fock: FockSpace, region: int, kappa: int = 1) -> Implementer:
@@ -161,90 +168,62 @@ def make_window(fock: FockSpace, cover: Cover, kappa: int = 1) -> WindowSubspace
 
 @dataclass(frozen=True)
 class TransportEntry:
-    """One transport step: sparse operator plus its telescoped symbol."""
+    """A transport coefficient and its Fock operator (None off the Fock layer)."""
 
-    end: int
-    start: int
     coeff: GroupValue
     op: FieldOp | None
 
 
 @dataclass(frozen=True)
 class SectorTransporter:
-    """Transport entries over the cover's oriented overlap components.
+    """Transition cocycle plus one Fock operator per canonical edge.
 
-    ``entries`` is keyed by canonical edges (u, v, c), holding the u -> v
-    entry; the reverse direction is the operator adjoint with inverted
-    coefficient.  ``kind`` is 'plain' (bare pairs), 'twisted'
-    (cocycle-weighted pairs), or 'matrix' (coefficient-only layer for
-    higher-dimensional transport, no Fock realization).
+    ``cocycle`` holds every transport coefficient; ``ops[(u, v, c)]`` is
+    the u -> v operator (a cocycle-weighted pair phi_v phi_u^*), and
+    ``ops`` is empty on the coefficient-only matrix layer, which has no
+    ``window``.
     """
 
-    cover: Cover
-    entries: dict[Edge, TransportEntry]
-    identity_coeff: GroupValue
-    kind: str
+    cocycle: TransitionCocycle
     window: WindowSubspace | None = None
-    _reverse: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+    ops: dict[Edge, FieldOp] = dc_field(default_factory=dict)
+    _adjoints: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def factor(
-        self, dst: int, src: int, comp: int | None
-    ) -> tuple[TransportEntry, bool]:
-        """Stored entry of the step src -> dst and whether it applies as is
-        (True) or as its adjoint with inverted coefficient (False); the
-        identity entry for a reflexive step."""
+    def op(self, dst: int, src: int, comp: int | None) -> FieldOp | None:
+        """Operator of the step src -> dst: None for a reflexive step, the
+        stored operator forward, its adjoint (built once per edge) in
+        reverse; MissingEntry when the pair has no stored edge."""
         if dst == src:
-            op = None
-            if self.window is not None:
-                op = identity_op(self.window.fock)
-            entry = TransportEntry(end=dst, start=src, coeff=self.identity_coeff, op=op)
-            return entry, True
+            return None
         edge, forward = oriented(dst, src, comp)
-        try:
-            return self.entries[edge], forward
-        except KeyError:
-            raise MissingEntry(
-                "no transporter entry for ({},{},{})".format(*edge)
-            ) from None
-
-    def entry(self, dst: int, src: int, comp: int | None) -> TransportEntry:
-        """Entry of the step src -> dst; a reverse entry is built once per
-        edge and reused."""
-        e, forward = self.factor(dst, src, comp)
+        if edge not in self.ops:
+            raise MissingEntry("no transporter entry for ({},{},{})".format(*edge))
         if forward:
-            return e
-        key = (dst, src, comp)
-        if key not in self._reverse:
-            self._reverse[key] = TransportEntry(
-                end=dst,
-                start=src,
-                coeff=inverse(e.coeff),
-                op=None if e.op is None else e.op.adjoint(),
-            )
-        return self._reverse[key]
+            return self.ops[edge]
+        if edge not in self._adjoints:
+            self._adjoints[edge] = self.ops[edge].adjoint()
+        return self._adjoints[edge]
+
+    @cached_property
+    def entries(self) -> dict[Edge, TransportEntry]:
+        """Read-only view: the u -> v coefficient and operator per canonical edge."""
+        values = self.cocycle.values
+        return {e: TransportEntry(g, self.ops.get(e)) for e, g in values.items()}
 
 
 def z1(window: WindowSubspace, dst: int, src: int) -> FieldOp:
     """Bare charge transporter phi_dst phi_src^* between two regions."""
-    return window.implementers[dst].op * window.implementers[src].op.adjoint()
+    return window.implementers[dst].op * window.implementers[src].star
 
 
 def plain_transporter(window: WindowSubspace, cover: Cover) -> SectorTransporter:
-    ident = PhaseU1(0.0)
-    entries = {}
-    for (u, v, c) in cover.overlaps:
-        entries[(u, v, c)] = TransportEntry(
-            end=v, start=u, coeff=ident, op=z1(window, v, u)
-        )
-    return SectorTransporter(
-        cover=cover, entries=entries, identity_coeff=ident, kind="plain", window=window
-    )
+    return twisted_transporter(window, identity_cocycle(cover, PhaseU1(0.0)))
 
 
 def twisted_transporter(
     window: WindowSubspace, cocycle: TransitionCocycle
 ) -> SectorTransporter:
-    """Cocycle-weighted transporter: entry(v<-u) = g(v<-u) phi_v phi_u^*.
+    """Cocycle-weighted transporter: op(v<-u) = g(v<-u) phi_v phi_u^*.
 
     Only unit-phase transition data acts on the Fock layer; matrix-valued
     data goes through rho_layer_transporter instead.
@@ -253,53 +232,39 @@ def twisted_transporter(
         raise VariantMismatch(
             "Fock-layer twisting needs unit phases; use rho_layer_transporter"
         )
-    entries = {}
-    for (u, v, c) in cocycle.cover.overlaps:
-        g = cocycle.values[(u, v, c)]
-        entries[(u, v, c)] = TransportEntry(
-            end=v, start=u, coeff=g, op=z1(window, v, u).scaled(g)
-        )
-    return SectorTransporter(
-        cover=cocycle.cover,
-        entries=entries,
-        identity_coeff=PhaseU1(0.0),
-        kind="twisted",
-        window=window,
-    )
+    ops = {
+        (u, v, c): z1(window, v, u).scaled(g) for (u, v, c), g in cocycle.values.items()
+    }
+    return SectorTransporter(cocycle, window, ops)
 
 
 def dress_transporter(
     t: SectorTransporter, phases: dict[int, GroupValue]
 ) -> SectorTransporter:
-    """Conjugate entries by per-region phases: entry'(v<-u) = p_v entry p_u^{-1}."""
-    entries = {}
-    for (u, v, c), e in t.entries.items():
-        coeff = compose(compose(phases[v], e.coeff), inverse(phases[u]))
-        op = None if e.op is None else e.op.scaled(
-            compose(phases[v], inverse(phases[u]))
-        )
-        entries[(u, v, c)] = TransportEntry(end=v, start=u, coeff=coeff, op=op)
-    return SectorTransporter(
-        cover=t.cover, entries=entries, identity_coeff=t.identity_coeff,
-        kind=t.kind, window=t.window,
-    )
+    """Conjugate by per-region phases: op'(v<-u) = p_v op(v<-u) p_u^{-1}."""
+    ops = {
+        (u, v, c): op.scaled(compose(phases[v], inverse(phases[u])))
+        for (u, v, c), op in t.ops.items()
+    }
+    return SectorTransporter(dress_cocycle(t.cocycle, phases), t.window, ops)
 
 
 def z_path(t: SectorTransporter, path: PosetPath) -> TransportEntry:
-    """Ordered product of entries along a path (later steps on the left).
+    """Coefficient and operator transported along a path (later steps left).
 
-    The coefficient is one ``ordered_product`` fold; the operator is the
-    sparse product of the entry operators in the same order.
+    The coefficient is ``holonomy`` of the transporter's cocycle; the
+    operator is the sparse product of the step operators, reflexive steps
+    skipped, and the identity only when no step carries an operator.
     """
-    entries = [t.entry(s.dst, s.src, s.comp) for s in path.steps]
-    coeff = ordered_product(t.identity_coeff, ((e.coeff, True) for e in entries))
     op: FieldOp | None = None
     if t.window is not None:
-        op = identity_op(t.window.fock)
-        for e in entries:
-            if e.op is not None:
-                op = e.op * op
-    return TransportEntry(end=path.end, start=path.start, coeff=coeff, op=op)
+        for s in path.steps:
+            step = t.op(s.dst, s.src, s.comp)
+            if step is not None:
+                op = step if op is None else step * op
+        if op is None:
+            op = identity_op(t.window.fock)
+    return TransportEntry(holonomy(t.cocycle, path), op)
 
 
 def telescope_residual(t: SectorTransporter, path: PosetPath) -> float:
@@ -322,12 +287,12 @@ def telescope_residual(t: SectorTransporter, path: PosetPath) -> float:
 def triple_law_residual(
     t: SectorTransporter, triple: tuple[int, int, int, tuple[int, int, int]]
 ) -> float:
-    """Window gap of entry(r3<-r2) entry(r2<-r1) = entry(r3<-r1)."""
+    """Window gap of op(r3<-r2) op(r2<-r1) = op(r3<-r1)."""
     if t.window is None:
         raise ValueError("triple-law residuals need a Fock window")
     r1, r2, r3, (c12, c13, c23) = triple
-    lhs = t.entry(r3, r2, c23).op * t.entry(r2, r1, c12).op
-    rhs = t.entry(r3, r1, c13).op
+    lhs = t.op(r3, r2, c23) * t.op(r2, r1, c12)
+    rhs = t.op(r3, r1, c13)
     return float(np.max(np.abs(t.window.compress(lhs) - t.window.compress(rhs))))
 
 
@@ -341,8 +306,8 @@ def charge_morphism(window: WindowSubspace, region: int, t: FieldOp) -> FieldOp:
         raise NotGaugeInvariant(
             f"morphism argument must be gauge invariant, got charge {t.charge}"
         )
-    phi = window.implementers[region].op
-    return phi * t * phi.adjoint()
+    phi = window.implementers[region]
+    return phi.op * t * phi.star
 
 
 def intertwining_residual(
@@ -463,7 +428,8 @@ def classify(
                 comp.residual, abs(abs(comp.value) - 1.0)
             )
     trivial = all(is_identity(v, tol) for v in components.values())
-    dim = t.identity_coeff.dim if isinstance(t.identity_coeff, MatrixUn) else 1
+    ident = t.cocycle.identity
+    dim = ident.dim if isinstance(ident, MatrixUn) else 1
     return Classification(
         kind="DHR" if trivial else "topological",
         components=components,
@@ -477,11 +443,9 @@ def coefficient_ratio_cocycle(
 ) -> TransitionCocycle:
     """Entrywise coeff_a coeff_b^{-1}; trivializing it exhibits per-region
     phases conjugating one transporter into the other on the window."""
-    values = {}
-    for key, ea in a.entries.items():
-        eb = b.entries[key]
-        values[key] = compose(ea.coeff, inverse(eb.coeff))
-    return TransitionCocycle(cover=a.cover, values=values, identity=a.identity_coeff)
+    ca, cb = a.cocycle, b.cocycle
+    values = {e: compose(g, inverse(cb.values[e])) for e, g in ca.values.items()}
+    return TransitionCocycle(cover=ca.cover, values=values, identity=ca.identity)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +456,7 @@ def rho_layer_transporter(
     cocycle: TransitionCocycle,
     rho: Callable[[GroupValue], MatrixUn] | None = None,
 ) -> SectorTransporter:
-    """Matrix-coefficient transporter (end, start, rho(g)); no Fock ops.
+    """Matrix-coefficient transporter: the cocycle pushed through rho; no Fock ops.
 
     Higher-dimensional transport has no faithful realization on the
     finite Fock window, so this layer carries coefficients only.  By
@@ -507,24 +471,13 @@ def rho_layer_transporter(
     ident = rho(cocycle.identity)
     if not isinstance(ident, MatrixUn):
         raise VariantMismatch("rho must produce unitary matrices")
-    entries = {}
-    for (u, v, c) in cocycle.cover.overlaps:
-        entries[(u, v, c)] = TransportEntry(
-            end=v, start=u, coeff=rho(cocycle.values[(u, v, c)]), op=None
-        )
-    return SectorTransporter(
-        cover=cocycle.cover, entries=entries, identity_coeff=ident,
-        kind="matrix", window=None,
-    )
+    values = {e: rho(g) for e, g in cocycle.values.items()}
+    return SectorTransporter(TransitionCocycle(cocycle.cover, values, ident))
 
 
 def rho_holonomy(t: SectorTransporter, loop: PosetPath) -> GroupValue:
-    """Ordered coefficient product around a loop (later steps left).
-
-    One ``ordered_product`` fold over the stored coefficients, so a matrix
-    holonomy is checked for unitarity once, on the returned value.
-    """
+    """Ordered coefficient product around a loop (later steps left): the
+    ``holonomy`` of the transporter's cocycle."""
     if not loop.is_loop:
         raise InvalidPath("holonomy is defined for loops")
-    factors = (t.factor(s.dst, s.src, s.comp) for s in loop.steps)
-    return ordered_product(t.identity_coeff, ((e.coeff, fwd) for e, fwd in factors))
+    return holonomy(t.cocycle, loop)

@@ -8,7 +8,6 @@ from flatnet.groups import (
     ANTIHERM_TOL,
     UNITARY_TOL,
     AntiHermitianUn,
-    CyclicZn,
     FreeWord,
     MatrixUn,
     PhaseU1,
@@ -77,7 +76,7 @@ def test_group_values_unhashable():
 def test_equality_is_tolerance_based():
     assert PhaseU1(1.0) == PhaseU1(1.0 + 1e-12)
     assert PhaseU1(1.0) != PhaseU1(1.0 + 1e-8)
-    assert PhaseU1(0.0) != CyclicZn(0, 2)
+    assert PhaseU1(0.0) != FreeWord((), ("a",))
 
 
 # ---------------------------------------------------------------------------
@@ -151,28 +150,10 @@ def test_free_word_alphabet_guard():
         compose(FreeWord((1,), ("a",)), FreeWord((1,), ("b",)))
 
 
-# ---------------------------------------------------------------------------
-# cyclic
-
-
-def test_cyclic_arithmetic():
-    a = CyclicZn(5, 7)
-    b = CyclicZn(4, 7)
-    assert compose(a, b).residue == 2
-    assert inverse(a).residue == 2
-    assert CyclicZn(-1, 7).residue == 6
-    assert is_identity(power(a, 7))
-    with pytest.raises(VariantMismatch):
-        compose(a, CyclicZn(1, 5))
-    with pytest.raises(ValueError):
-        CyclicZn(0, 0)
-
-
 def test_identity_like_variants():
     assert identity_like(PhaseU1(2.0)).angle == 0.0
     assert np.allclose(identity_like(MatrixUn(SX)).mat, np.eye(2))
     assert identity_like(FreeWord((1,), ("a",))).letters == ()
-    assert identity_like(CyclicZn(3, 5)).residue == 0
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +188,6 @@ def test_free_word_reduction_is_idempotent_and_invertible(letters):
     assert again.letters == w.letters
     assert compose(w, inverse(w)).letters == ()
     assert compose(inverse(w), w).letters == ()
-
-
-@given(st.integers(min_value=-20, max_value=20), st.integers(min_value=1, max_value=12))
-@settings(max_examples=200, deadline=None)
-def test_cyclic_power_matches_residue(k, n):
-    g = CyclicZn(1, n)
-    assert power(g, k).residue == k % n
 
 
 # ---------------------------------------------------------------------------

@@ -773,3 +773,11 @@ def test_cli_exit_code_boolean_seed(tmp_path, capsys):
     code, out, err = run_cli(["report", "--scenario", str(target)], capsys)
     assert code == 2 and out == ""
     assert err.startswith("flatnet: seed: must be an integer")
+
+
+def test_cli_random_paths_without_seed(tmp_path, capsys):
+    target = tmp_path / "unseeded.yaml"
+    target.write_text(MINIMAL + "random_paths: 3\n", encoding="utf-8")
+    code, out, err = run_cli(["report", "--scenario", str(target)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("flatnet:") and "seed" in err

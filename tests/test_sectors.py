@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatnet.cocycles import (
+    CocycleInconsistent,
     SigmaMorphism,
     holonomy,
     transition_cocycle,
@@ -14,6 +15,8 @@ from flatnet.cocycles import (
 )
 from flatnet.covers import (
     InvalidPath,
+    PosetPath,
+    Step,
     annulus_cover,
     approximate_curve,
     build_nerve,
@@ -244,16 +247,17 @@ def test_compress_equals_dense_basis_product(seed):
 def test_reverse_entry_built_once_per_edge():
     _, _, coc, _, window = annulus_setup()
     for t in (plain_transporter(window, ANN), twisted_transporter(window, coc)):
-        for (u, v, c), e in t.entries.items():
-            assert t.entry(v, u, c) is e
-            rev = t.entry(u, v, c)
-            assert t.entry(u, v, c) is rev
-            assert (rev.end, rev.start) == (u, v)
-            assert distance(rev.coeff, inverse(e.coeff)) == 0.0
-            want = e.op.adjoint().csr
-            assert np.array_equal(rev.op.csr.indptr, want.indptr)
-            assert np.array_equal(rev.op.csr.indices, want.indices)
-            assert rev.op.csr.data.tobytes() == want.data.tobytes()
+        for (u, v, c), op in t.ops.items():
+            g = t.cocycle.values[(u, v, c)]
+            assert t.op(v, u, c) is op
+            assert t.entries[(u, v, c)].op is op and t.entries[(u, v, c)].coeff is g
+            rev = t.op(u, v, c)
+            assert t.op(u, v, c) is rev
+            assert distance(t.cocycle.value(u, v, c), inverse(g)) == 0.0
+            want = op.adjoint().csr
+            assert np.array_equal(rev.csr.indptr, want.indptr)
+            assert np.array_equal(rev.csr.indices, want.indices)
+            assert rev.csr.data.tobytes() == want.data.tobytes()
 
 
 def test_charged_vector_gauge_covariance():
@@ -274,20 +278,32 @@ def test_charged_vector_gauge_covariance():
 def test_entry_reflexive_and_reverse():
     _, _, coc, fock, window = annulus_setup()
     t = twisted_transporter(window, coc)
-    same = t.entry(1, 1, None)
+    assert t.op(1, 1, None) is None
+    same = z_path(t, approximate_curve(ANN, [1, 1]))
     assert distance(same.coeff, PhaseU1(0.0)) == 0.0
     assert np.array_equal(same.op.matrix, np.eye(fock.dim))
-    fwd = t.entry(1, 0, 0)
-    rev = t.entry(0, 1, 0)
-    assert distance(rev.coeff, inverse(fwd.coeff)) == 0.0
-    assert np.array_equal(rev.op.matrix, fwd.op.matrix.conj().T)
+    fwd = t.op(1, 0, 0)
+    rev = t.op(0, 1, 0)
+    assert distance(t.cocycle.value(0, 1, 0), inverse(t.cocycle.value(1, 0, 0))) == 0.0
+    assert np.array_equal(rev.matrix, fwd.matrix.conj().T)
+    # a chain starts from its first step operator, not from an identity
+    assert z_path(t, approximate_curve(ANN, [0, 1])).op is fwd
+    assert z_path(t, approximate_curve(ANN, [1, 1, 0, 0])).op is rev
 
 
 def test_missing_entry():
     _, _, _, _, window = annulus_setup()
     t = plain_transporter(window, ANN)
     with pytest.raises(MissingEntry):
-        t.entry(2, 0, 0)  # disjoint pair, no overlap edge
+        t.op(2, 0, 0)  # disjoint pair, no overlap edge
+    hop = PosetPath((Step(dst=2, src=0, comp=0),), 0, 2)
+    with pytest.raises(MissingEntry):
+        z_path(t, hop)
+    # the coefficient-only layer looks steps up in its cocycle
+    _, _, _, m = fig8_matrix_transporter()
+    loop = PosetPath((Step(dst=3, src=1, comp=0), Step(dst=1, src=3, comp=0)), 1, 1)
+    with pytest.raises(CocycleInconsistent):
+        rho_holonomy(m, loop)
 
 
 def test_twisted_rejects_matrix_cocycle():
@@ -592,13 +608,15 @@ def test_fig8_commutator_holonomy():
 def test_rho_holonomy_and_matrix_z_path_match_stepwise_compose():
     cover, nerve, sigma, t = fig8_matrix_transporter()
     coc = transition_cocycle(sigma, nerve)
-    loop = approximate_curve(cover, [0, 1, 1, 2, 0, 3, 4, 0, 2, 1, 0, 4, 3, 3, 0])
-    acc = t.identity_coeff
-    for st in loop.steps:
-        acc = compose(t.entry(st.dst, st.src, st.comp).coeff, acc)
-    assert np.array_equal(rho_holonomy(t, loop).mat, acc.mat)
-    assert np.array_equal(z_path(t, loop).coeff.mat, acc.mat)
-    assert np.array_equal(holonomy(coc, loop).mat, acc.mat)
+    # the second loop crosses g0 once, in reverse, so an orientation slip shows
+    for visited in ([0, 1, 1, 2, 0, 3, 4, 0, 2, 1, 0, 4, 3, 3, 0], [0, 2, 1, 0, 3, 0]):
+        loop = approximate_curve(cover, visited)
+        acc = t.cocycle.identity
+        for st in loop.steps:
+            acc = compose(t.cocycle.value(st.dst, st.src, st.comp), acc)
+        assert np.array_equal(rho_holonomy(t, loop).mat, acc.mat)
+        assert np.array_equal(z_path(t, loop).coeff.mat, acc.mat)
+        assert np.array_equal(holonomy(coc, loop).mat, acc.mat)
 
 
 def test_fig8_classify_topological_dim2():
