@@ -19,7 +19,8 @@ and those integers are the discrete curvature bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,15 +36,20 @@ from .covers import (
 )
 from .groups import (
     GROUP_EQ_TOL,
+    UNITARY_TOL,
     FreeWord,
     GroupValue,
+    MatrixUn,
     PhaseU1,
+    TransportTable,
     VariantMismatch,
     compose,
     distance,
     inverse,
-    ordered_product,
+    ordered_products,
     same_variant,
+    transport_table,
+    unitary_defects,
     wrap_angle,
 )
 
@@ -63,12 +69,26 @@ class MissingGenerator(KeyError):
     """Raised when a morphism assignment does not cover every generator."""
 
 
+def _slotted_table(identity: GroupValue, entries) -> tuple[dict, TransportTable]:
+    """Transport table (``groups.transport_table``, slot 0 the identity) of
+    ``(forward key, reverse key, value)`` entries, and the slot of each key:
+    the value under its forward key, its inverse under its reverse key."""
+    slots: dict = {}
+    factors: list[tuple[GroupValue, bool]] = []
+    for forward_key, reverse_key, g in entries:
+        factors += [(g, True), (g, False)]
+        slots[forward_key], slots[reverse_key] = len(factors) - 1, len(factors)
+    return slots, transport_table(identity, factors)
+
+
 @dataclass(frozen=True)
 class SigmaMorphism:
     """Generator assignment defining a morphism from the loop group.
 
     ``identity`` fixes the target variant (and matrix size / alphabet);
-    every assigned value must live in the same variant.
+    every assigned value must live in the same variant.  Word evaluation
+    reads a transport table built on first use, so ``assignment`` is
+    read-only once the morphism is in use.
     """
 
     assignment: dict[str, GroupValue]
@@ -83,17 +103,34 @@ class SigmaMorphism:
             raise MissingGenerator(generator)
         return self.assignment[generator]
 
-    def evaluate(self, word: FreeWord) -> GroupValue:
-        """Evaluate on a reduced word, letters composed left to right.
+    @cached_property
+    def _transport(self) -> tuple[dict[tuple[str, bool], int], TransportTable]:
+        """Slot of each (generator, forward) letter and the table holding them."""
+        entries = (((n, True), (n, False), g) for n, g in self.assignment.items())
+        return _slotted_table(self.identity, entries)
 
-        One ``ordered_product`` fold: a matrix result is checked for
-        unitarity once, not after every letter.
+    def evaluate_all(self, words: Sequence[FreeWord]) -> list[GroupValue]:
+        """Evaluate reduced words, letters composed left to right.
+
+        One ``ordered_products`` fold over every word: matrix words are
+        multiplied step-major across words and each result is checked
+        for unitarity once.
         """
-        return ordered_product(
-            self.identity,
-            ((self.value(word.alphabet[abs(l) - 1]), l > 0) for l in word.letters),
-            later_left=False,
-        )
+        slots, table = self._transport
+        rows = []
+        for word in words:
+            names = word.alphabet
+            try:
+                rows.append([slots[(names[abs(l) - 1], l > 0)] for l in word.letters])
+            except KeyError:
+                for l in word.letters:
+                    self.value(names[abs(l) - 1])  # raises MissingGenerator
+                raise
+        return ordered_products(self.identity, table, rows, later_left=False)
+
+    def evaluate(self, word: FreeWord) -> GroupValue:
+        """``evaluate_all`` of one word."""
+        return self.evaluate_all([word])[0]
 
 
 def validate_sigma(
@@ -111,8 +148,8 @@ def validate_sigma(
         if name not in sigma.assignment:
             raise MissingGenerator(name)
     violations = []
-    for rel in presentation.relations:
-        resid = distance(sigma.evaluate(rel), sigma.identity)
+    for rel, val in zip(presentation.relations, sigma.evaluate_all(presentation.relations)):
+        resid = distance(val, sigma.identity)
         if not (resid <= tol):
             violations.append((rel, resid))
     return violations
@@ -124,7 +161,10 @@ class TransitionCocycle:
 
     ``values`` is keyed by the canonical edge (u, v, c) with u < v and
     holds the value for crossing u -> v; the reverse crossing is the
-    inverse.  Same-region steps carry the identity.
+    inverse.  Same-region steps carry the identity.  Every key must be a
+    canonical overlap of the cover.  Holonomies and the triple-law check
+    read a transport table built on first use, so ``values`` is read-only
+    once the cocycle is in use.
     """
 
     cover: Cover
@@ -132,28 +172,48 @@ class TransitionCocycle:
     identity: GroupValue
 
     def __post_init__(self):
+        overlaps = set(self.cover.overlaps)
+        for e in self.values:
+            if e not in overlaps:
+                raise CocycleInconsistent(
+                    f"transition value keyed by {e}, not a canonical overlap of the cover"
+                )
         for e in self.cover.overlaps:
             if e not in self.values:
                 raise CocycleInconsistent(f"no transition value for overlap {e}")
         for v in self.values.values():
             same_variant(self.identity, v)
 
-    def factor(self, dst: int, src: int, comp: int | None) -> tuple[GroupValue, bool]:
-        """Stored value of the crossing src -> dst and whether it enters
-        as is (True) or inverted (False); the identity for a reflexive step."""
+    def value(self, dst: int, src: int, comp: int | None) -> GroupValue:
+        """Transition value of the crossing src -> dst: the stored value low
+        to high, its inverse high to low, the identity for a reflexive step."""
         if dst == src:
-            return self.identity, True
+            return self.identity
         edge, forward = oriented(dst, src, comp)
         try:
-            return self.values[edge], forward
+            g = self.values[edge]
         except KeyError:
             raise CocycleInconsistent(
                 "no transition value for component ({},{},{})".format(*edge)
             ) from None
-
-    def value(self, dst: int, src: int, comp: int | None) -> GroupValue:
-        g, forward = self.factor(dst, src, comp)
         return g if forward else inverse(g)
+
+    @cached_property
+    def _transport(self) -> tuple[dict[tuple[int, int, int], int], TransportTable]:
+        """Slot of every oriented crossing (dst, src, comp) and the table
+        holding the stored value low to high and its inverse high to low."""
+        entries = (((v, u, c), (u, v, c), g) for (u, v, c), g in self.values.items())
+        return _slotted_table(self.identity, entries)
+
+    def _row(self, path: PosetPath) -> list[int]:
+        """Table slot of each step of a path; 0 for a reflexive step."""
+        slots = self._transport[0]
+        try:
+            return [0 if c is None else slots[(d, s, c)] for d, s, c in path.crossings()]
+        except KeyError:
+            for d, s, c in path.crossings():
+                self.value(d, s, c)  # raises CocycleInconsistent
+            raise
 
 
 def identity_cocycle(cover: Cover, identity: GroupValue) -> TransitionCocycle:
@@ -204,18 +264,38 @@ def worst(residuals: Iterable[float]) -> float:
 
 
 def check_cocycle(cocycle: TransitionCocycle, tol: float = COCYCLE_TOL) -> CocycleCheck:
-    """Test g(r3<-r2) g(r2<-r1) = g(r3<-r1) on every triple of the cover."""
-    failures = []
-    residuals = []
-    for t in cocycle.cover.triples:
-        r1, r2, r3, (c12, c13, c23) = t
-        lhs = compose(cocycle.value(r3, r2, c23), cocycle.value(r2, r1, c12))
-        rhs = cocycle.value(r3, r1, c13)
-        resid = distance(lhs, rhs)
-        residuals.append(resid)
-        if not (resid <= tol):
-            failures.append((t, resid))
-    return CocycleCheck(worst(residuals), tuple(failures), tol)
+    """Test g(r3<-r2) g(r2<-r1) = g(r3<-r1) on every triple of the cover.
+
+    Matrix data forms every triple's product g(r3<-r2) g(r2<-r1) in one
+    stacked product from the transport table and checks each product
+    for unitarity once (the MatrixUn formula and UNITARY_TOL, ValueError
+    naming the first failing product); other variants compose per triple.
+    The worst residual is NaN once any residual is.
+    """
+    triples = cocycle.cover.triples
+    if isinstance(cocycle.identity, MatrixUn):
+        slots, table = cocycle._transport
+        crossings = [
+            (slots[(r2, r1, c12)], slots[(r3, r1, c13)], slots[(r3, r2, c23)])
+            for (r1, r2, r3, (c12, c13, c23)) in triples
+        ]
+        i12, i13, i23 = np.array(crossings, dtype=np.intp).reshape(-1, 3).T
+        lhs = table[i23] @ table[i12]
+        defects = unitary_defects(lhs)
+        bad = np.flatnonzero(~(defects <= UNITARY_TOL))
+        if bad.size:
+            raise ValueError(f"matrix is not unitary: max |U*U - I| = {defects[bad[0]]:.3e}")
+        residuals = np.max(np.abs(lhs - table[i13]), axis=(1, 2)).tolist()
+    else:
+        residuals = [
+            distance(
+                compose(cocycle.value(r3, r2, c23), cocycle.value(r2, r1, c12)),
+                cocycle.value(r3, r1, c13),
+            )
+            for (r1, r2, r3, (c12, c13, c23)) in triples
+        ]
+    failures = tuple((t, r) for t, r in zip(triples, residuals) if not (r <= tol))
+    return CocycleCheck(worst(residuals), failures, tol)
 
 
 @dataclass(frozen=True)
@@ -272,20 +352,27 @@ def trivialize(
     return TrivializationResult(success=True, lambdas=lam)
 
 
-def holonomy(source, path: PosetPath) -> GroupValue:
-    """Ordered product of transition values along a path (later steps left).
+def holonomies(source, paths: Sequence[PosetPath]) -> list[GroupValue]:
+    """Ordered product of transition values along each path (later steps left).
 
     ``source`` may be a TransitionCocycle or a FlatPotentialU1.  Loops give
     the transported loop-group value; open paths are allowed but their
-    value is chart-dependent bookkeeping, not an invariant.  The product is
-    one ``ordered_product`` fold, so a matrix holonomy is checked for
-    unitarity once, on the returned value.
+    value is chart-dependent bookkeeping, not an invariant.  All paths go
+    through one ``ordered_products`` fold over the cocycle's transport
+    table: matrix products are folded step-major across the paths, one
+    stacked product per step, and each returned holonomy is checked for
+    unitarity once.
     """
     if isinstance(source, FlatPotentialU1):
-        return PhaseU1(lift_sum(source, path))
-    return ordered_product(
-        source.identity, (source.factor(s.dst, s.src, s.comp) for s in path.steps)
-    )
+        return [PhaseU1(lift_sum(source, p)) for p in paths]
+    table = source._transport[1]
+    return ordered_products(source.identity, table, [source._row(p) for p in paths])
+
+
+def holonomy(source, path: PosetPath) -> GroupValue:
+    """``holonomies`` of one path: the one-row fold, a matrix result
+    checked for unitarity once."""
+    return holonomies(source, [path])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +449,7 @@ class FlatPotentialU1:
 
 def lift_sum(pot: FlatPotentialU1, path: PosetPath) -> float:
     """Unwrapped sum of lifts along a path (winding-sensitive)."""
-    return float(sum(pot.lift(s.dst, s.src, s.comp) for s in path.steps))
+    return float(sum(pot.lift(d, s, c) for d, s, c in path.crossings()))
 
 
 def lift_potential(

@@ -8,8 +8,9 @@ triangles; a breadth-first spanning tree rooted at the base region then
 yields a presentation of the fundamental group with one generator per
 non-tree edge and one relation per triangle.
 
-Paths are ordered lists of elementary steps, each step crossing one
-overlap component (or resting in place).  Words read operator-style:
+Paths are chains of elementary steps, each step crossing one overlap
+component (or resting in place), stored as their visited regions and
+crossed components.  Words read operator-style:
 the first step of a path sits rightmost in its word.
 """
 
@@ -17,7 +18,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .groups import FreeWord
 
@@ -174,6 +176,18 @@ class NerveGraph:
     def base(self) -> int:
         return self.cover.base_region
 
+    @cached_property
+    def oriented_letters(self) -> dict[tuple[int, int, int | None], int]:
+        """Signed letter of every crossing keyed (dst, src, comp): +letter
+        low-to-high, -letter high-to-low, 0 for a reflexive step in place."""
+        table: dict[tuple[int, int, int | None], int] = {
+            (r, r, None): 0 for r in self.cover.regions
+        }
+        for (u, v, c), letter in self.letters.items():
+            table[(v, u, c)] = letter
+            table[(u, v, c)] = -letter
+        return table
+
     def step_letter(self, step: Step) -> int:
         """Signed generator letter contributed by one step (0 for none).
 
@@ -182,11 +196,10 @@ class NerveGraph:
         """
         if step.comp is None:
             return 0
-        edge, forward = oriented(step.dst, step.src, step.comp)
-        letter = self.letters.get(edge)
+        letter = self.oriented_letters.get((step.dst, step.src, step.comp))
         if letter is None:
             raise InvalidPath(f"step {step} does not cross a nerve edge")
-        return letter if forward else -letter
+        return letter
 
     def tree_steps_from_base(self, r: int) -> tuple[Step, ...]:
         """Steps walking the spanning tree from the base region out to r."""
@@ -285,51 +298,85 @@ def pi1_presentation(nerve: NerveGraph) -> Pi1Presentation:
 # Paths
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PosetPath:
-    """An ordered chain of elementary steps between regions."""
+    """An ordered chain of elementary steps between regions.
 
-    steps: tuple[Step, ...]
-    start: int
-    end: int
+    Stored compactly as two tuples: ``regions`` is the visited sequence,
+    start first and end last, and ``comps[i]`` is the overlap component
+    crossed from ``regions[i]`` into ``regions[i + 1]`` (None for a
+    reflexive step).  ``PosetPath(steps, start, end)`` builds one from a
+    chain of ``Step``s and checks it; ``steps`` is a derived read-only
+    view.  Holonomies of many paths fold step-major across the paths, one
+    stacked matrix product per step (``cocycles.holonomies``).
+    """
 
-    def __post_init__(self):
-        if self.steps:
-            if self.steps[0].src != self.start:
+    regions: tuple[int, ...]
+    comps: tuple[int | None, ...]
+
+    def __init__(self, steps: Sequence[Step], start: int, end: int):
+        steps = tuple(steps)
+        if steps:
+            if steps[0].src != start:
                 raise InvalidPath("start region does not match first step")
-            if self.steps[-1].dst != self.end:
+            if steps[-1].dst != end:
                 raise InvalidPath("end region does not match last step")
-            for a, b in zip(self.steps, self.steps[1:]):
+            for a, b in zip(steps, steps[1:]):
                 if a.dst != b.src:
                     raise InvalidPath(f"steps do not chain: {a} then {b}")
-        elif self.start != self.end:
+        elif start != end:
             raise InvalidPath("empty path must start and end at the same region")
-        for s in self.steps:
+        for s in steps:
             if (s.comp is None) != (s.dst == s.src):
                 raise InvalidPath(f"malformed step {s}")
+        object.__setattr__(self, "regions", (start,) + tuple(s.dst for s in steps))
+        object.__setattr__(self, "comps", tuple(s.comp for s in steps))
+
+    @property
+    def start(self) -> int:
+        return self.regions[0]
+
+    @property
+    def end(self) -> int:
+        return self.regions[-1]
+
+    def crossings(self) -> Iterator[tuple[int, int, int | None]]:
+        """``(dst, src, comp)`` of every step, in path order."""
+        return zip(self.regions[1:], self.regions[:-1], self.comps)
+
+    @property
+    def steps(self) -> tuple[Step, ...]:
+        return tuple(map(Step._make, self.crossings()))
 
     @property
     def is_loop(self) -> bool:
         return self.start == self.end
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.comps)
+
+
+def _chain(regions: tuple[int, ...], comps: tuple[int | None, ...]) -> PosetPath:
+    """A path from tuples already known to chain, without re-checking them."""
+    p = object.__new__(PosetPath)
+    object.__setattr__(p, "regions", regions)
+    object.__setattr__(p, "comps", comps)
+    return p
 
 
 def empty_path(at: int) -> PosetPath:
-    return PosetPath((), at, at)
+    return _chain((at,), ())
 
 
 def path_compose(p: PosetPath, q: PosetPath) -> PosetPath:
     """p followed by q (requires p.end == q.start)."""
     if p.end != q.start:
         raise InvalidPath(f"cannot compose: path ends at {p.end}, next starts at {q.start}")
-    return PosetPath(p.steps + q.steps, p.start, q.end)
+    return _chain(p.regions + q.regions[1:], p.comps + q.comps)
 
 
 def path_reverse(p: PosetPath) -> PosetPath:
-    steps = tuple(Step(dst=s.src, src=s.dst, comp=s.comp) for s in reversed(p.steps))
-    return PosetPath(steps, p.end, p.start)
+    return _chain(p.regions[::-1], p.comps[::-1])
 
 
 def approximate_curve(cover: Cover, visited: Sequence[int]) -> PosetPath:
@@ -339,18 +386,23 @@ def approximate_curve(cover: Cover, visited: Sequence[int]) -> PosetPath:
     lowest-numbered overlap component, so the result is deterministic.
     Repeated regions yield reflexive steps.
     """
-    if not visited:
+    regions = tuple(visited)
+    if not regions:
         raise InvalidPath("visited-region sequence is empty")
-    steps: list[Step] = []
-    for u, v in zip(visited, visited[1:]):
-        if u == v:
-            steps.append(Step(dst=v, src=u, comp=None))
-            continue
-        comps = cover.overlap_components(u, v)
-        if not comps:
-            raise InvalidPath(f"regions {u} and {v} do not overlap")
-        steps.append(Step(dst=v, src=u, comp=min(comps)))
-    return PosetPath(tuple(steps), visited[0], visited[-1])
+    components = cover._components  # ascending, so [0] is the lowest
+    try:
+        comps = tuple(
+            None if u == v else components[(u, v) if u < v else (v, u)][0]
+            for u, v in zip(regions, regions[1:])
+        )
+    except KeyError:
+        u, v = next(
+            (u, v)
+            for u, v in zip(regions, regions[1:])
+            if u != v and not cover.overlap_components(u, v)
+        )
+        raise InvalidPath(f"regions {u} and {v} do not overlap") from None
+    return _chain(regions, comps)
 
 
 def loop_class(presentation: Pi1Presentation, p: PosetPath) -> FreeWord:
@@ -361,21 +413,22 @@ def loop_class(presentation: Pi1Presentation, p: PosetPath) -> FreeWord:
     non-tree crossings actually present in ``p``.
     """
     nerve = presentation.nerve
-    letters = []
-    for s in reversed(p.steps):
-        l = nerve.step_letter(s)
-        if l != 0:
-            letters.append(l)
-    return presentation.word(letters)
+    try:
+        letters = [l for l in map(nerve.oriented_letters.__getitem__, p.crossings()) if l]
+    except KeyError:  # a reflexive step outside the cover, or a bad crossing
+        letters = [l for l in map(nerve.step_letter, p.steps) if l]
+    return presentation.word(letters[::-1])
 
 
 def generator_loop(nerve: NerveGraph, index: int) -> PosetPath:
     """The representative loop of one generator: tree out, cross, tree back."""
     (u, v, c) = nerve.non_tree_edges[index]
-    out = PosetPath(nerve.tree_steps_from_base(u), nerve.base, u)
-    cross = PosetPath((Step(dst=v, src=u, comp=c),), u, v)
-    back = path_reverse(PosetPath(nerve.tree_steps_from_base(v), nerve.base, v))
-    return path_compose(path_compose(out, cross), back)
+    out = nerve.tree_steps_from_base(u)
+    back = nerve.tree_steps_from_base(v)[::-1]
+    return _chain(
+        (nerve.base, *(s.dst for s in out), v, *(s.src for s in back)),
+        (*(s.comp for s in out), c, *(s.comp for s in back)),
+    )
 
 
 # ---------------------------------------------------------------------------

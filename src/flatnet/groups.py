@@ -16,7 +16,8 @@ Conventions, fixed once here and relied on everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 from scipy.linalg import expm
@@ -188,6 +189,94 @@ def inverse(a: GroupValue) -> GroupValue:
     raise VariantMismatch(f"not a group value: {type(a).__name__}")
 
 
+# factors indexed by slot: a stacked (n, d, d) array for matrices, else values
+TransportTable = Union[np.ndarray, tuple[GroupValue, ...]]
+
+
+def transport_table(
+    identity: GroupValue, factors: Iterable[tuple[GroupValue, bool]]
+) -> TransportTable:
+    """Slot 0 the identity, slot i the i-th ``(value, forward)`` factor as it
+    enters a product: the value itself forward, its inverse in reverse.
+
+    Matrices stack into one (n, d, d) complex array whose reverse slots
+    hold the conjugate transpose, the bits ``inverse`` stores; other
+    variants stay a tuple of values.
+    """
+    if isinstance(identity, MatrixUn):
+        factors = list(factors)
+        for v, _ in factors:
+            if type(v) is not MatrixUn or v.dim != identity.dim:
+                same_variant(identity, v)
+        table = np.stack([identity.mat] + [v.mat for v, _ in factors])
+        reverse = 1 + np.flatnonzero([not forward for _, forward in factors])
+        table[reverse] = table[reverse].conj().transpose(0, 2, 1)
+        return table
+    return (identity,) + tuple(v if forward else inverse(v) for v, forward in factors)
+
+
+def unitary_defects(stack: np.ndarray) -> np.ndarray:
+    """max |U*U - I| of each matrix in a (n, d, d) stack: the MatrixUn
+    check's formula, one value per matrix."""
+    eye = np.eye(stack.shape[-1])
+    return np.max(np.abs(stack.conj().transpose(0, 2, 1) @ stack - eye), axis=(1, 2))
+
+
+def ordered_products(
+    identity: GroupValue,
+    table: TransportTable,
+    rows: Sequence[Sequence[int]],
+    later_left: bool = True,
+) -> list[GroupValue]:
+    """Fold every row of slot indices into ``table`` into one product.
+
+    With ``later_left`` each factor multiplies the running product on the
+    left (transport order); otherwise on the right (word order).  Each
+    product starts from ``identity`` and equals the step-by-step
+    ``compose`` loop over its row bit for bit.  Matrix products fold
+    step-major across rows: rows run longest first, so the rows still
+    running are a prefix, and step i is one stacked ``matmul`` of the
+    prefix against its gathered factors.  Each returned MatrixUn is
+    checked against UNITARY_TOL once; the other variants compose step by
+    step.
+    """
+    if not isinstance(identity, MatrixUn):
+        out = []
+        for row in rows:
+            acc = identity
+            for i in row:
+                acc = compose(table[i], acc) if later_left else compose(acc, table[i])
+            out.append(acc)
+        return out
+    d = identity.dim
+    if table.shape[1:] != (d, d):
+        raise VariantMismatch(f"table of {table.shape[1:]} factors for U({d}) products")
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    order = np.argsort(-lengths, kind="stable")
+    lens = lengths[order]
+    width = int(lens[0]) if len(lens) else 0
+    running = np.searchsorted(-lens, -np.arange(width), side="left")
+    starts = np.cumsum(running) - running
+    # step p of sorted row r sits at starts[p] + r of the step-major slot list
+    sorted_rows = chain.from_iterable(rows[r] for r in order.tolist())
+    cat = np.fromiter(sorted_rows, dtype=np.intp, count=int(lens.sum()))
+    step = np.arange(len(cat)) - np.repeat(np.cumsum(lens) - lens, lens)
+    flat = np.empty_like(cat)
+    flat[starts[step] + np.repeat(np.arange(len(lens)), lens)] = cat
+    factors = table[flat]
+    # two buffers in turn: step i reads bufs[i % 2], so a row of length L ends in bufs[L % 2]
+    bufs = np.broadcast_to(identity.mat, (2, len(lens), d, d)).copy()
+    for i, (s, m) in enumerate(zip(starts.tolist(), running.tolist())):
+        acc, out, f = bufs[i % 2, :m], bufs[(i + 1) % 2, :m], factors[s : s + m]
+        if later_left:
+            np.matmul(f, acc, out=out)
+        else:
+            np.matmul(acc, f, out=out)
+    slot = np.empty_like(order)
+    slot[order] = np.arange(len(order))
+    return [MatrixUn(bufs[n % 2, r]) for n, r in zip(lengths.tolist(), slot.tolist())]
+
+
 def ordered_product(
     identity: GroupValue,
     factors: Iterable[tuple[GroupValue, bool]],
@@ -195,27 +284,13 @@ def ordered_product(
 ) -> GroupValue:
     """Fold ``(value, forward)`` factors given in path order into one product.
 
-    A factor with ``forward`` False enters as its inverse.  With
-    ``later_left`` each factor multiplies the running product on the left
-    (transport order); otherwise on the right (word order).  The fold
-    starts from ``identity``, so its result equals the step-by-step
-    ``compose``/``inverse`` loop bit for bit.  Matrix factors are
-    multiplied as raw arrays and only the returned MatrixUn is checked
-    against UNITARY_TOL; the other variants compose step by step.
+    A factor with ``forward`` False enters as its inverse.  The one-row
+    case of ``ordered_products`` over the factors' ``transport_table``, so
+    its result equals the step-by-step ``compose``/``inverse`` loop bit
+    for bit and a matrix result is checked against UNITARY_TOL once.
     """
-    if isinstance(identity, MatrixUn):
-        acc = identity.mat
-        for v, forward in factors:
-            if type(v) is not MatrixUn or v.dim != identity.dim:
-                same_variant(identity, v)
-            m = v.mat if forward else np.array(v.mat.conj().T, dtype=complex)
-            acc = m @ acc if later_left else acc @ m
-        return MatrixUn(acc)
-    acc = identity
-    for v, forward in factors:
-        f = v if forward else inverse(v)
-        acc = compose(f, acc) if later_left else compose(acc, f)
-    return acc
+    table = transport_table(identity, factors)
+    return ordered_products(identity, table, [range(1, len(table))], later_left)[0]
 
 
 def power(a: GroupValue, k: int) -> GroupValue:

@@ -62,7 +62,7 @@ import yaml
 from .cocycles import (
     SigmaMorphism,
     check_cocycle,
-    holonomy,
+    holonomies,
     transition_cocycle,
     trivialize,
     validate_sigma,
@@ -90,7 +90,6 @@ from .sectors import (
     transition_amplitude,
     triple_law_residual,
     twisted_transporter,
-    z_path,
 )
 
 SCHEMA_VERSION = 1
@@ -570,9 +569,8 @@ def run_scenario(config: ScenarioConfig) -> dict:
             }
         else:
             w = res.witness
-            visited = [w.loop.start] + [s.dst for s in w.loop.steps]
             body["witness"] = {
-                "regions": visited,
+                "regions": list(w.loop.regions),
                 "edge": list(w.edge),
                 "holonomy": _render_value(w.holonomy),
                 "residual": float(w.residual),
@@ -583,18 +581,19 @@ def run_scenario(config: ScenarioConfig) -> dict:
         tol = config.task_tolerance("holonomy")
         entries = {}
         ok = True
-        for name in sorted(config.paths):
-            p = config.curves[name]
-            val = holonomy(cocycle, p)
+        names = sorted(config.paths)
+        paths = [config.curves[name] for name in names]
+        words = [loop_class(presentation, p) for p in paths]
+        evaluated = iter(sigma.evaluate_all([w for p, w in zip(paths, words) if p.is_loop]))
+        for name, p, val, word in zip(names, paths, holonomies(cocycle, paths), words):
             entry = {
                 "regions": list(config.paths[name]),
                 "is_loop": bool(p.is_loop),
                 "value": _render_value(val),
+                "word": word.as_names(),
             }
-            word = loop_class(presentation, p)
-            entry["word"] = word.as_names()
             if p.is_loop:
-                resid = float(distance(val, sigma.evaluate(word)))
+                resid = float(distance(val, next(evaluated)))
                 entry["sigma_match_residual"] = resid
                 ok = ok and resid <= tol
             else:
@@ -639,7 +638,8 @@ def run_scenario(config: ScenarioConfig) -> dict:
                 ok = False
             else:
                 entry["value"] = _render_complex(amp)
-                coeff = compose(z_path(twisted, p).coeff, inverse(z_path(twisted, q).coeff))
+                hp, hq = holonomies(twisted.cocycle, [p, q])
+                coeff = compose(hp, inverse(hq))
                 resid = abs(amp - coeff.complex_value)
                 entry["loop_phase_residual"] = float(resid)
                 ok = ok and resid <= tol

@@ -31,7 +31,13 @@ from typing import Callable
 
 import numpy as np
 
-from .cocycles import TransitionCocycle, dress_cocycle, holonomy, identity_cocycle
+from .cocycles import (
+    TransitionCocycle,
+    dress_cocycle,
+    holonomies,
+    holonomy,
+    identity_cocycle,
+)
 from .covers import (
     Cover,
     Edge,
@@ -258,8 +264,8 @@ def z_path(t: SectorTransporter, path: PosetPath) -> TransportEntry:
     """
     op: FieldOp | None = None
     if t.window is not None:
-        for s in path.steps:
-            step = t.op(s.dst, s.src, s.comp)
+        for dst, src, comp in path.crossings():
+            step = t.op(dst, src, comp)
             if step is not None:
                 op = step if op is None else step * op
         if op is None:
@@ -275,7 +281,7 @@ def telescope_residual(t: SectorTransporter, path: PosetPath) -> float:
     """
     if t.window is None:
         raise ValueError("telescoping residuals need a Fock window")
-    if not path.steps:
+    if not len(path):
         return 0.0
     chain = z_path(t, path)
     pair = z1(t.window, path.end, path.start).scaled(chain.coeff)
@@ -412,21 +418,17 @@ def classify(
     topological obstruction.  Phase-layer dimension is 1; the matrix
     layer reports its fiber dimension.
     """
-    components: dict[str, GroupValue] = {}
-    residuals: dict[str, float] = {}
-    for idx in range(len(nerve.non_tree_edges)):
-        name = f"g{idx}"
-        loop = generator_loop(nerve, idx)
-        if t.window is None:
-            val = rho_holonomy(t, loop)
-            components[name] = val
-            residuals[name] = 0.0
-        else:
+    names = [f"g{idx}" for idx in range(len(nerve.non_tree_edges))]
+    loops = [generator_loop(nerve, idx) for idx in range(len(names))]
+    if t.window is None:
+        components = dict(zip(names, holonomies(t.cocycle, loops)))
+        residuals = dict.fromkeys(names, 0.0)
+    else:
+        components, residuals = {}, {}
+        for name, loop in zip(names, loops):
             comp = topological_component(t, loop)
             components[name] = PhaseU1(float(np.angle(comp.value)))
-            residuals[name] = max(
-                comp.residual, abs(abs(comp.value) - 1.0)
-            )
+            residuals[name] = max(comp.residual, abs(abs(comp.value) - 1.0))
     trivial = all(is_identity(v, tol) for v in components.values())
     ident = t.cocycle.identity
     dim = ident.dim if isinstance(ident, MatrixUn) else 1

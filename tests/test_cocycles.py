@@ -10,6 +10,7 @@ from flatnet.cocycles import (
     TransitionCocycle,
     check_cocycle,
     dress_cocycle,
+    holonomies,
     holonomy,
     identity_cocycle,
     lift_potential,
@@ -19,6 +20,7 @@ from flatnet.cocycles import (
     validate_sigma,
 )
 from flatnet.covers import (
+    Cover,
     annulus_cover,
     approximate_curve,
     build_nerve,
@@ -46,6 +48,7 @@ from flatnet.groups import (
     is_identity,
     power,
     wrap_angle,
+    _as_unitary_loose,
 )
 
 NAN = float("nan")
@@ -619,3 +622,125 @@ def test_variant_uniformity_builds_no_products(monkeypatch):
             TransitionCocycle(cov, {**coc.values, cov.overlaps[0]: bad}, MatrixUn(I2))
     with pytest.raises(VariantMismatch):
         SigmaMorphism({"g0": FreeWord((1,), ("a",))}, FreeWord((), ("b",)))
+
+
+# ---------------------------------------------------------------------------
+# batched folds over the transport table
+
+
+def grid_torus(k):
+    """Explicit k x k grid torus: region i*k + j, right, down and diagonal
+    overlaps, two triangles per vertex."""
+    rid = lambda i, j: (i % k) * k + (j % k)  # noqa: E731
+    overlaps, faces = set(), set()
+    for i in range(k):
+        for j in range(k):
+            a, right, down, diag = rid(i, j), rid(i, j + 1), rid(i + 1, j), rid(i + 1, j + 1)
+            for b in (right, down, diag):
+                overlaps.add((min(a, b), max(a, b), 0))
+            faces.add(tuple(sorted((a, right, diag))))
+            faces.add(tuple(sorted((a, down, diag))))
+    return Cover(
+        regions=tuple(range(k * k)),
+        overlaps=tuple(sorted(overlaps)),
+        triples=tuple((a, b, c, (0, 0, 0)) for (a, b, c) in sorted(faces)),
+    )
+
+
+BATCH_COVERS = [make(n) for n in ALL_BUILTINS] + [grid_torus(4)]
+
+
+def random_walks(rng, cov, count):
+    """Walks of uneven length from random regions, with reflexive steps,
+    plus one single-region path."""
+    walks = [[cov.regions[0]]]
+    for _ in range(count):
+        seq = [int(rng.choice(cov.regions))]
+        for _ in range(int(rng.integers(0, 50))):
+            nbrs = cov.neighbors(seq[-1])
+            seq.append(seq[-1] if rng.random() < 0.2 else int(rng.choice(nbrs)))
+        walks.append(seq)
+    return [approximate_curve(cov, w) for w in walks]
+
+
+@pytest.mark.parametrize("cov", BATCH_COVERS, ids=lambda c: f"{c.kind}{len(c.regions)}")
+@pytest.mark.parametrize("dim", [None, 1, 3])
+def test_holonomies_match_per_path_holonomy(cov, dim):
+    rng = np.random.default_rng(len(cov.regions) * 10 + (dim or 0))
+    if dim is None:
+        ident = PhaseU1(0.0)
+        values = {e: PhaseU1(float(rng.uniform(-4, 4))) for e in cov.overlaps}
+    else:
+        ident = MatrixUn(np.eye(dim))
+        values = {e: MatrixUn(random_unitary(rng, dim)) for e in cov.overlaps}
+    coc = TransitionCocycle(cov, values, ident)
+    nerve = build_nerve(cov)
+    paths = random_walks(rng, cov, 12)
+    paths += [generator_loop(nerve, i) for i in range(len(nerve.non_tree_edges))]
+    batch = holonomies(coc, paths)
+    assert len(batch) == len(paths)
+    for path, value in zip(paths, batch):
+        single = holonomy(coc, path)
+        acc = ident
+        for st in path.steps:
+            acc = compose(coc.value(st.dst, st.src, st.comp), acc)
+        if dim is None:
+            assert value.angle == single.angle == acc.angle
+        else:
+            assert np.array_equal(value.mat, single.mat)
+            assert np.array_equal(value.mat, acc.mat)
+
+
+@pytest.mark.parametrize("cov", BATCH_COVERS, ids=lambda c: f"{c.kind}{len(c.regions)}")
+@pytest.mark.parametrize("dim", [None, 2, 3])
+def test_batched_check_cocycle_residuals_match_per_triple_distance(cov, dim):
+    rng = np.random.default_rng(len(cov.regions) + (dim or 0))
+    if dim is None:
+        ident = PhaseU1(0.0)
+        values = {e: PhaseU1(float(rng.uniform(-4, 4))) for e in cov.overlaps}
+    else:
+        ident = MatrixUn(np.eye(dim))
+        values = {e: MatrixUn(random_unitary(rng, dim)) for e in cov.overlaps}
+    coc = TransitionCocycle(cov, values, ident)
+    expected = [
+        distance(compose(coc.value(r3, r2, c23), coc.value(r2, r1, c12)), coc.value(r3, r1, c13))
+        for (r1, r2, r3, (c12, c13, c23)) in cov.triples
+    ]
+    chk = check_cocycle(coc, tol=-1.0)  # every triple fails, so every residual is listed
+    assert [t for t, _ in chk.failures] == list(cov.triples)
+    assert [r for _, r in chk.failures] == expected
+    assert all(type(r) is float for _, r in chk.failures)
+    assert chk.max_residual == max(expected, default=0.0)
+
+
+@pytest.mark.parametrize("bad", ["drift", "nan"])
+def test_batched_check_cocycle_raises_on_one_non_unitary_product(bad):
+    cov = grid_torus(4)
+    rng = np.random.default_rng(8)
+    ident = MatrixUn(np.eye(3))
+    values = {e: MatrixUn(random_unitary(rng, 3)) for e in cov.overlaps}
+    assert check_cocycle(TransitionCocycle(cov, values, ident), tol=10.0).ok
+    if bad == "nan":
+        broken = _as_unitary_loose(np.full((3, 3), np.nan))
+    else:
+        broken = _as_unitary_loose(np.eye(3) * (1.0 + 1e-9))
+    r1, r2, _, (c12, _, _) = cov.triples[len(cov.triples) // 2]
+    values[(r1, r2, c12)] = broken
+    with pytest.raises(ValueError, match="not unitary"):
+        check_cocycle(TransitionCocycle(cov, values, ident), tol=10.0)
+
+
+def test_cocycle_rejects_a_value_for_a_disjoint_pair():
+    cov = annulus_cover()
+    values = {e: PhaseU1(0.0) for e in cov.overlaps}
+    with pytest.raises(CocycleInconsistent, match=r"\(0, 2, 0\)"):
+        TransitionCocycle(cov, {**values, (0, 2, 0): PhaseU1(0.5)}, PhaseU1(0.0))
+
+
+@pytest.mark.parametrize("key", [(2, 0, 0), (2, 1, 0)])
+def test_cocycle_rejects_a_non_canonical_key(key):
+    # (2, 0, 0) names a disjoint pair high to low, (2, 1, 0) an overlap
+    cov = annulus_cover()
+    values = {e: PhaseU1(0.0) for e in cov.overlaps}
+    with pytest.raises(CocycleInconsistent, match=r"\({}, {}, {}\)".format(*key)):
+        TransitionCocycle(cov, {**values, key: PhaseU1(0.5)}, PhaseU1(0.0))

@@ -454,3 +454,87 @@ def test_lookup_tables_ignored_by_equality_and_rebuilt_by_replace():
     assert grown.neighbors(0) == (1, 2, 3)
     assert grown.overlap_components(2, 0) == (0,)
     assert not grown.are_disjoint(0, 2)
+
+
+# ---------------------------------------------------------------------------
+# compact path storage
+
+
+def stepwise_curve(cover, walk):
+    """Steps of a visited-region walk, one Step per move."""
+    return tuple(
+        Step(dst=v, src=u, comp=None if u == v else min(scan_components(cover, u, v)))
+        for u, v in zip(walk, walk[1:])
+    )
+
+
+def reference_generator_loop(nerve, index):
+    """Tree out, cross, tree back, composed from checked Step chains."""
+    (u, v, c) = nerve.non_tree_edges[index]
+    out = PosetPath(nerve.tree_steps_from_base(u), nerve.base, u)
+    cross = PosetPath((Step(dst=v, src=u, comp=c),), u, v)
+    back = PosetPath(nerve.tree_steps_from_base(v), nerve.base, v)
+    steps = out.steps + cross.steps
+    steps += tuple(Step(dst=s.src, src=s.dst, comp=s.comp) for s in reversed(back.steps))
+    return steps
+
+
+@given(covers, st.data())
+@settings(max_examples=80, deadline=None)
+def test_compact_paths_behave_like_step_chains(cover, data):
+    def walk(start):
+        seq = [start]
+        for _ in range(data.draw(st.integers(0, 30))):
+            here = seq[-1]
+            seq.append(data.draw(st.sampled_from((here,) + scan_neighbors(cover, here))))
+        return seq
+
+    w1 = walk(data.draw(st.sampled_from(cover.regions)))
+    p = approximate_curve(cover, w1)
+    steps = stepwise_curve(cover, w1)
+    assert p.steps == steps and all(type(s) is Step for s in p.steps)
+    assert p.regions == tuple(w1) and p.comps == tuple(s.comp for s in steps)
+    assert (p.start, p.end, len(p), p.is_loop) == (w1[0], w1[-1], len(steps), w1[0] == w1[-1])
+    assert PosetPath(steps, w1[0], w1[-1]) == p
+
+    q = approximate_curve(cover, walk(w1[-1]))
+    pq = path_compose(p, q)
+    assert pq.steps == p.steps + q.steps
+    assert (pq.start, pq.end, len(pq)) == (p.start, q.end, len(p) + len(q))
+    r = path_reverse(p)
+    assert r.steps == tuple(Step(dst=s.src, src=s.dst, comp=s.comp) for s in reversed(steps))
+    assert (r.start, r.end) == (p.end, p.start)
+    assert path_reverse(r) == p
+
+    nerve = build_nerve(cover)
+    for idx in range(len(nerve.non_tree_edges)):
+        loop = generator_loop(nerve, idx)
+        assert loop.steps == reference_generator_loop(nerve, idx)
+        assert loop.is_loop and loop.start == nerve.base
+        assert PosetPath(loop.steps, loop.start, loop.end) == loop
+
+
+def test_generator_loops_keep_component_ids():
+    # a ring whose overlaps carry distinct component ids, two of them doubled
+    overlaps = ((0, 1, 3), (0, 1, 5), (1, 2, 2), (2, 3, 4), (3, 4, 1), (3, 4, 6), (0, 4, 7))
+    nerve = build_nerve(Cover(regions=tuple(range(5)), overlaps=overlaps))
+    assert len(nerve.non_tree_edges) == 3
+    for idx in range(len(nerve.non_tree_edges)):
+        loop = generator_loop(nerve, idx)
+        assert loop.steps == reference_generator_loop(nerve, idx)
+        assert len(set(loop.comps)) > 1
+
+
+@pytest.mark.parametrize("cover", [make(n) for n in ALL_BUILTINS] + [grid_torus_cover(4)])
+def test_compact_paths_still_reject_gaps_and_empty_walks(cover):
+    with pytest.raises(InvalidPath, match="empty"):
+        approximate_curve(cover, [])
+    for u in cover.regions:
+        for v in cover.regions:
+            if u != v and not scan_components(cover, u, v):
+                with pytest.raises(InvalidPath, match=f"regions {u} and {v} do not overlap"):
+                    approximate_curve(cover, [u, u, v])
+    with pytest.raises(InvalidPath, match="malformed"):
+        PosetPath((Step(dst=1, src=1, comp=0),), 1, 1)
+    with pytest.raises(InvalidPath, match="empty path"):
+        PosetPath((), 0, 1)

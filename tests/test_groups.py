@@ -20,9 +20,12 @@ from flatnet.groups import (
     is_identity,
     isclose,
     ordered_product,
+    ordered_products,
     path_ordered_exp,
     path_ordered_exp_subdivided,
     power,
+    transport_table,
+    unitary_defects,
     wrap_angle,
     _as_unitary_loose,
 )
@@ -342,3 +345,81 @@ def test_fold_rejects_mixed_variants():
     with pytest.raises(VariantMismatch):
         ordered_product(PhaseU1(0.0), [(MatrixUn(np.eye(2)), True)])
     assert ordered_product(PhaseU1(0.0), []).angle == 0.0
+
+
+# ---------------------------------------------------------------------------
+# stacked fold over many rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    lengths=st.lists(st.integers(0, 30), min_size=1, max_size=8),
+    dim=st.sampled_from([1, 2, 3, None]),
+    seed=st.integers(0, 2**32 - 1),
+    later_left=st.booleans(),
+)
+def test_ordered_products_match_stepwise_compose_bit_for_bit(lengths, dim, seed, later_left):
+    # rows of unequal length (empty ones too) over reflexive, forward and
+    # reverse slots; dim None is the scalar U(1) fold
+    rng = np.random.default_rng(seed)
+    if dim is None:
+        identity = PhaseU1(0.0)
+        pool = [PhaseU1(float(a)) for a in rng.uniform(-4.0, 4.0, size=4)]
+    else:
+        identity = MatrixUn(np.eye(dim))
+        pool = [MatrixUn(random_unitary(rng, dim)) for _ in range(4)]
+    factors = [(v, forward) for v in pool for forward in (True, False)]
+    table = transport_table(identity, factors)
+    entry = [(identity, True)] + factors  # what each slot stands for
+    rows = [rng.integers(0, len(entry), size=n).tolist() for n in lengths]
+    folded = ordered_products(identity, table, rows, later_left=later_left)
+    assert len(folded) == len(rows)
+    for row, value in zip(rows, folded):
+        expected = stepwise_product(identity, [entry[i] for i in row], later_left)
+        if dim is None:
+            assert value.angle == expected.angle
+        else:
+            assert np.array_equal(value.mat, expected.mat)
+
+
+def test_ordered_products_empty_input_and_empty_rows():
+    ident = MatrixUn(np.eye(2))
+    table = transport_table(ident, [(MatrixUn(SX), True)])
+    assert ordered_products(ident, table, []) == []
+    out = ordered_products(ident, table, [[], [1, 1], []])
+    assert np.array_equal(out[0].mat, np.eye(2)) and np.array_equal(out[2].mat, np.eye(2))
+    assert np.array_equal(out[1].mat, SX @ SX)
+
+
+@pytest.mark.parametrize("bad", ["drift", "nan"])
+@pytest.mark.parametrize("later_left", [True, False])
+def test_ordered_products_one_bad_row_raises(bad, later_left):
+    # the bad row is neither the longest nor the first, so neither the
+    # sort nor the prefix of running rows hides it
+    rng = np.random.default_rng(3)
+    ident = MatrixUn(np.eye(3))
+    good = [MatrixUn(random_unitary(rng, 3)) for _ in range(3)]
+    if bad == "nan":
+        broken = _as_unitary_loose(np.full((3, 3), np.nan))
+    else:
+        broken = _as_unitary_loose(np.eye(3) * (1.0 + 1e-9))
+    table = transport_table(ident, [(v, True) for v in good] + [(broken, True)])
+    rows = [[1, 2, 3] * 10, [1, 2], [2, 4, 1], [3] * 7]
+    with pytest.raises(ValueError, match="not unitary"):
+        ordered_products(ident, table, rows, later_left=later_left)
+    assert len(ordered_products(ident, table, [rows[0], rows[1], rows[3]])) == 3
+
+
+def test_ordered_products_rejects_a_table_of_another_size():
+    table = transport_table(MatrixUn(np.eye(2)), [(MatrixUn(SX), True)])
+    with pytest.raises(VariantMismatch):
+        ordered_products(MatrixUn(np.eye(3)), table, [[1]])
+
+
+def test_unitary_defects_match_the_matrix_check():
+    rng = np.random.default_rng(5)
+    stack = np.stack([random_unitary(rng, 3) for _ in range(4)] + [np.eye(3) * 1.1])
+    defects = unitary_defects(stack)
+    for m, d in zip(stack, defects):
+        assert d == np.max(np.abs(m.conj().T @ m - np.eye(3)))
+    assert defects[-1] > UNITARY_TOL and all(defects[:-1] <= UNITARY_TOL)
