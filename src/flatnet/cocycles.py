@@ -36,10 +36,8 @@ from .covers import (
 )
 from .groups import (
     GROUP_EQ_TOL,
-    UNITARY_TOL,
     FreeWord,
     GroupValue,
-    MatrixUn,
     PhaseU1,
     TransportTable,
     VariantMismatch,
@@ -49,7 +47,6 @@ from .groups import (
     ordered_products,
     same_variant,
     transport_table,
-    unitary_defects,
     wrap_angle,
 )
 
@@ -205,6 +202,22 @@ class TransitionCocycle:
         entries = (((v, u, c), (u, v, c), g) for (u, v, c), g in self.values.items())
         return _slotted_table(self.identity, entries)
 
+    @cached_property
+    def _triple_residuals(self) -> tuple[float, ...]:
+        """distance(g(r3<-r2) g(r2<-r1), g(r3<-r1)) of every triple of the
+        cover, in order.  Each triple is the two-slot row
+        [slot(r2<-r1), slot(r3<-r2)] of one ``ordered_products`` fold."""
+        slots, table = self._transport
+        triples = self.cover.triples
+        rows = [
+            [slots[(r2, r1, c12)], slots[(r3, r2, c23)]] for r1, r2, r3, (c12, _, c23) in triples
+        ]
+        products = ordered_products(self.identity, table, rows)
+        return tuple(
+            distance(p, self.value(r3, r1, c13))
+            for p, (r1, _, r3, (_, c13, _)) in zip(products, triples)
+        )
+
     def _row(self, path: PosetPath) -> list[int]:
         """Table slot of each step of a path; 0 for a reflexive step."""
         slots = self._transport[0]
@@ -227,11 +240,10 @@ def identity_cocycle(cover: Cover, identity: GroupValue) -> TransitionCocycle:
 def transition_cocycle(sigma: SigmaMorphism, nerve: NerveGraph) -> TransitionCocycle:
     """Push a morphism onto the nerve: tree edges identity, non-tree edges
     their generator's value (crossing low-to-high is the positive direction)."""
-    pres_names = [f"g{i}" for i in range(len(nerve.non_tree_edges))]
     values: dict[Edge, GroupValue] = {}
     for e in nerve.cover.overlaps:
         letter = nerve.letters[e]
-        values[e] = sigma.value(pres_names[letter - 1]) if letter else sigma.identity
+        values[e] = sigma.value(nerve.generators[letter - 1]) if letter else sigma.identity
     return TransitionCocycle(cover=nerve.cover, values=values, identity=sigma.identity)
 
 
@@ -266,34 +278,13 @@ def worst(residuals: Iterable[float]) -> float:
 def check_cocycle(cocycle: TransitionCocycle, tol: float = COCYCLE_TOL) -> CocycleCheck:
     """Test g(r3<-r2) g(r2<-r1) = g(r3<-r1) on every triple of the cover.
 
-    Matrix data forms every triple's product g(r3<-r2) g(r2<-r1) in one
-    stacked product from the transport table and checks each product
-    for unitarity once (the MatrixUn formula and UNITARY_TOL, ValueError
-    naming the first failing product); other variants compose per triple.
-    The worst residual is NaN once any residual is.
+    Reads the cocycle's triple residuals, folded once per cocycle by
+    ``ordered_products`` (so a non-unitary matrix product raises
+    ValueError there), and applies ``tol``; the worst residual is NaN
+    once any residual is.
     """
+    residuals = cocycle._triple_residuals
     triples = cocycle.cover.triples
-    if isinstance(cocycle.identity, MatrixUn):
-        slots, table = cocycle._transport
-        crossings = [
-            (slots[(r2, r1, c12)], slots[(r3, r1, c13)], slots[(r3, r2, c23)])
-            for (r1, r2, r3, (c12, c13, c23)) in triples
-        ]
-        i12, i13, i23 = np.array(crossings, dtype=np.intp).reshape(-1, 3).T
-        lhs = table[i23] @ table[i12]
-        defects = unitary_defects(lhs)
-        bad = np.flatnonzero(~(defects <= UNITARY_TOL))
-        if bad.size:
-            raise ValueError(f"matrix is not unitary: max |U*U - I| = {defects[bad[0]]:.3e}")
-        residuals = np.max(np.abs(lhs - table[i13]), axis=(1, 2)).tolist()
-    else:
-        residuals = [
-            distance(
-                compose(cocycle.value(r3, r2, c23), cocycle.value(r2, r1, c12)),
-                cocycle.value(r3, r1, c13),
-            )
-            for (r1, r2, r3, (c12, c13, c23)) in triples
-        ]
     failures = tuple((t, r) for t, r in zip(triples, residuals) if not (r <= tol))
     return CocycleCheck(worst(residuals), failures, tol)
 

@@ -71,7 +71,6 @@ class Cover:
     disjoint_pairs: tuple[tuple[int, int], ...] = ()
     base_region: int = 0
     kind: str = "custom"
-    labels: dict[int, str] = field(default_factory=dict, compare=False)
     _components: dict[tuple[int, int], tuple[int, ...]] = field(
         init=False, compare=False, repr=False
     )
@@ -152,9 +151,6 @@ class Cover:
     def neighbors(self, r: int) -> tuple[int, ...]:
         return self._neighbors.get(r, ())
 
-    def label(self, r: int) -> str:
-        return self.labels.get(r, str(r))
-
 
 @dataclass(frozen=True)
 class NerveGraph:
@@ -175,6 +171,11 @@ class NerveGraph:
     @property
     def base(self) -> int:
         return self.cover.base_region
+
+    @cached_property
+    def generators(self) -> tuple[str, ...]:
+        """Presentation generator names: ``g{i}`` for ``non_tree_edges[i]``."""
+        return tuple(f"g{i}" for i in range(len(self.non_tree_edges)))
 
     @cached_property
     def oriented_letters(self) -> dict[tuple[int, int, int | None], int]:
@@ -266,10 +267,6 @@ class Pi1Presentation:
     def word(self, letters: Iterable[int]) -> FreeWord:
         return FreeWord(tuple(letters), self.generators)
 
-    @property
-    def identity_word(self) -> FreeWord:
-        return FreeWord((), self.generators)
-
 
 def pi1_presentation(nerve: NerveGraph) -> Pi1Presentation:
     """Presentation of the fundamental group read off the nerve.
@@ -278,9 +275,7 @@ def pi1_presentation(nerve: NerveGraph) -> Pi1Presentation:
     edges contribute nothing, so a fully tree-supported triangle drops
     out.  Empty relation words are omitted.
     """
-    gens = tuple(f"g{i}" for i in range(len(nerve.non_tree_edges)))
     relations: list[FreeWord] = []
-    tmp = Pi1Presentation(gens, nerve.non_tree_edges, (), nerve)
     for (r1, r2, r3, (c12, c13, c23)) in nerve.cover.triples:
         boundary = (
             Step(dst=r2, src=r1, comp=c12),
@@ -288,10 +283,10 @@ def pi1_presentation(nerve: NerveGraph) -> Pi1Presentation:
             Step(dst=r1, src=r3, comp=c13),
         )
         letters = [nerve.step_letter(s) for s in reversed(boundary)]
-        word = tmp.word(tuple(l for l in letters if l != 0))
+        word = FreeWord(tuple(l for l in letters if l != 0), nerve.generators)
         if len(word) > 0:
             relations.append(word)
-    return Pi1Presentation(gens, nerve.non_tree_edges, tuple(relations), nerve)
+    return Pi1Presentation(nerve.generators, nerve.non_tree_edges, tuple(relations), nerve)
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,11 @@ class PhaseU1(GroupValue):
 
 @dataclass(frozen=True, eq=False)
 class MatrixUn(GroupValue):
-    """A U(n) element as a dense complex matrix, unitary to UNITARY_TOL."""
+    """A U(n) element as a read-only dense complex matrix.
+
+    Construction checks it is unitary to UNITARY_TOL (``unitary_defects``)
+    and raises ValueError otherwise, NaN included.
+    """
 
     mat: np.ndarray
 
@@ -82,15 +86,30 @@ class MatrixUn(GroupValue):
         m = np.array(self.mat, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        defect = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-        if not (defect <= UNITARY_TOL):
-            raise ValueError(f"matrix is not unitary: max |U*U - I| = {defect:.3e}")
+        _require_unitary(m)
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+
+def unitary_defects(mats: np.ndarray) -> np.ndarray:
+    """max |U*U - I| of a (d, d) matrix, or of each matrix in an (n, d, d)
+    stack: the one copy of the formula behind UNITARY_TOL."""
+    eye = np.eye(mats.shape[-1])
+    return np.abs(mats.conj().swapaxes(-1, -2) @ mats - eye).max(axis=(-2, -1))
+
+
+def _require_unitary(mats: np.ndarray) -> None:
+    """Raise ValueError unless every matrix of ``mats`` ((d, d) or
+    (n, d, d)) is unitary to UNITARY_TOL; the message gives the defect of
+    the first failing matrix in input order.  NaN fails."""
+    defects = unitary_defects(mats)
+    if not (defects.max(initial=0.0) <= UNITARY_TOL):  # NaN propagates, so it fails
+        first = next(d for d in np.ravel(defects) if not (d <= UNITARY_TOL))
+        raise ValueError(f"matrix is not unitary: max |U*U - I| = {first:.3e}")
 
 
 def _reduce_letters(letters: Sequence[int]) -> tuple[int, ...]:
@@ -215,13 +234,6 @@ def transport_table(
     return (identity,) + tuple(v if forward else inverse(v) for v, forward in factors)
 
 
-def unitary_defects(stack: np.ndarray) -> np.ndarray:
-    """max |U*U - I| of each matrix in a (n, d, d) stack: the MatrixUn
-    check's formula, one value per matrix."""
-    eye = np.eye(stack.shape[-1])
-    return np.max(np.abs(stack.conj().transpose(0, 2, 1) @ stack - eye), axis=(1, 2))
-
-
 def ordered_products(
     identity: GroupValue,
     table: TransportTable,
@@ -236,9 +248,10 @@ def ordered_products(
     ``compose`` loop over its row bit for bit.  Matrix products fold
     step-major across rows: rows run longest first, so the rows still
     running are a prefix, and step i is one stacked ``matmul`` of the
-    prefix against its gathered factors.  Each returned MatrixUn is
-    checked against UNITARY_TOL once; the other variants compose step by
-    step.
+    prefix against its gathered factors.  The matrix results are checked
+    against UNITARY_TOL once, as one stack (the error gives the first
+    failing row's defect, in row order), and each is returned as its own
+    read-only copy; the other variants compose step by step.
     """
     if not isinstance(identity, MatrixUn):
         out = []
@@ -274,23 +287,9 @@ def ordered_products(
             np.matmul(acc, f, out=out)
     slot = np.empty_like(order)
     slot[order] = np.arange(len(order))
-    return [MatrixUn(bufs[n % 2, r]) for n, r in zip(lengths.tolist(), slot.tolist())]
-
-
-def ordered_product(
-    identity: GroupValue,
-    factors: Iterable[tuple[GroupValue, bool]],
-    later_left: bool = True,
-) -> GroupValue:
-    """Fold ``(value, forward)`` factors given in path order into one product.
-
-    A factor with ``forward`` False enters as its inverse.  The one-row
-    case of ``ordered_products`` over the factors' ``transport_table``, so
-    its result equals the step-by-step ``compose``/``inverse`` loop bit
-    for bit and a matrix result is checked against UNITARY_TOL once.
-    """
-    table = transport_table(identity, factors)
-    return ordered_products(identity, table, [range(1, len(table))], later_left)[0]
+    products = bufs[lengths % 2, slot]  # row order
+    _require_unitary(products)
+    return [_as_unitary_loose(m) for m in products]
 
 
 def power(a: GroupValue, k: int) -> GroupValue:
@@ -418,11 +417,12 @@ def path_ordered_exp_subdivided(
 
 
 def _as_unitary_loose(m: np.ndarray) -> MatrixUn:
-    """Wrap a near-unitary product without re-unitarizing it.
+    """Wrap a matrix as a read-only MatrixUn copy without the unitarity check.
 
-    Subdivided products drift off the unitary manifold by O(1/substeps^2);
-    the constructor tolerance would reject coarse subdivisions, so this
-    bypasses the check while keeping the same container type.
+    Used where the check is made elsewhere or must not apply:
+    ``ordered_products`` checks its result stack once, and subdivided
+    products drift off the unitary manifold by O(1/substeps^2), which
+    the constructor tolerance would reject for coarse subdivisions.
     """
     out = MatrixUn.__new__(MatrixUn)
     arr = np.array(m, dtype=complex)

@@ -339,7 +339,7 @@ def load_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
         raise ScenarioError(f"unknown variant {variant!r}", "group.variant")
 
     nerve = build_nerve(cover)
-    gen_names = tuple(f"g{i}" for i in range(len(nerve.non_tree_edges)))
+    gen_names = nerve.generators
     sraw = doc.get("sigma", {}) or {}
     if not isinstance(sraw, dict):
         raise ScenarioError("must map generator names to values", "sigma")
@@ -458,13 +458,7 @@ def _render_value(v: GroupValue):
     if isinstance(v, PhaseU1):
         z = v.complex_value
         return {"angle": float(v.angle), "value": [float(z.real), float(z.imag)]}
-    if isinstance(v, MatrixUn):
-        return {
-            "rows": [
-                [[float(x.real), float(x.imag)] for x in row] for row in v.mat
-            ]
-        }
-    return {"repr": repr(v)}
+    return {"rows": [[[float(x.real), float(x.imag)] for x in row] for row in v.mat]}
 
 
 def _render_complex(z: complex):

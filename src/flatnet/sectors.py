@@ -418,7 +418,7 @@ def classify(
     topological obstruction.  Phase-layer dimension is 1; the matrix
     layer reports its fiber dimension.
     """
-    names = [f"g{idx}" for idx in range(len(nerve.non_tree_edges))]
+    names = nerve.generators
     loops = [generator_loop(nerve, idx) for idx in range(len(names))]
     if t.window is None:
         components = dict(zip(names, holonomies(t.cocycle, loops)))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import flatnet.cocycles as cocycles_module
 from flatnet.cocycles import (
     CocycleInconsistent,
     FlatPotentialU1,
@@ -728,6 +729,47 @@ def test_batched_check_cocycle_raises_on_one_non_unitary_product(bad):
     values[(r1, r2, c12)] = broken
     with pytest.raises(ValueError, match="not unitary"):
         check_cocycle(TransitionCocycle(cov, values, ident), tol=10.0)
+
+
+def test_holonomies_are_read_only_and_unshared():
+    cov = grid_torus(4)
+    rng = np.random.default_rng(12)
+    ident = MatrixUn(np.eye(3))
+    values = {e: MatrixUn(random_unitary(rng, 3)) for e in cov.overlaps}
+    coc = TransitionCocycle(cov, values, ident)
+    paths = random_walks(rng, cov, 8)
+    paths += paths[:3]  # repeated paths have bit-equal holonomies
+    mats = [v.mat for v in holonomies(coc, paths)]
+    for i, m in enumerate(mats):
+        assert not m.flags.writeable and not np.shares_memory(m, coc._transport[1])
+        assert not any(np.shares_memory(m, other) for other in mats[i + 1 :])
+
+
+def test_check_then_trivialize_folds_the_triples_once(monkeypatch):
+    cov = grid_torus(4)
+    rng = np.random.default_rng(13)
+    ident = MatrixUn(np.eye(2))
+    gauge = {r: MatrixUn(random_unitary(rng, 2)) for r in cov.regions}
+    coc = dress_cocycle(identity_cocycle(cov, ident), gauge)  # a coboundary
+    fold = cocycles_module.ordered_products
+    folded = []
+
+    def spy(identity, table, rows, later_left=True):
+        folded.extend(rows)
+        return fold(identity, table, rows, later_left)
+
+    monkeypatch.setattr(cocycles_module, "ordered_products", spy)
+    assert check_cocycle(coc).ok
+    assert trivialize(coc, build_nerve(cov)).success
+    assert len(folded) == len(cov.triples)
+    # the shared residuals are tolerance-free: a loose check does not let
+    # a broken triple law through a tight trivialize
+    values = dict(coc.values)
+    values[cov.overlaps[0]] = compose(values[cov.overlaps[0]], MatrixUn(np.diag([1j, 1.0])))
+    broken = TransitionCocycle(cov, values, ident)
+    assert check_cocycle(broken, tol=10.0).ok
+    with pytest.raises(CocycleInconsistent):
+        trivialize(broken, build_nerve(cov))
 
 
 def test_cocycle_rejects_a_value_for_a_disjoint_pair():

@@ -323,7 +323,7 @@ def test_disk_has_no_closed_two_cycle():
 
 
 # ---------------------------------------------------------------------------
-# labels and neighbors
+# neighbors
 
 
 def test_neighbors_sorted():

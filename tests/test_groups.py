@@ -19,7 +19,6 @@ from flatnet.groups import (
     inverse,
     is_identity,
     isclose,
-    ordered_product,
     ordered_products,
     path_ordered_exp,
     path_ordered_exp_subdivided,
@@ -295,6 +294,12 @@ def stepwise_product(identity, factors, later_left):
     return acc
 
 
+def one_row(identity, factors, later_left=True):
+    """The one-row fold of ``(value, forward)`` factors given in path order."""
+    table = transport_table(identity, factors)
+    return ordered_products(identity, table, [range(1, len(factors) + 1)], later_left)[0]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     kinds=st.lists(st.sampled_from(["forward", "reverse", "reflexive"]), max_size=40),
@@ -312,7 +317,7 @@ def test_fold_matches_stepwise_compose_bit_for_bit(kinds, seed, later_left):
                 factors.append((identity, True))
             else:
                 factors.append((values[int(rng.integers(0, 4))], kind == "forward"))
-        folded = ordered_product(identity, factors, later_left=later_left)
+        folded = one_row(identity, factors, later_left)
         expected = stepwise_product(identity, factors, later_left)
         if isinstance(identity, MatrixUn):
             assert np.array_equal(folded.mat, expected.mat)
@@ -331,20 +336,20 @@ def test_fold_checks_the_product_for_unitarity():
         for forward in (True, False):
             factors = [(u, True), (coarse, forward), (u, False)]
             with pytest.raises(ValueError, match="not unitary"):
-                ordered_product(MatrixUn(np.eye(3)), factors, later_left=later_left)
+                one_row(MatrixUn(np.eye(3)), factors, later_left)
     loose = _as_unitary_loose(np.eye(3) * (1.0 + 1e-9))
     with pytest.raises(ValueError, match="not unitary"):
-        ordered_product(MatrixUn(np.eye(3)), [(u, True)] * 50 + [(loose, True)])
+        one_row(MatrixUn(np.eye(3)), [(u, True)] * 50 + [(loose, True)])
 
 
 def test_fold_rejects_mixed_variants():
     with pytest.raises(VariantMismatch):
-        ordered_product(MatrixUn(np.eye(2)), [(PhaseU1(0.3), True)])
+        one_row(MatrixUn(np.eye(2)), [(PhaseU1(0.3), True)])
     with pytest.raises(VariantMismatch):
-        ordered_product(MatrixUn(np.eye(2)), [(MatrixUn(np.eye(3)), False)])
+        one_row(MatrixUn(np.eye(2)), [(MatrixUn(np.eye(3)), False)])
     with pytest.raises(VariantMismatch):
-        ordered_product(PhaseU1(0.0), [(MatrixUn(np.eye(2)), True)])
-    assert ordered_product(PhaseU1(0.0), []).angle == 0.0
+        one_row(PhaseU1(0.0), [(MatrixUn(np.eye(2)), True)])
+    assert one_row(PhaseU1(0.0), []).angle == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +415,56 @@ def test_ordered_products_one_bad_row_raises(bad, later_left):
     assert len(ordered_products(ident, table, [rows[0], rows[1], rows[3]])) == 3
 
 
+@pytest.mark.parametrize("later_left", [True, False])
+def test_ordered_products_names_the_first_bad_row_in_row_order(later_left):
+    # two bad rows with different defects; the first of them in row order is
+    # the shortest row, so the longest-first fold meets it last
+    rng = np.random.default_rng(11)
+    ident = MatrixUn(np.eye(3))
+    good = MatrixUn(random_unitary(rng, 3))
+    small = _as_unitary_loose(np.eye(3) * (1.0 + 1e-9))
+    large = _as_unitary_loose(np.eye(3) * (1.0 + 1e-6))
+    table = transport_table(ident, [(good, True), (small, True), (large, True)])
+    rows = [[1] * 5, [2], [1, 1, 3, 1]]
+    first = unitary_defects(small.mat)
+    assert first < unitary_defects(large.mat)
+    with pytest.raises(ValueError, match=f"= {first:.3e}$"):
+        ordered_products(ident, table, rows, later_left=later_left)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_ordered_products_results_are_read_only_and_unshared(dim):
+    # equal rows, empty rows and rows of one slot, whose products are
+    # bit-equal to each other, to the identity or to a table entry
+    rng = np.random.default_rng(dim)
+    ident = MatrixUn(np.eye(dim))
+    pool = [MatrixUn(random_unitary(rng, dim)) for _ in range(2)]
+    table = transport_table(ident, [(v, f) for v in pool for f in (True, False)])
+    rows = [[1, 2, 3], [1, 2, 3], [], [], [4], [0], [2, 4, 1, 3]]
+    for later_left in (True, False):
+        mats = [v.mat for v in ordered_products(ident, table, rows, later_left)]
+        for i, m in enumerate(mats):
+            assert not m.flags.writeable
+            assert not np.shares_memory(m, table) and not np.shares_memory(m, ident.mat)
+            assert not any(np.shares_memory(m, other) for other in mats[i + 1 :])
+
+
 def test_ordered_products_rejects_a_table_of_another_size():
     table = transport_table(MatrixUn(np.eye(2)), [(MatrixUn(SX), True)])
     with pytest.raises(VariantMismatch):
         ordered_products(MatrixUn(np.eye(3)), table, [[1]])
+
+
+def test_one_matrix_and_a_stack_share_the_unitarity_gate():
+    rng = np.random.default_rng(6)
+    stack = np.stack([random_unitary(rng, 2), np.eye(2) * 1.1, np.full((2, 2), np.nan)])
+    assert unitary_defects(stack[0]) == unitary_defects(stack)[0]
+    assert np.isnan(unitary_defects(stack[2]))
+    MatrixUn(stack[0])
+    for m in stack[1:]:
+        with pytest.raises(ValueError, match="not unitary"):
+            MatrixUn(m)
+    assert not MatrixUn(stack[0]).mat.flags.writeable
 
 
 def test_unitary_defects_match_the_matrix_check():

@@ -9,7 +9,7 @@ import yaml
 
 import flatnet.scenario as scenario_module
 from flatnet.cli import main as cli_main
-from flatnet.covers import approximate_curve
+from flatnet.covers import approximate_curve, build_nerve, builtin_cover, pi1_presentation
 from flatnet.scenario import (
     SCHEMA_VERSION,
     TASK_ORDER,
@@ -161,6 +161,21 @@ def test_sigma_coverage_both_directions():
         "missing generators",
     )
     expect_error(MINIMAL + "\nsigma: {g0: 0, g7: 0}\n", "unknown generators")
+
+
+@pytest.mark.parametrize("name", ["circle", "annulus", "disk", "figure_eight", "torus"])
+def test_generator_names_agree_across_layers(name):
+    nerve = build_nerve(builtin_cover(name))
+    names = nerve.generators
+    assert names is nerve.generators  # built once per nerve
+    assert names == pi1_presentation(nerve).generators
+    entries = [f"{g}: 0.25" for g in names]
+
+    def text(items):
+        return f"schema_version: 1\ntopology: {{builtin: {name}}}\nsigma: {{{', '.join(items)}}}\n"
+
+    assert tuple(loads(text(entries)).sigma) == names
+    expect_error(text(entries + [f"g{len(names)}: 0.25"]), "unknown generators")
 
 
 def test_matrix_sigma_validation():
