@@ -218,13 +218,13 @@ class TransitionCocycle:
             for p, (r1, _, r3, (_, c13, _)) in zip(products, triples)
         )
 
-    def _row(self, path: PosetPath) -> list[int]:
-        """Table slot of each step of a path; 0 for a reflexive step."""
+    def _row(self, crossings: Sequence[tuple[int, int, int | None]]) -> list[int]:
+        """Table slot of each crossing ``(dst, src, comp)``; 0 for a reflexive step."""
         slots = self._transport[0]
         try:
-            return [0 if c is None else slots[(d, s, c)] for d, s, c in path.crossings()]
+            return [0 if c is None else slots[(d, s, c)] for d, s, c in crossings]
         except KeyError:
-            for d, s, c in path.crossings():
+            for d, s, c in crossings:
                 self.value(d, s, c)  # raises CocycleInconsistent
             raise
 
@@ -313,19 +313,20 @@ def trivialize(
 ) -> TrivializationResult:
     """Solve g(v<-u) = lambda_v lambda_u^{-1} along the spanning tree.
 
-    The base region gets the identity; each non-tree edge is then tested
-    and the first failure is returned as a witness loop through that edge
-    (its holonomy is the transported obstruction).
+    The base region gets the identity and every region the transport
+    along its tree path from the base, all regions in one
+    ``ordered_products`` fold; each non-tree edge is then tested and the
+    first failure is returned as a witness loop through that edge (its
+    holonomy is the transported obstruction).
     """
     chk = check_cocycle(cocycle, tol)
     if not chk.ok:
         raise CocycleInconsistent(
             f"cocycle fails the triple law, max residual {chk.max_residual:.3e}"
         )
-    lam: dict[int, GroupValue] = {nerve.base: cocycle.identity}
-    for r in nerve.bfs_order[1:]:
-        up = nerve.parent[r]
-        lam[r] = compose(cocycle.value(up.dst, up.src, up.comp), lam[up.src])
+    order = nerve.bfs_order
+    rows = [cocycle._row(nerve.tree_steps_from_base(r)) for r in order]
+    lam = dict(zip(order, ordered_products(cocycle.identity, cocycle._transport[1], rows)))
     for idx, (u, v, c) in enumerate(nerve.non_tree_edges):
         want = compose(lam[v], inverse(lam[u]))
         resid = distance(cocycle.value(v, u, c), want)
@@ -357,7 +358,8 @@ def holonomies(source, paths: Sequence[PosetPath]) -> list[GroupValue]:
     if isinstance(source, FlatPotentialU1):
         return [PhaseU1(lift_sum(source, p)) for p in paths]
     table = source._transport[1]
-    return ordered_products(source.identity, table, [source._row(p) for p in paths])
+    rows = [source._row(tuple(p.crossings())) for p in paths]
+    return ordered_products(source.identity, table, rows)
 
 
 def holonomy(source, path: PosetPath) -> GroupValue:

@@ -11,10 +11,19 @@ compression reads the operator's entries at the window's basis indices.
 A transporter is a transition cocycle (its coefficients) plus one sparse
 operator per canonical edge (a signed partial permutation of the Fock
 basis, times that edge's phase); coefficients are looked up, folded and
-dressed by ``cocycles``, and only operator products live here.  Path
-transport multiplies step operators with later steps on the left, and on
-the window a transported chain telescopes to its end/start pair times
-the path's holonomy.
+dressed by ``cocycles``.  On the window a transported chain telescopes
+to its end/start pair times the path's holonomy.
+
+Two routes carry a chain.  ``z_path`` forms the full sparse product of
+the step operators (later steps on the left); ``transition_amplitude``
+applies it to a charged vector.  The residual checks
+(``telescope_residual``, ``triple_law_residual``,
+``topological_component``) only read the chain's window block, so they
+fold index trajectories instead (``window_block``): each step is a
+column map (where each basis column goes, and the entry it carries),
+and only the 1 + #regions window columns are followed, one basis index
+each.  The fold multiplies in real arithmetic exactly as the sparse
+product does, so both routes give the same bits.
 
 Sign bookkeeping: with bare Jordan-Wigner implementers, odd-charge
 implementers of disjoint regions anticommute both with and without
@@ -27,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -116,6 +125,7 @@ class WindowSubspace:
     Every column is an occupation-basis vector with + sign, so the window
     is stored as the basis index of each column: ``columns[0]`` is the
     vacuum, ``columns[1 + i]`` the charged vector of ``regions[i]``.
+    Bare transporters ``z1`` are built once per region pair and kept here.
     """
 
     fock: FockSpace
@@ -123,6 +133,7 @@ class WindowSubspace:
     regions: tuple[int, ...] = dc_field(init=False)
     columns: np.ndarray = dc_field(init=False)
     _position: np.ndarray = dc_field(init=False, repr=False, compare=False)
+    _z1: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         regions = tuple(sorted(self.implementers))
@@ -137,7 +148,7 @@ class WindowSubspace:
                 )
             columns.append(k)
         columns = np.array(columns)
-        position = np.full(self.fock.dim, -1)
+        position = np.full(self.fock.dim + 1, -1)  # slot -1: off the basis
         position[columns] = np.arange(len(columns))
         columns.setflags(write=False)
         object.__setattr__(self, "regions", regions)
@@ -172,6 +183,46 @@ def make_window(fock: FockSpace, cover: Cover, kappa: int = 1) -> WindowSubspace
 # Transporters
 
 
+# target[j] is the row basis column j goes to and value[j] the entry it
+# carries; slot -1 (one past the basis) is the annihilated column, which
+# maps to itself with entry 0, so a column once annihilated stays there
+StepMap = tuple[np.ndarray, np.ndarray]
+
+
+def column_map(csr) -> StepMap:
+    """Column map of a CSR operator holding at most one entry per column.
+
+    Raises ValueError when a column holds two entries: such an operator
+    does not move one basis index to one basis index.
+    """
+    rows, cols = csr.shape
+    if np.bincount(csr.indices, minlength=1).max() > 1:
+        raise ValueError("operator holds two entries in one column; no column map")
+    target = np.full(cols + 1, -1)
+    value = np.zeros(cols + 1, dtype=complex)
+    target[csr.indices] = np.repeat(np.arange(rows), np.diff(csr.indptr))
+    value[csr.indices] = csr.data
+    return target, value
+
+
+def reverse_map(step: StepMap) -> StepMap:
+    """Column map of the adjoint: the inverse index map, entries conjugated.
+
+    Raises ValueError when two columns go to one row (the adjoint would
+    hold two entries in one column).
+    """
+    target, value = step
+    live = np.flatnonzero(target >= 0)
+    rows = target[live]
+    if np.bincount(rows, minlength=1).max() > 1:
+        raise ValueError("operator holds two entries in one row; no reverse column map")
+    back = np.full_like(target, -1)
+    back_value = np.zeros_like(value)
+    back[rows] = live
+    back_value[rows] = np.conj(value[live])
+    return back, back_value
+
+
 @dataclass(frozen=True)
 class TransportEntry:
     """A transport coefficient and its Fock operator (None off the Fock layer)."""
@@ -194,6 +245,7 @@ class SectorTransporter:
     window: WindowSubspace | None = None
     ops: dict[Edge, FieldOp] = dc_field(default_factory=dict)
     _adjoints: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+    _maps: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def op(self, dst: int, src: int, comp: int | None) -> FieldOp | None:
         """Operator of the step src -> dst: None for a reflexive step, the
@@ -202,13 +254,32 @@ class SectorTransporter:
         if dst == src:
             return None
         edge, forward = oriented(dst, src, comp)
+        if forward:
+            return self._stored(edge)
+        if edge not in self._adjoints:
+            self._adjoints[edge] = self._stored(edge).adjoint()
+        return self._adjoints[edge]
+
+    def step_map(self, dst: int, src: int, comp: int | None) -> StepMap | None:
+        """Column map of the step src -> dst (``column_map``): None for a
+        reflexive step, read once from the stored operator forward, and in
+        reverse derived from the forward map (``reverse_map``), so no
+        adjoint is built; MissingEntry when the pair has no stored edge."""
+        if dst == src:
+            return None
+        key = oriented(dst, src, comp)
+        if key not in self._maps:
+            (u, v, c), forward = key
+            self._maps[key] = (
+                column_map(self._stored((u, v, c)).csr) if forward
+                else reverse_map(self.step_map(v, u, c))
+            )
+        return self._maps[key]
+
+    def _stored(self, edge: Edge) -> FieldOp:
         if edge not in self.ops:
             raise MissingEntry("no transporter entry for ({},{},{})".format(*edge))
-        if forward:
-            return self.ops[edge]
-        if edge not in self._adjoints:
-            self._adjoints[edge] = self.ops[edge].adjoint()
-        return self._adjoints[edge]
+        return self.ops[edge]
 
     @cached_property
     def entries(self) -> dict[Edge, TransportEntry]:
@@ -218,8 +289,12 @@ class SectorTransporter:
 
 
 def z1(window: WindowSubspace, dst: int, src: int) -> FieldOp:
-    """Bare charge transporter phi_dst phi_src^* between two regions."""
-    return window.implementers[dst].op * window.implementers[src].star
+    """Bare charge transporter phi_dst phi_src^* between two regions, built
+    once per window and region pair."""
+    if (dst, src) not in window._z1:
+        imps = window.implementers
+        window._z1[(dst, src)] = imps[dst].op * imps[src].star
+    return window._z1[(dst, src)]
 
 
 def plain_transporter(window: WindowSubspace, cover: Cover) -> SectorTransporter:
@@ -259,8 +334,9 @@ def z_path(t: SectorTransporter, path: PosetPath) -> TransportEntry:
     """Coefficient and operator transported along a path (later steps left).
 
     The coefficient is ``holonomy`` of the transporter's cocycle; the
-    operator is the sparse product of the step operators, reflexive steps
-    skipped, and the identity only when no step carries an operator.
+    operator is the full sparse product of the step operators, reflexive
+    steps skipped, and the identity only when no step carries an operator.
+    Callers that read only the window block use ``window_block`` instead.
     """
     op: FieldOp | None = None
     if t.window is not None:
@@ -273,33 +349,75 @@ def z_path(t: SectorTransporter, path: PosetPath) -> TransportEntry:
     return TransportEntry(holonomy(t.cocycle, path), op)
 
 
+def window_block(
+    t: SectorTransporter, crossings: Iterable[tuple[int, int, int | None]]
+) -> np.ndarray:
+    """Window block of the chain of step operators (later steps left),
+    bit for bit ``t.window.compress(z_path(...).op)``, without the product.
+
+    Each window column is followed as one basis index through the steps'
+    column maps (``SectorTransporter.step_map``), reflexive steps skipped.
+    The first step's entry is taken as stored; each later step s
+    multiplies the carried entry v in real arithmetic,
+    re = 0.0 + (sr*vr - si*vi), im = 0.0 + (sr*vi + si*vr), which is the
+    sparse product's complex multiply and its sum from zero.  numpy's
+    complex ``s * v`` may round differently (fused multiply-add).
+    """
+    w = t.window
+    pos, re, im = w.columns, None, None
+    for dst, src, comp in crossings:
+        step = t.step_map(dst, src, comp)
+        if step is None:
+            continue
+        target, value = step
+        s = value[pos]
+        pos = target[pos]
+        if re is None:
+            re, im = s.real, s.imag
+        else:
+            sr, si = s.real, s.imag
+            re, im = 0.0 + (sr * re - si * im), 0.0 + (sr * im + si * re)
+    n = len(w.columns)
+    if re is None:
+        return np.eye(n, dtype=complex)
+    rows = w._position[pos]
+    cols = np.flatnonzero(rows >= 0)
+    out = np.zeros((n, n), dtype=complex)
+    out.real[rows[cols], cols] = re[cols]
+    out.imag[rows[cols], cols] = im[cols]
+    return out
+
+
 def telescope_residual(t: SectorTransporter, path: PosetPath) -> float:
     """Window gap between transported chain and its telescoped pair.
 
-    An empty path telescopes to the reflexive identity entry, not to the
-    degenerate pair phi phi^*, so its residual is zero by construction.
+    The chain's window block is folded over window indices
+    (``window_block``); the pair is the shared ``z1`` scaled by the
+    path's holonomy.  An empty path telescopes to the reflexive identity
+    entry, not to the degenerate pair phi phi^*, so its residual is zero
+    by construction.
     """
     if t.window is None:
         raise ValueError("telescoping residuals need a Fock window")
     if not len(path):
         return 0.0
-    chain = z_path(t, path)
-    pair = z1(t.window, path.end, path.start).scaled(chain.coeff)
-    return float(
-        np.max(np.abs(t.window.compress(chain.op) - t.window.compress(pair)))
-    )
+    chain = window_block(t, path.crossings())
+    coeff = holonomy(t.cocycle, path)
+    pair = z1(t.window, path.end, path.start).scaled(coeff)
+    return float(np.max(np.abs(chain - t.window.compress(pair))))
 
 
 def triple_law_residual(
     t: SectorTransporter, triple: tuple[int, int, int, tuple[int, int, int]]
 ) -> float:
-    """Window gap of op(r3<-r2) op(r2<-r1) = op(r3<-r1)."""
+    """Window gap of op(r3<-r2) op(r2<-r1) = op(r3<-r1), both sides
+    folded over window indices (``window_block``)."""
     if t.window is None:
         raise ValueError("triple-law residuals need a Fock window")
     r1, r2, r3, (c12, c13, c23) = triple
-    lhs = t.op(r3, r2, c23) * t.op(r2, r1, c12)
-    rhs = t.op(r3, r1, c13)
-    return float(np.max(np.abs(t.window.compress(lhs) - t.window.compress(rhs))))
+    lhs = window_block(t, [(r2, r1, c12), (r3, r2, c23)])
+    rhs = window_block(t, [(r3, r1, c13)])
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 # ---------------------------------------------------------------------------
@@ -362,16 +480,16 @@ def topological_component(
 ) -> TopologicalComponent:
     """Scalar the transported loop acts by on its basepoint's charged vector.
 
-    The residual measures how far the window compression is from that
+    The loop's window block is folded over window indices
+    (``window_block``).  The residual measures how far it is from that
     scalar times the basepoint matrix unit; a large residual means the
-    compression is not scalar and the value should not be trusted.
+    block is not scalar and the value should not be trusted.
     """
     if not loop.is_loop:
         raise InvalidPath("topological components are defined for loops")
     if t.window is None:
         raise ValueError("use rho_holonomy for the coefficient-only layer")
-    chain = z_path(t, loop)
-    m = t.window.compress(chain.op)
+    m = window_block(t, loop.crossings())
     ia = 1 + t.window.regions.index(loop.start)
     value = complex(m[ia, ia])
     expected = np.zeros_like(m)

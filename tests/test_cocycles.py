@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import flatnet.cocycles as cocycles_module
+import flatnet.groups as groups_module
 from flatnet.cocycles import (
     CocycleInconsistent,
     FlatPotentialU1,
@@ -269,6 +270,44 @@ def test_trivialize_witness_circle_pi():
     assert w.edge in nerve.non_tree_edges
     assert distance(w.holonomy, PhaseU1(np.pi)) <= 1e-12
     assert w.loop.is_loop and w.residual > 1.0
+
+
+@pytest.mark.parametrize("name", ALL_BUILTINS)
+def test_trivialize_lambdas_match_tree_walk_compose(name, monkeypatch):
+    # one fold over the spanning-tree rows gives the bits of the walk
+    # lambda_r = g(r <- parent) lambda_parent, with one unitarity check
+    rng = np.random.default_rng(17)
+    cov = make(name)
+    nerve = build_nerve(cov)
+    for ident, gauge in [
+        (PhaseU1(0.0), {r: PhaseU1(rng.uniform(-np.pi, np.pi)) for r in cov.regions}),
+        (MatrixUn(np.eye(3)), {r: MatrixUn(random_unitary(rng, 3)) for r in cov.regions}),
+    ]:
+        coc = dress_cocycle(identity_cocycle(cov, ident), gauge)
+        check_cocycle(coc)
+        checks = []
+        require = groups_module._require_unitary
+        spy = lambda m: checks.append(m) or require(m)  # noqa: E731
+        monkeypatch.setattr(groups_module, "_require_unitary", spy)
+        monkeypatch.setattr(MatrixUn, "__post_init__", lambda self: checks.append(self))
+        res = trivialize(coc, nerve)
+        monkeypatch.undo()
+        assert res.success and list(res.lambdas) == list(nerve.bfs_order)
+        if isinstance(ident, MatrixUn):
+            # one stack check for all lambdas; each non-tree edge test then
+            # checks its compose and inverse
+            assert len(checks) == 1 + 2 * len(nerve.non_tree_edges)
+        else:
+            assert checks == []
+        walk = {nerve.base: ident}
+        for r in nerve.bfs_order[1:]:
+            up = nerve.parent[r]
+            walk[r] = compose(coc.value(up.dst, up.src, up.comp), walk[up.src])
+        for r, lam in res.lambdas.items():
+            if isinstance(ident, MatrixUn):
+                assert lam.mat.tobytes() == walk[r].mat.tobytes()
+            else:
+                assert lam.angle == walk[r].angle
 
 
 def test_trivialize_rejects_lawless_cocycle():
@@ -752,16 +791,22 @@ def test_check_then_trivialize_folds_the_triples_once(monkeypatch):
     gauge = {r: MatrixUn(random_unitary(rng, 2)) for r in cov.regions}
     coc = dress_cocycle(identity_cocycle(cov, ident), gauge)  # a coboundary
     fold = cocycles_module.ordered_products
-    folded = []
+    folds = []
 
     def spy(identity, table, rows, later_left=True):
-        folded.extend(rows)
+        folds.append(list(rows))
         return fold(identity, table, rows, later_left)
 
     monkeypatch.setattr(cocycles_module, "ordered_products", spy)
     assert check_cocycle(coc).ok
-    assert trivialize(coc, build_nerve(cov)).success
-    assert len(folded) == len(cov.triples)
+    nerve = build_nerve(cov)
+    assert trivialize(coc, nerve).success
+    # one fold of the triples (shared by both), one of the tree paths
+    assert [len(rows) for rows in folds] == [len(cov.triples), len(cov.regions)]
+    assert all(len(row) == 2 for row in folds[0])
+    assert [len(row) for row in folds[1]] == [
+        len(nerve.tree_steps_from_base(r)) for r in nerve.bfs_order
+    ]
     # the shared residuals are tolerance-free: a loose check does not let
     # a broken triple law through a tight trivialize
     values = dict(coc.values)

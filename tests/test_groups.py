@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
 
 from flatnet.groups import (
     ANTIHERM_TOL,
+    GROUP_EQ_TOL,
     UNITARY_TOL,
     AntiHermitianUn,
     FreeWord,
@@ -158,6 +158,26 @@ def test_identity_like_variants():
     assert identity_like(FreeWord((1,), ("a",))).letters == ()
 
 
+def test_is_identity_is_distance_to_identity_without_building_it(monkeypatch):
+    nan = float("nan")
+    values = [
+        PhaseU1(0.0), PhaseU1(3e-11), PhaseU1(-1e-9), PhaseU1(np.pi), PhaseU1(nan),
+        MatrixUn(np.eye(3)), MatrixUn(np.diag([1.0, np.exp(3e-11j)])), MatrixUn(SX),
+        _as_unitary_loose(np.full((2, 2), nan)),
+        FreeWord((), ("a",)), FreeWord((1,), ("a",)),
+    ]
+    for tol in (GROUP_EQ_TOL, 1e-12, 2.0, nan):
+        want = [distance(v, identity_like(v)) <= tol for v in values]
+        built = []
+        monkeypatch.setattr(MatrixUn, "__post_init__", lambda self: built.append(self))
+        got = [is_identity(v, tol) for v in values]
+        monkeypatch.undo()
+        assert got == want and built == []
+    assert not any(is_identity(v, nan) for v in values)  # a NaN tolerance fails
+    with pytest.raises(VariantMismatch):
+        is_identity(object())
+
+
 # ---------------------------------------------------------------------------
 # hypothesis properties
 
@@ -224,11 +244,16 @@ def test_empty_steps_identity():
         path_ordered_exp([ScalarU1(0.1), AntiHermitianUn(1j * SX)])
 
 
+def pauli_exp(theta, s):
+    """exp(i theta s) for a Pauli matrix s (s^2 = I), in closed form."""
+    return np.cos(theta) * np.eye(2) + 1j * np.sin(theta) * s
+
+
 def test_matrix_order_later_steps_left():
     x = AntiHermitianUn(1j * 0.7 * SX)
     y = AntiHermitianUn(1j * 0.4 * SY)
     got = path_ordered_exp([x, y])
-    want = expm(y.mat) @ expm(x.mat)
+    want = pauli_exp(0.4, SY) @ pauli_exp(0.7, SX)
     assert np.max(np.abs(got.mat - want)) < 1e-14
     swapped = path_ordered_exp([y, x])
     assert distance(got, swapped) > 0.01  # non-commuting, order matters
@@ -238,7 +263,7 @@ def test_commuting_steps_collapse():
     x = AntiHermitianUn(1j * 0.3 * SZ)
     y = AntiHermitianUn(1j * 1.1 * SZ)
     got = path_ordered_exp([x, y])
-    want = expm(x.mat + y.mat)
+    want = np.diag([np.exp(1.4j), np.exp(-1.4j)])
     assert np.max(np.abs(got.mat - want)) < 1e-13
 
 

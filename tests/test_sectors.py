@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from flatnet.covers import (
     annulus_cover,
     approximate_curve,
     build_nerve,
+    circle_cover,
     disk_cover,
     figure_eight_cover,
     free_h1_coordinates,
@@ -52,16 +54,19 @@ from flatnet.groups import (
 from flatnet.sectors import (
     MissingEntry,
     NotGaugeInvariant,
+    SectorTransporter,
     WindowSubspace,
     charge_morphism,
     classify,
     coefficient_ratio_cocycle,
+    column_map,
     dress_transporter,
     implementer,
     intertwining_residual,
     localization_residual,
     make_window,
     plain_transporter,
+    reverse_map,
     rho_holonomy,
     rho_layer_transporter,
     telescope_residual,
@@ -69,6 +74,7 @@ from flatnet.sectors import (
     transition_amplitude,
     triple_law_residual,
     twisted_transporter,
+    window_block,
     z1,
     z_path,
 )
@@ -269,6 +275,154 @@ def test_charged_vector_gauge_covariance():
         for r in ANN.regions:
             v = w.charged_vector(r)
             assert np.max(np.abs(u * v - (zeta ** kappa) * v)) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# window index folds
+
+# (cover, modes per region, charge): every builtin cover within 12 modes
+FOLD_COVERS = [
+    (disk_cover(), 2, 1),
+    (disk_cover(), 3, 2),
+    (circle_cover(5), 2, 1),
+    (annulus_cover(), 2, 2),
+    (figure_eight_cover(), 2, 1),
+    (torus_cover(), 1, 1),
+]
+
+
+@lru_cache(maxsize=None)
+def fold_setup(index, seed):
+    """Plain, twisted (generic phases, not necessarily a morphism),
+    dressed and sign-flipped plain transporters on one builtin cover; the
+    last has exact -1 window entries, whose products carry signed zeros."""
+    cover, m, kappa = FOLD_COVERS[index]
+    rng = np.random.default_rng(seed)
+    nerve = build_nerve(cover)
+    sigma = SigmaMorphism(
+        {g: PhaseU1(rng.uniform(-np.pi, np.pi)) for g in nerve.generators}, PhaseU1(0.0)
+    )
+    window = make_window(fock_for(cover, m), cover, kappa)
+    twisted = twisted_transporter(window, transition_cocycle(sigma, nerve))
+    phases = {r: PhaseU1(rng.uniform(-np.pi, np.pi)) for r in cover.regions}
+    plain = plain_transporter(window, cover)
+    flipped = SectorTransporter(
+        plain.cocycle, window, {e: op.scaled(-1.0) for e, op in plain.ops.items()}
+    )
+    return cover, (plain, twisted, dress_transporter(twisted, phases), flipped)
+
+
+def random_crossing_path(rng, cover, length):
+    """Random path with reflexive steps and random overlap components."""
+    at = int(rng.choice(cover.regions))
+    steps = []
+    for _ in range(length):
+        if rng.random() < 0.2:
+            steps.append(Step(dst=at, src=at, comp=None))
+            continue
+        nxt = int(rng.choice(cover.neighbors(at)))
+        comp = int(rng.choice(cover.overlap_components(at, nxt)))
+        steps.append(Step(dst=nxt, src=at, comp=comp))
+        at = nxt
+    start = steps[0].src if steps else at
+    return PosetPath(steps, start, at)
+
+
+def assert_fold_matches_product(t, path):
+    got = window_block(t, path.crossings())
+    want = t.window.compress(z_path(t, path).op)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, len(FOLD_COVERS) - 1),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 12),
+)
+def test_window_block_equals_compressed_product_bitwise(index, setup_seed, which, seed, length):
+    cover, ts = fold_setup(index, setup_seed)
+    path = random_crossing_path(np.random.default_rng(seed), cover, length)
+    assert_fold_matches_product(ts[which], path)
+
+
+def test_window_block_empty_and_reflexive_paths_are_identity():
+    cover, ts = fold_setup(0, 0)
+    for t in ts:
+        n = len(t.window.columns)
+        for path in (approximate_curve(cover, [1]), approximate_curve(cover, [2, 2, 2])):
+            assert_fold_matches_product(t, path)
+            assert window_block(t, path.crossings()).tobytes() == np.eye(n, dtype=complex).tobytes()
+
+
+def test_window_block_long_chains_bitwise():
+    # long chains of generic phases (complex products whose rounding
+    # depends on how the multiply is evaluated) and of exact -1 entries
+    rng = np.random.default_rng(5)
+    for index in range(len(FOLD_COVERS)):
+        cover, ts = fold_setup(index, 1)
+        for t in ts[1:]:
+            for _ in range(4):
+                assert_fold_matches_product(t, random_crossing_path(rng, cover, 40))
+
+
+def test_step_maps_cached_and_reverse_equals_adjoint_map():
+    for index in range(len(FOLD_COVERS)):
+        _, ts = fold_setup(index, 2)
+        for t in ts:
+            assert t.step_map(1, 1, None) is None
+            for (u, v, c), op in t.ops.items():
+                fwd, rev = t.step_map(v, u, c), t.step_map(u, v, c)
+                assert t.step_map(v, u, c) is fwd and t.step_map(u, v, c) is rev
+                for got, want in ((fwd, column_map(op.csr)), (rev, column_map(op.adjoint().csr))):
+                    assert got[0].tobytes() == want[0].tobytes()
+                    assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_column_map_fails_closed_on_two_entries():
+    fock = fock_for(ANN, 1)
+    two_in_column = sp.csr_matrix(([1.0, 1.0], ([1, 2], [0, 0])), shape=(fock.dim, fock.dim))
+    with pytest.raises(ValueError, match="one column"):
+        column_map(two_in_column)
+    two_in_row = sp.csr_matrix(([1.0, 1.0], ([1, 1], [0, 2])), shape=(fock.dim, fock.dim))
+    with pytest.raises(ValueError, match="one row"):
+        reverse_map(column_map(two_in_row))
+    # the 0 -> 1 edge operator moves charged column a to charged column b;
+    # one extra entry spreads column a over two rows, or sends the vacuum
+    # column (which the edge annihilates) to b as well
+    _, _, coc, fock, window = annulus_setup()
+    t = twisted_transporter(window, coc)
+    edge, (vac, a, b) = (0, 1, 0), window.columns[:3]
+
+    def with_extra_entry(row, col):
+        extra = sp.csr_matrix(([1.0], ([row], [col])), shape=(fock.dim, fock.dim))
+        op = FieldOp(t.ops[edge].csr + extra, fock, t.ops[edge].support)
+        return SectorTransporter(t.cocycle, window, {**t.ops, edge: op})
+
+    with pytest.raises(ValueError, match="one column"):
+        window_block(with_extra_entry(vac, a), [(1, 0, 0)])
+    merged = with_extra_entry(b, vac)
+    window_block(merged, [(1, 0, 0)])  # forward: still one entry per column
+    with pytest.raises(ValueError, match="one row"):
+        telescope_residual(merged, approximate_curve(ANN, [1, 0]))
+
+
+def test_z1_cached_on_window_equals_fresh_product():
+    _, _, coc, _, window = annulus_setup()
+    plain, twisted = plain_transporter(window, ANN), twisted_transporter(window, coc)
+    for (u, v, c) in ANN.overlaps:
+        z = z1(window, v, u)
+        assert z1(window, v, u) is z
+        fresh = window.implementers[v].op * window.implementers[u].star
+        for name in ("indptr", "indices", "data"):
+            assert getattr(z.csr, name).tobytes() == getattr(fresh.csr, name).tobytes()
+        # both transporters were built from the cached product
+        for t in (plain, twisted):
+            g = t.cocycle.values[(u, v, c)]
+            assert t.ops[(u, v, c)].csr.data.tobytes() == z.scaled(g).csr.data.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,11 @@ workloads (``bench/workloads.py``) at a fixed list of seeds.  A report is
 made the way ``flatnet report --format structured`` makes it:
 ``load_scenario``, the ``--seed`` override when the item has one,
 ``run_scenario``, ``emit_report``.  Run it on two commits and diff the
-output to see whether a change kept the reports byte-identical.
-Standard library and flatnet only.  Usage::
+output to see whether a change kept the reports byte-identical; CI
+runs it under two ``PYTHONHASHSEED`` values and compares the outputs.
+The digests depend on the host (numpy picks its SIMD kernels at run
+time), so no golden list is kept.  Standard library and flatnet only.
+Usage::
 
     python3 tools/report_digests.py
 
