@@ -315,9 +315,11 @@ def trivialize(
 
     The base region gets the identity and every region the transport
     along its tree path from the base, all regions in one
-    ``ordered_products`` fold; each non-tree edge is then tested and the
-    first failure is returned as a witness loop through that edge (its
-    holonomy is the transported obstruction).
+    ``ordered_products`` fold.  Each non-tree edge u -> v is then tested
+    against lambda_v lambda_u^{-1}, the two-slot row [lambda_u^{-1},
+    lambda_v] of a second fold over a table of the lambdas, and the first
+    failure is returned as a witness loop through that edge (its holonomy
+    is the transported obstruction).
     """
     chk = check_cocycle(cocycle, tol)
     if not chk.ok:
@@ -327,8 +329,10 @@ def trivialize(
     order = nerve.bfs_order
     rows = [cocycle._row(nerve.tree_steps_from_base(r)) for r in order]
     lam = dict(zip(order, ordered_products(cocycle.identity, cocycle._transport[1], rows)))
-    for idx, (u, v, c) in enumerate(nerve.non_tree_edges):
-        want = compose(lam[v], inverse(lam[u]))
+    slots, table = _slotted_table(cocycle.identity, (((r, 1), (r, -1), lam[r]) for r in order))
+    pairs = [[slots[(u, -1)], slots[(v, 1)]] for u, v, _ in nerve.non_tree_edges]
+    wants = ordered_products(cocycle.identity, table, pairs)
+    for idx, ((u, v, c), want) in enumerate(zip(nerve.non_tree_edges, wants)):
         resid = distance(cocycle.value(v, u, c), want)
         if not (resid <= tol):
             loop = generator_loop(nerve, idx)

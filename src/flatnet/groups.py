@@ -96,9 +96,12 @@ class MatrixUn(GroupValue):
 
 def unitary_defects(mats: np.ndarray) -> np.ndarray:
     """max |U*U - I| of a (d, d) matrix, or of each matrix in an (n, d, d)
-    stack: the one copy of the formula behind UNITARY_TOL."""
+    stack: the one copy of the formula behind UNITARY_TOL.  Entries near
+    the float limit overflow to inf or NaN, which fail the gate, so numpy
+    is told not to warn about them."""
     eye = np.eye(mats.shape[-1])
-    return np.abs(mats.conj().swapaxes(-1, -2) @ mats - eye).max(axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(mats.conj().swapaxes(-1, -2) @ mats - eye).max(axis=(-2, -1))
 
 
 def _require_unitary(mats: np.ndarray) -> None:

@@ -381,15 +381,17 @@ def load_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
         paths[str(name)] = visited
 
     araw = doc.get("amplitudes", []) or []
+    if not isinstance(araw, list):
+        raise ScenarioError("must be a list of [path, path] name pairs", "amplitudes")
     amplitudes = []
     for i, pair in enumerate(araw):
         where = f"amplitudes[{i}]"
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ScenarioError("must be a [path, path] name pair", where)
         for nm in pair:
-            if nm not in paths:
+            if not (isinstance(nm, str) and nm in paths):
                 raise ScenarioError(f"unknown path name {nm!r}", where)
-        amplitudes.append((str(pair[0]), str(pair[1])))
+        amplitudes.append((pair[0], pair[1]))
 
     traw = doc.get("tasks", list(TASK_ORDER))
     if not isinstance(traw, list) or not traw:

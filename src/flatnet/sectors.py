@@ -5,25 +5,31 @@ first kappa private modes.  These are partial isometries, not unitaries
 (a finite Fock space admits no unitary charge raiser), so every sector
 identity here is asserted after compression to the window subspace
 spanned by the vacuum and the charged vectors v_o, the subspace on
-which the implementer chains act isometrically.  Each v_o is an
-occupation-basis vector, so the window is a coordinate subspace and a
-compression reads the operator's entries at the window's basis indices.
-A transporter is a transition cocycle (its coefficients) plus one sparse
-operator per canonical edge (a signed partial permutation of the Fock
-basis, times that edge's phase); coefficients are looked up, folded and
-dressed by ``cocycles``.  On the window a transported chain telescopes
-to its end/start pair times the path's holonomy.
+which the implementer chains act isometrically.
 
-Two routes carry a chain.  ``z_path`` forms the full sparse product of
-the step operators (later steps on the left); ``transition_amplitude``
-applies it to a charged vector.  The residual checks
-(``telescope_residual``, ``triple_law_residual``,
-``topological_component``) only read the chain's window block, so they
-fold index trajectories instead (``window_block``): each step is a
-column map (where each basis column goes, and the entry it carries),
-and only the 1 + #regions window columns are followed, one basis index
-each.  The fold multiplies in real arithmetic exactly as the sparse
-product does, so both routes give the same bits.
+What the finite model checks on the window.  Certification runs on
+integer occupation bitsets, each ladder operator carrying the
+Jordan-Wigner sign of the occupied modes below it: every v_o = phi_o|0>
+must be a distinct occupation-basis vector with + sign
+(``WindowSubspace``), and every bare pair phi_v phi_u^* must send v_u to
++v_v and annihilate the vacuum and every other v_w (``pair_map``), which
+holds because modes are private to regions.  Certified, each transported
+step is one coefficient times a matrix unit of the 1 + #regions window,
+so a transporter is its transition cocycle plus one complex entry per
+canonical edge, and the sector checks (``telescope_residual``,
+``triple_law_residual``, ``topological_component``,
+``transition_amplitude``, ``classify``) are coefficient folds over
+window positions (``window_block``).  No 2^K object is built for them.
+Entries are scaled by the ufunc ``FieldOp.scaled`` applies and folded in
+the sparse product's real arithmetic, so the folds give the bits of the
+CSR route.
+
+The CSR layer is the observable layer and the oracle: ``Implementer.op``,
+``z1``, ``SectorTransporter.op`` and ``z_path``'s operator are built on
+first read, under the Fock space's mode envelope, and ``compress``,
+``charge_morphism``, ``intertwining_residual`` and
+``localization_residual`` act on them.  Tests fold chains against
+``compress`` of the product of step operators, bit for bit.
 
 Sign bookkeeping: with bare Jordan-Wigner implementers, odd-charge
 implementers of disjoint regions anticommute both with and without
@@ -78,14 +84,43 @@ class MissingEntry(KeyError):
     """Raised when a path step has no transporter entry."""
 
 
+def _apply_word(state: int, word: Iterable[tuple[int, bool]]) -> tuple[int, int] | None:
+    """Image of an occupation bitset under ladder operators (mode, create),
+    first to last.
+
+    Returns the image bitset and its sign, each operator contributing the
+    Jordan-Wigner parity of the occupied modes below its mode (as in
+    ``FockSpace.creator``); None when a creator meets an occupied mode or
+    an annihilator an empty one.
+    """
+    flips = 0
+    for mode, create in word:
+        bit = 1 << mode
+        if bool(state & bit) == create:
+            return None
+        flips += (state & (bit - 1)).bit_count()
+        state ^= bit
+    return state, 1 - 2 * (flips & 1)
+
+
 @dataclass(frozen=True)
 class Implementer:
-    """Charge-kappa partial isometry private to one region."""
+    """Charge-kappa partial isometry private to one region: the ordered
+    product of the creators of ``modes`` (matrix factors in tuple order,
+    so the last mode is created first)."""
 
+    fock: FockSpace
     region: int
     charge: int
     modes: tuple[int, ...]
-    op: FieldOp
+
+    @cached_property
+    def op(self) -> FieldOp:
+        """phi as a CSR operator, built on first read."""
+        mat = self.fock.creator(self.modes[0])
+        for m in self.modes[1:]:
+            mat = mat @ self.fock.creator(m)
+        return FieldOp(mat, self.fock, frozenset({self.region}))
 
     @cached_property
     def star(self) -> FieldOp:
@@ -106,68 +141,64 @@ def implementer(fock: FockSpace, region: int, kappa: int = 1) -> Implementer:
         raise SupportError(
             f"region {region} owns {len(modes)} modes, fewer than charge {kappa}"
         )
-    chosen = modes[:kappa]
-    mat = fock.creator(chosen[0])
-    for m in chosen[1:]:  # ascending matrix factors => descending application order
-        mat = mat @ fock.creator(m)
-    return Implementer(
-        region=region,
-        charge=kappa,
-        modes=chosen,
-        op=FieldOp(mat, fock, frozenset({region})),
-    )
+    return Implementer(fock=fock, region=region, charge=kappa, modes=modes[:kappa])
 
 
 @dataclass(frozen=True)
 class WindowSubspace:
     """Coordinate subspace spanned by the vacuum and the charged vectors.
 
-    Every column is an occupation-basis vector with + sign, so the window
-    is stored as the basis index of each column: ``columns[0]`` is the
-    vacuum, ``columns[1 + i]`` the charged vector of ``regions[i]``.
-    Bare transporters ``z1`` are built once per region pair and kept here.
+    Certified on occupation bits: each implementer's creators, applied to
+    the empty bitset, must give a distinct occupation-basis vector with
+    + sign.  The window is stored as the basis index of each column:
+    ``columns[0]`` is the vacuum, ``columns[1 + i]`` the charged vector of
+    ``regions[i]``, at window position 1 + i.  Certified pair maps
+    (``pair_map``) and bare CSR transporters (``z1``) are built once per
+    region pair and kept here.
     """
 
     fock: FockSpace
     implementers: dict[int, Implementer]
     regions: tuple[int, ...] = dc_field(init=False)
     columns: np.ndarray = dc_field(init=False)
-    _position: np.ndarray = dc_field(init=False, repr=False, compare=False)
+    _pairs: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
     _z1: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         regions = tuple(sorted(self.implementers))
         columns = [0]
         for r in regions:
-            v = self.implementers[r].op.apply(self.fock.vacuum)
-            k = int(np.argmax(v != 0))
-            if v[k] != 1.0 or np.count_nonzero(v) != 1 or k in columns:
+            hit = _apply_word(0, [(m, True) for m in self.implementers[r].modes[::-1]])
+            if hit is None or hit[1] != 1 or hit[0] in columns or hit[0] >= self.fock.dim:
                 raise ValueError(
                     f"window basis failed to come out orthonormal at region {r}: "
                     "charged vectors must be distinct + occupation-basis vectors"
                 )
-            columns.append(k)
+            columns.append(hit[0])
         columns = np.array(columns)
-        position = np.full(self.fock.dim + 1, -1)  # slot -1: off the basis
-        position[columns] = np.arange(len(columns))
         columns.setflags(write=False)
         object.__setattr__(self, "regions", regions)
         object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "_position", position)
+
+    def position(self, region: int) -> int:
+        """Window position of a region's charged vector."""
+        return 1 + self.regions.index(region)
 
     def charged_vector(self, region: int) -> np.ndarray:
         v = np.zeros(self.fock.dim, dtype=complex)
-        v[self.columns[1 + self.regions.index(region)]] = 1.0
+        v[self.columns[self.position(region)]] = 1.0
         return v
 
     def compress(self, op: FieldOp) -> np.ndarray:
         """The window block of ``op``: entry (i, j) is op[columns[i], columns[j]],
         read straight from the stored CSR rows."""
         m, n = op.csr, len(self.columns)
+        position = np.full(self.fock.dim, -1)  # window position of each basis index
+        position[self.columns] = np.arange(n)
         starts, ends = m.indptr[self.columns], m.indptr[self.columns + 1]
         at = np.concatenate([np.arange(a, b) for a, b in zip(starts.tolist(), ends.tolist())])
         rows = np.repeat(np.arange(n), ends - starts)
-        cols = self._position[m.indices[at]]
+        cols = position[m.indices[at]]
         hit = cols >= 0
         out = np.zeros((n, n), dtype=complex)
         out[rows[hit], cols[hit]] = m.data[at[hit]]
@@ -179,48 +210,48 @@ def make_window(fock: FockSpace, cover: Cover, kappa: int = 1) -> WindowSubspace
     return WindowSubspace(fock=fock, implementers=imps)
 
 
+def pair_map(window: WindowSubspace, dst: int, src: int) -> np.ndarray:
+    """Window action of the bare pair phi_dst phi_src^*, certified on
+    occupation bits once per window and pair (``dst == src`` included).
+
+    ``target[j]`` is the window position column j goes to, -1 when the
+    pair annihilates it; slot -1, one past the window, is the annihilated
+    column and maps to itself.  The pair must send v_src to +v_dst and
+    annihilate the vacuum and every other v_w, so that on the window it
+    is the matrix unit E_(dst, src); anything else raises ValueError.
+    """
+    if (dst, src) not in window._pairs:
+        imps, columns = window.implementers, window.columns.tolist()
+        word = [(m, False) for m in imps[src].modes] + [(m, True) for m in imps[dst].modes[::-1]]
+        s, d = window.position(src), window.position(dst)
+        for j, col in enumerate(columns):
+            if _apply_word(col, word) != ((columns[d], 1) if j == s else None):
+                raise ValueError(
+                    f"pair ({dst} <- {src}) is not a window matrix unit at column {j}: "
+                    "modes must be private to regions"
+                )
+        target = np.full(len(columns) + 1, -1)
+        target[s] = d
+        target.setflags(write=False)
+        window._pairs[(dst, src)] = target
+    return window._pairs[(dst, src)]
+
+
+def _scaled(entry: complex, factor: PhaseU1) -> complex:
+    """``entry * factor`` by the ufunc ``FieldOp.scaled`` applies to stored
+    data, so a window entry carries the bits of the CSR route."""
+    return complex((np.full(1, entry, dtype=complex) * factor.complex_value)[0])
+
+
 # ---------------------------------------------------------------------------
 # Transporters
 
 
-# target[j] is the row basis column j goes to and value[j] the entry it
-# carries; slot -1 (one past the basis) is the annihilated column, which
-# maps to itself with entry 0, so a column once annihilated stays there
+# target[j] is the window position column j goes to and value[j] the entry
+# it carries (nonzero only at v_src's position); slot -1, one past the
+# window, is the annihilated column, which maps to itself with entry 0, so
+# a column once annihilated stays there
 StepMap = tuple[np.ndarray, np.ndarray]
-
-
-def column_map(csr) -> StepMap:
-    """Column map of a CSR operator holding at most one entry per column.
-
-    Raises ValueError when a column holds two entries: such an operator
-    does not move one basis index to one basis index.
-    """
-    rows, cols = csr.shape
-    if np.bincount(csr.indices, minlength=1).max() > 1:
-        raise ValueError("operator holds two entries in one column; no column map")
-    target = np.full(cols + 1, -1)
-    value = np.zeros(cols + 1, dtype=complex)
-    target[csr.indices] = np.repeat(np.arange(rows), np.diff(csr.indptr))
-    value[csr.indices] = csr.data
-    return target, value
-
-
-def reverse_map(step: StepMap) -> StepMap:
-    """Column map of the adjoint: the inverse index map, entries conjugated.
-
-    Raises ValueError when two columns go to one row (the adjoint would
-    hold two entries in one column).
-    """
-    target, value = step
-    live = np.flatnonzero(target >= 0)
-    rows = target[live]
-    if np.bincount(rows, minlength=1).max() > 1:
-        raise ValueError("operator holds two entries in one row; no reverse column map")
-    back = np.full_like(target, -1)
-    back_value = np.zeros_like(value)
-    back[rows] = live
-    back_value[rows] = np.conj(value[live])
-    return back, back_value
 
 
 @dataclass(frozen=True)
@@ -233,63 +264,69 @@ class TransportEntry:
 
 @dataclass(frozen=True)
 class SectorTransporter:
-    """Transition cocycle plus one Fock operator per canonical edge.
+    """Transition cocycle plus one window entry per canonical edge.
 
-    ``cocycle`` holds every transport coefficient; ``ops[(u, v, c)]`` is
-    the u -> v operator (a cocycle-weighted pair phi_v phi_u^*), and
-    ``ops`` is empty on the coefficient-only matrix layer, which has no
-    ``window``.
+    ``cocycle`` holds every transport coefficient.  ``weights[(u, v, c)]``
+    is the window entry of the u -> v step, which on the window is that
+    entry times the matrix unit ``pair_map(window, v, u)``; the reverse
+    step carries its conjugate.  ``weights`` is empty on the
+    coefficient-only matrix layer, which has no ``window``.
     """
 
     cocycle: TransitionCocycle
     window: WindowSubspace | None = None
-    ops: dict[Edge, FieldOp] = dc_field(default_factory=dict)
-    _adjoints: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+    weights: dict[Edge, complex] = dc_field(default_factory=dict)
     _maps: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+    _ops: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def op(self, dst: int, src: int, comp: int | None) -> FieldOp | None:
-        """Operator of the step src -> dst: None for a reflexive step, the
-        stored operator forward, its adjoint (built once per edge) in
-        reverse; MissingEntry when the pair has no stored edge."""
-        if dst == src:
-            return None
-        edge, forward = oriented(dst, src, comp)
-        if forward:
-            return self._stored(edge)
-        if edge not in self._adjoints:
-            self._adjoints[edge] = self._stored(edge).adjoint()
-        return self._adjoints[edge]
+    def _weight(self, edge: Edge) -> complex:
+        if edge not in self.weights:
+            raise MissingEntry("no transporter entry for ({},{},{})".format(*edge))
+        return self.weights[edge]
 
     def step_map(self, dst: int, src: int, comp: int | None) -> StepMap | None:
-        """Column map of the step src -> dst (``column_map``): None for a
-        reflexive step, read once from the stored operator forward, and in
-        reverse derived from the forward map (``reverse_map``), so no
-        adjoint is built; MissingEntry when the pair has no stored edge."""
+        """Window map of the step src -> dst, built once per edge and
+        direction: the certified ``pair_map`` carrying the edge's entry
+        forward and its conjugate in reverse; None for a reflexive step,
+        MissingEntry when the pair has no stored edge."""
         if dst == src:
             return None
         key = oriented(dst, src, comp)
         if key not in self._maps:
-            (u, v, c), forward = key
-            self._maps[key] = (
-                column_map(self._stored((u, v, c)).csr) if forward
-                else reverse_map(self.step_map(v, u, c))
-            )
+            edge, forward = key
+            w = self._weight(edge)
+            value = np.zeros(len(self.window.columns) + 1, dtype=complex)
+            value[self.window.position(src)] = w if forward else np.conj(w)
+            self._maps[key] = (pair_map(self.window, dst, src), value)
         return self._maps[key]
 
-    def _stored(self, edge: Edge) -> FieldOp:
-        if edge not in self.ops:
-            raise MissingEntry("no transporter entry for ({},{},{})".format(*edge))
-        return self.ops[edge]
+    def op(self, dst: int, src: int, comp: int | None) -> FieldOp | None:
+        """CSR operator of the step src -> dst, for the observable layer
+        and as the tests' oracle: None for a reflexive step,
+        ``z1(window, v, u).scaled(entry)`` forward and its adjoint in
+        reverse, each built once on first read; MissingEntry when the pair
+        has no stored edge."""
+        if dst == src:
+            return None
+        key = oriented(dst, src, comp)
+        if key not in self._ops:
+            (u, v, c), forward = key
+            self._ops[key] = (z1(self.window, v, u).scaled(self._weight((u, v, c))) if forward
+                              else self.op(v, u, c).adjoint())
+        return self._ops[key]
 
     @cached_property
     def entries(self) -> dict[Edge, TransportEntry]:
-        """Read-only view: the u -> v coefficient and operator per canonical edge."""
-        values = self.cocycle.values
-        return {e: TransportEntry(g, self.ops.get(e)) for e, g in values.items()}
+        """Read-only view: the u -> v coefficient and CSR operator per
+        canonical edge (operator None off the Fock layer)."""
+        return {
+            (u, v, c): TransportEntry(g, None if self.window is None else self.op(v, u, c))
+            for (u, v, c), g in self.cocycle.values.items()
+        }
 
 
 def z1(window: WindowSubspace, dst: int, src: int) -> FieldOp:
-    """Bare charge transporter phi_dst phi_src^* between two regions, built
+    """Bare charge transporter phi_dst phi_src^* as a CSR operator, built
     once per window and region pair."""
     if (dst, src) not in window._z1:
         imps = window.implementers
@@ -304,7 +341,8 @@ def plain_transporter(window: WindowSubspace, cover: Cover) -> SectorTransporter
 def twisted_transporter(
     window: WindowSubspace, cocycle: TransitionCocycle
 ) -> SectorTransporter:
-    """Cocycle-weighted transporter: op(v<-u) = g(v<-u) phi_v phi_u^*.
+    """Cocycle-weighted transporter: op(v<-u) = g(v<-u) phi_v phi_u^*, held
+    as the window entry g(v<-u) of each canonical edge.
 
     Only unit-phase transition data acts on the Fock layer; matrix-valued
     data goes through rho_layer_transporter instead.
@@ -313,30 +351,30 @@ def twisted_transporter(
         raise VariantMismatch(
             "Fock-layer twisting needs unit phases; use rho_layer_transporter"
         )
-    ops = {
-        (u, v, c): z1(window, v, u).scaled(g) for (u, v, c), g in cocycle.values.items()
-    }
-    return SectorTransporter(cocycle, window, ops)
+    weights = {e: _scaled(1.0, g) for e, g in cocycle.values.items()}
+    return SectorTransporter(cocycle, window, weights)
 
 
 def dress_transporter(
     t: SectorTransporter, phases: dict[int, GroupValue]
 ) -> SectorTransporter:
     """Conjugate by per-region phases: op'(v<-u) = p_v op(v<-u) p_u^{-1}."""
-    ops = {
-        (u, v, c): op.scaled(compose(phases[v], inverse(phases[u])))
-        for (u, v, c), op in t.ops.items()
+    weights = {
+        (u, v, c): _scaled(w, compose(phases[v], inverse(phases[u])))
+        for (u, v, c), w in t.weights.items()
     }
-    return SectorTransporter(dress_cocycle(t.cocycle, phases), t.window, ops)
+    return SectorTransporter(dress_cocycle(t.cocycle, phases), t.window, weights)
 
 
 def z_path(t: SectorTransporter, path: PosetPath) -> TransportEntry:
     """Coefficient and operator transported along a path (later steps left).
 
     The coefficient is ``holonomy`` of the transporter's cocycle; the
-    operator is the full sparse product of the step operators, reflexive
-    steps skipped, and the identity only when no step carries an operator.
-    Callers that read only the window block use ``window_block`` instead.
+    operator is the full CSR product of the step operators
+    (``SectorTransporter.op``), reflexive steps skipped, and the identity
+    only when no step carries an operator.  It serves the observable
+    layer and the tests' oracle; the sector checks fold window positions
+    (``window_block``) and build no operator.
     """
     op: FieldOp | None = None
     if t.window is not None:
@@ -352,19 +390,23 @@ def z_path(t: SectorTransporter, path: PosetPath) -> TransportEntry:
 def window_block(
     t: SectorTransporter, crossings: Iterable[tuple[int, int, int | None]]
 ) -> np.ndarray:
-    """Window block of the chain of step operators (later steps left),
-    bit for bit ``t.window.compress(z_path(...).op)``, without the product.
+    """Window block of the chain of steps (later steps left), bit for bit
+    ``t.window.compress(z_path(...).op)``, without any Fock-space object.
 
-    Each window column is followed as one basis index through the steps'
-    column maps (``SectorTransporter.step_map``), reflexive steps skipped.
-    The first step's entry is taken as stored; each later step s
-    multiplies the carried entry v in real arithmetic,
+    Each window column is followed as one window position through the
+    steps' certified maps (``SectorTransporter.step_map``), reflexive
+    steps skipped.  The first step's entry is taken as stored; each later
+    step s multiplies the carried entry v in real arithmetic,
     re = 0.0 + (sr*vr - si*vi), im = 0.0 + (sr*vi + si*vr), which is the
     sparse product's complex multiply and its sum from zero.  numpy's
-    complex ``s * v`` may round differently (fused multiply-add).
+    complex ``s * v`` may round differently (fused multiply-add).  Every
+    window check goes through this fold, so it raises ValueError for a
+    transporter without a Fock window.
     """
-    w = t.window
-    pos, re, im = w.columns, None, None
+    if t.window is None:
+        raise ValueError("window checks need a Fock window; use rho_holonomy off the Fock layer")
+    n = len(t.window.columns)
+    pos, re, im = np.arange(n), None, None
     for dst, src, comp in crossings:
         step = t.step_map(dst, src, comp)
         if step is None:
@@ -377,43 +419,38 @@ def window_block(
         else:
             sr, si = s.real, s.imag
             re, im = 0.0 + (sr * re - si * im), 0.0 + (sr * im + si * re)
-    n = len(w.columns)
     if re is None:
         return np.eye(n, dtype=complex)
-    rows = w._position[pos]
-    cols = np.flatnonzero(rows >= 0)
+    cols = np.flatnonzero(pos >= 0)
     out = np.zeros((n, n), dtype=complex)
-    out.real[rows[cols], cols] = re[cols]
-    out.imag[rows[cols], cols] = im[cols]
+    out.real[pos[cols], cols] = re[cols]
+    out.imag[pos[cols], cols] = im[cols]
     return out
 
 
 def telescope_residual(t: SectorTransporter, path: PosetPath) -> float:
     """Window gap between transported chain and its telescoped pair.
 
-    The chain's window block is folded over window indices
-    (``window_block``); the pair is the shared ``z1`` scaled by the
-    path's holonomy.  An empty path telescopes to the reflexive identity
-    entry, not to the degenerate pair phi phi^*, so its residual is zero
-    by construction.
+    The chain's window block is folded over window positions
+    (``window_block``); the pair is the certified matrix unit
+    ``pair_map(window, end, start)`` carrying the path's holonomy,
+    scaled as ``FieldOp.scaled`` scales, and is subtracted in place.  An empty path telescopes to the
+    reflexive identity entry, not to the degenerate pair phi phi^*, so
+    its residual is zero by construction.
     """
-    if t.window is None:
-        raise ValueError("telescoping residuals need a Fock window")
+    chain = window_block(t, path.crossings())
     if not len(path):
         return 0.0
-    chain = window_block(t, path.crossings())
-    coeff = holonomy(t.cocycle, path)
-    pair = z1(t.window, path.end, path.start).scaled(coeff)
-    return float(np.max(np.abs(chain - t.window.compress(pair))))
+    j, hol = t.window.position(path.start), _scaled(1.0, holonomy(t.cocycle, path))
+    chain[pair_map(t.window, path.end, path.start)[j], j] -= hol
+    return float(np.max(np.abs(chain)))
 
 
 def triple_law_residual(
     t: SectorTransporter, triple: tuple[int, int, int, tuple[int, int, int]]
 ) -> float:
     """Window gap of op(r3<-r2) op(r2<-r1) = op(r3<-r1), both sides
-    folded over window indices (``window_block``)."""
-    if t.window is None:
-        raise ValueError("triple-law residuals need a Fock window")
+    folded over window positions (``window_block``)."""
     r1, r2, r3, (c12, c13, c23) = triple
     lhs = window_block(t, [(r2, r1, c12), (r3, r2, c23)])
     rhs = window_block(t, [(r3, r1, c13)])
@@ -480,17 +517,15 @@ def topological_component(
 ) -> TopologicalComponent:
     """Scalar the transported loop acts by on its basepoint's charged vector.
 
-    The loop's window block is folded over window indices
+    The loop's window block is folded over window positions
     (``window_block``).  The residual measures how far it is from that
     scalar times the basepoint matrix unit; a large residual means the
     block is not scalar and the value should not be trusted.
     """
     if not loop.is_loop:
         raise InvalidPath("topological components are defined for loops")
-    if t.window is None:
-        raise ValueError("use rho_holonomy for the coefficient-only layer")
     m = window_block(t, loop.crossings())
-    ia = 1 + t.window.regions.index(loop.start)
+    ia = t.window.position(loop.start)
     value = complex(m[ia, ia])
     expected = np.zeros_like(m)
     expected[ia, ia] = value
@@ -504,18 +539,16 @@ def transition_amplitude(
     """Overlap <Z_q v_a, Z_p v_a> of two transported charges.
 
     Both paths must share start and end regions; the value depends only on
-    the loop class of reverse(q) then p.
+    the loop class of reverse(q) then p.  Z v_a is the chain's window
+    column at a's position (``window_block``).
     """
-    if t.window is None:
-        raise ValueError("transition amplitudes need a Fock window")
     if p.start != q.start or p.end != q.end:
         raise InvalidPath(
             f"paths must share endpoints: ({p.start}->{p.end}) vs ({q.start}->{q.end})"
         )
-    v = t.window.charged_vector(p.start)
-    zp = z_path(t, p).op.apply(v)
-    zq = z_path(t, q).op.apply(v)
-    return complex(np.vdot(zq, zp))
+    zp, zq = window_block(t, p.crossings()), window_block(t, q.crossings())
+    a = t.window.position(p.start)
+    return complex(np.vdot(zq[:, a], zp[:, a]))
 
 
 @dataclass(frozen=True)

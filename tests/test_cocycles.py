@@ -272,6 +272,40 @@ def test_trivialize_witness_circle_pi():
     assert w.loop.is_loop and w.residual > 1.0
 
 
+@pytest.mark.parametrize("name", ["circle", "annulus", "figure_eight", "torus"])
+def test_trivialize_witness_residual_is_the_compose_distance(name):
+    # the non-tree edges are tested in one fold of two-slot rows; the
+    # witness is the first edge whose distance to compose(lambda_v,
+    # inverse(lambda_u)) passes the tolerance, with that distance's bits
+    rng = np.random.default_rng(19)
+    cov = make(name)
+    nerve = build_nerve(cov)
+    pres = pi1_presentation(nerve)
+    phases = [u1_sigma_from_h1(pres, *rng.uniform(-3, 3, 2)).assignment for _ in range(3)]
+    diagonal = {g: MatrixUn(np.diag([p[g].complex_value for p in phases])) for g in pres.generators}
+    for sigma, gauge in [
+        (SigmaMorphism(phases[0], PhaseU1(0.0)),
+         {r: PhaseU1(rng.uniform(-np.pi, np.pi)) for r in cov.regions}),
+        (SigmaMorphism(diagonal, MatrixUn(np.eye(3))),
+         {r: MatrixUn(random_unitary(rng, 3)) for r in cov.regions}),
+    ]:
+        ident = sigma.identity
+        coc = dress_cocycle(transition_cocycle(sigma, nerve), gauge)
+        res = trivialize(coc, nerve)
+        assert not res.success
+        lam = {nerve.base: ident}
+        for r in nerve.bfs_order[1:]:
+            up = nerve.parent[r]
+            lam[r] = compose(coc.value(up.dst, up.src, up.comp), lam[up.src])
+        resid = [
+            distance(coc.value(v, u, c), compose(lam[v], inverse(lam[u])))
+            for u, v, c in nerve.non_tree_edges
+        ]
+        first = next(i for i, r in enumerate(resid) if not (r <= 1e-10))
+        assert res.witness.edge == nerve.non_tree_edges[first]
+        assert np.float64(res.witness.residual).tobytes() == np.float64(resid[first]).tobytes()
+
+
 @pytest.mark.parametrize("name", ALL_BUILTINS)
 def test_trivialize_lambdas_match_tree_walk_compose(name, monkeypatch):
     # one fold over the spanning-tree rows gives the bits of the walk
@@ -294,9 +328,9 @@ def test_trivialize_lambdas_match_tree_walk_compose(name, monkeypatch):
         monkeypatch.undo()
         assert res.success and list(res.lambdas) == list(nerve.bfs_order)
         if isinstance(ident, MatrixUn):
-            # one stack check for all lambdas; each non-tree edge test then
-            # checks its compose and inverse
-            assert len(checks) == 1 + 2 * len(nerve.non_tree_edges)
+            # one stack check for all lambdas, one for every non-tree edge's
+            # lambda_v lambda_u^-1
+            assert len(checks) == 2
         else:
             assert checks == []
         walk = {nerve.base: ident}
@@ -801,9 +835,12 @@ def test_check_then_trivialize_folds_the_triples_once(monkeypatch):
     assert check_cocycle(coc).ok
     nerve = build_nerve(cov)
     assert trivialize(coc, nerve).success
-    # one fold of the triples (shared by both), one of the tree paths
-    assert [len(rows) for rows in folds] == [len(cov.triples), len(cov.regions)]
-    assert all(len(row) == 2 for row in folds[0])
+    # one fold of the triples (shared by both), one of the tree paths, and
+    # one of the non-tree edge tests
+    assert [len(rows) for rows in folds] == [
+        len(cov.triples), len(cov.regions), len(nerve.non_tree_edges)
+    ]
+    assert all(len(row) == 2 for row in folds[0] + folds[2])
     assert [len(row) for row in folds[1]] == [
         len(nerve.tree_steps_from_base(r)) for r in nerve.bfs_order
     ]

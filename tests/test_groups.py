@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -499,3 +501,14 @@ def test_unitary_defects_match_the_matrix_check():
     for m, d in zip(stack, defects):
         assert d == np.max(np.abs(m.conj().T @ m - np.eye(3)))
     assert defects[-1] > UNITARY_TOL and all(defects[:-1] <= UNITARY_TOL)
+
+
+@pytest.mark.parametrize("entry", [1e308, -1e308, 1e200 + 1e200j, np.inf, np.nan])
+def test_huge_and_non_finite_entries_fail_the_unitarity_gate_without_warnings(entry):
+    m = np.eye(2, dtype=complex)
+    m[0, 0] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not unitary_defects(np.stack([np.eye(2), m]))[1] <= UNITARY_TOL
+        with pytest.raises(ValueError, match="not unitary"):
+            MatrixUn(m)

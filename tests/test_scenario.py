@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 from dataclasses import replace
@@ -6,10 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import flatnet.scenario as scenario_module
 from flatnet.cli import main as cli_main
 from flatnet.covers import approximate_curve, build_nerve, builtin_cover, pi1_presentation
+from flatnet.fock import CapacityError, FockSpace
 from flatnet.scenario import (
     SCHEMA_VERSION,
     TASK_ORDER,
@@ -215,6 +219,22 @@ def test_amplitude_validation():
     expect_error(
         MINIMAL + "paths: {a: [0, 1]}\namplitudes: [[a]]\n", "name pair"
     )
+
+
+@pytest.mark.parametrize(
+    "value, where",
+    [("true", "amplitudes: must be a list"),
+     ("5", "amplitudes: must be a list"),
+     ("[[[0, 1], a]]", "amplitudes[0]: unknown path name [0, 1]")],
+)
+def test_malformed_amplitudes_exit_2_with_field_path(tmp_path, capsys, value, where):
+    text = MINIMAL + f"paths: {{a: [0, 1]}}\namplitudes: {value}\n"
+    expect_error(text, where)
+    f = tmp_path / "bad.yaml"
+    f.write_text(text)
+    code, out, err = run_cli(["report", "--scenario", str(f)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"flatnet: {where}") and "Traceback" not in err
 
 
 def test_charge_and_modes_validation():
@@ -532,6 +552,20 @@ paths: {edge: [0, 1]}
     )
 
 
+def test_reference_scenarios_build_no_fock_operator(monkeypatch):
+    # the Fock tasks certify the window on occupation bits and fold one
+    # entry per edge: no 2^K creator, implementer or transporter is built
+    def no_creator(self, mode):
+        raise AssertionError("the scenario path built a Fock creator")
+
+    monkeypatch.setattr(FockSpace, "creator", no_creator)
+    scenarios = sorted(GOLDEN_DIR.glob("*.yaml"))
+    assert len(scenarios) == 4
+    for path in scenarios:
+        report = run_scenario(parse_scenario(str(path)))
+        assert report["summary"]["status"] == "pass", path.name
+
+
 # ---------------------------------------------------------------------------
 # report formats
 
@@ -796,3 +830,83 @@ def test_cli_random_paths_without_seed(tmp_path, capsys):
     code, out, err = run_cli(["report", "--scenario", str(target)], capsys)
     assert code == 2 and out == ""
     assert err.startswith("flatnet:") and "seed" in err
+
+
+# ---------------------------------------------------------------------------
+# loader fuzz: mutated reference scenarios
+
+FUZZ_EXTRA = [
+    """
+schema_version: 1
+topology: {builtin: circle, n: 6}
+sigma: {g0: pi/3}
+seed: 5
+random_paths: 3
+paths: {loop: [0, 1, 2, 3, 4, 5, 0], stay: [0]}
+amplitudes: [[loop, stay]]
+""",
+    """
+schema_version: 1
+topology:
+  regions: [0, 1, 2, 3]
+  overlaps: [[0, 1, 0], [1, 2, 0], [2, 3, 0], [0, 3, 0]]
+  triples: []
+  disjoint: [[0, 2], [1, 3]]
+  base: 0
+sigma: {g0: 0.5}
+paths: {p: [0, 1, 2], q: [0, 3, 2]}
+amplitudes: [[p, q]]
+""",
+]
+FUZZ_DOCS = [yaml.safe_load(p.read_text(encoding="utf-8")) for p in sorted(GOLDEN_DIR.glob("*.yaml"))]
+FUZZ_DOCS += [yaml.safe_load(text) for text in FUZZ_EXTRA]
+DROP = object()
+FUZZ_VALUES = [DROP, None, True, False, 10**30, float("nan"), "x", [], [[0, [1]]], {}, {"k": {"j": []}}]
+# counts that set the amount of work: a huge value is capped here, since
+# the loader rightly accepts any count and the run would take that long
+WORK_FIELDS = {("random_paths",), ("topology", "n")}
+WORK_CAP = 40
+
+
+def node_paths(node, prefix=()):
+    """Key path of every value nested in a document of maps and lists."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for k, v in items:
+        yield prefix + (k,)
+        yield from node_paths(v, prefix + (k,))
+
+
+@st.composite
+def mutated_scenarios(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_DOCS)))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(node_paths(doc))
+        if not paths:
+            break
+        at = draw(st.sampled_from(paths))
+        value = draw(st.sampled_from(FUZZ_VALUES))
+        if at in WORK_FIELDS and type(value) is int and value > WORK_CAP:
+            value = WORK_CAP
+        parent = doc
+        for k in at[:-1]:
+            parent = parent[k]
+        if value is DROP:
+            del parent[at[-1]]
+        else:
+            parent[at[-1]] = copy.deepcopy(value)
+    return yaml.safe_dump(doc)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_scenarios())
+def test_mutated_reference_scenarios_load_or_raise_scenario_error(text):
+    try:
+        config = load_scenario(text)
+    except ScenarioError:
+        return
+    try:
+        report = run_scenario(config)
+    except CapacityError:
+        return
+    emit_report(report, "structured")
+    emit_report(report, "text")

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -27,6 +26,7 @@ from flatnet.covers import (
     free_h1_coordinates,
     generator_loop,
     loop_class,
+    oriented,
     path_compose,
     path_reverse,
     pi1_presentation,
@@ -52,6 +52,7 @@ from flatnet.groups import (
     path_ordered_exp,
 )
 from flatnet.sectors import (
+    Implementer,
     MissingEntry,
     NotGaugeInvariant,
     SectorTransporter,
@@ -59,14 +60,13 @@ from flatnet.sectors import (
     charge_morphism,
     classify,
     coefficient_ratio_cocycle,
-    column_map,
     dress_transporter,
     implementer,
     intertwining_residual,
     localization_residual,
     make_window,
+    pair_map,
     plain_transporter,
-    reverse_map,
     rho_holonomy,
     rho_layer_transporter,
     telescope_residual,
@@ -120,6 +120,30 @@ def random_walk(rng, cover, length, start=None):
     for _ in range(length):
         visited.append(int(rng.choice(cover.neighbors(visited[-1]))))
     return visited
+
+
+def oracle_step(t, dst, src, comp):
+    """CSR step operator built here, not by the library: the bare pair
+    scaled by the edge's window entry forward, its adjoint in reverse."""
+    (u, v, c), forward = oriented(dst, src, comp)
+    op = z1(t.window, v, u).scaled(t.weights[(u, v, c)])
+    return op if forward else op.adjoint()
+
+
+def oracle_block(t, crossings):
+    """``window.compress`` of the CSR product of the oracle steps (later
+    steps left, reflexive steps skipped)."""
+    prod = None
+    for dst, src, comp in crossings:
+        if dst != src:
+            step = oracle_step(t, dst, src, comp)
+            prod = step if prod is None else step * prod
+    return t.window.compress(prod if prod is not None else identity_op(t.window.fock))
+
+
+def assert_same_csr(a, b):
+    for name in ("indptr", "indices", "data"):
+        assert getattr(a.csr, name).tobytes() == getattr(b.csr, name).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -190,22 +214,32 @@ def test_window_basis_orthonormal_and_projector():
     assert np.max(np.abs(ident - np.eye(5))) <= 1e-14
 
 
-def test_window_orthonormality_gate_fails_closed_on_nan():
+def test_window_gate_fails_closed_on_layouts_off_the_basis():
+    # the gate reads occupation bits: a charged vector that is not a
+    # distinct + basis vector (shared modes, a Jordan-Wigner - sign, a
+    # mode created twice, a mode past the space) raises
     fock = fock_for(ANN, 2)
     imps = {r: implementer(fock, r) for r in ANN.regions}
     WindowSubspace(fock, imps)
-    for factor in (complex("nan"), -1.0, 1.0 + 1e-13):
-        bad = dict(imps)
-        bad[0] = replace(imps[0], op=imps[0].op.scaled(factor))
+
+    def layout(region, modes):
+        return Implementer(fock=fock, region=region, charge=len(modes), modes=modes)
+
+    bad_layouts = [
+        {1: imps[0]},  # two regions share their modes: equal columns
+        {0: layout(0, (0, 2)), 1: layout(1, (0, 2))},  # shared charge-two modes
+        {0: layout(0, (1, 0))},  # mode 0 created after mode 1: sign -1
+        {1: layout(1, (2, 0, 3))},  # mode 2 created over an occupied mode 0
+        {0: layout(0, (1, 1))},  # created twice: annihilated
+        {0: layout(0, (fock.K,))},  # past the Fock space
+    ]
+    for bad in bad_layouts:
         with pytest.raises(ValueError, match="orthonormal"):
-            WindowSubspace(fock, bad)
-    with pytest.raises(ValueError, match="orthonormal"):
-        WindowSubspace(fock, {**imps, 1: imps[0]})  # two equal columns
-    with pytest.raises(ValueError, match="orthonormal"):
-        WindowSubspace(fock, {**imps, 1: replace(imps[1], op=identity_op(fock))})
-    spread = replace(imps[0], op=imps[0].op + imps[1].op)  # e_a + e_b
-    with pytest.raises(ValueError, match="orthonormal"):
-        WindowSubspace(fock, {**imps, 0: spread})
+            WindowSubspace(fock, {**imps, **bad})
+    # the same signs on the CSR layer: the creator product applied to the vacuum
+    for modes, sign in (((1, 0), -1.0), ((2, 0, 3), -1.0), ((0, 2), 1.0)):
+        v = layout(0, modes).op.apply(fock.vacuum)
+        assert v[sum(1 << m for m in modes)] == sign and np.count_nonzero(v) == 1
 
 
 def test_window_charge_two():
@@ -253,17 +287,16 @@ def test_compress_equals_dense_basis_product(seed):
 def test_reverse_entry_built_once_per_edge():
     _, _, coc, _, window = annulus_setup()
     for t in (plain_transporter(window, ANN), twisted_transporter(window, coc)):
-        for (u, v, c), op in t.ops.items():
-            g = t.cocycle.values[(u, v, c)]
+        for (u, v, c), g in t.cocycle.values.items():
+            op = t.op(v, u, c)
             assert t.op(v, u, c) is op
             assert t.entries[(u, v, c)].op is op and t.entries[(u, v, c)].coeff is g
             rev = t.op(u, v, c)
             assert t.op(u, v, c) is rev
             assert distance(t.cocycle.value(u, v, c), inverse(g)) == 0.0
-            want = op.adjoint().csr
-            assert np.array_equal(rev.csr.indptr, want.indptr)
-            assert np.array_equal(rev.csr.indices, want.indices)
-            assert rev.csr.data.tobytes() == want.data.tobytes()
+            assert_same_csr(op, oracle_step(t, v, u, c))
+            assert_same_csr(rev, oracle_step(t, u, v, c))
+            assert_same_csr(rev, op.adjoint())
 
 
 def test_charged_vector_gauge_covariance():
@@ -306,15 +339,14 @@ def fold_setup(index, seed):
     twisted = twisted_transporter(window, transition_cocycle(sigma, nerve))
     phases = {r: PhaseU1(rng.uniform(-np.pi, np.pi)) for r in cover.regions}
     plain = plain_transporter(window, cover)
-    flipped = SectorTransporter(
-        plain.cocycle, window, {e: op.scaled(-1.0) for e, op in plain.ops.items()}
-    )
+    flipped = SectorTransporter(plain.cocycle, window, {e: -1.0 + 0j for e in plain.weights})
     return cover, (plain, twisted, dress_transporter(twisted, phases), flipped)
 
 
-def random_crossing_path(rng, cover, length):
+def random_crossing_path(rng, cover, length, start=None):
     """Random path with reflexive steps and random overlap components."""
-    at = int(rng.choice(cover.regions))
+    at = int(rng.choice(cover.regions)) if start is None else start
+    begin = at
     steps = []
     for _ in range(length):
         if rng.random() < 0.2:
@@ -324,15 +356,15 @@ def random_crossing_path(rng, cover, length):
         comp = int(rng.choice(cover.overlap_components(at, nxt)))
         steps.append(Step(dst=nxt, src=at, comp=comp))
         at = nxt
-    start = steps[0].src if steps else at
-    return PosetPath(steps, start, at)
+    return PosetPath(steps, begin, at)
 
 
 def assert_fold_matches_product(t, path):
     got = window_block(t, path.crossings())
-    want = t.window.compress(z_path(t, path).op)
+    want = oracle_block(t, path.crossings())
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+    assert want.tobytes() == t.window.compress(z_path(t, path).op).tobytes()
 
 
 @settings(max_examples=80, deadline=None)
@@ -369,45 +401,56 @@ def test_window_block_long_chains_bitwise():
                 assert_fold_matches_product(t, random_crossing_path(rng, cover, 40))
 
 
+def map_block(step, n):
+    """The window block a step map stands for."""
+    target, value = step
+    assert target[-1] == -1 and value[-1] == 0  # the annihilated slot stays
+    live = np.flatnonzero(target[:n] >= 0)
+    assert not np.any(value[:n][target[:n] < 0])
+    out = np.zeros((n, n), dtype=complex)
+    out[target[live], live] = value[live]
+    return out
+
+
 def test_step_maps_cached_and_reverse_equals_adjoint_map():
     for index in range(len(FOLD_COVERS)):
         _, ts = fold_setup(index, 2)
         for t in ts:
+            n = len(t.window.columns)
             assert t.step_map(1, 1, None) is None
-            for (u, v, c), op in t.ops.items():
+            for (u, v, c) in t.weights:
                 fwd, rev = t.step_map(v, u, c), t.step_map(u, v, c)
                 assert t.step_map(v, u, c) is fwd and t.step_map(u, v, c) is rev
-                for got, want in ((fwd, column_map(op.csr)), (rev, column_map(op.adjoint().csr))):
-                    assert got[0].tobytes() == want[0].tobytes()
-                    assert got[1].tobytes() == want[1].tobytes()
+                op = oracle_step(t, v, u, c)
+                for got, want in ((fwd, op), (rev, op.adjoint())):
+                    assert map_block(got, n).tobytes() == t.window.compress(want).tobytes()
 
 
 def test_column_map_fails_closed_on_two_entries():
-    fock = fock_for(ANN, 1)
-    two_in_column = sp.csr_matrix(([1.0, 1.0], ([1, 2], [0, 0])), shape=(fock.dim, fock.dim))
-    with pytest.raises(ValueError, match="one column"):
-        column_map(two_in_column)
-    two_in_row = sp.csr_matrix(([1.0, 1.0], ([1, 1], [0, 2])), shape=(fock.dim, fock.dim))
-    with pytest.raises(ValueError, match="one row"):
-        reverse_map(column_map(two_in_row))
-    # the 0 -> 1 edge operator moves charged column a to charged column b;
-    # one extra entry spreads column a over two rows, or sends the vacuum
-    # column (which the edge annihilates) to b as well
-    _, _, coc, fock, window = annulus_setup()
-    t = twisted_transporter(window, coc)
-    edge, (vac, a, b) = (0, 1, 0), window.columns[:3]
-
-    def with_extra_entry(row, col):
-        extra = sp.csr_matrix(([1.0], ([row], [col])), shape=(fock.dim, fock.dim))
-        op = FieldOp(t.ops[edge].csr + extra, fock, t.ops[edge].support)
-        return SectorTransporter(t.cocycle, window, {**t.ops, edge: op})
-
-    with pytest.raises(ValueError, match="one column"):
-        window_block(with_extra_entry(vac, a), [(1, 0, 0)])
-    merged = with_extra_entry(b, vac)
-    window_block(merged, [(1, 0, 0)])  # forward: still one entry per column
-    with pytest.raises(ValueError, match="one row"):
-        telescope_residual(merged, approximate_curve(ANN, [1, 0]))
+    # a window column that the pair phi_dst phi_src^* does not annihilate,
+    # besides v_src, is a second entry of the step: certification on bits
+    # fails closed, in the fold and in the telescoped pair.  Charge 1 sits
+    # on mode 0 of region 0; region 1's charge occupies modes 0 and 2, so
+    # phi_0^* does not annihilate v_1
+    fock = fock_for(ANN, 2)
+    imps = {r: implementer(fock, r) for r in ANN.regions}
+    imps[0] = Implementer(fock=fock, region=0, charge=1, modes=(0,))
+    imps[1] = Implementer(fock=fock, region=1, charge=2, modes=(0, 2))
+    window = WindowSubspace(fock, imps)  # the columns are distinct + vectors
+    # 0 <- 0 keeps v_1 in place; 2 <- 0 sends v_1 off the window
+    for dst in (0, 2):
+        with pytest.raises(ValueError, match="matrix unit at column 2"):
+            pair_map(window, dst, 0)
+    # the CSR oracle sees the same entries: two live window columns
+    block = window.compress(z1(window, 0, 0))
+    assert np.count_nonzero(block) == 2 and block[2, 2] == 1.0
+    assert np.count_nonzero(window.compress(z1(window, 2, 0))) == 1  # v_1 left the window
+    t = plain_transporter(window, ANN)
+    with pytest.raises(ValueError, match="matrix unit"):
+        window_block(t, [(3, 0, 0)])
+    window_block(t, [(1, 0, 0)])  # 1 <- 0 annihilates v_1: certified
+    with pytest.raises(ValueError, match="matrix unit"):
+        telescope_residual(t, approximate_curve(ANN, [0, 1, 0]))
 
 
 def test_z1_cached_on_window_equals_fresh_product():
@@ -417,12 +460,36 @@ def test_z1_cached_on_window_equals_fresh_product():
         z = z1(window, v, u)
         assert z1(window, v, u) is z
         fresh = window.implementers[v].op * window.implementers[u].star
-        for name in ("indptr", "indices", "data"):
-            assert getattr(z.csr, name).tobytes() == getattr(fresh.csr, name).tobytes()
-        # both transporters were built from the cached product
+        assert_same_csr(z, fresh)
+        # both transporters' operators are the cached product scaled by
+        # the window entry, with the bits of scaling by the coefficient
         for t in (plain, twisted):
             g = t.cocycle.values[(u, v, c)]
-            assert t.ops[(u, v, c)].csr.data.tobytes() == z.scaled(g).csr.data.tobytes()
+            assert_same_csr(t.op(v, u, c), z.scaled(t.weights[(u, v, c)]))
+            assert_same_csr(t.op(v, u, c), z.scaled(g))
+
+
+def test_window_entries_carry_the_csr_route_bits():
+    # each entry is the window entry of the CSR route: the bare pair
+    # scaled by the coefficient, and for a dressed transporter scaled
+    # again by p_v p_u^-1
+    rng = np.random.default_rng(11)
+    for index in range(len(FOLD_COVERS)):
+        cover, (plain, twisted, dressed, _) = fold_setup(index, 3)
+        w = plain.window
+        phases = {r: PhaseU1(rng.uniform(-np.pi, np.pi)) for r in cover.regions}
+        redressed = dress_transporter(twisted, phases)
+        for (u, v, c), g in twisted.cocycle.values.items():
+            op = z1(w, v, u).scaled(g)
+            at = (w.position(v), w.position(u))
+            for t, want in (
+                (plain, z1(w, v, u).scaled(PhaseU1(0.0))),
+                (twisted, op),
+                (redressed, op.scaled(compose(phases[v], inverse(phases[u])))),
+            ):
+                block = w.compress(want)
+                assert np.count_nonzero(block) == 1
+                assert np.array(t.weights[(u, v, c)]).tobytes() == block[at].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +556,23 @@ def test_telescope_residual_plain_and_twisted():
         for _ in range(15):
             p = approximate_curve(ANN, random_walk(rng, ANN, int(rng.integers(1, 7))))
             assert telescope_residual(t, p) <= 1e-10
+
+
+def test_telescope_residual_equals_csr_route_bitwise():
+    # the pair is the certified matrix unit carrying the scaled holonomy:
+    # the residual keeps the bits of compress(z1(end, start).scaled(holonomy))
+    rng = np.random.default_rng(61)
+    for index in range(len(FOLD_COVERS)):
+        cover, ts = fold_setup(index, 5)
+        for t in ts:
+            for _ in range(5):
+                path = random_crossing_path(rng, cover, int(rng.integers(1, 10)))
+                if not len(path):
+                    continue
+                pair = z1(t.window, path.end, path.start).scaled(holonomy(t.cocycle, path))
+                chain = oracle_block(t, path.crossings())
+                want = float(np.max(np.abs(chain - t.window.compress(pair))))
+                assert np.float64(telescope_residual(t, path)).tobytes() == np.float64(want).tobytes()
 
 
 def test_triple_law_disk_and_torus():
@@ -656,6 +740,24 @@ def test_transition_amplitude_matches_holonomy():
     assert checked >= 5
 
 
+def test_transition_amplitude_equals_csr_apply_bitwise():
+    # the window columns give the bits of the CSR route, np.vdot of the
+    # two transported charged vectors, signed zeros included
+    rng = np.random.default_rng(59)
+    for index in range(len(FOLD_COVERS)):
+        cover, ts = fold_setup(index, 4)
+        for t in ts:
+            for _ in range(6):
+                a = int(rng.choice(cover.regions))
+                p = random_crossing_path(rng, cover, int(rng.integers(0, 9)), a)
+                back = random_crossing_path(rng, cover, int(rng.integers(0, 9)), p.end)
+                q = path_compose(p, path_compose(back, path_reverse(back)))
+                v = t.window.charged_vector(a)
+                want = np.vdot(z_path(t, q).op.apply(v), z_path(t, p).op.apply(v))
+                got = transition_amplitude(t, p, q)
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 def test_transition_amplitude_trivial_sigma_is_one():
     nerve, _, _, _, window = annulus_setup(theta=0.0)
     coc = transition_cocycle(SigmaMorphism({"g0": PhaseU1(0.0)}, PhaseU1(0.0)),
@@ -745,6 +847,21 @@ def test_rho_layer_lift_of_phases():
     )
     val = rho_holonomy(t, generator_loop(nerve, 0))
     assert distance(val, MatrixUn(np.eye(1) * np.exp(0.3j))) <= 1e-12
+
+
+def test_window_checks_reject_the_coefficient_only_layer():
+    # every window check folds through window_block, which names the layer
+    cover, nerve, _, t = fig8_matrix_transporter()
+    loop = generator_loop(nerve, 0)
+    for check in (
+        lambda: telescope_residual(t, loop),
+        lambda: telescope_residual(t, approximate_curve(cover, [0])),
+        lambda: triple_law_residual(t, (0, 1, 2, (0, 0, 0))),
+        lambda: topological_component(t, loop),
+        lambda: transition_amplitude(t, loop, loop),
+    ):
+        with pytest.raises(ValueError, match="need a Fock window"):
+            check()
 
 
 def test_fig8_commutator_holonomy():
