@@ -174,12 +174,16 @@ def parse_angle(value, where: str = "angle") -> float:
     if isinstance(value, str):
         m = _PI_FORM.match(value)
         if m:
-            num = int(m.group("num")) if m.group("num") else 1
-            den = int(m.group("den")) if m.group("den") else 1
+            # float() of the digits rounds as int * float and float / int
+            # do, but gives inf past float range where those raise
+            num, den = (float(m.group(k) or 1) for k in ("num", "den"))
             if den == 0:
                 raise ScenarioError("zero denominator", where)
             sign = -1.0 if m.group("sign") == "-" else 1.0
-            return sign * num * np.pi / den
+            angle = sign * num * np.pi / den
+            if not all(map(math.isfinite, (num, den, angle))):
+                raise ScenarioError("pi fraction is out of float range", where)
+            return angle
         raise ScenarioError(
             f"cannot read angle {value!r} (want a number or 'p*pi/q')", where
         )

@@ -14,15 +14,16 @@ must be a distinct occupation-basis vector with + sign
 (``WindowSubspace``), and every bare pair phi_v phi_u^* must send v_u to
 +v_v and annihilate the vacuum and every other v_w (``pair_map``), which
 holds because modes are private to regions.  Certified, each transported
-step is one coefficient times a matrix unit of the 1 + #regions window,
-so a transporter is its transition cocycle plus one complex entry per
-canonical edge, and the sector checks (``telescope_residual``,
+step is one complex entry times the matrix unit E_(v, u) of the
+1 + #regions window, so a transporter is its transition cocycle plus one
+complex entry per canonical edge, and a chain of steps is one entry
+times one matrix unit E_(end, start), or zero where consecutive steps do
+not meet.  The sector checks (``telescope_residual``,
 ``triple_law_residual``, ``topological_component``,
-``transition_amplitude``, ``classify``) are coefficient folds over
-window positions (``window_block``).  No 2^K object is built for them.
-Entries are scaled by the ufunc ``FieldOp.scaled`` applies and folded in
-the sparse product's real arithmetic, so the folds give the bits of the
-CSR route.
+``transition_amplitude``, ``classify``) fold each chain as that scalar
+(``window_block``) and build no 2^K object.  Entries are scaled by the
+ufunc ``FieldOp.scaled`` applies and multiplied in the sparse product's
+real arithmetic, so the folds carry the bits of the CSR route.
 
 The CSR layer is the observable layer and the oracle: ``Implementer.op``,
 ``z1``, ``SectorTransporter.op`` and ``z_path``'s operator are built on
@@ -210,15 +211,13 @@ def make_window(fock: FockSpace, cover: Cover, kappa: int = 1) -> WindowSubspace
     return WindowSubspace(fock=fock, implementers=imps)
 
 
-def pair_map(window: WindowSubspace, dst: int, src: int) -> np.ndarray:
-    """Window action of the bare pair phi_dst phi_src^*, certified on
-    occupation bits once per window and pair (``dst == src`` included).
+def pair_map(window: WindowSubspace, dst: int, src: int) -> int:
+    """Certify the bare pair phi_dst phi_src^* on occupation bits as the
+    window matrix unit E_(dst, src), once per window and pair (``dst ==
+    src`` included), and return its row: the window position of v_dst.
 
-    ``target[j]`` is the window position column j goes to, -1 when the
-    pair annihilates it; slot -1, one past the window, is the annihilated
-    column and maps to itself.  The pair must send v_src to +v_dst and
-    annihilate the vacuum and every other v_w, so that on the window it
-    is the matrix unit E_(dst, src); anything else raises ValueError.
+    The pair must send v_src to +v_dst and annihilate the vacuum and every
+    other v_w; anything else raises ValueError.
     """
     if (dst, src) not in window._pairs:
         imps, columns = window.implementers, window.columns.tolist()
@@ -230,10 +229,7 @@ def pair_map(window: WindowSubspace, dst: int, src: int) -> np.ndarray:
                     f"pair ({dst} <- {src}) is not a window matrix unit at column {j}: "
                     "modes must be private to regions"
                 )
-        target = np.full(len(columns) + 1, -1)
-        target[s] = d
-        target.setflags(write=False)
-        window._pairs[(dst, src)] = target
+        window._pairs[(dst, src)] = d
     return window._pairs[(dst, src)]
 
 
@@ -245,13 +241,6 @@ def _scaled(entry: complex, factor: PhaseU1) -> complex:
 
 # ---------------------------------------------------------------------------
 # Transporters
-
-
-# target[j] is the window position column j goes to and value[j] the entry
-# it carries (nonzero only at v_src's position); slot -1, one past the
-# window, is the annihilated column, which maps to itself with entry 0, so
-# a column once annihilated stays there
-StepMap = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -268,37 +257,20 @@ class SectorTransporter:
 
     ``cocycle`` holds every transport coefficient.  ``weights[(u, v, c)]``
     is the window entry of the u -> v step, which on the window is that
-    entry times the matrix unit ``pair_map(window, v, u)``; the reverse
-    step carries its conjugate.  ``weights`` is empty on the
-    coefficient-only matrix layer, which has no ``window``.
+    entry times the matrix unit E_(v, u) that ``pair_map`` certifies; the
+    reverse step carries its conjugate times E_(u, v).  ``weights`` is
+    empty on the coefficient-only matrix layer, which has no ``window``.
     """
 
     cocycle: TransitionCocycle
     window: WindowSubspace | None = None
     weights: dict[Edge, complex] = dc_field(default_factory=dict)
-    _maps: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
     _ops: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _weight(self, edge: Edge) -> complex:
         if edge not in self.weights:
             raise MissingEntry("no transporter entry for ({},{},{})".format(*edge))
         return self.weights[edge]
-
-    def step_map(self, dst: int, src: int, comp: int | None) -> StepMap | None:
-        """Window map of the step src -> dst, built once per edge and
-        direction: the certified ``pair_map`` carrying the edge's entry
-        forward and its conjugate in reverse; None for a reflexive step,
-        MissingEntry when the pair has no stored edge."""
-        if dst == src:
-            return None
-        key = oriented(dst, src, comp)
-        if key not in self._maps:
-            edge, forward = key
-            w = self._weight(edge)
-            value = np.zeros(len(self.window.columns) + 1, dtype=complex)
-            value[self.window.position(src)] = w if forward else np.conj(w)
-            self._maps[key] = (pair_map(self.window, dst, src), value)
-        return self._maps[key]
 
     def op(self, dst: int, src: int, comp: int | None) -> FieldOp | None:
         """CSR operator of the step src -> dst, for the observable layer
@@ -373,8 +345,8 @@ def z_path(t: SectorTransporter, path: PosetPath) -> TransportEntry:
     operator is the full CSR product of the step operators
     (``SectorTransporter.op``), reflexive steps skipped, and the identity
     only when no step carries an operator.  It serves the observable
-    layer and the tests' oracle; the sector checks fold window positions
-    (``window_block``) and build no operator.
+    layer and the tests' oracle; the sector checks fold each chain as a
+    scalar (``window_block``) and build no operator.
     """
     op: FieldOp | None = None
     if t.window is not None:
@@ -393,56 +365,63 @@ def window_block(
     """Window block of the chain of steps (later steps left), bit for bit
     ``t.window.compress(z_path(...).op)``, without any Fock-space object.
 
-    Each window column is followed as one window position through the
-    steps' certified maps (``SectorTransporter.step_map``), reflexive
-    steps skipped.  The first step's entry is taken as stored; each later
-    step s multiplies the carried entry v in real arithmetic,
-    re = 0.0 + (sr*vr - si*vi), im = 0.0 + (sr*vi + si*vr), which is the
-    sparse product's complex multiply and its sum from zero.  numpy's
-    complex ``s * v`` may round differently (fused multiply-add).  Every
-    window check goes through this fold, so it raises ValueError for a
-    transporter without a Fock window.
+    A certified chain is one entry times one matrix unit, so it is folded
+    as a scalar: the window position the chain stands at and its entry,
+    reflexive steps skipped.  The first step's entry is taken as stored
+    (conjugated in reverse); each later step s multiplies the carried
+    entry v in real arithmetic, re = 0.0 + (sr*vr - si*vi),
+    im = 0.0 + (sr*vi + si*vr), which is the sparse product's complex
+    multiply and its sum from zero.  numpy's complex ``s * v`` may round
+    differently (fused multiply-add).  A step that does not start where
+    the chain stands annihilates it; every step is still certified
+    (``pair_map``).  The (n, n) block is built once at the end: the
+    identity when no step moves, else zero but for the entry at
+    (end, start).  Every window check goes through this fold, so it
+    raises ValueError for a transporter without a Fock window.
     """
     if t.window is None:
         raise ValueError("window checks need a Fock window; use rho_holonomy off the Fock layer")
-    n = len(t.window.columns)
-    pos, re, im = np.arange(n), None, None
+    window = t.window
+    start = at = None  # window positions; ``at`` is None once annihilated
     for dst, src, comp in crossings:
-        step = t.step_map(dst, src, comp)
-        if step is None:
+        if dst == src:
             continue
-        target, value = step
-        s = value[pos]
-        pos = target[pos]
-        if re is None:
-            re, im = s.real, s.imag
-        else:
+        edge, forward = oriented(dst, src, comp)
+        w = t._weight(edge)
+        s = w if forward else w.conjugate()
+        end = pair_map(window, dst, src)
+        if start is None:
+            start, at, re, im = window.position(src), end, s.real, s.imag
+        elif at == window.position(src):
             sr, si = s.real, s.imag
-            re, im = 0.0 + (sr * re - si * im), 0.0 + (sr * im + si * re)
-    if re is None:
+            re, im, at = 0.0 + (sr * re - si * im), 0.0 + (sr * im + si * re), end
+        else:
+            at = None
+    n = len(window.columns)
+    if start is None:
         return np.eye(n, dtype=complex)
-    cols = np.flatnonzero(pos >= 0)
     out = np.zeros((n, n), dtype=complex)
-    out.real[pos[cols], cols] = re[cols]
-    out.imag[pos[cols], cols] = im[cols]
+    if at is not None:
+        out.real[at, start], out.imag[at, start] = re, im
     return out
 
 
 def telescope_residual(t: SectorTransporter, path: PosetPath) -> float:
     """Window gap between transported chain and its telescoped pair.
 
-    The chain's window block is folded over window positions
-    (``window_block``); the pair is the certified matrix unit
-    ``pair_map(window, end, start)`` carrying the path's holonomy,
-    scaled as ``FieldOp.scaled`` scales, and is subtracted in place.  An empty path telescopes to the
-    reflexive identity entry, not to the degenerate pair phi phi^*, so
-    its residual is zero by construction.
+    The chain's window block is folded as a scalar (``window_block``);
+    the pair is the certified matrix unit E_(end, start) (``pair_map``)
+    carrying the path's holonomy, an independent fold of the cocycle,
+    scaled as ``FieldOp.scaled`` scales, and is subtracted in place.  A
+    path that never leaves its start region (empty, or reflexive steps
+    only) telescopes to the reflexive identity entry, not to the
+    degenerate pair phi phi^*, so its residual is zero by construction.
     """
     chain = window_block(t, path.crossings())
-    if not len(path):
+    if set(path.regions) == {path.start}:
         return 0.0
     j, hol = t.window.position(path.start), _scaled(1.0, holonomy(t.cocycle, path))
-    chain[pair_map(t.window, path.end, path.start)[j], j] -= hol
+    chain[pair_map(t.window, path.end, path.start), j] -= hol
     return float(np.max(np.abs(chain)))
 
 
@@ -450,7 +429,7 @@ def triple_law_residual(
     t: SectorTransporter, triple: tuple[int, int, int, tuple[int, int, int]]
 ) -> float:
     """Window gap of op(r3<-r2) op(r2<-r1) = op(r3<-r1), both sides
-    folded over window positions (``window_block``)."""
+    folded as scalars (``window_block``)."""
     r1, r2, r3, (c12, c13, c23) = triple
     lhs = window_block(t, [(r2, r1, c12), (r3, r2, c23)])
     rhs = window_block(t, [(r3, r1, c13)])
@@ -517,10 +496,10 @@ def topological_component(
 ) -> TopologicalComponent:
     """Scalar the transported loop acts by on its basepoint's charged vector.
 
-    The loop's window block is folded over window positions
-    (``window_block``).  The residual measures how far it is from that
-    scalar times the basepoint matrix unit; a large residual means the
-    block is not scalar and the value should not be trusted.
+    The loop's window block is folded as a scalar (``window_block``).
+    The residual measures how far it is from that scalar times the
+    basepoint matrix unit; a large residual means the block is not scalar
+    and the value should not be trusted.
     """
     if not loop.is_loop:
         raise InvalidPath("topological components are defined for loops")

@@ -237,6 +237,24 @@ def test_malformed_amplitudes_exit_2_with_field_path(tmp_path, capsys, value, wh
     assert err.startswith(f"flatnet: {where}") and "Traceback" not in err
 
 
+HUGE = "9" * 400
+
+
+@pytest.mark.parametrize(
+    "angle", [f"{HUGE}pi", f"pi/{HUGE}", f"{HUGE}pi/{HUGE}"],
+    ids=["numerator", "denominator", "both"],
+)
+def test_pi_fraction_beyond_float_range_exits_2_with_field_path(tmp_path, capsys, angle):
+    # digits past float range must not escape as an OverflowError
+    text = MINIMAL + f"sigma: {{g0: '{angle}'}}\n"
+    expect_error(text, "sigma.g0: pi fraction is out of float range")
+    f = tmp_path / "bad.yaml"
+    f.write_text(text)
+    code, out, err = run_cli(["report", "--scenario", str(f)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("flatnet: sigma.g0") and "Traceback" not in err
+
+
 def test_charge_and_modes_validation():
     expect_error(MINIMAL + "modes_per_region: 0\n", "modes_per_region")
     expect_error(MINIMAL + "charge: 3\n", "charge 3 exceeds")
@@ -730,6 +748,16 @@ def test_cli_out_missing_directory(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("flatnet: ") and "Traceback" not in err
     assert not target.exists()
+
+
+@pytest.mark.parametrize("regions", ["[0]", "[0, 0]", "[2, 2, 2]"])
+def test_reflexive_only_path_telescopes_like_empty_path(regions):
+    # a path that never leaves its region carries the identity, not the
+    # projector-like pair phi phi^*, which would leave a residual of 1.0
+    report = run_scenario(loads(MINIMAL + f"tasks: [sector]\npaths: {{p: {regions}}}\n"))
+    body = report["tasks"]["sector"]
+    assert body["paths_checked"] == 1
+    assert body["max_telescope_residual"] == 0.0 and body["status"] == "pass"
 
 
 # ---------------------------------------------------------------------------

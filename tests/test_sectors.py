@@ -401,32 +401,34 @@ def test_window_block_long_chains_bitwise():
                 assert_fold_matches_product(t, random_crossing_path(rng, cover, 40))
 
 
-def map_block(step, n):
-    """The window block a step map stands for."""
-    target, value = step
-    assert target[-1] == -1 and value[-1] == 0  # the annihilated slot stays
-    live = np.flatnonzero(target[:n] >= 0)
-    assert not np.any(value[:n][target[:n] < 0])
-    out = np.zeros((n, n), dtype=complex)
-    out[target[live], live] = value[live]
-    return out
-
-
-def test_step_maps_cached_and_reverse_equals_adjoint_map():
+def test_one_step_blocks_equal_oracle_step_and_its_adjoint():
+    # every canonical edge, forward and reverse: the one-step fold is the
+    # compressed oracle step and its adjoint, and certifies its pair once
     for index in range(len(FOLD_COVERS)):
         _, ts = fold_setup(index, 2)
         for t in ts:
             n = len(t.window.columns)
-            assert t.step_map(1, 1, None) is None
+            eye = np.eye(n, dtype=complex).tobytes()
+            assert window_block(t, [(1, 1, None)]).tobytes() == eye
             for (u, v, c) in t.weights:
-                fwd, rev = t.step_map(v, u, c), t.step_map(u, v, c)
-                assert t.step_map(v, u, c) is fwd and t.step_map(u, v, c) is rev
                 op = oracle_step(t, v, u, c)
-                for got, want in ((fwd, op), (rev, op.adjoint())):
-                    assert map_block(got, n).tobytes() == t.window.compress(want).tobytes()
+                for (dst, src), want in (((v, u), op), ((u, v), op.adjoint())):
+                    got = window_block(t, [(dst, src, c)])
+                    assert got.tobytes() == t.window.compress(want).tobytes()
+                    assert t.window._pairs[(dst, src)] == t.window.position(dst)
 
 
-def test_column_map_fails_closed_on_two_entries():
+def test_window_block_non_chaining_crossings_are_zero_bitwise():
+    # 1 <- 0 leaves the charge on v_1, which 3 <- 2 annihilates: the
+    # scalar fold must give the oracle's zero block, signed zeros included
+    for t in fold_setup(3, 4)[1] + (plain_transporter(make_window(fock_for(ANN), ANN), ANN),):
+        crossings = [(1, 0, 0), (3, 2, 0)]
+        got = window_block(t, crossings)
+        assert not np.any(got)
+        assert got.tobytes() == oracle_block(t, crossings).tobytes()
+
+
+def test_pair_certification_fails_closed_on_two_entries():
     # a window column that the pair phi_dst phi_src^* does not annihilate,
     # besides v_src, is a second entry of the step: certification on bits
     # fails closed, in the fold and in the telescoped pair.  Charge 1 sits
@@ -567,10 +569,14 @@ def test_telescope_residual_equals_csr_route_bitwise():
         for t in ts:
             for _ in range(5):
                 path = random_crossing_path(rng, cover, int(rng.integers(1, 10)))
-                if not len(path):
+                chain = oracle_block(t, path.crossings())
+                if set(path.regions) == {path.start}:
+                    # no step moves the charge: the chain is the identity
+                    # and telescopes like the empty path
+                    assert chain.tobytes() == np.eye(len(chain), dtype=complex).tobytes()
+                    assert telescope_residual(t, path) == 0.0
                     continue
                 pair = z1(t.window, path.end, path.start).scaled(holonomy(t.cocycle, path))
-                chain = oracle_block(t, path.crossings())
                 want = float(np.max(np.abs(chain - t.window.compress(pair))))
                 assert np.float64(telescope_residual(t, path)).tobytes() == np.float64(want).tobytes()
 
