@@ -41,6 +41,15 @@ not rounded.  The sector and amplitude tasks act on the Fock window and
 are unit-phase only; MatrixUn scenarios may run check, trivialize,
 holonomy and classify (coefficient layer).
 
+Loading: PyYAML composes the node tree (with libyaml when PyYAML was
+built with it), and the tree is walked into plain dicts and lists
+without recursion: each distinct scalar is
+resolved and constructed once, with PyYAML's YAML 1.1 meaning, so the
+document equals what ``yaml.load`` gives.  Every ScenarioError from
+``load_scenario`` names its field path and ends with the line and
+column of the offending node, e.g. ``sigma.g0: must be a finite number
+(line 9:7)``; malformed YAML reads ``not valid YAML at line 3:1: ...``.
+
 Reports carry no timestamps and serialize with sorted keys; identical
 config and seed give byte-identical output.  Complex values appear as
 [re, im] pairs rendered by shortest round-trip (at most 17 significant
@@ -80,7 +89,18 @@ from .covers import (
     pi1_presentation,
 )
 from .fock import CAPACITY_MODES, CapacityError, FockSpace, allocate_modes
-from .groups import GroupValue, MatrixUn, PhaseU1, compose, distance, inverse
+from .groups import (
+    UNITARY_TOL,
+    GroupValue,
+    MatrixUn,
+    PhaseU1,
+    _as_unitary_loose,
+    _require_unitary,
+    compose,
+    distance,
+    inverse,
+    unitary_defects,
+)
 from .sectors import (
     classify,
     make_window,
@@ -101,11 +121,174 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ScenarioError(ValueError):
-    """Config rejection; carries the offending field path when known."""
+    """Config rejection; carries the offending field path when known and,
+    from ``load_scenario``, the 1-based line and column of its YAML node."""
 
-    def __init__(self, message: str, where: str | None = None):
-        self.where = where
-        super().__init__(message if where is None else f"{where}: {message}")
+    def __init__(self, message: str, where: str | None = None, mark=None):
+        self.message, self.where = message, where
+        self.line = self.column = None
+        text = message if where is None else f"{where}: {message}"
+        if mark is not None:  # a PyYAML Mark, 0-based
+            self.line, self.column = mark.line + 1, mark.column + 1
+            text += f" (line {self.line}:{self.column})"
+        super().__init__(text)
+
+
+# ---------------------------------------------------------------------------
+# Loading
+
+class _NodeWalk:
+    """Builds a document from the node tree a PyYAML loader composes;
+    mixed in ahead of the loader class.
+
+    ``yaml.load`` makes one Python resolver call and one constructor call
+    per node.  Here the implicit tag of a plain scalar is resolved once per
+    distinct value, and each distinct (tag, value) scalar is constructed
+    once, by the loader's own ``construct_object``, so every value keeps
+    PyYAML's YAML 1.1 meaning (``1e-10`` is a string, ``017`` octal,
+    ``yes`` a boolean).  Default-tagged sequences and mappings are built
+    with an explicit stack: nesting depth costs no recursion, an alias is
+    one shared object (a recursive alias contains itself), and merge keys
+    go through ``flatten_mapping``.  A container with any other tag
+    (``!!set``, ``!!omap``, ...) goes to ``construct_object``.  The result
+    equals ``yaml.load``'s, or ``document`` raises ScenarioError.
+    """
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self.root = None
+        self._tags: dict = {}  # plain scalar value -> its implicit tag
+        self._scalars: dict = {}  # (tag, value) -> constructed scalar
+
+    def resolve(self, kind, value, implicit):
+        if kind is yaml.ScalarNode and implicit[0]:
+            tag = self._tags.get(value)
+            if tag is None:
+                tag = self._tags[value] = super().resolve(kind, value, implicit)
+            return tag
+        return super().resolve(kind, value, implicit)
+
+    def document(self, source: str):
+        """The single document of the stream (None when empty)."""
+        try:
+            self.root = self.get_single_node()
+            return None if self.root is None else self._build(source)
+        except yaml.YAMLError as e:
+            mark = getattr(e, "problem_mark", None)
+            loc = f" at line {mark.line + 1}:{mark.column + 1}" if mark is not None else ""
+            raise ScenarioError(f"not valid YAML{loc}: {e}", source) from None
+        except RecursionError:  # the pure-Python composer, or a merge chain
+            if self.root is not None:
+                mark = self.root.start_mark
+            else:  # only the pure-Python composer recurses; it has a reader mark
+                mark = self.get_mark()
+            raise ScenarioError("nested too deeply to read", source, mark) from None
+
+    def _build(self, source: str):
+        built = self.constructed_objects  # container node -> its object
+        scalars = self._scalars
+        seq_tag, map_tag = self.DEFAULT_SEQUENCE_TAG, self.DEFAULT_MAPPING_TAG
+        todo = []
+
+        def construct(node):
+            try:
+                return self.construct_object(node, deep=True)
+            # what PyYAML's scalar constructors raise beyond YAMLError: an
+            # int past the digit limit, a bad date, ``!!bool maybe``, ``!!int ''``
+            except (ValueError, KeyError, IndexError, AttributeError) as e:
+                kind = node.tag.rsplit(":", 1)[-1]
+                raise ScenarioError(
+                    f"cannot read {kind} value: {e}", self.field_path(node, source),
+                    node.start_mark,
+                ) from None
+
+        def make(node):
+            if node.__class__ is yaml.ScalarNode:
+                key = (node.tag, node.value)
+                try:
+                    return scalars[key]
+                except KeyError:
+                    obj = scalars[key] = construct(node)
+                    return obj
+            obj = built.get(node)
+            if obj is not None:  # an alias, or a container under construction
+                return obj
+            if node.tag == seq_tag and node.__class__ is yaml.SequenceNode:
+                obj = []
+            elif node.tag == map_tag and node.__class__ is yaml.MappingNode:
+                self.flatten_mapping(node)
+                obj = {}
+            else:
+                return construct(node)
+            built[node] = obj
+            todo.append((node, obj))
+            return obj
+
+        doc = make(self.root)
+        while todo:
+            node, obj = todo.pop()
+            if obj.__class__ is list:
+                obj.extend([make(child) for child in node.value])
+                continue
+            for knode, vnode in node.value:
+                key, value = make(knode), make(vnode)
+                try:
+                    obj[key] = value
+                except TypeError:
+                    raise ScenarioError(
+                        "found unhashable key", self.field_path(node, source),
+                        knode.start_mark,
+                    ) from None
+        return doc
+
+    # Error path only: between field paths and nodes.
+
+    def _fields(self, prefix: str, node):
+        """(field path, child node) for each entry of ``node``."""
+        if isinstance(node, yaml.SequenceNode):
+            for i, child in enumerate(node.value):
+                yield f"{prefix}[{i}]", child
+        elif isinstance(node, yaml.MappingNode):
+            for knode, child in node.value:
+                if isinstance(knode, yaml.ScalarNode):
+                    name = self._scalars.get((knode.tag, knode.value), knode.value)
+                    yield f"{prefix}.{name}" if prefix else str(name), child
+
+    def field_path(self, target, source: str) -> str:
+        """The field path of ``target`` (``source`` for the root, or when
+        it is reached only as a key)."""
+        todo, seen = [("", self.root)], set()
+        while todo:
+            prefix, node = todo.pop()
+            for path, child in self._fields(prefix, node):
+                if child is target:
+                    return path
+                if child not in seen:
+                    seen.add(child)
+                    todo.append((path, child))
+        return source
+
+    def node_at(self, where: str | None, source: str):
+        """The node at field path ``where``, or the nearest enclosing one."""
+        best, todo = self.root, []
+        if self.root is not None and where not in (None, source):
+            todo.append(("", self.root))
+        while todo:
+            prefix, node = todo.pop()
+            for path, child in self._fields(prefix, node):
+                if path == where:
+                    return child
+                if where.startswith(path) and where[len(path)] in ".[":
+                    best = child
+                    todo.append((path, child))
+        return best
+
+
+class _Loader(_NodeWalk, _YAML_LOADER):
+    pass
+
+
+_DOCUMENT_START = yaml.Mark("<document>", 0, 0, 0, None, None)  # of an empty one
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +334,15 @@ def _ints(value, where: str, length: int | None = None) -> tuple[int, ...]:
     return tuple(value)
 
 
+def _brief(value) -> str:
+    """repr of a rejected value; a value nested past the recursion limit is
+    named by its type."""
+    try:
+        return repr(value)
+    except RecursionError:
+        return f"<deeply nested {type(value).__name__}>"
+
+
 def _rows(value, where: str) -> list:
     if not isinstance(value, list):
         raise ScenarioError("must be a list", where)
@@ -190,23 +382,35 @@ def parse_angle(value, where: str = "angle") -> float:
     raise ScenarioError(f"cannot read angle of type {type(value).__name__}", where)
 
 
-def _parse_matrix(raw, dim: int, where: str) -> MatrixUn:
-    rows = raw
-    if not isinstance(rows, list) or len(rows) != dim:
-        raise ScenarioError(f"expected {dim} matrix rows", where)
-    mat = np.zeros((dim, dim), dtype=complex)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dim:
-            raise ScenarioError(f"row {i} must have {dim} [re, im] entries", where)
-        for j, ent in enumerate(row):
-            if not (isinstance(ent, list) and len(ent) == 2):
-                raise ScenarioError(f"entry ({i},{j}) must be [re, im]", where)
-            at = f"{where}[{i}][{j}]"
-            mat[i, j] = complex(_finite(ent[0], f"{at}[0]"), _finite(ent[1], f"{at}[1]"))
+def _parse_matrices(raw: dict, names: list[str], dim: int) -> list[MatrixUn]:
+    """The ``sigma`` matrices of generators ``names`` as MatrixUn values.
+
+    Entries must be finite non-boolean numbers; an error names the first
+    bad one.  The matrices are checked unitary at UNITARY_TOL as one
+    stack, and the error names the first generator that fails."""
+    flat: list = []
+    for g in names:
+        where, rows = f"sigma.{g}", raw[g]
+        if not isinstance(rows, list) or len(rows) != dim:
+            raise ScenarioError(f"expected {dim} matrix rows", where)
+        for i, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != dim:
+                raise ScenarioError(f"row {i} must have {dim} [re, im] entries", where)
+            for j, ent in enumerate(row):
+                if not (isinstance(ent, list) and len(ent) == 2):
+                    raise ScenarioError(f"entry ({i},{j}) must be [re, im]", where)
+                for k, x in enumerate(ent):
+                    if type(x) is not float or x - x != 0.0:  # not a finite float
+                        _finite(x, f"{where}[{i}][{j}][{k}]")
+                flat += ent
+    # [re, im] float pairs read as complex128 keep every bit, signed zeros too
+    stack = np.array(flat, dtype=float).view(complex).reshape(len(names), dim, dim)
     try:
-        return MatrixUn(mat)  # the one unitarity gate, at UNITARY_TOL
+        _require_unitary(stack)
     except ValueError as e:
-        raise ScenarioError(str(e), where) from None
+        first = next(g for g, d in zip(names, unitary_defects(stack)) if not d <= UNITARY_TOL)
+        raise ScenarioError(str(e), f"sigma.{first}") from None
+    return [_as_unitary_loose(m) for m in stack]
 
 
 @dataclass(frozen=True)
@@ -252,9 +456,11 @@ def _parse_topology(raw) -> tuple[Cover, str]:
         raise ScenarioError("must be a mapping", "topology")
     if "builtin" in raw:
         name = raw["builtin"]
+        if not isinstance(name, str):
+            raise ScenarioError("must be a builtin cover name", "topology.builtin")
         extra = set(raw) - {"builtin", "n"}
         if extra:
-            raise ScenarioError(f"unknown keys {sorted(extra)}", "topology")
+            raise ScenarioError(f"unknown keys {sorted(extra, key=str)}", "topology")
         n = raw.get("n")
         if n is not None:
             _int(n, "topology.n")
@@ -302,13 +508,22 @@ def _parse_topology(raw) -> tuple[Cover, str]:
 
 
 def load_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
-    """Parse and validate scenario text; raises ScenarioError."""
+    """Parse and validate scenario text; raises ScenarioError with the
+    line and column of the offending YAML node."""
+    loader = _Loader(text)
     try:
-        doc = yaml.load(text, Loader=_YAML_LOADER)
-    except yaml.YAMLError as e:
-        mark = getattr(e, "problem_mark", None)
-        loc = f" at line {mark.line + 1}" if mark is not None else ""
-        raise ScenarioError(f"not valid YAML{loc}: {e}", source) from None
+        doc = loader.document(source)
+        try:
+            return _parse_config(doc, source)
+        except ScenarioError as e:
+            node = loader.node_at(e.where, source)
+            mark = node.start_mark if node is not None else _DOCUMENT_START
+            raise ScenarioError(e.message, e.where, mark) from None
+    finally:
+        loader.dispose()
+
+
+def _parse_config(doc, source: str) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ScenarioError("top level must be a mapping", source)
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -323,7 +538,7 @@ def load_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
     }
     extra = set(doc) - known
     if extra:
-        raise ScenarioError(f"unknown keys {sorted(extra)}", source)
+        raise ScenarioError(f"unknown keys {sorted(extra, key=str)}", source)
 
     cover, topo_name = _parse_topology(doc.get("topology", {}))
 
@@ -340,7 +555,7 @@ def load_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
         if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
             raise ScenarioError("MatrixUn needs an integer dimension >= 1", "group")
     else:
-        raise ScenarioError(f"unknown variant {variant!r}", "group.variant")
+        raise ScenarioError(f"unknown variant {_brief(variant)}", "group.variant")
 
     nerve = build_nerve(cover)
     gen_names = nerve.generators
@@ -352,14 +567,12 @@ def load_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
         raise ScenarioError(f"missing generators {missing}", "sigma")
     unknown = [g for g in sraw if g not in gen_names]
     if unknown:
-        raise ScenarioError(f"unknown generators {sorted(unknown)}", "sigma")
-    sigma: dict[str, GroupValue] = {}
-    for g in gen_names:
-        where = f"sigma.{g}"
-        if variant == "PhaseU1":
-            sigma[g] = PhaseU1(parse_angle(sraw[g], where))
-        else:
-            sigma[g] = _parse_matrix(sraw[g], dim, where)
+        raise ScenarioError(f"unknown generators {sorted(unknown, key=str)}", "sigma")
+    if variant == "PhaseU1":
+        values = [PhaseU1(parse_angle(sraw[g], f"sigma.{g}")) for g in gen_names]
+    else:
+        values = _parse_matrices(sraw, gen_names, dim)
+    sigma: dict[str, GroupValue] = dict(zip(gen_names, values))
 
     m = _int(doc.get("modes_per_region", 2), "modes_per_region", 1)
     kappa = _int(doc.get("charge", 1), "charge", 1)
@@ -394,7 +607,7 @@ def load_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
             raise ScenarioError("must be a [path, path] name pair", where)
         for nm in pair:
             if not (isinstance(nm, str) and nm in paths):
-                raise ScenarioError(f"unknown path name {nm!r}", where)
+                raise ScenarioError(f"unknown path name {_brief(nm)}", where)
         amplitudes.append((pair[0], pair[1]))
 
     traw = doc.get("tasks", list(TASK_ORDER))
@@ -402,7 +615,7 @@ def load_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
         raise ScenarioError("must be a non-empty task list", "tasks")
     bad = [t for t in traw if t not in TASK_ORDER]
     if bad:
-        raise ScenarioError(f"unknown tasks {bad}", "tasks")
+        raise ScenarioError(f"unknown tasks {_brief(bad)}", "tasks")
     tasks = tuple(t for t in TASK_ORDER if t in set(traw))
     if variant == "MatrixUn":
         unsupported = sorted(set(tasks) & {"sector", "amplitude"})

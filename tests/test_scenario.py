@@ -1,6 +1,9 @@
 import copy
+import importlib.util
 import json
+import math
 import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -938,3 +941,284 @@ def test_mutated_reference_scenarios_load_or_raise_scenario_error(text):
         return
     emit_report(report, "structured")
     emit_report(report, "text")
+
+
+# ---------------------------------------------------------------------------
+# the node-walk loader against yaml.load
+
+LOADER_BASES = [
+    pytest.param(getattr(yaml, "CSafeLoader", None), id="libyaml", marks=pytest.mark.skipif(
+        not hasattr(yaml, "CSafeLoader"), reason="PyYAML was built without libyaml")),
+    pytest.param(yaml.SafeLoader, id="python"),
+]
+
+
+def _bench_workloads():
+    path = GOLDEN_DIR.parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def walk_loader(base):
+    return type(f"Walk{base.__name__}", (scenario_module._NodeWalk, base), {})
+
+
+def walk(base, text):
+    loader = walk_loader(base)(text)
+    try:
+        return loader.document("<test>")
+    finally:
+        loader.dispose()
+
+
+def same(a, b) -> bool:
+    """Equal structure, types and values; NaN equals NaN and the sign of
+    zero counts.  Iterative, so deep and self-containing values compare."""
+    todo, seen = [(a, b)], set()
+    while todo:
+        x, y = todo.pop()
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, (list, tuple, dict)):
+            if (id(x), id(y)) in seen:
+                continue
+            seen.add((id(x), id(y)))
+            if len(x) != len(y):
+                return False
+            if isinstance(x, dict):
+                for (kx, vx), (ky, vy) in zip(x.items(), y.items()):
+                    todo += [(kx, ky), (vx, vy)]
+            else:
+                todo += zip(x, y)
+        elif isinstance(x, float):
+            if not (x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+                    or x != x and y != y):
+                return False
+        elif x != y:
+            return False
+    return True
+
+
+def assert_walk_matches_yaml_load(base, text):
+    try:
+        expected = yaml.load(text, Loader=base)
+    except Exception:  # YAMLError, RecursionError, or a constructor's own error
+        with pytest.raises(ScenarioError):
+            walk(base, text)
+        return
+    assert same(walk(base, text), expected)
+
+
+def nested(depth):
+    return "a: " + "[" * depth + "0" + "]" * depth + "\n"
+
+
+HAND_CORPUS = {
+    "anchors": "a: &x [1, 2]\nb: *x\nc: &m {k: v}\nd: *m\ne: [*x, *m]\n",
+    "recursive_alias": "a: &x [*x]\n",
+    "recursive_mapping": "a: &x {self: *x, n: [*x]}\n",
+    "merge": "topology: {<<: {builtin: circle, n: 4}}\n",
+    "merge_override": "base: &b {builtin: circle, n: 4}\ntopology: {<<: *b, n: 5}\n",
+    "merge_list": "x: &a {p: 1, q: 0}\ny: &b {q: 2}\nz: {<<: [*a, *b], r: 3}\n",
+    "merge_not_mapping": "a: {<<: 5}\n",
+    "value_key": "a: {=: 1, b: 2}\n",
+    "unhashable_sequence_key": "? [1, 2]\n: x\n",
+    "unhashable_mapping_key": "a: {? {b: 1} : x}\n",
+    "duplicate_keys": "a: 1\na: [2]\nb: {c: 1, c: 2, d: 3}\n",
+    "multi_document": "a: 1\n---\nb: 2\n",
+    "empty": "",
+    "comment_only": "# nothing here\n",
+    "empty_document": "---\n...\n",
+    "set": "s: !!set {a, b, 1}\n",
+    "omap": "o: !!omap [{a: 1}, {b: [2, 3]}]\n",
+    "pairs": "p: !!pairs [{a: 1}, {a: 2}]\n",
+    "binary": "b: !!binary aGVsbG8=\n",
+    "timestamps": "t: [2001-12-14t21:59:43.10-05:00, 2002-12-14, !!timestamp 2001-12-14]\n",
+    "bad_date": "d: 2001-02-30\n",
+    "explicit_scalars": "s: !!str 5\nn: !!int '7'\nf: !!float '1'\nz: !!null ''\n",
+    "explicit_bad_bool": "b: !!bool maybe\n",
+    "explicit_bad_int": "i: !!int abc\n",
+    "explicit_empty_float": "f: !!float ''\n",
+    "explicit_bad_timestamp": "t: !!timestamp abc\n",
+    "bad_utc_offset": "t: 2001-01-01 10:00:00 +25\n",
+    "explicit_scalar_tags_on_containers": "n: !!null [1]\n",
+    "explicit_container_tag_on_scalar": "s: !!seq x\n",
+    "unknown_tag": "x: !foo bar\n",
+    "python_tag": "x: !!python/tuple [1, 2]\n",
+    "yaml11_scalars": (
+        "a: [017, 0x1F, 0b101, 1_000, +12, 1:30, 190:20:30.15, 1_0.5, .inf, -.inf, .NaN,"
+        " ~, null, '', yes, off, On, NO, 1e-10, 1.0e-10, -0.0, 0.0, '5', \"0x1F\", 1.5]\n"
+    ),
+    "scalar_keys": "1: a\n1.5: b\ntrue: c\n~: d\n2001-01-01: e\n0x10: f\n",
+    "mixed": "- {a: [1, {b: 2}]}\n- [[], {}]\n- plain\n",
+    "huge_int": "seed: " + "9" * 5000 + "\n",
+    "syntax_error": "{:::",
+    "unclosed": "schema_version: 1\ntopology: {builtin: annulus\n",
+    "deep_nesting": nested(20_000),
+}
+
+
+@pytest.mark.parametrize("base", LOADER_BASES)
+@pytest.mark.parametrize("name", sorted(HAND_CORPUS))
+def test_walk_matches_yaml_load_on_hand_corpus(base, name):
+    assert_walk_matches_yaml_load(base, HAND_CORPUS[name])
+
+
+@pytest.mark.parametrize("base", LOADER_BASES)
+def test_walk_matches_yaml_load_on_scenarios_and_workloads(base):
+    texts = [p.read_text(encoding="utf-8") for p in sorted(GOLDEN_DIR.glob("*.yaml"))]
+    texts += FUZZ_EXTRA
+    workloads = _bench_workloads()
+    for name in workloads.WORKLOADS:
+        for seed in (1, 2, 3):
+            texts += [item.text for item in workloads.make_items(name, seed)]
+    for text in texts:
+        assert_walk_matches_yaml_load(base, text)
+
+
+@pytest.mark.parametrize("base", LOADER_BASES)
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=mutated_scenarios())
+def test_walk_matches_yaml_load_on_mutated_scenarios(base, text):
+    assert_walk_matches_yaml_load(base, text)
+
+
+@pytest.mark.parametrize("base", LOADER_BASES)
+def test_walk_shares_aliases(base):
+    doc = walk(base, HAND_CORPUS["anchors"])
+    assert doc["a"] is doc["b"] is doc["e"][0] and doc["c"] is doc["d"] is doc["e"][1]
+    doc = walk(base, HAND_CORPUS["recursive_alias"])
+    assert doc["a"][0] is doc["a"]
+
+
+@pytest.fixture(params=LOADER_BASES)
+def loader_base(request, monkeypatch):
+    monkeypatch.setattr(scenario_module, "_Loader", walk_loader(request.param))
+    return request.param
+
+
+def error_of(text):
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(text)
+    return exc.value
+
+
+@pytest.mark.parametrize(
+    "text, where, line, column",
+    [
+        (MINIMAL + "seed: true\n", "seed", 5, 7),
+        (MINIMAL + "extra_knob: 1\n", "<scenario>", 2, 1),
+        (explicit(overlaps="[[0, 1, 0],\n    [1, 2], [0, 2, 0], [2, 3, 0]]"),
+         "topology.overlaps[1]", 6, 5),
+        ("schema_version: 1\ntopology: {builtin: figure_eight}\n"
+         "group: {variant: MatrixUn, dimension: 1}\n"
+         "sigma:\n  g0: [[[1.0, 0.0]]]\n  g1: [[[1.0, .nan]]]\n",
+         "sigma.g1[0][0][1]", 6, 15),
+        (MINIMAL.replace("pi/2", "pi/0"), "sigma.g0", 4, 13),
+        (MINIMAL + "paths: {p: [0, 2]}\n", "paths.p", 5, 12),
+        (MINIMAL + "random_paths: 2\n", "seed", 2, 1),  # no seed node: the document
+    ],
+)
+def test_scenario_errors_carry_line_and_column(loader_base, text, where, line, column):
+    e = error_of(text)
+    assert (e.where, e.line, e.column) == (where, line, column)
+    assert str(e).startswith(f"{where}: ") and str(e).endswith(f" (line {line}:{column})")
+
+
+def test_first_non_unitary_generator_is_named(loader_base):
+    head = (
+        "schema_version: 1\ntopology: {builtin: figure_eight}\n"
+        "group: {variant: MatrixUn, dimension: 2}\ntasks: [check]\nsigma:\n"
+    )
+    ok = "[[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]"
+    bad = "[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.001]]]"
+    e = error_of(head + f"  g0: {ok}\n  g1: {bad}\n")
+    assert str(e).startswith("sigma.g1: matrix is not unitary: max |U*U - I| = 1.000e-06")
+    assert (e.line, e.column) == (7, 7)
+    assert error_of(head + f"  g0: {bad}\n  g1: {bad}\n").where == "sigma.g0"
+    assert error_of(head + f"  g0: {ok}\n  g1: [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], "
+                    "[true, 0.0]]]\n").where == "sigma.g1[1][1][0]"
+
+
+def test_matrix_sigma_keeps_signed_zeros(loader_base):
+    cfg = loads(
+        "schema_version: 1\ntopology: {builtin: figure_eight}\n"
+        "group: {variant: MatrixUn, dimension: 2}\ntasks: [check]\nsigma:\n"
+        "  g0: [[[-0.0, -0.0], [1, 0.0]], [[1.0, -0.0], [0.0, 0]]]\n"
+        "  g1: [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]\n"
+    )
+    m = cfg.sigma["g0"].mat
+    assert np.signbit(m.real).tolist() == [[True, False], [False, False]]
+    assert np.signbit(m.imag).tolist() == [[True, False], [True, False]]
+    assert not m.flags.writeable and cfg.sigma["g1"].mat.tolist() == np.eye(2).tolist()
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        (MINIMAL + "seed: " + "9" * 5000 + "\n", "seed"),
+        (MINIMAL + "modes_per_region: " + "9" * 5000 + "\n", "modes_per_region"),
+        (MINIMAL.replace("pi/2", "9" * 5000), "sigma.g0"),
+        (MINIMAL + "paths: {p: [0, " + "9" * 5000 + "]}\n", "paths.p[1]"),
+        (MINIMAL + "seed: 2001-02-30\n", "seed"),
+        (MINIMAL + "seed: !!bool maybe\n", "seed"),
+        (MINIMAL + "seed: !!int ''\n", "seed"),
+        (MINIMAL + "tolerances: {check: !!timestamp abc}\n", "tolerances.check"),
+    ],
+    ids=["seed", "modes", "sigma", "path_entry", "bad_date", "explicit_bool",
+         "explicit_empty_int", "explicit_bad_timestamp"],
+)
+def test_unreadable_scalars_exit_2_with_field_path(loader_base, tmp_path, capsys, text, where):
+    e = error_of(text)
+    assert e.where == where and e.line is not None
+    f = tmp_path / "bad.yaml"
+    f.write_text(text)
+    code, out, err = run_cli(["report", "--scenario", str(f)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"flatnet: {where}: cannot read") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("a: &x [*x]\nschema_version: 1\n", "unknown keys ['a']"),
+        ("? [1, 2]\n: x\nschema_version: 1\n", "<scenario>: found unhashable key (line 1:3)"),
+        (MINIMAL + "tolerances: {? [check] : 1.0}\n", "tolerances: found unhashable key"),
+        (MINIMAL + "1: a\nfoo: b\n", "unknown keys [1, 'foo']"),
+        ("", "<scenario>: top level must be a mapping (line 1:1)"),
+    ],
+    ids=["recursive_alias", "unhashable_key", "unhashable_nested_key", "mixed_key_types", "empty"],
+)
+def test_malformed_documents_raise_scenario_error(loader_base, text, fragment):
+    assert fragment in str(error_of(text))
+
+
+# past the recursion limit, so a repr of the value would raise RecursionError
+DEEP = "[" * 3000 + "]" * 3000
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        (MINIMAL + f"tasks: [{DEEP}]\n", "tasks: unknown tasks <deeply nested list>"),
+        (MINIMAL.replace("{builtin: annulus}", f"{{builtin: {DEEP}}}"),
+         "topology.builtin: must be a builtin cover name"),
+        (MINIMAL + f"group: {{variant: {DEEP}}}\n",
+         "group.variant: unknown variant <deeply nested list>"),
+        (MINIMAL + f"paths: {{a: [0, 1]}}\namplitudes: [[a, {DEEP}]]\n",
+         "amplitudes[0]: unknown path name <deeply nested list>"),
+        (MINIMAL + f"seed: {DEEP}\n", "seed: must be an integer (line 5:7)"),
+    ],
+    ids=["task", "builtin", "variant", "path_name", "seed"],
+)
+def test_deep_nesting_raises_scenario_error(text, fragment):
+    # the pure-Python composer recurses per level and stops first
+    if scenario_module._YAML_LOADER is yaml.SafeLoader:
+        fragment = "<scenario>: nested too deeply to read (line"
+    assert fragment in str(error_of(text))
+
+
+def test_yaml_syntax_errors_give_line_and_column():
+    assert "not valid YAML at line 3:1:" in str(error_of(HAND_CORPUS["unclosed"]))
