@@ -1,0 +1,351 @@
+"""Reading scenario YAML: one pass over PyYAML's event stream.
+
+The event stream comes from libyaml's parser when PyYAML was built with
+it and from PyYAML's pure-Python parser otherwise.  No node tree is
+composed: plain dicts and lists are built on an explicit stack, and each
+distinct scalar is resolved and constructed once, with PyYAML's YAML 1.1
+meaning, so the document equals what ``yaml.load`` gives.  A document
+whose text nests more than MAX_DEPTH containers deep is rejected at the
+first container past the limit (``seed[0]...[0]: nested too deeply
+(line 5:106)``), on either parser.  An alias adds no depth: a chain of
+anchors, each holding an alias to the one before, builds a value nested
+deeper than the text, so code that recurses into a loaded value must
+still expect RecursionError.  Errors are ScenarioErrors carrying a field
+path and the 1-based line and column of the offending node.
+"""
+
+from __future__ import annotations
+
+import yaml
+from yaml.composer import ComposerError
+
+# libyaml's parser when PyYAML was built with it; the pure-Python one otherwise
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# nesting depth past which a document is rejected; a scenario nests 5 deep
+MAX_DEPTH = 100
+
+
+class ScenarioError(ValueError):
+    """Config rejection; carries the offending field path when known and,
+    from ``load_scenario``, the 1-based line and column of its YAML node."""
+
+    def __init__(self, message: str, where: str | None = None, mark=None):
+        self.message, self.where = message, where
+        self.line = self.column = None
+        text = message if where is None else f"{where}: {message}"
+        if mark is not None:  # a PyYAML Mark, 0-based
+            self.line, self.column = mark.line + 1, mark.column + 1
+            text += f" (line {self.line}:{self.column})"
+        super().__init__(text)
+
+
+class _EventWalk:
+    """Builds a document from the event stream of a PyYAML loader; mixed in
+    ahead of the loader class.  No node tree is composed.
+
+    ``yaml.load`` composes a node per value and then makes one resolver and
+    one constructor call per node.  Here the implicit tag of a plain scalar
+    is resolved once per distinct value, and each distinct (tag, value)
+    scalar is constructed once, by the loader's own ``construct_object``,
+    so every value keeps PyYAML's YAML 1.1 meaning (``1e-10`` is a string,
+    ``017`` octal, ``yes`` a boolean).  Containers are built on an explicit
+    stack of open frames, registered under their anchor at their start
+    event (a recursive alias contains itself), and merge (``<<``) and value
+    (``=``) keys are applied in place at the mapping's end event, with
+    ``flatten_mapping``'s meaning.  ``!!set``, ``!!omap`` and ``!!pairs``
+    are built as SafeConstructor builds them; any other container tag fails
+    as ``construct_object`` fails on an empty node of it (so ``!!str {=: 5}``,
+    which PyYAML reads as '5', is an error here).  A document whose text
+    nests deeper than MAX_DEPTH is rejected at the first event past the
+    limit.  The result
+    equals ``yaml.load``'s, or ``document`` raises ScenarioError.
+    """
+
+    def document(self, source: str):
+        """The single document of the stream (None when empty)."""
+        try:
+            return self._walk(source)
+        except yaml.YAMLError as e:
+            mark = getattr(e, "problem_mark", None)
+            loc = f" at line {mark.line + 1}:{mark.column + 1}" if mark is not None else ""
+            raise ScenarioError(f"not valid YAML{loc}: {e}", source) from None
+
+    def _walk(self, source: str):
+        get_event, resolve = self.get_event, self.resolve
+        scalars: dict = {}  # (tag, value) -> constructed scalar
+        plain: dict = {}  # plain scalar value -> constructed scalar
+        anchors: dict = {}  # anchor -> (object, start mark)
+        sets: dict = {}  # id of a !!set -> the mapping it was read from
+        seq_tag, map_tag = self.DEFAULT_SEQUENCE_TAG, self.DEFAULT_MAPPING_TAG
+        stack = [_Frame(_LIST, [], None, None)]  # its list receives the root
+
+        def fail(message, event):
+            raise ScenarioError(message, _here(stack, source), event.start_mark)
+
+        def scalar(tag, value, event):
+            obj = scalars.get((tag, value), _NOKEY)
+            if obj is _NOKEY:
+                node = yaml.ScalarNode(tag, value, event.start_mark, event.end_mark, event.style)
+                try:
+                    obj = self.construct_object(node, deep=True)
+                # what PyYAML's scalar constructors raise beyond YAMLError: an
+                # int past the digit limit, a bad date, ``!!bool maybe``, ``!!int ''``
+                except (ValueError, KeyError, IndexError, AttributeError) as e:
+                    fail(f"cannot read {tag.rsplit(':', 1)[-1]} value: {e}", event)
+                del self.constructed_objects[node]
+                scalars[(tag, value)] = obj
+            return obj
+
+        def put(top, obj, event):
+            """Hand a scalar, an alias or a container to the open frame ``top``."""
+            kind, key = top.kind, top.key
+            if kind is _LIST:
+                top.obj.append(obj)
+            elif kind is _OMAP:  # a scalar, or an alias to a one-entry mapping
+                items = _mapping_of(sets, obj)
+                if items is None:
+                    fail(f"expected a mapping of length 1, but found {_node_kind(obj)}", event)
+                items = list(items.items() if items.__class__ is dict else items)
+                if len(items) != 1:
+                    fail(f"expected a single mapping item, but found {len(items)} items", event)
+                top.obj.append(items[0])
+            elif key is _NOKEY:
+                top.key = obj
+            elif kind is _ENTRY:
+                top.obj.append((key, obj))
+                top.key = _NOKEY
+            elif key is _MERGE:  # a mapping, or a list of them of which the last wins
+                top.merges = top.merges or []
+                for source in reversed(obj) if obj.__class__ is list else (obj,):
+                    items = _mapping_of(sets, source)
+                    if items is None:
+                        fail("expected a mapping or list of mappings for merging, "
+                             f"but found {_node_kind(source)}", event)
+                    top.merges.append(items)
+                top.key = _NOKEY
+            else:
+                top.obj[key] = obj
+                top.key = _NOKEY
+
+        self.get_event()  # the stream start
+        if self.check_event(yaml.StreamEndEvent):
+            return None
+        get_event()  # the document start
+        root_mark = self.peek_event().start_mark
+        while True:
+            event = get_event()
+            cls = event.__class__
+            top = stack[-1]
+            if cls is yaml.ScalarEvent:
+                value, tag = event.value, event.tag
+                key_slot = top.kind is _MAP and top.key is _NOKEY  # merge and value keys apply
+                if tag is None and event.implicit[0] and not key_slot:
+                    obj = plain.get(value, _NOKEY)
+                    if obj is _NOKEY:
+                        tag = resolve(yaml.ScalarNode, value, event.implicit)
+                        obj = plain[value] = scalar(tag, value, event)
+                else:
+                    if tag is None or tag == "!":
+                        tag = resolve(yaml.ScalarNode, value, event.implicit)
+                    if key_slot and tag == _MERGE_TAG:
+                        top.key = _MERGE
+                        continue
+                    obj = scalar(_STR_TAG if key_slot and tag == _VALUE_TAG else tag, value, event)
+                if event.anchor is not None:
+                    self._anchor(anchors, event, obj)
+                if top.kind is _LIST:
+                    top.obj.append(obj)
+                else:
+                    put(top, obj, event)
+            elif cls is yaml.SequenceStartEvent or cls is yaml.MappingStartEvent:
+                if len(stack) > MAX_DEPTH:
+                    fail("nested too deeply", event)
+                pkind, pkey = top.kind, top.key
+                if pkind is _MAP and pkey is _NOKEY:
+                    fail("found unhashable key", event)
+                mapping = cls is yaml.MappingStartEvent
+                tag = event.tag
+                if tag is None or tag == "!":  # what resolve gives: no path resolvers
+                    tag = map_tag if mapping else seq_tag
+                merging = pkey is _MERGE  # a merge value is read as a plain container
+                obj = {} if mapping else []
+                target = obj
+                if pkind is _OMAP:
+                    if not mapping:
+                        fail("expected a mapping of length 1, but found sequence", event)
+                    kind, obj, target = _ENTRY, [], {} if event.anchor is not None else None
+                elif merging or tag == (map_tag if mapping else seq_tag):
+                    kind = _MAP if mapping else _LIST
+                elif mapping and tag == _SET_TAG:
+                    kind, target = _MAP, set()
+                    sets[id(target)] = obj
+                elif not mapping and tag in _OMAP_TAGS:
+                    kind = _OMAP
+                else:  # SafeConstructor raises on any other container tag
+                    self.construct_object((yaml.MappingNode if mapping else yaml.SequenceNode)(
+                        tag, [], event.start_mark, event.end_mark), deep=True)
+                if event.anchor is not None:
+                    self._anchor(anchors, event, target)
+                frame = _Frame(kind, obj, target, _next_name(top))
+                if not merging and pkind is not _OMAP:  # those take it at its end
+                    put(top, target, event)
+                stack.append(frame)
+            elif cls is yaml.AliasEvent:
+                try:
+                    obj = anchors[event.anchor][0]
+                except KeyError:
+                    raise ComposerError(
+                        None, None, f"found undefined alias {event.anchor!r}", event.start_mark
+                    ) from None
+                if top.kind is _MAP and top.key is _NOKEY:
+                    try:
+                        hash(obj)
+                    except TypeError:
+                        fail("found unhashable key", event)
+                put(top, obj, event)
+            elif cls is yaml.DocumentEndEvent:
+                break
+            else:  # the end of a sequence or mapping
+                frame = stack.pop()
+                top = stack[-1]
+                obj, target = frame.obj, frame.target
+                if frame.kind is _MAP:
+                    if frame.merges:
+                        merged = [item for m in frame.merges
+                                  for item in (m.items() if m.__class__ is dict else m)]
+                        own = list(obj.items())
+                        obj.clear()
+                        obj.update(merged)
+                        obj.update(own)
+                    if target is not obj:  # a !!set
+                        target.update(obj)
+                elif frame.kind is _ENTRY:
+                    if len(obj) != 1:
+                        fail(f"expected a single mapping item, but found {len(obj)} items", event)
+                    if target is not None:  # anchored: an alias reads it as a mapping
+                        try:
+                            target.update(obj)
+                        except TypeError:
+                            fail("found unhashable key", event)
+                    top.obj.append(obj[0])
+                    continue
+                if top.key is _MERGE:
+                    put(top, target, event)
+        if not self.check_event(yaml.StreamEndEvent):
+            raise ComposerError("expected a single document in the stream", root_mark,
+                                "but found another document", get_event().start_mark)
+        return stack[0].obj[0]
+
+    @staticmethod
+    def _anchor(anchors, event, obj):
+        if event.anchor in anchors:
+            raise ComposerError(f"found duplicate anchor {event.anchor!r}; first occurrence",
+                                anchors[event.anchor][1], "second occurrence", event.start_mark)
+        anchors[event.anchor] = (obj, event.start_mark)
+
+
+class _Frame:
+    """An open container of the walk: ``target`` is the object the document
+    holds, ``obj`` what the events fill (they differ for a !!set and an
+    omap entry), ``name`` its key or index in the enclosing frame."""
+
+    __slots__ = ("kind", "obj", "target", "name", "key", "merges")
+
+    def __init__(self, kind, obj, target, name):
+        self.kind, self.obj, self.target, self.name = kind, obj, target, name
+        self.key, self.merges = _NOKEY, None
+
+
+# frame kinds: a list; a mapping (merge and value keys apply); one entry of
+# an omap or pairs list, as raw (key, value) pairs; an omap or pairs list
+_LIST, _MAP, _ENTRY, _OMAP = range(4)
+_NOKEY = object()  # a mapping frame waiting for its next key
+_MERGE = object()  # a mapping frame waiting for a merge key's value
+_MERGE_TAG, _VALUE_TAG, _STR_TAG, _SET_TAG = (
+    f"tag:yaml.org,2002:{t}" for t in ("merge", "value", "str", "set"))
+_OMAP_TAGS = ("tag:yaml.org,2002:omap", "tag:yaml.org,2002:pairs")
+
+
+def _next_name(frame):
+    """The key or index the next value of ``frame`` goes under (None for a key)."""
+    if frame.kind is _LIST or frame.kind is _OMAP:
+        return len(frame.obj)
+    key = frame.key
+    return None if key is _NOKEY else "<<" if key is _MERGE else key
+
+
+def _here(stack, source: str) -> str:
+    """The field path at which the walk's current event lands."""
+    names = [frame.name for frame in stack[2:]] + [_next_name(stack[-1])]
+    where = ""
+    for frame, name in zip(stack[1:], names):
+        if name is None:
+            break
+        if frame.kind is _LIST or frame.kind is _OMAP:
+            where += f"[{name}]"
+        else:
+            where = f"{where}.{name}" if where else str(name)
+    return where or source
+
+
+def _node_kind(obj) -> str:
+    return "sequence" if isinstance(obj, list) else \
+        "mapping" if isinstance(obj, (dict, set)) else "scalar"
+
+
+def _mapping_of(sets: dict, obj):
+    """The (key, value) items ``obj`` holds as a YAML mapping, or None."""
+    if obj.__class__ is dict:
+        return obj
+    if obj.__class__ is set:
+        return sets[id(obj)]
+    if obj.__class__ is tuple:  # an entry of an omap or pairs list
+        return [obj]
+    return None
+
+
+class _Loader(_EventWalk, _YAML_LOADER):
+    pass
+
+
+_DOCUMENT_START = yaml.Mark("<document>", 0, 0, 0, None, None)  # of an empty one
+
+
+def _mark_of(loader, where: str | None, source: str):
+    """Start mark of the node at field path ``where``, or of the nearest
+    enclosing one, in the document of a fresh ``loader``.  Error path
+    only: it composes the node tree of a document the walk has read, so
+    one within MAX_DEPTH."""
+    best = None
+    try:
+        best = root = loader.get_single_node()
+        todo = [("", root)] if root is not None and where not in (None, source) else []
+        while todo:
+            prefix, node = todo.pop()
+            for path, child in _fields(loader, prefix, node):
+                if path == where:
+                    return child.start_mark
+                if where.startswith(path) and where[len(path)] in ".[":
+                    best = child
+                    todo.append((path, child))
+    # flatten_mapping recurses along a chain of merged aliases, which the
+    # walk merged without recursion: the enclosing node's mark will do
+    except RecursionError:
+        pass
+    finally:
+        loader.dispose()
+    return best.start_mark if best is not None else _DOCUMENT_START
+
+
+def _fields(loader, prefix: str, node):
+    """(field path, child node) for each entry of ``node``."""
+    if isinstance(node, yaml.SequenceNode):
+        for i, child in enumerate(node.value):
+            yield f"{prefix}[{i}]", child
+    elif isinstance(node, yaml.MappingNode):
+        loader.flatten_mapping(node)
+        for knode, child in node.value:
+            if isinstance(knode, yaml.ScalarNode):
+                name = loader.construct_object(knode)
+                yield f"{prefix}.{name}" if prefix else str(name), child
+

@@ -41,14 +41,14 @@ not rounded.  The sector and amplitude tasks act on the Fock window and
 are unit-phase only; MatrixUn scenarios may run check, trivialize,
 holonomy and classify (coefficient layer).
 
-Loading: PyYAML composes the node tree (with libyaml when PyYAML was
-built with it), and the tree is walked into plain dicts and lists
-without recursion: each distinct scalar is
-resolved and constructed once, with PyYAML's YAML 1.1 meaning, so the
-document equals what ``yaml.load`` gives.  Every ScenarioError from
-``load_scenario`` names its field path and ends with the line and
-column of the offending node, e.g. ``sigma.g0: must be a finite number
-(line 9:7)``; malformed YAML reads ``not valid YAML at line 3:1: ...``.
+Loading (``flatnet.loader``): one pass over PyYAML's event stream, with
+PyYAML's YAML 1.1 meaning and a limit of MAX_DEPTH (100) on the nesting
+written in the text; aliases can nest a value deeper, and a rejected
+value too deep to repr is named ``<deeply nested list>``.  Every
+ScenarioError from ``load_scenario`` names its field path and ends with
+the line and column of the offending node, e.g. ``sigma.g0: must be a
+finite number (line 9:7)``; malformed YAML reads ``not valid YAML at
+line 3:1: ...``.
 
 Reports carry no timestamps and serialize with sorted keys; identical
 config and seed give byte-identical output.  Complex values appear as
@@ -66,7 +66,6 @@ import re
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import yaml
 
 from .cocycles import (
     SigmaMorphism,
@@ -101,6 +100,7 @@ from .groups import (
     inverse,
     unitary_defects,
 )
+from .loader import ScenarioError, _Loader, _mark_of
 from .sectors import (
     classify,
     make_window,
@@ -116,179 +116,6 @@ SCHEMA_VERSION = 1
 TASK_ORDER = ("check", "trivialize", "holonomy", "sector", "amplitude", "classify")
 FOCK_TASKS = frozenset({"sector", "amplitude", "classify"})
 DEFAULT_TOLERANCE = 1e-10
-# libyaml's parser when PyYAML was built with it; the pure-Python one otherwise
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
-class ScenarioError(ValueError):
-    """Config rejection; carries the offending field path when known and,
-    from ``load_scenario``, the 1-based line and column of its YAML node."""
-
-    def __init__(self, message: str, where: str | None = None, mark=None):
-        self.message, self.where = message, where
-        self.line = self.column = None
-        text = message if where is None else f"{where}: {message}"
-        if mark is not None:  # a PyYAML Mark, 0-based
-            self.line, self.column = mark.line + 1, mark.column + 1
-            text += f" (line {self.line}:{self.column})"
-        super().__init__(text)
-
-
-# ---------------------------------------------------------------------------
-# Loading
-
-class _NodeWalk:
-    """Builds a document from the node tree a PyYAML loader composes;
-    mixed in ahead of the loader class.
-
-    ``yaml.load`` makes one Python resolver call and one constructor call
-    per node.  Here the implicit tag of a plain scalar is resolved once per
-    distinct value, and each distinct (tag, value) scalar is constructed
-    once, by the loader's own ``construct_object``, so every value keeps
-    PyYAML's YAML 1.1 meaning (``1e-10`` is a string, ``017`` octal,
-    ``yes`` a boolean).  Default-tagged sequences and mappings are built
-    with an explicit stack: nesting depth costs no recursion, an alias is
-    one shared object (a recursive alias contains itself), and merge keys
-    go through ``flatten_mapping``.  A container with any other tag
-    (``!!set``, ``!!omap``, ...) goes to ``construct_object``.  The result
-    equals ``yaml.load``'s, or ``document`` raises ScenarioError.
-    """
-
-    def __init__(self, stream):
-        super().__init__(stream)
-        self.root = None
-        self._tags: dict = {}  # plain scalar value -> its implicit tag
-        self._scalars: dict = {}  # (tag, value) -> constructed scalar
-
-    def resolve(self, kind, value, implicit):
-        if kind is yaml.ScalarNode and implicit[0]:
-            tag = self._tags.get(value)
-            if tag is None:
-                tag = self._tags[value] = super().resolve(kind, value, implicit)
-            return tag
-        return super().resolve(kind, value, implicit)
-
-    def document(self, source: str):
-        """The single document of the stream (None when empty)."""
-        try:
-            self.root = self.get_single_node()
-            return None if self.root is None else self._build(source)
-        except yaml.YAMLError as e:
-            mark = getattr(e, "problem_mark", None)
-            loc = f" at line {mark.line + 1}:{mark.column + 1}" if mark is not None else ""
-            raise ScenarioError(f"not valid YAML{loc}: {e}", source) from None
-        except RecursionError:  # the pure-Python composer, or a merge chain
-            if self.root is not None:
-                mark = self.root.start_mark
-            else:  # only the pure-Python composer recurses; it has a reader mark
-                mark = self.get_mark()
-            raise ScenarioError("nested too deeply to read", source, mark) from None
-
-    def _build(self, source: str):
-        built = self.constructed_objects  # container node -> its object
-        scalars = self._scalars
-        seq_tag, map_tag = self.DEFAULT_SEQUENCE_TAG, self.DEFAULT_MAPPING_TAG
-        todo = []
-
-        def construct(node):
-            try:
-                return self.construct_object(node, deep=True)
-            # what PyYAML's scalar constructors raise beyond YAMLError: an
-            # int past the digit limit, a bad date, ``!!bool maybe``, ``!!int ''``
-            except (ValueError, KeyError, IndexError, AttributeError) as e:
-                kind = node.tag.rsplit(":", 1)[-1]
-                raise ScenarioError(
-                    f"cannot read {kind} value: {e}", self.field_path(node, source),
-                    node.start_mark,
-                ) from None
-
-        def make(node):
-            if node.__class__ is yaml.ScalarNode:
-                key = (node.tag, node.value)
-                try:
-                    return scalars[key]
-                except KeyError:
-                    obj = scalars[key] = construct(node)
-                    return obj
-            obj = built.get(node)
-            if obj is not None:  # an alias, or a container under construction
-                return obj
-            if node.tag == seq_tag and node.__class__ is yaml.SequenceNode:
-                obj = []
-            elif node.tag == map_tag and node.__class__ is yaml.MappingNode:
-                self.flatten_mapping(node)
-                obj = {}
-            else:
-                return construct(node)
-            built[node] = obj
-            todo.append((node, obj))
-            return obj
-
-        doc = make(self.root)
-        while todo:
-            node, obj = todo.pop()
-            if obj.__class__ is list:
-                obj.extend([make(child) for child in node.value])
-                continue
-            for knode, vnode in node.value:
-                key, value = make(knode), make(vnode)
-                try:
-                    obj[key] = value
-                except TypeError:
-                    raise ScenarioError(
-                        "found unhashable key", self.field_path(node, source),
-                        knode.start_mark,
-                    ) from None
-        return doc
-
-    # Error path only: between field paths and nodes.
-
-    def _fields(self, prefix: str, node):
-        """(field path, child node) for each entry of ``node``."""
-        if isinstance(node, yaml.SequenceNode):
-            for i, child in enumerate(node.value):
-                yield f"{prefix}[{i}]", child
-        elif isinstance(node, yaml.MappingNode):
-            for knode, child in node.value:
-                if isinstance(knode, yaml.ScalarNode):
-                    name = self._scalars.get((knode.tag, knode.value), knode.value)
-                    yield f"{prefix}.{name}" if prefix else str(name), child
-
-    def field_path(self, target, source: str) -> str:
-        """The field path of ``target`` (``source`` for the root, or when
-        it is reached only as a key)."""
-        todo, seen = [("", self.root)], set()
-        while todo:
-            prefix, node = todo.pop()
-            for path, child in self._fields(prefix, node):
-                if child is target:
-                    return path
-                if child not in seen:
-                    seen.add(child)
-                    todo.append((path, child))
-        return source
-
-    def node_at(self, where: str | None, source: str):
-        """The node at field path ``where``, or the nearest enclosing one."""
-        best, todo = self.root, []
-        if self.root is not None and where not in (None, source):
-            todo.append(("", self.root))
-        while todo:
-            prefix, node = todo.pop()
-            for path, child in self._fields(prefix, node):
-                if path == where:
-                    return child
-                if where.startswith(path) and where[len(path)] in ".[":
-                    best = child
-                    todo.append((path, child))
-        return best
-
-
-class _Loader(_NodeWalk, _YAML_LOADER):
-    pass
-
-
-_DOCUMENT_START = yaml.Mark("<document>", 0, 0, 0, None, None)  # of an empty one
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +162,9 @@ def _ints(value, where: str, length: int | None = None) -> tuple[int, ...]:
 
 
 def _brief(value) -> str:
-    """repr of a rejected value; a value nested past the recursion limit is
-    named by its type."""
+    """repr of a rejected value; a value nested past the recursion limit
+    (a chain of aliases nests without nesting in the text) is named by its
+    type."""
     try:
         return repr(value)
     except RecursionError:
@@ -513,14 +341,12 @@ def load_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
     loader = _Loader(text)
     try:
         doc = loader.document(source)
-        try:
-            return _parse_config(doc, source)
-        except ScenarioError as e:
-            node = loader.node_at(e.where, source)
-            mark = node.start_mark if node is not None else _DOCUMENT_START
-            raise ScenarioError(e.message, e.where, mark) from None
     finally:
         loader.dispose()
+    try:
+        return _parse_config(doc, source)
+    except ScenarioError as e:
+        raise ScenarioError(e.message, e.where, _mark_of(_Loader(text), e.where, source)) from None
 
 
 def _parse_config(doc, source: str) -> ScenarioConfig:
@@ -927,10 +753,60 @@ def run_scenario(config: ScenarioConfig) -> dict:
 # ---------------------------------------------------------------------------
 # Emission
 
+# json's own ASCII string encoder (C when available), as json.dumps uses it
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _write_json(value, out: list, indent: str) -> None:
+    """Append the JSON text of ``value`` to ``out`` as ``json.dumps`` with
+    ``sort_keys=True, indent=2`` writes it; ``indent`` is the newline and
+    indentation of ``value``'s own line."""
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append("NaN" if value != value else "Infinity" if value == math.inf else
+                   "-Infinity" if value == -math.inf else float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner, sep = indent + "  ", "["
+        for item in value:
+            out.append(sep + inner)
+            _write_json(item, out, inner)
+            sep = ","
+        out.append(indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+        inner, sep = indent + "  ", "{"
+        for key in sorted(value):
+            out.append(f"{sep}{inner}{_encode_str(key)}: ")
+            _write_json(value[key], out, inner)
+            sep = ","
+        out.append(indent + "}")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
 
 def emit_report(report: dict, fmt: str = "text") -> str:
     if fmt == "structured":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        out: list[str] = []
+        _write_json(report, out, "\n")
+        out.append("\n")
+        return "".join(out)
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}; choose text or structured")
     lines = []

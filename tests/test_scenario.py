@@ -13,6 +13,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import flatnet.loader as loader_module
 import flatnet.scenario as scenario_module
 from flatnet.cli import main as cli_main
 from flatnet.covers import approximate_curve, build_nerve, builtin_cover, pi1_presentation
@@ -598,6 +599,55 @@ def test_structured_report_round_trip():
     assert json.loads(text) == report
 
 
+def dumps(value):
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def test_structured_reports_match_json_dumps():
+    reports = [run_scenario(parse_scenario(str(p))) for p in sorted(GOLDEN_DIR.glob("*.yaml"))]
+    workloads = _bench_workloads()
+    for name in workloads.WORKLOADS:
+        for seed in (1, 2, 3):
+            for item in workloads.make_items(name, seed):
+                config = load_scenario(item.text)
+                if item.seed is not None:
+                    config = replace(config, seed=item.seed)
+                reports.append(run_scenario(config))
+    assert len(reports) >= 10
+    for report in reports:
+        assert emit_report(report, "structured") == dumps(report)
+
+
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=10**30)
+    | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0])
+    | st.text(),
+    lambda children: st.lists(children) | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(), children),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_TREES)
+def test_structured_writer_matches_json_dumps_on_json_trees(tree):
+    assert emit_report(tree, "structured") == dumps(tree)
+
+
+def test_structured_writer_matches_json_dumps_on_edge_values():
+    tree = {"é☃\n\"": [math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324, 10**40, -(10**40)],
+            "b": (True, False, None, (), [], {}, ""), "a": {"": "\x00\u2028\U0001f600"}}
+    assert emit_report(tree, "structured") == dumps(tree)
+    assert emit_report(np.float64(0.1), "structured") == dumps(np.float64(0.1))
+
+
+@pytest.mark.parametrize("bad", [{1: "a"}, {None: 1}, {"a": {2.5: 1}}, [object()], {"a": {1, 2}},
+                                 {"a": np.int64(3)}, b"x"])
+def test_structured_writer_raises_type_error(bad):
+    with pytest.raises(TypeError):
+        emit_report(bad, "structured")
+
+
 def test_parse_report_rejects_non_reports():
     with pytest.raises(ValueError):
         parse_report("scenario: annulus | plain text\n")
@@ -962,7 +1012,7 @@ def _bench_workloads():
 
 
 def walk_loader(base):
-    return type(f"Walk{base.__name__}", (scenario_module._NodeWalk, base), {})
+    return type(f"Walk{base.__name__}", (loader_module._EventWalk, base), {})
 
 
 def walk(base, text):
@@ -1056,7 +1106,43 @@ HAND_CORPUS = {
     "huge_int": "seed: " + "9" * 5000 + "\n",
     "syntax_error": "{:::",
     "unclosed": "schema_version: 1\ntopology: {builtin: annulus\n",
-    "deep_nesting": nested(20_000),
+    "merge_self": "a: &x {<<: *x}\n",
+    "merge_self_after_keys": "a: &x {k: 1, <<: *x}\n",
+    "merge_into_ancestor": "a: &x {b: &y {<<: *x}}\n",
+    "merge_unknown_tag": "<<: !foo {b: 1}\n",
+    "merge_set_as_mapping": "<<: !!set {b}\n",
+    "merge_set_alias": "s: &s !!set {b, a}\nm: {<<: *s, c: 1}\n",
+    "merge_list_alias": "a: &a {x: 1}\nb: &b {x: 2, y: 3}\nl: &l [*a, *b]\nm: {<<: *l}\n",
+    "merge_two_keys": "a: &a {x: 1}\nb: &b {x: 2, y: 3}\nm: {<<: *a, <<: *b, z: 0}\n",
+    "merge_own_key_first": "m: {a: 1, <<: {a: 2, b: 3}}\n",
+    "merge_omap": "m: {<<: !!omap [{a: 1}, {b: 2}]}\n",
+    "merge_scalar_alias": "s: &s 5\nm: {<<: *s}\n",
+    "merge_list_of_scalar": "m: {<<: [{a: 1}, 5]}\n",
+    "merge_anchored_value": "m: {<<: &v {a: 1}}\nn: *v\n",
+    "merge_key_explicit": "m: {!!merge x: {a: 1}}\n",
+    "value_key_explicit": "m: {!!value foo: 1}\n",
+    "merge_and_value_as_values": "l: [<<, =]\n",
+    "set_with_merge": "s: !!set {<<: {a: 1}, b}\n",
+    "set_alias": "s: &s !!set {a}\nl: [*s, *s]\n",
+    "set_unhashable": "s: !!set {? [a]}\n",
+    "omap_merge_key": "o: !!omap [{<<: {a: 1}}]\n",
+    "omap_value_key": "o: !!omap [{=: 1}]\n",
+    "omap_self": "x: &x !!omap [{k: *x}]\n",
+    "omap_alias_entry": "m: &m {a: 1}\no: !!omap [*m]\n",
+    "omap_anchored_entry": "o: !!omap [&e {a: 1}]\nx: *e\n",
+    "omap_two_items": "o: !!omap [{a: 1, b: 2}]\n",
+    "omap_scalar_entry": "o: !!omap [a]\n",
+    "pairs_sequence_entry": "p: !!pairs [[a]]\n",
+    "pairs_list_key": "p: !!pairs [{[a]: 1}]\n",
+    "container_tags": "a: !!seq {k: 1}\n",
+    "unknown_container_tag": "x: !foo [1]\n",
+    "duplicate_anchor": "a: &x 1\nb: &x 2\n",
+    "undefined_alias": "a: *nope\n",
+    "alias_key": "k: &k key\n? *k\n: 1\n",
+    "alias_unhashable_key": "l: &l [1]\n? *l\n: 1\n",
+    "colliding_keys": "{1: a, true: b, 1.0: c}\n",
+    "root_scalar": "5\n",
+    "second_document_after_empty": "---\n---\na: 1\n",
 }
 
 
@@ -1091,6 +1177,10 @@ def test_walk_shares_aliases(base):
     assert doc["a"] is doc["b"] is doc["e"][0] and doc["c"] is doc["d"] is doc["e"][1]
     doc = walk(base, HAND_CORPUS["recursive_alias"])
     assert doc["a"][0] is doc["a"]
+    doc = walk(base, HAND_CORPUS["omap_self"])
+    assert doc["x"] == [("k", doc["x"])] and doc["x"][0][1] is doc["x"]
+    doc = walk(base, HAND_CORPUS["omap_anchored_entry"])
+    assert doc == {"o": [("a", 1)], "x": {"a": 1}}
 
 
 @pytest.fixture(params=LOADER_BASES)
@@ -1195,29 +1285,93 @@ def test_malformed_documents_raise_scenario_error(loader_base, text, fragment):
     assert fragment in str(error_of(text))
 
 
-# past the recursion limit, so a repr of the value would raise RecursionError
+# far past MAX_DEPTH: the walk stops at the first container past it
 DEEP = "[" * 3000 + "]" * 3000
 
 
+def too_deep(where, levels, line, column):
+    """The error for a value at ``where`` whose ``levels``-th nested
+    container is the first past MAX_DEPTH."""
+    return f"{where}{'[0]' * (levels - 1)}: nested too deeply (line {line}:{column})"
+
+
 @pytest.mark.parametrize(
-    "text, fragment",
+    "text, message",
     [
-        (MINIMAL + f"tasks: [{DEEP}]\n", "tasks: unknown tasks <deeply nested list>"),
+        (MINIMAL + f"tasks: [{DEEP}]\n", too_deep("tasks[0]", 99, 5, 107)),
         (MINIMAL.replace("{builtin: annulus}", f"{{builtin: {DEEP}}}"),
-         "topology.builtin: must be a builtin cover name"),
-        (MINIMAL + f"group: {{variant: {DEEP}}}\n",
-         "group.variant: unknown variant <deeply nested list>"),
+         too_deep("topology.builtin", 99, 3, 119)),
+        (MINIMAL + f"group: {{variant: {DEEP}}}\n", too_deep("group.variant", 99, 5, 116)),
         (MINIMAL + f"paths: {{a: [0, 1]}}\namplitudes: [[a, {DEEP}]]\n",
-         "amplitudes[0]: unknown path name <deeply nested list>"),
-        (MINIMAL + f"seed: {DEEP}\n", "seed: must be an integer (line 5:7)"),
+         too_deep("amplitudes[0][1]", 98, 6, 115)),
+        (MINIMAL + f"seed: {DEEP}\n", too_deep("seed", 100, 5, 106)),
     ],
     ids=["task", "builtin", "variant", "path_name", "seed"],
 )
-def test_deep_nesting_raises_scenario_error(text, fragment):
-    # the pure-Python composer recurses per level and stops first
-    if scenario_module._YAML_LOADER is yaml.SafeLoader:
-        fragment = "<scenario>: nested too deeply to read (line"
-    assert fragment in str(error_of(text))
+def test_deep_nesting_raises_scenario_error(monkeypatch, text, message):
+    for base in [p.values[0] for p in LOADER_BASES if p.values[0] is not None]:
+        monkeypatch.setattr(scenario_module, "_Loader", walk_loader(base))
+        assert str(error_of(text)) == message
+
+
+@pytest.mark.parametrize("base", LOADER_BASES)
+def test_deep_nesting_stops_at_max_depth(base):
+    # the root mapping plus ``depth`` lists: MAX_DEPTH containers read, one more does not
+    limit = loader_module.MAX_DEPTH
+    assert walk(base, nested(limit - 1)) == yaml.load(nested(limit - 1), Loader=base)
+    for depth in (limit, 20_000):
+        with pytest.raises(ScenarioError) as exc:
+            walk(base, nested(depth))
+        assert str(exc.value) == too_deep("a", limit, 1, 3 + limit)
+
+
+def alias_chain(n, first="[]", link="[*a{}]"):
+    """A flow list of ``n + 1`` anchored values, each holding an alias to
+    the one before: the text nests 2 deep, the last value ``n + 1`` deep."""
+    return f"[&a0 {first}" + "".join(f", &a{i} {link.format(i - 1)}" for i in range(1, n + 1)) + "]"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (MINIMAL + f"tasks: {alias_chain(5000)}\n",
+         "tasks: unknown tasks <deeply nested list> (line 5:8)"),
+        (MINIMAL + f"group: {{variant: {alias_chain(5000)}}}\n",
+         "group.variant: unknown variant <deeply nested list> (line 5:18)"),
+        (MINIMAL + f"paths: {{a: [0, 1]}}\namplitudes: [[a, {alias_chain(5000)}]]\n",
+         "amplitudes[0]: unknown path name <deeply nested list> (line 6:14)"),
+        # the last ``sigma`` wins: merged through 5,000 aliases, past the
+        # recursion limit of PyYAML's flatten_mapping on the error path
+        (MINIMAL.replace("sigma: {g0: pi/2}", "sigma: "
+                         + alias_chain(5000, "{g0: [1]}", "{{<<: *a{}}}") + "\nsigma: {<<: *a5000}"),
+         "sigma.g0: cannot read angle of type list (line 5:8)"),
+    ],
+    ids=["tasks", "variant", "path_name", "merge"],
+)
+def test_alias_chains_past_the_recursion_limit_exit_2(loader_base, tmp_path, capsys, text,
+                                                       message):
+    f = tmp_path / "chain.yaml"
+    f.write_text(text)
+    assert run_cli(["report", "--scenario", str(f)], capsys) == (2, "", f"flatnet: {message}\n")
+
+
+@pytest.mark.parametrize("base", LOADER_BASES)
+def test_loading_composes_no_node_tree(base, monkeypatch):
+    def no_tree(*args):
+        raise AssertionError("the loader composed a node tree")
+
+    loader = walk_loader(base)
+    for name in ("get_single_node", "get_node", "compose_document", "compose_node"):
+        monkeypatch.setattr(loader, name, no_tree, raising=False)  # libyaml has no compose_*
+    monkeypatch.setattr(yaml, "load", no_tree)
+    monkeypatch.setattr(scenario_module, "_Loader", loader)
+    texts = [p.read_text(encoding="utf-8") for p in sorted(GOLDEN_DIR.glob("*.yaml"))]
+    workloads = _bench_workloads()
+    for name in workloads.WORKLOADS:
+        texts += [item.text for item in workloads.make_items(name, 1)]
+    assert len(texts) >= 6
+    for text in texts:
+        load_scenario(text)
 
 
 def test_yaml_syntax_errors_give_line_and_column():
