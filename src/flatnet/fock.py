@@ -9,24 +9,32 @@ sparse and cancel paired monomials to exact zeros.  The supported
 envelope is K <= 12 modes; beyond that construction fails with
 CapacityError rather than degrading.
 
+``scipy.sparse`` is imported where a CSR matrix is first built or
+checked, not with this module.  The scenario path builds none, so a
+report never loads scipy; the CSR oracle and observable layer load it
+on first use.
+
 Operators carry a support tag (the regions whose modes they were built
 from) and a grading, computed on first read from which charge blocks
-their matrix couples; the gauge unitary acts on a grade-k operator as
-multiplication by zeta^k.
+their matrix couples (an operator with a non-finite entry has no
+grading, and reading it raises ValueError); the gauge unitary acts on a
+grade-k operator as multiplication by zeta^k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
-import scipy.sparse as sp
 
 from .cocycles import FlatPotentialU1, InvalidPotential
 from .covers import Cover
 from .groups import PhaseU1
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 CAPACITY_MODES = 12
 GRADE_SCAN_CUTOFF = 1e-13
@@ -55,8 +63,15 @@ class OneParticleSpace:
     def num_modes(self) -> int:
         return len(self.mode_owner)
 
+    @cached_property
+    def _modes_of(self) -> dict[int, tuple[int, ...]]:
+        modes: dict[int, list[int]] = {}
+        for i, r in enumerate(self.mode_owner):
+            modes.setdefault(r, []).append(i)
+        return {r: tuple(ms) for r, ms in modes.items()}
+
     def region_modes(self, region: int) -> tuple[int, ...]:
-        return tuple(i for i, r in enumerate(self.mode_owner) if r == region)
+        return self._modes_of.get(region, ())
 
     def owners(self, f: np.ndarray) -> frozenset[int]:
         f = np.asarray(f)
@@ -112,6 +127,8 @@ class FockSpace:
         if mode not in self._creators:
             if not 0 <= mode < self.K:
                 raise ValueError(f"mode {mode} out of range")
+            import scipy.sparse as sp
+
             bit = 1 << mode
             filled = (np.arange(self.dim) & bit) != 0
             cols = np.flatnonzero(filled) ^ bit
@@ -134,6 +151,8 @@ def _scan_grades(fock: FockSpace, m: sp.csr_matrix) -> frozenset[int]:
     c = m.tocoo()
     mags = np.abs(c.data)
     scale = mags.max(initial=0.0)
+    if not np.isfinite(scale):
+        raise ValueError("operator has a non-finite entry, so it has no grading")
     if scale == 0.0:
         return frozenset()
     keep = mags > GRADE_SCAN_CUTOFF * scale
@@ -148,7 +167,8 @@ class FieldOp:
     ``matrix`` is a dense copy built on access, for inspection only.
     ``charge`` is the common charge transfer of all nonzero matrix blocks,
     or None when blocks of different transfer are mixed; ``parity`` is
-    'even', 'odd', or 'mixed'.  Both are computed on first read and cached.
+    'even', 'odd', or 'mixed'.  Both are computed on first read and cached,
+    and both raise ValueError when the matrix holds a NaN or infinite entry.
     """
 
     csr: sp.csr_matrix
@@ -156,6 +176,8 @@ class FieldOp:
     support: frozenset[int]
 
     def __post_init__(self):
+        import scipy.sparse as sp
+
         m = self.csr
         if not (isinstance(m, sp.csr_matrix) and m.dtype == complex):
             m = sp.csr_matrix(m, dtype=complex)
@@ -212,18 +234,26 @@ class FieldOp:
 
 
 def zero_op(fock: FockSpace) -> FieldOp:
+    import scipy.sparse as sp
+
     return FieldOp(sp.csr_matrix((fock.dim, fock.dim), dtype=complex), fock, frozenset())
 
 
 def identity_op(fock: FockSpace) -> FieldOp:
+    import scipy.sparse as sp
+
     return FieldOp(sp.identity(fock.dim, dtype=complex, format="csr"), fock, frozenset())
 
 
 def smeared_field(fock: FockSpace, f: np.ndarray) -> FieldOp:
     """Charge-one smeared field psi(f) = sum_i f_i c_i^dagger (linear in f)."""
+    import scipy.sparse as sp
+
     f = np.asarray(f, dtype=complex)
     if f.shape != (fock.K,):
         raise ValueError(f"expected a length-{fock.K} mode vector")
+    if not np.isfinite(f).all():
+        raise ValueError("mode vector has a non-finite entry")
     acc = sp.csr_matrix((fock.dim, fock.dim), dtype=complex)
     for i in np.nonzero(f)[0]:
         acc = acc + f[i] * fock.creator(int(i))
@@ -240,6 +270,8 @@ def commutator(a: FieldOp, b: FieldOp) -> FieldOp:
 
 def gauge_action(zeta: complex | PhaseU1, t: FieldOp) -> FieldOp:
     """Conjugate by the gauge unitary zeta^N; grade-k operators pick up zeta^k."""
+    import scipy.sparse as sp
+
     if isinstance(zeta, PhaseU1):
         zeta = zeta.complex_value
     zeta = complex(zeta)

@@ -66,6 +66,9 @@ import re
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+# numpy loads its random module lazily; _sample_paths needs it, so load it
+# with this module rather than inside the first report
+import numpy.random  # noqa: F401
 
 from .cocycles import (
     SigmaMorphism,

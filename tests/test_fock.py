@@ -77,6 +77,17 @@ def test_mode_allocation_and_owners():
     assert sp.owners(f) == frozenset({1, 3})
 
 
+def test_region_modes_index_matches_scan():
+    owners = (2, 0, 2, 5, 0, 2)
+    space = OneParticleSpace(owners)
+    for region in (0, 2, 5, 1, -1, np.int64(2)):
+        want = tuple(i for i, r in enumerate(owners) if r == region)
+        assert space.region_modes(region) == want
+        assert type(space.region_modes(region)) is tuple
+    assert space.region_modes(2) is space.region_modes(2)  # indexed once
+    assert space == OneParticleSpace(owners) and hash(space) == hash(OneParticleSpace(owners))
+
+
 def test_inner_product_conjugate_first():
     sp = allocate_modes(ANN, 1)
     f = np.array([1j, 0, 0, 0], dtype=complex)
@@ -308,6 +319,57 @@ def test_gauge_action_rejects_nan_parameter():
     psi = smeared_field(fock, random_mode_vector(rng, fock))
     with pytest.raises(ValueError, match="unit circle"):
         gauge_action(complex("nan"), psi)
+
+
+NON_FINITE = [float("nan"), float("inf"), -float("inf"), complex(0.0, float("inf"))]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_field_rejects_non_finite_mode_vector(bad):
+    fock = small_fock(1)
+    f = np.zeros(fock.K, dtype=complex)
+    f[0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        smeared_field(fock, f)
+
+
+def non_finite_ops(fock, bad):
+    """A scaled field, a scaled gauge-invariant product, and a field with
+    one stored entry replaced: each holds a NaN or infinite entry."""
+    psi = smeared_field(fock, np.eye(fock.K)[0])
+    one = psi.csr.copy()
+    one.data[0] = bad
+    with np.errstate(invalid="ignore"):  # complex 0 * inf is NaN
+        return [
+            FieldOp(psi.csr * bad, fock, psi.support),
+            FieldOp((psi * psi.adjoint()).csr * bad, fock, psi.support),
+            FieldOp(one, fock, psi.support),
+        ]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_operator_has_no_grading(bad):
+    fock = small_fock(1)
+    for op in non_finite_ops(fock, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            op.charge
+        with pytest.raises(ValueError, match="non-finite"):
+            op.parity
+        with pytest.raises(ValueError, match="non-finite"):
+            grading(op)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_operator_fails_closed_in_twists_and_brackets(bad):
+    fock = small_fock(2)
+    s = smeared_field(fock, np.eye(fock.K)[4])  # region 2, disjoint from region 0
+    for op in non_finite_ops(fock, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            twisted_product(op, s, PhaseU1(0.7))
+        with pytest.raises(ValueError, match="non-finite"):
+            normal_commutation_check(ANN, op, s)
+        with pytest.raises(ValueError, match="non-finite"):
+            normal_commutation_check(ANN, s, op)
 
 
 # ---------------------------------------------------------------------------

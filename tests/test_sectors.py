@@ -642,6 +642,17 @@ def test_charge_morphism_guards_and_grading():
         charge_morphism(window, 2, psi)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_charge_morphism_rejects_non_finite_observable(bad):
+    fock = fock_for(ANN, 2)
+    window = make_window(fock, ANN)
+    psi = smeared_field(fock, np.eye(fock.K)[4])
+    with np.errstate(invalid="ignore"):  # complex 0 * inf is NaN
+        obs = FieldOp((psi * psi.adjoint()).csr * bad, fock, frozenset({2}))
+    with pytest.raises(ValueError, match="non-finite"):
+        charge_morphism(window, 2, obs)
+
+
 def test_intertwining_residual_small():
     rng = np.random.default_rng(37)
     fock = fock_for(ANN, 2)
