@@ -4,7 +4,10 @@ The event stream comes from libyaml's parser when PyYAML was built with
 it and from PyYAML's pure-Python parser otherwise.  No node tree is
 composed: plain dicts and lists are built on an explicit stack, and each
 distinct scalar is resolved and constructed once, with PyYAML's YAML 1.1
-meaning, so the document equals what ``yaml.load`` gives.  A document
+meaning, so the document equals what ``yaml.load`` gives.  A container tagged
+as anything but a mapping or a sequence (``!!set``, ``!!omap``,
+``!!pairs``, ``!foo``) is rejected where it appears, since no scenario
+field holds one; a merge (``<<``) value is the exception.  A document
 whose text nests more than MAX_DEPTH containers deep is rejected at the
 first container past the limit (``seed[0]...[0]: nested too deeply
 (line 5:106)``), on either parser.  An alias adds no depth: a chain of
@@ -52,13 +55,14 @@ class _EventWalk:
     stack of open frames, registered under their anchor at their start
     event (a recursive alias contains itself), and merge (``<<``) and value
     (``=``) keys are applied in place at the mapping's end event, with
-    ``flatten_mapping``'s meaning.  ``!!set``, ``!!omap`` and ``!!pairs``
-    are built as SafeConstructor builds them; any other container tag fails
-    as ``construct_object`` fails on an empty node of it (so ``!!str {=: 5}``,
-    which PyYAML reads as '5', is an error here).  A document whose text
-    nests deeper than MAX_DEPTH is rejected at the first event past the
-    limit.  The result
-    equals ``yaml.load``'s, or ``document`` raises ScenarioError.
+    ``flatten_mapping``'s meaning.  A container whose tag is not the
+    default mapping or sequence tag is rejected at its start event (so
+    ``!!str {=: 5}``, which PyYAML reads as '5', is an error here), except
+    a merge value without an anchor: ``flatten_mapping`` reads that as a
+    plain container whatever its tag, and so does the walk.  A document
+    whose text nests deeper than MAX_DEPTH is rejected at the first event
+    past the limit.  The result equals ``yaml.load``'s, or ``document``
+    raises ScenarioError.
     """
 
     def document(self, source: str):
@@ -75,9 +79,8 @@ class _EventWalk:
         scalars: dict = {}  # (tag, value) -> constructed scalar
         plain: dict = {}  # plain scalar value -> constructed scalar
         anchors: dict = {}  # anchor -> (object, start mark)
-        sets: dict = {}  # id of a !!set -> the mapping it was read from
         seq_tag, map_tag = self.DEFAULT_SEQUENCE_TAG, self.DEFAULT_MAPPING_TAG
-        stack = [_Frame(_LIST, [], None, None)]  # its list receives the root
+        stack = [_Frame(_LIST, [], None)]  # its list receives the root
 
         def fail(message, event):
             raise ScenarioError(message, _here(stack, source), event.start_mark)
@@ -98,30 +101,19 @@ class _EventWalk:
 
         def put(top, obj, event):
             """Hand a scalar, an alias or a container to the open frame ``top``."""
-            kind, key = top.kind, top.key
-            if kind is _LIST:
+            key = top.key
+            if top.kind is _LIST:
                 top.obj.append(obj)
-            elif kind is _OMAP:  # a scalar, or an alias to a one-entry mapping
-                items = _mapping_of(sets, obj)
-                if items is None:
-                    fail(f"expected a mapping of length 1, but found {_node_kind(obj)}", event)
-                items = list(items.items() if items.__class__ is dict else items)
-                if len(items) != 1:
-                    fail(f"expected a single mapping item, but found {len(items)} items", event)
-                top.obj.append(items[0])
             elif key is _NOKEY:
                 top.key = obj
-            elif kind is _ENTRY:
-                top.obj.append((key, obj))
-                top.key = _NOKEY
             elif key is _MERGE:  # a mapping, or a list of them of which the last wins
                 top.merges = top.merges or []
                 for source in reversed(obj) if obj.__class__ is list else (obj,):
-                    items = _mapping_of(sets, source)
-                    if items is None:
+                    if source.__class__ is not dict:
+                        found = "sequence" if source.__class__ is list else "scalar"
                         fail("expected a mapping or list of mappings for merging, "
-                             f"but found {_node_kind(source)}", event)
-                    top.merges.append(items)
+                             f"but found {found}", event)
+                    top.merges.append(source)
                 top.key = _NOKEY
             else:
                 top.obj[key] = obj
@@ -160,35 +152,21 @@ class _EventWalk:
             elif cls is yaml.SequenceStartEvent or cls is yaml.MappingStartEvent:
                 if len(stack) > MAX_DEPTH:
                     fail("nested too deeply", event)
-                pkind, pkey = top.kind, top.key
-                if pkind is _MAP and pkey is _NOKEY:
+                if top.kind is _MAP and top.key is _NOKEY:
                     fail("found unhashable key", event)
                 mapping = cls is yaml.MappingStartEvent
-                tag = event.tag
-                if tag is None or tag == "!":  # what resolve gives: no path resolvers
-                    tag = map_tag if mapping else seq_tag
-                merging = pkey is _MERGE  # a merge value is read as a plain container
+                # a merge value is read as a plain container, as flatten_mapping
+                # reads it, unless an alias could read it elsewhere
+                merging = top.key is _MERGE
+                if (event.tag not in (None, "!", map_tag if mapping else seq_tag)
+                        and (not merging or event.anchor is not None)):
+                    fail(f"tag {event.tag} is not a scenario mapping or sequence", event)
                 obj = {} if mapping else []
-                target = obj
-                if pkind is _OMAP:
-                    if not mapping:
-                        fail("expected a mapping of length 1, but found sequence", event)
-                    kind, obj, target = _ENTRY, [], {} if event.anchor is not None else None
-                elif merging or tag == (map_tag if mapping else seq_tag):
-                    kind = _MAP if mapping else _LIST
-                elif mapping and tag == _SET_TAG:
-                    kind, target = _MAP, set()
-                    sets[id(target)] = obj
-                elif not mapping and tag in _OMAP_TAGS:
-                    kind = _OMAP
-                else:  # SafeConstructor raises on any other container tag
-                    self.construct_object((yaml.MappingNode if mapping else yaml.SequenceNode)(
-                        tag, [], event.start_mark, event.end_mark), deep=True)
                 if event.anchor is not None:
-                    self._anchor(anchors, event, target)
-                frame = _Frame(kind, obj, target, _next_name(top))
-                if not merging and pkind is not _OMAP:  # those take it at its end
-                    put(top, target, event)
+                    self._anchor(anchors, event, obj)
+                frame = _Frame(_MAP if mapping else _LIST, obj, _next_name(top))
+                if not merging:  # a merge value is merged at its end
+                    put(top, obj, event)
                 stack.append(frame)
             elif cls is yaml.AliasEvent:
                 try:
@@ -207,30 +185,15 @@ class _EventWalk:
                 break
             else:  # the end of a sequence or mapping
                 frame = stack.pop()
-                top = stack[-1]
-                obj, target = frame.obj, frame.target
-                if frame.kind is _MAP:
-                    if frame.merges:
-                        merged = [item for m in frame.merges
-                                  for item in (m.items() if m.__class__ is dict else m)]
-                        own = list(obj.items())
-                        obj.clear()
-                        obj.update(merged)
-                        obj.update(own)
-                    if target is not obj:  # a !!set
-                        target.update(obj)
-                elif frame.kind is _ENTRY:
-                    if len(obj) != 1:
-                        fail(f"expected a single mapping item, but found {len(obj)} items", event)
-                    if target is not None:  # anchored: an alias reads it as a mapping
-                        try:
-                            target.update(obj)
-                        except TypeError:
-                            fail("found unhashable key", event)
-                    top.obj.append(obj[0])
-                    continue
-                if top.key is _MERGE:
-                    put(top, target, event)
+                obj = frame.obj
+                if frame.merges:
+                    merged = [item for m in frame.merges for item in m.items()]
+                    own = list(obj.items())
+                    obj.clear()
+                    obj.update(merged)
+                    obj.update(own)
+                if stack[-1].key is _MERGE:
+                    put(stack[-1], obj, event)
         if not self.check_event(yaml.StreamEndEvent):
             raise ComposerError("expected a single document in the stream", root_mark,
                                 "but found another document", get_event().start_mark)
@@ -245,30 +208,26 @@ class _EventWalk:
 
 
 class _Frame:
-    """An open container of the walk: ``target`` is the object the document
-    holds, ``obj`` what the events fill (they differ for a !!set and an
-    omap entry), ``name`` its key or index in the enclosing frame."""
+    """An open container of the walk: ``obj`` the list or dict its events
+    fill, ``name`` its key or index in the enclosing frame."""
 
-    __slots__ = ("kind", "obj", "target", "name", "key", "merges")
+    __slots__ = ("kind", "obj", "name", "key", "merges")
 
-    def __init__(self, kind, obj, target, name):
-        self.kind, self.obj, self.target, self.name = kind, obj, target, name
+    def __init__(self, kind, obj, name):
+        self.kind, self.obj, self.name = kind, obj, name
         self.key, self.merges = _NOKEY, None
 
 
-# frame kinds: a list; a mapping (merge and value keys apply); one entry of
-# an omap or pairs list, as raw (key, value) pairs; an omap or pairs list
-_LIST, _MAP, _ENTRY, _OMAP = range(4)
+# frame kinds: a list; a mapping (merge and value keys apply)
+_LIST, _MAP = range(2)
 _NOKEY = object()  # a mapping frame waiting for its next key
 _MERGE = object()  # a mapping frame waiting for a merge key's value
-_MERGE_TAG, _VALUE_TAG, _STR_TAG, _SET_TAG = (
-    f"tag:yaml.org,2002:{t}" for t in ("merge", "value", "str", "set"))
-_OMAP_TAGS = ("tag:yaml.org,2002:omap", "tag:yaml.org,2002:pairs")
+_MERGE_TAG, _VALUE_TAG, _STR_TAG = (f"tag:yaml.org,2002:{t}" for t in ("merge", "value", "str"))
 
 
 def _next_name(frame):
     """The key or index the next value of ``frame`` goes under (None for a key)."""
-    if frame.kind is _LIST or frame.kind is _OMAP:
+    if frame.kind is _LIST:
         return len(frame.obj)
     key = frame.key
     return None if key is _NOKEY else "<<" if key is _MERGE else key
@@ -281,27 +240,11 @@ def _here(stack, source: str) -> str:
     for frame, name in zip(stack[1:], names):
         if name is None:
             break
-        if frame.kind is _LIST or frame.kind is _OMAP:
+        if frame.kind is _LIST:
             where += f"[{name}]"
         else:
             where = f"{where}.{name}" if where else str(name)
     return where or source
-
-
-def _node_kind(obj) -> str:
-    return "sequence" if isinstance(obj, list) else \
-        "mapping" if isinstance(obj, (dict, set)) else "scalar"
-
-
-def _mapping_of(sets: dict, obj):
-    """The (key, value) items ``obj`` holds as a YAML mapping, or None."""
-    if obj.__class__ is dict:
-        return obj
-    if obj.__class__ is set:
-        return sets[id(obj)]
-    if obj.__class__ is tuple:  # an entry of an omap or pairs list
-        return [obj]
-    return None
 
 
 class _Loader(_EventWalk, _YAML_LOADER):

@@ -297,8 +297,11 @@ def _parse_topology(raw) -> tuple[Cover, str]:
             _int(n, "topology.n")
         try:
             cover = builtin_cover(name, n)
-        except InvalidCover as e:
-            raise ScenarioError(str(e), "topology.builtin") from None
+        except InvalidCover as e:  # an unknown name, or a circle too small
+            where = "topology.n" if name == "circle" else "topology.builtin"
+            raise ScenarioError(str(e), where) from None
+        if n is not None and name != "circle":
+            raise ScenarioError("applies to circle only", "topology.n")
         label = name if name != "circle" else f"circle({len(cover.regions)})"
         return cover, label
     needed = {"regions", "overlaps"}
@@ -374,6 +377,9 @@ def _parse_config(doc, source: str) -> ScenarioConfig:
     graw = doc.get("group", {"variant": "PhaseU1"})
     if not isinstance(graw, dict) or "variant" not in graw:
         raise ScenarioError("needs a 'variant'", "group")
+    extra = set(graw) - {"variant", "dimension"}
+    if extra:
+        raise ScenarioError(f"unknown keys {sorted(extra, key=str)}", "group")
     variant = graw["variant"]
     dim = graw.get("dimension")
     if variant == "PhaseU1":

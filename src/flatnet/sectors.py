@@ -10,11 +10,11 @@ which the implementer chains act isometrically.
 What the finite model checks on the window.  Certification runs on
 integer occupation bitsets, each ladder operator carrying the
 Jordan-Wigner sign of the occupied modes below it: every v_o = phi_o|0>
-must be a distinct occupation-basis vector with + sign
-(``WindowSubspace``), and every bare pair phi_v phi_u^* must send v_u to
-+v_v and annihilate the vacuum and every other v_w (``pair_map``), which
-holds because modes are private to regions.  Certified, each transported
-step is one complex entry times the matrix unit E_(v, u) of the
+must be an occupation-basis vector with + sign, and each region's modes
+must be non-empty and private to it (``WindowSubspace``).  Privacy makes
+every bare pair phi_v phi_u^* the window matrix unit E_(v, u): it sends
+v_u to +v_v and annihilates the vacuum and every other v_w.  Each
+transported step is then one complex entry times E_(v, u) in the
 1 + #regions window, so a transporter is its transition cocycle plus one
 complex entry per canonical edge, and a chain of steps is one entry
 times one matrix unit E_(end, start), or zero where consecutive steps do
@@ -150,32 +150,35 @@ class WindowSubspace:
     """Coordinate subspace spanned by the vacuum and the charged vectors.
 
     Certified on occupation bits: each implementer's creators, applied to
-    the empty bitset, must give a distinct occupation-basis vector with
-    + sign.  The window is stored as the basis index of each column:
-    ``columns[0]`` is the vacuum, ``columns[1 + i]`` the charged vector of
-    ``regions[i]``, at window position 1 + i.  Certified pair maps
-    (``pair_map``) and bare CSR transporters (``z1``) are built once per
-    region pair and kept here.
+    the empty bitset, must give an occupation-basis vector with + sign,
+    and the implementers' mode sets must be non-empty and pairwise
+    disjoint (which also makes the vectors distinct).  Then phi_v phi_u^*
+    is the window matrix unit E_(v, u) for every pair of regions.  The
+    window is stored as the basis index of each column: ``columns[0]`` is
+    the vacuum, ``columns[1 + i]`` the charged vector of ``regions[i]``,
+    at window position 1 + i.  Bare CSR transporters (``z1``) are built
+    once per region pair and kept here.
     """
 
     fock: FockSpace
     implementers: dict[int, Implementer]
     regions: tuple[int, ...] = dc_field(init=False)
     columns: np.ndarray = dc_field(init=False)
-    _pairs: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
     _z1: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         regions = tuple(sorted(self.implementers))
-        columns = [0]
+        columns, used = [0], 0  # ``used``: the bitmask of modes taken so far
         for r in regions:
             hit = _apply_word(0, [(m, True) for m in self.implementers[r].modes[::-1]])
-            if hit is None or hit[1] != 1 or hit[0] in columns or hit[0] >= self.fock.dim:
+            # the column is the region's mode bitmask: non-empty, in range, no mode shared
+            if hit is None or hit[1] != 1 or not 0 < hit[0] < self.fock.dim or hit[0] & used:
                 raise ValueError(
                     f"window basis failed to come out orthonormal at region {r}: "
                     "charged vectors must be distinct + occupation-basis vectors"
                 )
             columns.append(hit[0])
+            used |= hit[0]
         columns = np.array(columns)
         columns.setflags(write=False)
         object.__setattr__(self, "regions", regions)
@@ -211,28 +214,6 @@ def make_window(fock: FockSpace, cover: Cover, kappa: int = 1) -> WindowSubspace
     return WindowSubspace(fock=fock, implementers=imps)
 
 
-def pair_map(window: WindowSubspace, dst: int, src: int) -> int:
-    """Certify the bare pair phi_dst phi_src^* on occupation bits as the
-    window matrix unit E_(dst, src), once per window and pair (``dst ==
-    src`` included), and return its row: the window position of v_dst.
-
-    The pair must send v_src to +v_dst and annihilate the vacuum and every
-    other v_w; anything else raises ValueError.
-    """
-    if (dst, src) not in window._pairs:
-        imps, columns = window.implementers, window.columns.tolist()
-        word = [(m, False) for m in imps[src].modes] + [(m, True) for m in imps[dst].modes[::-1]]
-        s, d = window.position(src), window.position(dst)
-        for j, col in enumerate(columns):
-            if _apply_word(col, word) != ((columns[d], 1) if j == s else None):
-                raise ValueError(
-                    f"pair ({dst} <- {src}) is not a window matrix unit at column {j}: "
-                    "modes must be private to regions"
-                )
-        window._pairs[(dst, src)] = d
-    return window._pairs[(dst, src)]
-
-
 def _scaled(entry: complex, factor: PhaseU1) -> complex:
     """``entry * factor`` by the ufunc ``FieldOp.scaled`` applies to stored
     data, so a window entry carries the bits of the CSR route."""
@@ -257,7 +238,7 @@ class SectorTransporter:
 
     ``cocycle`` holds every transport coefficient.  ``weights[(u, v, c)]``
     is the window entry of the u -> v step, which on the window is that
-    entry times the matrix unit E_(v, u) that ``pair_map`` certifies; the
+    entry times the matrix unit E_(v, u) that the window certifies; the
     reverse step carries its conjugate times E_(u, v).  ``weights`` is
     empty on the coefficient-only matrix layer, which has no ``window``.
     """
@@ -373,10 +354,9 @@ def window_block(
     im = 0.0 + (sr*vi + si*vr), which is the sparse product's complex
     multiply and its sum from zero.  numpy's complex ``s * v`` may round
     differently (fused multiply-add).  A step that does not start where
-    the chain stands annihilates it; every step is still certified
-    (``pair_map``).  The (n, n) block is built once at the end: the
-    identity when no step moves, else zero but for the entry at
-    (end, start).  Every window check goes through this fold, so it
+    the chain stands annihilates it.  The (n, n) block is built once at
+    the end: the identity when no step moves, else zero but for the entry
+    at (end, start).  Every window check goes through this fold, so it
     raises ValueError for a transporter without a Fock window.
     """
     if t.window is None:
@@ -389,7 +369,7 @@ def window_block(
         edge, forward = oriented(dst, src, comp)
         w = t._weight(edge)
         s = w if forward else w.conjugate()
-        end = pair_map(window, dst, src)
+        end = window.position(dst)
         if start is None:
             start, at, re, im = window.position(src), end, s.real, s.imag
         elif at == window.position(src):
@@ -410,9 +390,9 @@ def telescope_residual(t: SectorTransporter, path: PosetPath) -> float:
     """Window gap between transported chain and its telescoped pair.
 
     The chain's window block is folded as a scalar (``window_block``);
-    the pair is the certified matrix unit E_(end, start) (``pair_map``)
-    carrying the path's holonomy, an independent fold of the cocycle,
-    scaled as ``FieldOp.scaled`` scales, and is subtracted in place.  A
+    the pair is the certified matrix unit E_(end, start) carrying the
+    path's holonomy, an independent fold of the cocycle, scaled as
+    ``FieldOp.scaled`` scales, and is subtracted in place.  A
     path that never leaves its start region (empty, or reflexive steps
     only) telescopes to the reflexive identity entry, not to the
     degenerate pair phi phi^*, so its residual is zero by construction.
@@ -421,7 +401,7 @@ def telescope_residual(t: SectorTransporter, path: PosetPath) -> float:
     if set(path.regions) == {path.start}:
         return 0.0
     j, hol = t.window.position(path.start), _scaled(1.0, holonomy(t.cocycle, path))
-    chain[pair_map(t.window, path.end, path.start), j] -= hol
+    chain[t.window.position(path.end), j] -= hol
     return float(np.max(np.abs(chain)))
 
 

@@ -65,7 +65,6 @@ from flatnet.sectors import (
     intertwining_residual,
     localization_residual,
     make_window,
-    pair_map,
     plain_transporter,
     rho_holonomy,
     rho_layer_transporter,
@@ -403,7 +402,7 @@ def test_window_block_long_chains_bitwise():
 
 def test_one_step_blocks_equal_oracle_step_and_its_adjoint():
     # every canonical edge, forward and reverse: the one-step fold is the
-    # compressed oracle step and its adjoint, and certifies its pair once
+    # compressed oracle step and its adjoint
     for index in range(len(FOLD_COVERS)):
         _, ts = fold_setup(index, 2)
         for t in ts:
@@ -415,7 +414,6 @@ def test_one_step_blocks_equal_oracle_step_and_its_adjoint():
                 for (dst, src), want in (((v, u), op), ((u, v), op.adjoint())):
                     got = window_block(t, [(dst, src, c)])
                     assert got.tobytes() == t.window.compress(want).tobytes()
-                    assert t.window._pairs[(dst, src)] == t.window.position(dst)
 
 
 def test_window_block_non_chaining_crossings_are_zero_bitwise():
@@ -430,29 +428,26 @@ def test_window_block_non_chaining_crossings_are_zero_bitwise():
 
 def test_pair_certification_fails_closed_on_two_entries():
     # a window column that the pair phi_dst phi_src^* does not annihilate,
-    # besides v_src, is a second entry of the step: certification on bits
-    # fails closed, in the fold and in the telescoped pair.  Charge 1 sits
-    # on mode 0 of region 0; region 1's charge occupies modes 0 and 2, so
-    # phi_0^* does not annihilate v_1
+    # besides v_src, is a second entry of the step.  Charge 1 sits on mode 0
+    # of region 0; region 1's charge occupies modes 0 and 2, so phi_0^* does
+    # not annihilate v_1.  The columns are distinct + vectors, but the
+    # regions share mode 0: the window fails closed at construction
     fock = fock_for(ANN, 2)
     imps = {r: implementer(fock, r) for r in ANN.regions}
     imps[0] = Implementer(fock=fock, region=0, charge=1, modes=(0,))
     imps[1] = Implementer(fock=fock, region=1, charge=2, modes=(0, 2))
-    window = WindowSubspace(fock, imps)  # the columns are distinct + vectors
-    # 0 <- 0 keeps v_1 in place; 2 <- 0 sends v_1 off the window
-    for dst in (0, 2):
-        with pytest.raises(ValueError, match="matrix unit at column 2"):
-            pair_map(window, dst, 0)
-    # the CSR oracle sees the same entries: two live window columns
-    block = window.compress(z1(window, 0, 0))
-    assert np.count_nonzero(block) == 2 and block[2, 2] == 1.0
-    assert np.count_nonzero(window.compress(z1(window, 2, 0))) == 1  # v_1 left the window
-    t = plain_transporter(window, ANN)
-    with pytest.raises(ValueError, match="matrix unit"):
-        window_block(t, [(3, 0, 0)])
-    window_block(t, [(1, 0, 0)])  # 1 <- 0 annihilates v_1: certified
-    with pytest.raises(ValueError, match="matrix unit"):
-        telescope_residual(t, approximate_curve(ANN, [0, 1, 0]))
+    with pytest.raises(ValueError, match="orthonormal at region 1"):
+        WindowSubspace(fock, imps)
+    # the CSR oracle sees the two entries the shared mode makes: 0 <- 0
+    # keeps v_1 in place, 2 <- 0 sends v_1 off the window
+    columns = [0] + [sum(1 << m for m in imps[r].modes) for r in ANN.regions]
+    assert len(set(columns)) == len(columns)
+
+    def block(dst, src):
+        return (imps[dst].op * imps[src].star).csr[columns][:, columns].toarray()
+
+    assert np.count_nonzero(block(0, 0)) == 2 and block(0, 0)[2, 2] == 1.0
+    assert np.count_nonzero(block(2, 0)) == 1  # v_1 left the window
 
 
 def test_z1_cached_on_window_equals_fresh_product():
