@@ -14,7 +14,9 @@ first container past the limit (``seed[0]...[0]: nested too deeply
 anchors, each holding an alias to the one before, builds a value nested
 deeper than the text, so code that recurses into a loaded value must
 still expect RecursionError.  Errors are ScenarioErrors carrying a field
-path and the 1-based line and column of the offending node.
+path and the 1-based line and column of the offending node; a character
+YAML rejects (a control character) is placed at its line and column
+too, on either parser.
 """
 
 from __future__ import annotations
@@ -65,12 +67,22 @@ class _EventWalk:
     raises ScenarioError.
     """
 
-    def document(self, source: str):
-        """The single document of the stream (None when empty)."""
+    @classmethod
+    def read(cls, text: str, source: str):
+        """The single document of ``text`` (None when empty)."""
         try:
-            return self._walk(source)
+            loader = cls(text)  # PyYAML's own reader checks a whole str here
+            try:
+                return loader._walk(source)
+            finally:
+                loader.dispose()
         except yaml.YAMLError as e:
             mark = getattr(e, "problem_mark", None)
+            # a reader error carries an offset, in characters from PyYAML's reader and
+            # in UTF-8 bytes from libyaml; both stop at the first character YAML rejects
+            if isinstance(e, yaml.reader.ReaderError):
+                bad = yaml.reader.Reader.NON_PRINTABLE.search(text).start()
+                mark = mark_after(text[:bad], source)
             loc = f" at line {mark.line + 1}:{mark.column + 1}" if mark is not None else ""
             raise ScenarioError(f"not valid YAML{loc}: {e}", source) from None
 
@@ -252,6 +264,13 @@ class _Loader(_EventWalk, _YAML_LOADER):
 
 
 _DOCUMENT_START = yaml.Mark("<document>", 0, 0, 0, None, None)  # of an empty one
+
+
+def mark_after(before: str, name: str):
+    """Mark of the character that follows the text ``before`` it, with lines
+    broken where YAML breaks them (CR LF, CR, LF, NEL, LS, PS)."""
+    lines = (before + "_").splitlines()  # the last line ends at that character
+    return yaml.Mark(name, len(before), len(lines) - 1, len(lines[-1]) - 1, None, None)
 
 
 def _mark_of(loader, where: str | None, source: str):

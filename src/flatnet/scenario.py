@@ -103,7 +103,7 @@ from .groups import (
     inverse,
     unitary_defects,
 )
-from .loader import ScenarioError, _Loader, _mark_of
+from .loader import ScenarioError, _Loader, _mark_of, mark_after
 from .sectors import (
     classify,
     make_window,
@@ -344,11 +344,7 @@ def _parse_topology(raw) -> tuple[Cover, str]:
 def load_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
     """Parse and validate scenario text; raises ScenarioError with the
     line and column of the offending YAML node."""
-    loader = _Loader(text)
-    try:
-        doc = loader.document(source)
-    finally:
-        loader.dispose()
+    doc = _Loader.read(text, source)
     try:
         return _parse_config(doc, source)
     except ScenarioError as e:
@@ -496,11 +492,20 @@ def _parse_config(doc, source: str) -> ScenarioConfig:
 
 
 def parse_scenario(path: str) -> ScenarioConfig:
+    """Read and load a scenario file.  Its bytes are decoded here in one
+    piece, so a byte that is not UTF-8 is named at its line and column in
+    the file.  Line ends are left to YAML, which reads CR LF and CR as a
+    text-mode read would."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as e:
         raise ScenarioError(str(e), str(path)) from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ScenarioError(f"byte 0x{data[e.start]:02x} is not UTF-8 ({e.reason})", str(path),
+                            mark_after(data[: e.start].decode("utf-8"), str(path))) from None
     return load_scenario(text, source=str(path))
 
 

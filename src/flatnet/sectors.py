@@ -18,10 +18,11 @@ transported step is then one complex entry times E_(v, u) in the
 1 + #regions window, so a transporter is its transition cocycle plus one
 complex entry per canonical edge, and a chain of steps is one entry
 times one matrix unit E_(end, start), or zero where consecutive steps do
-not meet.  The sector checks (``telescope_residual``,
+not meet.  ``window_chain`` folds a chain to ``(start, end, entry)``, in
+region ids, and the sector checks (``telescope_residual``,
 ``triple_law_residual``, ``topological_component``,
-``transition_amplitude``, ``classify``) fold each chain as that scalar
-(``window_block``) and build no 2^K object.  Entries are scaled by the
+``transition_amplitude``, ``classify``) compute from that triple: they
+build no 2^K object and no window block.  Entries are scaled by the
 ufunc ``FieldOp.scaled`` applies and multiplied in the sparse product's
 real arithmetic, so the folds carry the bits of the CSR route.
 
@@ -30,7 +31,8 @@ The CSR layer is the observable layer and the oracle: ``Implementer.op``,
 first read, under the Fock space's mode envelope, and ``compress``,
 ``charge_morphism``, ``intertwining_residual`` and
 ``localization_residual`` act on them.  Tests fold chains against
-``compress`` of the product of step operators, bit for bit.
+``compress`` of the product of step operators, bit for bit, with the
+block built from the triple.
 
 Sign bookkeeping: with bare Jordan-Wigner implementers, odd-charge
 implementers of disjoint regions anticommute both with and without
@@ -53,6 +55,7 @@ from .cocycles import (
     holonomies,
     holonomy,
     identity_cocycle,
+    worst,
 )
 from .covers import (
     Cover,
@@ -152,7 +155,9 @@ class WindowSubspace:
     Certified on occupation bits: each implementer's creators, applied to
     the empty bitset, must give an occupation-basis vector with + sign,
     and the implementers' mode sets must be non-empty and pairwise
-    disjoint (which also makes the vectors distinct).  Then phi_v phi_u^*
+    disjoint (which also makes the vectors distinct).  The error names
+    the rule that failed, and for a shared mode the mode and the region
+    that holds it.  Then phi_v phi_u^*
     is the window matrix unit E_(v, u) for every pair of regions.  The
     window is stored as the basis index of each column: ``columns[0]`` is
     the vacuum, ``columns[1 + i]`` the charged vector of ``regions[i]``,
@@ -168,17 +173,19 @@ class WindowSubspace:
 
     def __post_init__(self):
         regions = tuple(sorted(self.implementers))
-        columns, used = [0], 0  # ``used``: the bitmask of modes taken so far
+        columns, owner = [0], {}  # ``owner``: the region each mode taken so far is private to
         for r in regions:
-            hit = _apply_word(0, [(m, True) for m in self.implementers[r].modes[::-1]])
-            # the column is the region's mode bitmask: non-empty, in range, no mode shared
-            if hit is None or hit[1] != 1 or not 0 < hit[0] < self.fock.dim or hit[0] & used:
-                raise ValueError(
-                    f"window basis failed to come out orthonormal at region {r}: "
-                    "charged vectors must be distinct + occupation-basis vectors"
-                )
+            modes = self.implementers[r].modes
+            hit = _apply_word(0, [(m, True) for m in modes[::-1]])
+            # the column is the region's mode bitmask: non-empty and in range
+            if hit is None or hit[1] != 1 or not 0 < hit[0] < self.fock.dim:
+                raise ValueError(f"window basis failed to come out orthonormal at region {r}: "
+                                 "charged vectors must be distinct + occupation-basis vectors")
+            if (shared := next((m for m in modes if m in owner), None)) is not None:
+                raise ValueError(f"window modes must be private to one region: region {r} "
+                                 f"shares mode {shared} with region {owner[shared]}")
             columns.append(hit[0])
-            used |= hit[0]
+            owner.update(dict.fromkeys(modes, r))
         columns = np.array(columns)
         columns.setflags(write=False)
         object.__setattr__(self, "regions", regions)
@@ -326,8 +333,8 @@ def z_path(t: SectorTransporter, path: PosetPath) -> TransportEntry:
     operator is the full CSR product of the step operators
     (``SectorTransporter.op``), reflexive steps skipped, and the identity
     only when no step carries an operator.  It serves the observable
-    layer and the tests' oracle; the sector checks fold each chain as a
-    scalar (``window_block``) and build no operator.
+    layer and the tests' oracle; the sector checks fold each chain to
+    ``(start, end, entry)`` (``window_chain``) and build no operator.
     """
     op: FieldOp | None = None
     if t.window is not None:
@@ -340,80 +347,70 @@ def z_path(t: SectorTransporter, path: PosetPath) -> TransportEntry:
     return TransportEntry(holonomy(t.cocycle, path), op)
 
 
-def window_block(
+def window_chain(
     t: SectorTransporter, crossings: Iterable[tuple[int, int, int | None]]
-) -> np.ndarray:
-    """Window block of the chain of steps (later steps left), bit for bit
-    ``t.window.compress(z_path(...).op)``, without any Fock-space object.
+) -> tuple[int, int | None, complex] | None:
+    """The chain of steps (later steps left) as ``(start, end, entry)``:
+    on the window it is ``entry`` times the matrix unit E_(end, start),
+    bit for bit the block ``t.window.compress(z_path(...).op)``, with no
+    Fock-space object and no array.
 
-    A certified chain is one entry times one matrix unit, so it is folded
-    as a scalar: the window position the chain stands at and its entry,
-    reflexive steps skipped.  The first step's entry is taken as stored
-    (conjugated in reverse); each later step s multiplies the carried
-    entry v in real arithmetic, re = 0.0 + (sr*vr - si*vi),
+    ``start`` and ``end`` are region ids.  None when no step moves (the
+    chain is the identity); ``end`` is None, and ``entry`` 0, when a step
+    does not start where the chain stands (the chain is zero).
+    Reflexive steps are skipped.  The first step's entry is taken as
+    stored (conjugated in reverse); each later step s multiplies the
+    carried entry v in real arithmetic, re = 0.0 + (sr*vr - si*vi),
     im = 0.0 + (sr*vi + si*vr), which is the sparse product's complex
     multiply and its sum from zero.  numpy's complex ``s * v`` may round
-    differently (fused multiply-add).  A step that does not start where
-    the chain stands annihilates it.  The (n, n) block is built once at
-    the end: the identity when no step moves, else zero but for the entry
-    at (end, start).  Every window check goes through this fold, so it
-    raises ValueError for a transporter without a Fock window.
+    differently (fused multiply-add).  Every window check goes through
+    this fold, so it raises ValueError for a transporter without a Fock
+    window.
     """
     if t.window is None:
         raise ValueError("window checks need a Fock window; use rho_holonomy off the Fock layer")
-    window = t.window
-    start = at = None  # window positions; ``at`` is None once annihilated
+    start = at = None  # region ids; ``at`` is None once the chain is zero
     for dst, src, comp in crossings:
         if dst == src:
             continue
         edge, forward = oriented(dst, src, comp)
-        w = t._weight(edge)
-        s = w if forward else w.conjugate()
-        end = window.position(dst)
+        s = t._weight(edge) if forward else t._weight(edge).conjugate()
         if start is None:
-            start, at, re, im = window.position(src), end, s.real, s.imag
-        elif at == window.position(src):
+            start, at, re, im = src, dst, s.real, s.imag
+        elif at == src:
             sr, si = s.real, s.imag
-            re, im, at = 0.0 + (sr * re - si * im), 0.0 + (sr * im + si * re), end
+            re, im, at = 0.0 + (sr * re - si * im), 0.0 + (sr * im + si * re), dst
         else:
-            at = None
-    n = len(window.columns)
-    if start is None:
-        return np.eye(n, dtype=complex)
-    out = np.zeros((n, n), dtype=complex)
-    if at is not None:
-        out.real[at, start], out.imag[at, start] = re, im
-    return out
+            at, re, im = None, 0.0, 0.0
+    return None if start is None else (start, at, complex(re, im))
 
 
 def telescope_residual(t: SectorTransporter, path: PosetPath) -> float:
     """Window gap between transported chain and its telescoped pair.
 
-    The chain's window block is folded as a scalar (``window_block``);
+    The chain is folded as ``(start, end, entry)`` (``window_chain``);
     the pair is the certified matrix unit E_(end, start) carrying the
     path's holonomy, an independent fold of the cocycle, scaled as
-    ``FieldOp.scaled`` scales, and is subtracted in place.  A
-    path that never leaves its start region (empty, or reflexive steps
-    only) telescopes to the reflexive identity entry, not to the
-    degenerate pair phi phi^*, so its residual is zero by construction.
+    ``FieldOp.scaled`` scales, so the gap is |entry - scaled holonomy|.
+    A path that never moves (empty, or reflexive steps only) telescopes
+    to the reflexive identity entry, not to the degenerate pair
+    phi phi^*, so its residual is zero by construction.
     """
-    chain = window_block(t, path.crossings())
-    if set(path.regions) == {path.start}:
+    chain = window_chain(t, path.crossings())
+    if chain is None:
         return 0.0
-    j, hol = t.window.position(path.start), _scaled(1.0, holonomy(t.cocycle, path))
-    chain[t.window.position(path.end), j] -= hol
-    return float(np.max(np.abs(chain)))
+    return float(np.abs(chain[2] - _scaled(1.0, holonomy(t.cocycle, path))))
 
 
 def triple_law_residual(
     t: SectorTransporter, triple: tuple[int, int, int, tuple[int, int, int]]
 ) -> float:
-    """Window gap of op(r3<-r2) op(r2<-r1) = op(r3<-r1), both sides
-    folded as scalars (``window_block``)."""
+    """Window gap of op(r3<-r2) op(r2<-r1) = op(r3<-r1) on a triple of
+    distinct regions: both sides fold (``window_chain``) to an entry times
+    E_(r3, r1), so the gap is |lhs entry - rhs entry|."""
     r1, r2, r3, (c12, c13, c23) = triple
-    lhs = window_block(t, [(r2, r1, c12), (r3, r2, c23)])
-    rhs = window_block(t, [(r3, r1, c13)])
-    return float(np.max(np.abs(lhs - rhs)))
+    lhs, rhs = window_chain(t, [(r2, r1, c12), (r3, r2, c23)]), window_chain(t, [(r3, r1, c13)])
+    return float(np.abs(lhs[2] - rhs[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -476,19 +473,16 @@ def topological_component(
 ) -> TopologicalComponent:
     """Scalar the transported loop acts by on its basepoint's charged vector.
 
-    The loop's window block is folded as a scalar (``window_block``).
-    The residual measures how far it is from that scalar times the
-    basepoint matrix unit; a large residual means the block is not scalar
-    and the value should not be trusted.
+    A loop that moves folds (``window_chain``) to its entry times the
+    basepoint matrix unit, so the entry is the value and the residual is
+    zero by construction.  A loop that never moves is the identity on
+    the whole window, not a scalar times the basepoint unit: value 1,
+    residual 1.0, so it is never certified.
     """
     if not loop.is_loop:
         raise InvalidPath("topological components are defined for loops")
-    m = window_block(t, loop.crossings())
-    ia = t.window.position(loop.start)
-    value = complex(m[ia, ia])
-    expected = np.zeros_like(m)
-    expected[ia, ia] = value
-    residual = float(np.max(np.abs(m - expected)))
+    chain = window_chain(t, loop.crossings())
+    value, residual = (1 + 0j, 1.0) if chain is None else (chain[2], 0.0)
     return TopologicalComponent(value=value, residual=residual, basepoint=loop.start)
 
 
@@ -498,16 +492,18 @@ def transition_amplitude(
     """Overlap <Z_q v_a, Z_p v_a> of two transported charges.
 
     Both paths must share start and end regions; the value depends only on
-    the loop class of reverse(q) then p.  Z v_a is the chain's window
-    column at a's position (``window_block``).
+    the loop class of reverse(q) then p.  Each chain (``window_chain``)
+    sends v_a to its entry times v_end (1 when it never moves), so the
+    overlap is ``np.vdot`` of the two entries, which keeps the bits of
+    ``np.vdot`` of the transported vectors, signed zeros included.
     """
     if p.start != q.start or p.end != q.end:
         raise InvalidPath(
             f"paths must share endpoints: ({p.start}->{p.end}) vs ({q.start}->{q.end})"
         )
-    zp, zq = window_block(t, p.crossings()), window_block(t, q.crossings())
-    a = t.window.position(p.start)
-    return complex(np.vdot(zq[:, a], zp[:, a]))
+    zp, zq = window_chain(t, p.crossings()), window_chain(t, q.crossings())
+    ep, eq = (1 + 0j if z is None else z[2] for z in (zp, zq))
+    return complex(np.vdot([eq], [ep]))
 
 
 @dataclass(frozen=True)
@@ -538,7 +534,7 @@ def classify(
         for name, loop in zip(names, loops):
             comp = topological_component(t, loop)
             components[name] = PhaseU1(float(np.angle(comp.value)))
-            residuals[name] = max(comp.residual, abs(abs(comp.value) - 1.0))
+            residuals[name] = worst((comp.residual, abs(abs(comp.value) - 1.0)))
     trivial = all(is_identity(v, tol) for v in components.values())
     ident = t.cocycle.identity
     dim = ident.dim if isinstance(ident, MatrixUn) else 1

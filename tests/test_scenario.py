@@ -1058,11 +1058,7 @@ def walk_loader(base):
 
 
 def walk(base, text):
-    loader = walk_loader(base)(text)
-    try:
-        return loader.document("<test>")
-    finally:
-        loader.dispose()
+    return walk_loader(base).read(text, "<test>")
 
 
 def same(a, b) -> bool:
@@ -1432,3 +1428,47 @@ def test_loading_composes_no_node_tree(base, monkeypatch):
 
 def test_yaml_syntax_errors_give_line_and_column():
     assert "not valid YAML at line 3:1:" in str(error_of(HAND_CORPUS["unclosed"]))
+
+
+@pytest.mark.parametrize(
+    "tail, where",
+    [
+        ("seed: 1\x00\n", "line 5:8"),
+        ("# é ü\nseed: \x07\n", "line 6:7"),  # past multi-byte characters
+        ("paths: {p: [0, 1]}\n# é\nseed: [1, \x1b]\n", "line 7:11"),
+    ],
+    ids=["nul", "after_non_ascii", "escape"],
+)
+def test_control_characters_give_line_and_column(loader_base, tail, where):
+    # a reader error carries an offset, counted in characters by PyYAML's
+    # reader and in UTF-8 bytes by libyaml: both name the same character
+    message = str(error_of(MINIMAL + tail))
+    assert f"not valid YAML at {where}: unacceptable character" in message
+
+
+def test_bytes_that_are_not_utf8_exit_2_with_line_and_column(tmp_path, capsys):
+    head = MINIMAL.encode()
+    # the last one sits past the first 8 KiB, where a buffered text-mode read
+    # would count the offset from the start of its chunk
+    for body, where in (
+        (b'sigma: {g0: "\xff\xfe"}\n', (5, 14)),
+        ("paths: {p: [0, 1]}  # é\n".encode() + b"seed: \xc3\n", (6, 7)),
+        (b"# pad\n" * 2000 + b'tasks: ["\xe9"]\n', (2005, 10)),
+    ):
+        f = tmp_path / "latin1.yaml"
+        f.write_bytes(head + body)
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(str(f))
+        assert (exc.value.line, exc.value.column) == where
+        code, out, err = run_cli(["report", "--scenario", str(f)], capsys)
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.startswith(f"flatnet: {f}: byte 0x") and "is not UTF-8" in err
+        assert err.endswith(f"(line {where[0]}:{where[1]})\n")
+
+
+def test_parse_scenario_reads_line_ends_as_text_mode(tmp_path):
+    text = ANNULUS_YAML.read_text(encoding="utf-8")
+    for newline in ("\r\n", "\r"):
+        f = tmp_path / "annulus.yaml"
+        f.write_bytes(text.replace("\n", newline).encode())
+        assert parse_scenario(str(f)) == parse_scenario(str(ANNULUS_YAML))

@@ -73,7 +73,7 @@ from flatnet.sectors import (
     transition_amplitude,
     triple_law_residual,
     twisted_transporter,
-    window_block,
+    window_chain,
     z1,
     z_path,
 )
@@ -138,6 +138,25 @@ def oracle_block(t, crossings):
             step = oracle_step(t, dst, src, comp)
             prod = step if prod is None else step * prod
     return t.window.compress(prod if prod is not None else identity_op(t.window.fock))
+
+
+def chain_block(t, chain):
+    """The (n, n) window block of a ``window_chain`` triple: the identity
+    for None, zero when ``end`` is None, else zero but for ``entry`` at
+    (end, start), its real and imaginary parts written as they are."""
+    n = len(t.window.columns)
+    if chain is None:
+        return np.eye(n, dtype=complex)
+    start, end, entry = chain
+    out = np.zeros((n, n), dtype=complex)
+    if end is not None:
+        at = (t.window.position(end), t.window.position(start))
+        out.real[at], out.imag[at] = entry.real, entry.imag
+    return out
+
+
+def folded_block(t, crossings):
+    return chain_block(t, window_chain(t, crossings))
 
 
 def assert_same_csr(a, b):
@@ -215,8 +234,9 @@ def test_window_basis_orthonormal_and_projector():
 
 def test_window_gate_fails_closed_on_layouts_off_the_basis():
     # the gate reads occupation bits: a charged vector that is not a
-    # distinct + basis vector (shared modes, a Jordan-Wigner - sign, a
-    # mode created twice, a mode past the space) raises
+    # + basis vector (a Jordan-Wigner - sign, a mode created twice, a mode
+    # past the space) raises naming the basis rule, and modes shared by
+    # two regions raise naming the shared mode
     fock = fock_for(ANN, 2)
     imps = {r: implementer(fock, r) for r in ANN.regions}
     WindowSubspace(fock, imps)
@@ -225,15 +245,21 @@ def test_window_gate_fails_closed_on_layouts_off_the_basis():
         return Implementer(fock=fock, region=region, charge=len(modes), modes=modes)
 
     bad_layouts = [
-        {1: imps[0]},  # two regions share their modes: equal columns
-        {0: layout(0, (0, 2)), 1: layout(1, (0, 2))},  # shared charge-two modes
-        {0: layout(0, (1, 0))},  # mode 0 created after mode 1: sign -1
-        {1: layout(1, (2, 0, 3))},  # mode 2 created over an occupied mode 0
-        {0: layout(0, (1, 1))},  # created twice: annihilated
-        {0: layout(0, (fock.K,))},  # past the Fock space
+        # two regions share their modes: equal columns
+        ({1: imps[0]}, "region 1 shares mode 0 with region 0"),
+        # shared charge-two modes
+        ({0: layout(0, (0, 2)), 1: layout(1, (0, 2))}, "region 1 shares mode 0 with region 0"),
+        # mode 0 created after mode 1: sign -1
+        ({0: layout(0, (1, 0))}, "orthonormal at region 0: .* occupation-basis"),
+        # mode 2 created over an occupied mode 0: sign -1
+        ({1: layout(1, (2, 0, 3))}, "orthonormal at region 1: .* occupation-basis"),
+        # created twice: annihilated
+        ({0: layout(0, (1, 1))}, "orthonormal at region 0: .* occupation-basis"),
+        # past the Fock space
+        ({0: layout(0, (fock.K,))}, "orthonormal at region 0: .* occupation-basis"),
     ]
-    for bad in bad_layouts:
-        with pytest.raises(ValueError, match="orthonormal"):
+    for bad, message in bad_layouts:
+        with pytest.raises(ValueError, match=message):
             WindowSubspace(fock, {**imps, **bad})
     # the same signs on the CSR layer: the creator product applied to the vacuum
     for modes, sign in (((1, 0), -1.0), ((2, 0, 3), -1.0), ((0, 2), 1.0)):
@@ -359,7 +385,7 @@ def random_crossing_path(rng, cover, length, start=None):
 
 
 def assert_fold_matches_product(t, path):
-    got = window_block(t, path.crossings())
+    got = folded_block(t, path.crossings())
     want = oracle_block(t, path.crossings())
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -386,7 +412,8 @@ def test_window_block_empty_and_reflexive_paths_are_identity():
         n = len(t.window.columns)
         for path in (approximate_curve(cover, [1]), approximate_curve(cover, [2, 2, 2])):
             assert_fold_matches_product(t, path)
-            assert window_block(t, path.crossings()).tobytes() == np.eye(n, dtype=complex).tobytes()
+            assert window_chain(t, path.crossings()) is None
+            assert folded_block(t, path.crossings()).tobytes() == np.eye(n, dtype=complex).tobytes()
 
 
 def test_window_block_long_chains_bitwise():
@@ -408,11 +435,14 @@ def test_one_step_blocks_equal_oracle_step_and_its_adjoint():
         for t in ts:
             n = len(t.window.columns)
             eye = np.eye(n, dtype=complex).tobytes()
-            assert window_block(t, [(1, 1, None)]).tobytes() == eye
+            assert window_chain(t, [(1, 1, None)]) is None
+            assert folded_block(t, [(1, 1, None)]).tobytes() == eye
             for (u, v, c) in t.weights:
                 op = oracle_step(t, v, u, c)
                 for (dst, src), want in (((v, u), op), ((u, v), op.adjoint())):
-                    got = window_block(t, [(dst, src, c)])
+                    chain = window_chain(t, [(dst, src, c)])
+                    assert chain[:2] == (src, dst)
+                    got = chain_block(t, chain)
                     assert got.tobytes() == t.window.compress(want).tobytes()
 
 
@@ -421,7 +451,9 @@ def test_window_block_non_chaining_crossings_are_zero_bitwise():
     # scalar fold must give the oracle's zero block, signed zeros included
     for t in fold_setup(3, 4)[1] + (plain_transporter(make_window(fock_for(ANN), ANN), ANN),):
         crossings = [(1, 0, 0), (3, 2, 0)]
-        got = window_block(t, crossings)
+        chain = window_chain(t, crossings)
+        assert chain[0] == 0 and chain[1] is None and chain[2] == 0
+        got = chain_block(t, chain)
         assert not np.any(got)
         assert got.tobytes() == oracle_block(t, crossings).tobytes()
 
@@ -436,7 +468,7 @@ def test_pair_certification_fails_closed_on_two_entries():
     imps = {r: implementer(fock, r) for r in ANN.regions}
     imps[0] = Implementer(fock=fock, region=0, charge=1, modes=(0,))
     imps[1] = Implementer(fock=fock, region=1, charge=2, modes=(0, 2))
-    with pytest.raises(ValueError, match="orthonormal at region 1"):
+    with pytest.raises(ValueError, match="private to one region: region 1 shares mode 0 with region 0"):
         WindowSubspace(fock, imps)
     # the CSR oracle sees the two entries the shared mode makes: 0 <- 0
     # keeps v_1 in place, 2 <- 0 sends v_1 off the window
@@ -565,12 +597,15 @@ def test_telescope_residual_equals_csr_route_bitwise():
             for _ in range(5):
                 path = random_crossing_path(rng, cover, int(rng.integers(1, 10)))
                 chain = oracle_block(t, path.crossings())
+                folded = window_chain(t, path.crossings())
                 if set(path.regions) == {path.start}:
                     # no step moves the charge: the chain is the identity
                     # and telescopes like the empty path
+                    assert folded is None
                     assert chain.tobytes() == np.eye(len(chain), dtype=complex).tobytes()
                     assert telescope_residual(t, path) == 0.0
                     continue
+                assert folded[:2] == (path.start, path.end)
                 pair = z1(t.window, path.end, path.start).scaled(holonomy(t.cocycle, path))
                 want = float(np.max(np.abs(chain - t.window.compress(pair))))
                 assert np.float64(telescope_residual(t, path)).tobytes() == np.float64(want).tobytes()
@@ -718,6 +753,41 @@ def test_twisted_loop_component_matches_holonomy():
     assert comp.basepoint == loop.start
 
 
+def test_topological_component_reads_the_chain_entry_bitwise():
+    # a moving loop's value is the compressed CSR product's basepoint entry,
+    # bit for bit, with residual 0; a loop that never moves is the
+    # identity on the whole window, value 1 and residual 1.0
+    rng = np.random.default_rng(67)
+    for index in range(len(FOLD_COVERS)):
+        cover, ts = fold_setup(index, 6)
+        for t in ts:
+            a = int(rng.choice(cover.regions))
+            out = random_crossing_path(rng, cover, int(rng.integers(1, 6)), a)
+            back = random_crossing_path(rng, cover, int(rng.integers(1, 6)), out.end)
+            loop = path_compose(path_compose(out, back), path_reverse(back))
+            loop = path_compose(loop, path_reverse(out))
+            comp = topological_component(t, loop)
+            ia = t.window.position(a)
+            want = t.window.compress(z_path(t, loop).op)[ia, ia]
+            if window_chain(t, loop.crossings()) is None:
+                assert want == 1.0 and comp.value == 1.0 and comp.residual == 1.0
+                continue
+            assert np.array(comp.value).tobytes() == want.tobytes()
+            assert comp.residual == 0.0
+        still = approximate_curve(cover, [cover.regions[0]] * 3)
+        comp = topological_component(ts[1], still)
+        assert (comp.value, comp.residual) == (1.0, 1.0)
+
+
+def test_classify_nan_cocycle_fails_closed():
+    # a NaN phase built through the library: the loop's entry is NaN, so
+    # the residual must be NaN, never the 0.0 that max(0.0, nan) gives
+    nerve, _, _, _, window = annulus_setup()
+    sigma = SigmaMorphism({"g0": PhaseU1(float("nan"))}, PhaseU1(0.0))
+    t = twisted_transporter(window, transition_cocycle(sigma, nerve))
+    assert np.isnan(classify(t, nerve).residuals["g0"])
+
+
 def test_topological_component_rejects_open_path():
     _, _, coc, _, window = annulus_setup()
     t = twisted_transporter(window, coc)
@@ -862,7 +932,7 @@ def test_rho_layer_lift_of_phases():
 
 
 def test_window_checks_reject_the_coefficient_only_layer():
-    # every window check folds through window_block, which names the layer
+    # every window check folds through window_chain, which names the layer
     cover, nerve, _, t = fig8_matrix_transporter()
     loop = generator_loop(nerve, 0)
     for check in (
