@@ -15,6 +15,7 @@ Conventions, fixed once here and relied on everywhere else:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence, Union
@@ -32,9 +33,10 @@ class VariantMismatch(TypeError):
 
 def wrap_angle(theta: float) -> float:
     """Reduce an angle to the canonical branch (-pi, pi], ties at -pi -> +pi."""
-    w = float(np.remainder(theta + np.pi, 2.0 * np.pi)) - np.pi
-    if w <= -np.pi:  # remainder can land exactly on the open end
-        w = np.pi
+    # float % rounds as np.remainder does, without a numpy scalar round trip
+    w = (float(theta) + math.pi) % (2.0 * math.pi) - math.pi
+    if w <= -math.pi:  # remainder can land exactly on the open end
+        w = math.pi
     return w
 
 

@@ -4,19 +4,20 @@ The event stream comes from libyaml's parser when PyYAML was built with
 it and from PyYAML's pure-Python parser otherwise.  No node tree is
 composed: plain dicts and lists are built on an explicit stack, and each
 distinct scalar is resolved and constructed once, with PyYAML's YAML 1.1
-meaning, so the document equals what ``yaml.load`` gives.  A container tagged
-as anything but a mapping or a sequence (``!!set``, ``!!omap``,
-``!!pairs``, ``!foo``) is rejected where it appears, since no scenario
-field holds one; a merge (``<<``) value is the exception.  A document
-whose text nests more than MAX_DEPTH containers deep is rejected at the
-first container past the limit (``seed[0]...[0]: nested too deeply
-(line 5:106)``), on either parser.  An alias adds no depth: a chain of
-anchors, each holding an alias to the one before, builds a value nested
-deeper than the text, so code that recurses into a loaded value must
-still expect RecursionError.  Errors are ScenarioErrors carrying a field
-path and the 1-based line and column of the offending node; a character
-YAML rejects (a control character) is placed at its line and column
-too, on either parser.
+meaning, so the document equals what ``yaml.load`` gives.  A scenario is
+a tree of names and numbers, so what would make it anything else is
+rejected where it appears: an anchor, an alias or a merge key (``<<``),
+as ``tasks[1]: found anchor &a0; a scenario has no anchors, aliases or
+merge keys (line 5:16)``, and a container tagged as anything but a
+mapping or a sequence (``!!set``, ``!!omap``, ``!!pairs``, ``!foo``),
+since no scenario field holds one.  A document whose text nests more
+than MAX_DEPTH containers deep is rejected at the first container past
+the limit (``seed[0]...[0]: nested too deeply (line 5:106)``), on either
+parser.  A loaded value is thus a tree no deeper than MAX_DEPTH, which
+grows linearly with its text.  Errors are ScenarioErrors carrying a
+field path and the 1-based line and column of the offending node; a
+character YAML rejects (a control character, a lone surrogate) is placed
+at its line and column too, on either parser.
 """
 
 from __future__ import annotations
@@ -54,17 +55,13 @@ class _EventWalk:
     scalar is constructed once, by the loader's own ``construct_object``,
     so every value keeps PyYAML's YAML 1.1 meaning (``1e-10`` is a string,
     ``017`` octal, ``yes`` a boolean).  Containers are built on an explicit
-    stack of open frames, registered under their anchor at their start
-    event (a recursive alias contains itself), and merge (``<<``) and value
-    (``=``) keys are applied in place at the mapping's end event, with
-    ``flatten_mapping``'s meaning.  A container whose tag is not the
-    default mapping or sequence tag is rejected at its start event (so
-    ``!!str {=: 5}``, which PyYAML reads as '5', is an error here), except
-    a merge value without an anchor: ``flatten_mapping`` reads that as a
-    plain container whatever its tag, and so does the walk.  A document
-    whose text nests deeper than MAX_DEPTH is rejected at the first event
-    past the limit.  The result equals ``yaml.load``'s, or ``document``
-    raises ScenarioError.
+    stack of open frames.  A value key (``=``) is read as the string '=',
+    as ``flatten_mapping`` reads it.  An anchor, an alias or a merge key is
+    rejected at its event, and so is a container whose tag is not the
+    default mapping or sequence tag (so ``!!str {=: 5}``, which PyYAML
+    reads as '5', is an error here).  A document whose text nests deeper
+    than MAX_DEPTH is rejected at the first event past the limit.  The
+    result equals ``yaml.load``'s, or ``document`` raises ScenarioError.
     """
 
     @classmethod
@@ -76,11 +73,13 @@ class _EventWalk:
                 return loader._walk(source)
             finally:
                 loader.dispose()
-        except yaml.YAMLError as e:
+        # libyaml encodes a str as UTF-8 before it reads any of it, which
+        # fails on a lone surrogate
+        except (yaml.YAMLError, UnicodeEncodeError) as e:
             mark = getattr(e, "problem_mark", None)
             # a reader error carries an offset, in characters from PyYAML's reader and
             # in UTF-8 bytes from libyaml; both stop at the first character YAML rejects
-            if isinstance(e, yaml.reader.ReaderError):
+            if isinstance(e, (yaml.reader.ReaderError, UnicodeEncodeError)):
                 bad = yaml.reader.Reader.NON_PRINTABLE.search(text).start()
                 mark = mark_after(text[:bad], source)
             loc = f" at line {mark.line + 1}:{mark.column + 1}" if mark is not None else ""
@@ -90,12 +89,14 @@ class _EventWalk:
         get_event, resolve = self.get_event, self.resolve
         scalars: dict = {}  # (tag, value) -> constructed scalar
         plain: dict = {}  # plain scalar value -> constructed scalar
-        anchors: dict = {}  # anchor -> (object, start mark)
         seq_tag, map_tag = self.DEFAULT_SEQUENCE_TAG, self.DEFAULT_MAPPING_TAG
         stack = [_Frame(_LIST, [], None)]  # its list receives the root
 
         def fail(message, event):
             raise ScenarioError(message, _here(stack, source), event.start_mark)
+
+        def not_a_tree(what, event):
+            fail(f"found {what}; a scenario has no anchors, aliases or merge keys", event)
 
         def scalar(tag, value, event):
             obj = scalars.get((tag, value), _NOKEY)
@@ -111,26 +112,6 @@ class _EventWalk:
                 scalars[(tag, value)] = obj
             return obj
 
-        def put(top, obj, event):
-            """Hand a scalar, an alias or a container to the open frame ``top``."""
-            key = top.key
-            if top.kind is _LIST:
-                top.obj.append(obj)
-            elif key is _NOKEY:
-                top.key = obj
-            elif key is _MERGE:  # a mapping, or a list of them of which the last wins
-                top.merges = top.merges or []
-                for source in reversed(obj) if obj.__class__ is list else (obj,):
-                    if source.__class__ is not dict:
-                        found = "sequence" if source.__class__ is list else "scalar"
-                        fail("expected a mapping or list of mappings for merging, "
-                             f"but found {found}", event)
-                    top.merges.append(source)
-                top.key = _NOKEY
-            else:
-                top.obj[key] = obj
-                top.key = _NOKEY
-
         self.get_event()  # the stream start
         if self.check_event(yaml.StreamEndEvent):
             return None
@@ -141,8 +122,10 @@ class _EventWalk:
             cls = event.__class__
             top = stack[-1]
             if cls is yaml.ScalarEvent:
+                if event.anchor is not None:
+                    not_a_tree(f"anchor &{event.anchor}", event)
                 value, tag = event.value, event.tag
-                key_slot = top.kind is _MAP and top.key is _NOKEY  # merge and value keys apply
+                key_slot = top.kind is _MAP and top.key is _NOKEY  # merge and value keys read here
                 if tag is None and event.implicit[0] and not key_slot:
                     obj = plain.get(value, _NOKEY)
                     if obj is _NOKEY:
@@ -152,88 +135,57 @@ class _EventWalk:
                     if tag is None or tag == "!":
                         tag = resolve(yaml.ScalarNode, value, event.implicit)
                     if key_slot and tag == _MERGE_TAG:
-                        top.key = _MERGE
-                        continue
+                        not_a_tree("merge key", event)
                     obj = scalar(_STR_TAG if key_slot and tag == _VALUE_TAG else tag, value, event)
-                if event.anchor is not None:
-                    self._anchor(anchors, event, obj)
                 if top.kind is _LIST:
                     top.obj.append(obj)
+                elif key_slot:
+                    top.key = obj
                 else:
-                    put(top, obj, event)
+                    top.obj[top.key] = obj
+                    top.key = _NOKEY
             elif cls is yaml.SequenceStartEvent or cls is yaml.MappingStartEvent:
                 if len(stack) > MAX_DEPTH:
                     fail("nested too deeply", event)
                 if top.kind is _MAP and top.key is _NOKEY:
                     fail("found unhashable key", event)
+                if event.anchor is not None:
+                    not_a_tree(f"anchor &{event.anchor}", event)
                 mapping = cls is yaml.MappingStartEvent
-                # a merge value is read as a plain container, as flatten_mapping
-                # reads it, unless an alias could read it elsewhere
-                merging = top.key is _MERGE
-                if (event.tag not in (None, "!", map_tag if mapping else seq_tag)
-                        and (not merging or event.anchor is not None)):
+                if event.tag not in (None, "!", map_tag if mapping else seq_tag):
                     fail(f"tag {event.tag} is not a scenario mapping or sequence", event)
                 obj = {} if mapping else []
-                if event.anchor is not None:
-                    self._anchor(anchors, event, obj)
-                frame = _Frame(_MAP if mapping else _LIST, obj, _next_name(top))
-                if not merging:  # a merge value is merged at its end
-                    put(top, obj, event)
-                stack.append(frame)
+                stack.append(_Frame(_MAP if mapping else _LIST, obj, _next_name(top)))
+                if top.kind is _LIST:
+                    top.obj.append(obj)
+                else:
+                    top.obj[top.key] = obj
+                    top.key = _NOKEY
             elif cls is yaml.AliasEvent:
-                try:
-                    obj = anchors[event.anchor][0]
-                except KeyError:
-                    raise ComposerError(
-                        None, None, f"found undefined alias {event.anchor!r}", event.start_mark
-                    ) from None
-                if top.kind is _MAP and top.key is _NOKEY:
-                    try:
-                        hash(obj)
-                    except TypeError:
-                        fail("found unhashable key", event)
-                put(top, obj, event)
+                not_a_tree(f"alias *{event.anchor}", event)
             elif cls is yaml.DocumentEndEvent:
                 break
             else:  # the end of a sequence or mapping
-                frame = stack.pop()
-                obj = frame.obj
-                if frame.merges:
-                    merged = [item for m in frame.merges for item in m.items()]
-                    own = list(obj.items())
-                    obj.clear()
-                    obj.update(merged)
-                    obj.update(own)
-                if stack[-1].key is _MERGE:
-                    put(stack[-1], obj, event)
+                stack.pop()
         if not self.check_event(yaml.StreamEndEvent):
             raise ComposerError("expected a single document in the stream", root_mark,
                                 "but found another document", get_event().start_mark)
         return stack[0].obj[0]
-
-    @staticmethod
-    def _anchor(anchors, event, obj):
-        if event.anchor in anchors:
-            raise ComposerError(f"found duplicate anchor {event.anchor!r}; first occurrence",
-                                anchors[event.anchor][1], "second occurrence", event.start_mark)
-        anchors[event.anchor] = (obj, event.start_mark)
 
 
 class _Frame:
     """An open container of the walk: ``obj`` the list or dict its events
     fill, ``name`` its key or index in the enclosing frame."""
 
-    __slots__ = ("kind", "obj", "name", "key", "merges")
+    __slots__ = ("kind", "obj", "name", "key")
 
     def __init__(self, kind, obj, name):
-        self.kind, self.obj, self.name = kind, obj, name
-        self.key, self.merges = _NOKEY, None
+        self.kind, self.obj, self.name, self.key = kind, obj, name, _NOKEY
 
 
-# frame kinds: a list; a mapping (merge and value keys apply)
+# frame kinds: a list; a mapping (its key slot reads merge and value keys)
 _LIST, _MAP = range(2)
 _NOKEY = object()  # a mapping frame waiting for its next key
-_MERGE = object()  # a mapping frame waiting for a merge key's value
 _MERGE_TAG, _VALUE_TAG, _STR_TAG = (f"tag:yaml.org,2002:{t}" for t in ("merge", "value", "str"))
 
 
@@ -241,8 +193,7 @@ def _next_name(frame):
     """The key or index the next value of ``frame`` goes under (None for a key)."""
     if frame.kind is _LIST:
         return len(frame.obj)
-    key = frame.key
-    return None if key is _NOKEY else "<<" if key is _MERGE else key
+    return None if frame.key is _NOKEY else frame.key
 
 
 def _here(stack, source: str) -> str:
@@ -277,8 +228,7 @@ def _mark_of(loader, where: str | None, source: str):
     """Start mark of the node at field path ``where``, or of the nearest
     enclosing one, in the document of a fresh ``loader``.  Error path
     only: it composes the node tree of a document the walk has read, so
-    one within MAX_DEPTH."""
-    best = None
+    a tree within MAX_DEPTH."""
     try:
         best = root = loader.get_single_node()
         todo = [("", root)] if root is not None and where not in (None, source) else []
@@ -290,10 +240,6 @@ def _mark_of(loader, where: str | None, source: str):
                 if where.startswith(path) and where[len(path)] in ".[":
                     best = child
                     todo.append((path, child))
-    # flatten_mapping recurses along a chain of merged aliases, which the
-    # walk merged without recursion: the enclosing node's mark will do
-    except RecursionError:
-        pass
     finally:
         loader.dispose()
     return best.start_mark if best is not None else _DOCUMENT_START
@@ -305,9 +251,8 @@ def _fields(loader, prefix: str, node):
         for i, child in enumerate(node.value):
             yield f"{prefix}[{i}]", child
     elif isinstance(node, yaml.MappingNode):
-        loader.flatten_mapping(node)
         for knode, child in node.value:
             if isinstance(knode, yaml.ScalarNode):
-                name = loader.construct_object(knode)
+                # a value key names itself, as the walk reads it
+                name = knode.value if knode.tag == _VALUE_TAG else loader.construct_object(knode)
                 yield f"{prefix}.{name}" if prefix else str(name), child
-

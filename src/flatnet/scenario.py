@@ -42,9 +42,10 @@ are unit-phase only; MatrixUn scenarios may run check, trivialize,
 holonomy and classify (coefficient layer).
 
 Loading (``flatnet.loader``): one pass over PyYAML's event stream, with
-PyYAML's YAML 1.1 meaning and a limit of MAX_DEPTH (100) on the nesting
-written in the text; aliases can nest a value deeper, and a rejected
-value too deep to repr is named ``<deeply nested list>``.  Every
+PyYAML's YAML 1.1 meaning.  A scenario is a tree: an anchor, an alias, a
+merge key or a container tagged as anything but a mapping or a sequence
+is rejected where it appears, and so is nesting past MAX_DEPTH (100), so
+a loaded value grows linearly with its text and its repr is safe.  Every
 ScenarioError from ``load_scenario`` names its field path and ends with
 the line and column of the offending node, e.g. ``sigma.g0: must be a
 finite number (line 9:7)``; malformed YAML reads ``not valid YAML at
@@ -162,16 +163,6 @@ def _ints(value, where: str, length: int | None = None) -> tuple[int, ...]:
         for i, x in enumerate(value):
             _int(x, f"{where}[{i}]")
     return tuple(value)
-
-
-def _brief(value) -> str:
-    """repr of a rejected value; a value nested past the recursion limit
-    (a chain of aliases nests without nesting in the text) is named by its
-    type."""
-    try:
-        return repr(value)
-    except RecursionError:
-        return f"<deeply nested {type(value).__name__}>"
 
 
 def _rows(value, where: str) -> list:
@@ -386,7 +377,7 @@ def _parse_config(doc, source: str) -> ScenarioConfig:
         if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
             raise ScenarioError("MatrixUn needs an integer dimension >= 1", "group")
     else:
-        raise ScenarioError(f"unknown variant {_brief(variant)}", "group.variant")
+        raise ScenarioError(f"unknown variant {variant!r}", "group.variant")
 
     nerve = build_nerve(cover)
     gen_names = nerve.generators
@@ -438,7 +429,7 @@ def _parse_config(doc, source: str) -> ScenarioConfig:
             raise ScenarioError("must be a [path, path] name pair", where)
         for nm in pair:
             if not (isinstance(nm, str) and nm in paths):
-                raise ScenarioError(f"unknown path name {_brief(nm)}", where)
+                raise ScenarioError(f"unknown path name {nm!r}", where)
         amplitudes.append((pair[0], pair[1]))
 
     traw = doc.get("tasks", list(TASK_ORDER))
@@ -446,7 +437,7 @@ def _parse_config(doc, source: str) -> ScenarioConfig:
         raise ScenarioError("must be a non-empty task list", "tasks")
     bad = [t for t in traw if t not in TASK_ORDER]
     if bad:
-        raise ScenarioError(f"unknown tasks {_brief(bad)}", "tasks")
+        raise ScenarioError(f"unknown tasks {bad!r}", "tasks")
     tasks = tuple(t for t in TASK_ORDER if t in set(traw))
     if variant == "MatrixUn":
         unsupported = sorted(set(tasks) & {"sector", "amplitude"})

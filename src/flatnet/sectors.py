@@ -568,14 +568,15 @@ def rho_layer_transporter(
 
     Higher-dimensional transport has no faithful realization on the
     finite Fock window, so this layer carries coefficients only.  By
-    default rho is the identity on already-matrix transition data.
+    default rho is the identity on already-matrix transition data, and
+    the transporter wraps ``cocycle`` itself, sharing its transport table.
     """
     if rho is None:
         if not isinstance(cocycle.identity, MatrixUn):
             raise VariantMismatch(
                 "default rho needs matrix transition data; pass an explicit rho"
             )
-        rho = lambda g: g  # noqa: E731
+        return SectorTransporter(cocycle)
     ident = rho(cocycle.identity)
     if not isinstance(ident, MatrixUn):
         raise VariantMismatch("rho must produce unitary matrices")

@@ -1,3 +1,4 @@
+import struct
 import warnings
 
 import numpy as np
@@ -43,6 +44,24 @@ def random_unitary(rng, n):
 
 # ---------------------------------------------------------------------------
 # angle canonicalization
+
+
+def numpy_wrap_angle(theta):
+    """wrap_angle's branch rule on np.remainder, the form it replaced."""
+    with np.errstate(invalid="ignore"):
+        w = float(np.remainder(theta + np.pi, 2.0 * np.pi)) - np.pi
+    return np.pi if w <= -np.pi else w
+
+
+def test_wrap_angle_matches_numpy_remainder_bit_for_bit():
+    edges = [0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi, 3 * np.pi, np.nextafter(np.pi, 0),
+             np.nextafter(-np.pi, 0), 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+             np.finfo(float).max, -np.finfo(float).max, np.inf, -np.inf, np.nan, 1e16, -1e300]
+    patterns = np.random.default_rng(0).integers(0, 2**64, 2000, dtype=np.uint64).view(np.float64)
+    for theta in edges + patterns.tolist():
+        got, want = wrap_angle(theta), numpy_wrap_angle(theta)
+        assert type(got) is float
+        assert struct.pack("<d", got) == struct.pack("<d", want), theta
 
 
 def test_wrap_angle_branch():

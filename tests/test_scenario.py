@@ -1184,15 +1184,50 @@ HAND_CORPUS = {
     "explicit_default_tags": "a: !!map {k: !!seq [1]}\n",
     "merge_anchored_set": "m: {<<: &v !!set {a}}\nn: *v\n",
 }
-# a container tagged other than a mapping or sequence, outside a merge value
-# (or anchored there, where an alias reads it by its tag): yaml.load builds
-# it, the walk rejects it where it starts
+# a container tagged other than a mapping or sequence: yaml.load builds it,
+# the walk rejects it where it starts
 TAGGED = {
-    "set": "set", "omap": "omap", "pairs": "pairs", "merge_set_alias": "set",
-    "set_alias": "set", "set_with_merge": "set", "omap_self": "omap",
-    "omap_alias_entry": "omap", "omap_anchored_entry": "omap", "pairs_list_key": "pairs",
-    "merge_anchored_set": "set",
+    "set": "set", "omap": "omap", "pairs": "pairs", "set_with_merge": "set",
+    "omap_anchored_entry": "omap", "pairs_list_key": "pairs",
 }
+
+# an anchor, an alias or a merge key: yaml.load shares or merges, the walk
+# rejects the first one where it appears, as (field path, token, line, column)
+NOT_A_TREE = {
+    "anchors": ("a", "anchor &x", 1, 4),
+    "recursive_alias": ("a", "anchor &x", 1, 4),
+    "recursive_mapping": ("a", "anchor &x", 1, 4),
+    "merge": ("topology", "merge key", 1, 12),
+    "merge_override": ("base", "anchor &b", 1, 7),
+    "merge_list": ("x", "anchor &a", 1, 4),
+    "merge_self": ("a", "anchor &x", 1, 4),
+    "merge_self_after_keys": ("a", "anchor &x", 1, 4),
+    "merge_into_ancestor": ("a", "anchor &x", 1, 4),
+    "merge_unknown_tag": ("<test>", "merge key", 1, 1),
+    "merge_set_as_mapping": ("<test>", "merge key", 1, 1),
+    "merge_set_alias": ("s", "anchor &s", 1, 4),
+    "merge_list_alias": ("a", "anchor &a", 1, 4),
+    "merge_two_keys": ("a", "anchor &a", 1, 4),
+    "merge_own_key_first": ("m", "merge key", 1, 11),
+    "merge_omap": ("m", "merge key", 1, 5),
+    "merge_anchored_value": ("m", "merge key", 1, 5),
+    "merge_key_explicit": ("m", "merge key", 1, 5),
+    "merge_anchored_set": ("m", "merge key", 1, 5),
+    "set_alias": ("s", "anchor &s", 1, 4),
+    "omap_self": ("x", "anchor &x", 1, 4),
+    "omap_alias_entry": ("m", "anchor &m", 1, 4),
+    "alias_key": ("k", "anchor &k", 1, 4),
+}
+NOT_A_TREE_MESSAGE = "{}: found {}; a scenario has no anchors, aliases or merge keys (line {}:{})"
+
+
+def assert_not_a_tree(base, text, where, token, line, column):
+    """The walk rejects ``text`` at the anchor, alias or merge key that
+    starts at ``line``:``column``."""
+    assert text.splitlines()[line - 1][column - 1:].startswith(("&", "*", "<<", "!!merge"))
+    with pytest.raises(ScenarioError) as exc:
+        walk(base, text)
+    assert str(exc.value) == NOT_A_TREE_MESSAGE.format(where, token, line, column)
 
 
 @pytest.mark.parametrize("base", LOADER_BASES)
@@ -1203,6 +1238,9 @@ def test_walk_matches_yaml_load_on_hand_corpus(base, name):
         with pytest.raises(ScenarioError, match=rf"tag tag:yaml.org,2002:{TAGGED[name]} is not "
                            r"a scenario mapping or sequence \(line \d+:\d+\)$"):
             walk(base, HAND_CORPUS[name])
+    elif name in NOT_A_TREE:
+        yaml.load(HAND_CORPUS[name], Loader=base)
+        assert_not_a_tree(base, HAND_CORPUS[name], *NOT_A_TREE[name])
     else:
         assert_walk_matches_yaml_load(base, HAND_CORPUS[name])
 
@@ -1227,11 +1265,16 @@ def test_walk_matches_yaml_load_on_mutated_scenarios(base, text):
 
 
 @pytest.mark.parametrize("base", LOADER_BASES)
-def test_walk_shares_aliases(base):
-    doc = walk(base, HAND_CORPUS["anchors"])
-    assert doc["a"] is doc["b"] is doc["e"][0] and doc["c"] is doc["d"] is doc["e"][1]
-    doc = walk(base, HAND_CORPUS["recursive_alias"])
-    assert doc["a"][0] is doc["a"]
+def test_walk_rejects_anchors_and_aliases(base):
+    # what yaml.load shares, and a list that contains itself
+    assert_not_a_tree(base, HAND_CORPUS["anchors"], "a", "anchor &x", 1, 4)
+    assert_not_a_tree(base, HAND_CORPUS["recursive_alias"], "a", "anchor &x", 1, 4)
+    # an alias, whether or not its anchor exists; an anchor on a key or a scalar
+    assert_not_a_tree(base, "a: [1, *x]\n", "a[1]", "alias *x", 1, 8)
+    assert_not_a_tree(base, "a:\n  b: *nope\n", "a.b", "alias *nope", 2, 6)
+    assert_not_a_tree(base, "a: {&k k: 1}\n", "a", "anchor &k", 1, 5)
+    assert_not_a_tree(base, "a: {k: [0, &s 1]}\n", "a.k[1]", "anchor &s", 1, 12)
+    assert_not_a_tree(base, "- {b: 1, <<: {c: 2}}\n", "[0]", "merge key", 1, 10)
 
 
 @pytest.fixture(params=LOADER_BASES)
@@ -1261,6 +1304,9 @@ def error_of(text):
         (MINIMAL + "paths: {p: [0, 2]}\n", "paths.p", 5, 12),
         (MINIMAL + "random_paths: 2\n", "seed", 2, 1),  # no seed node: the document
         (MINIMAL + "tolerances: !!set {}\n", "tolerances", 5, 13),  # empty, yet tagged
+        # a value key is named '=' on the error path too, as the walk reads it
+        (MINIMAL + "paths: {=: [0, 1], p: [0, 9]}\n", "paths.p", 5, 23),
+        (MINIMAL + "tolerances: {!!value check: .nan}\n", "tolerances.check", 5, 29),
     ],
 )
 def test_scenario_errors_carry_line_and_column(loader_base, text, where, line, column):
@@ -1325,7 +1371,8 @@ def test_unreadable_scalars_exit_2_with_field_path(loader_base, tmp_path, capsys
 @pytest.mark.parametrize(
     "text, fragment",
     [
-        ("a: &x [*x]\nschema_version: 1\n", "unknown keys ['a']"),
+        ("a: &x [*x]\nschema_version: 1\n", "a: found anchor &x; a scenario has no anchors, "
+         "aliases or merge keys (line 1:4)"),
         ("? [1, 2]\n: x\nschema_version: 1\n", "<scenario>: found unhashable key (line 1:3)"),
         (MINIMAL + "tolerances: {? [check] : 1.0}\n", "tolerances: found unhashable key"),
         (MINIMAL + "1: a\nfoo: b\n", "unknown keys [1, 'foo']"),
@@ -1384,27 +1431,46 @@ def alias_chain(n, first="[]", link="[*a{}]"):
 
 
 @pytest.mark.parametrize(
-    "text, message",
+    "text, where, line, column",
     [
-        (MINIMAL + f"tasks: {alias_chain(5000)}\n",
-         "tasks: unknown tasks <deeply nested list> (line 5:8)"),
-        (MINIMAL + f"group: {{variant: {alias_chain(5000)}}}\n",
-         "group.variant: unknown variant <deeply nested list> (line 5:18)"),
+        (MINIMAL + f"tasks: {alias_chain(5000)}\n", "tasks[0]", 5, 9),
+        (MINIMAL + f"group: {{variant: {alias_chain(5000)}}}\n", "group.variant[0]", 5, 19),
         (MINIMAL + f"paths: {{a: [0, 1]}}\namplitudes: [[a, {alias_chain(5000)}]]\n",
-         "amplitudes[0]: unknown path name <deeply nested list> (line 6:14)"),
-        # the last ``sigma`` wins: merged through 5,000 aliases, past the
-        # recursion limit of PyYAML's flatten_mapping on the error path
+         "amplitudes[0][1][0]", 6, 19),
+        # the last ``sigma`` would win, merged through 5,000 aliases
         (MINIMAL.replace("sigma: {g0: pi/2}", "sigma: "
                          + alias_chain(5000, "{g0: [1]}", "{{<<: *a{}}}") + "\nsigma: {<<: *a5000}"),
-         "sigma.g0: cannot read angle of type list (line 5:8)"),
+         "sigma[0]", 4, 9),
     ],
     ids=["tasks", "variant", "path_name", "merge"],
 )
 def test_alias_chains_past_the_recursion_limit_exit_2(loader_base, tmp_path, capsys, text,
-                                                       message):
+                                                       where, line, column):
+    # the walk stops at the chain's first anchor, so nothing nests past the text
     f = tmp_path / "chain.yaml"
     f.write_text(text)
+    message = NOT_A_TREE_MESSAGE.format(where, "anchor &a0", line, column)
     assert run_cli(["report", "--scenario", str(f)], capsys) == (2, "", f"flatnet: {message}\n")
+
+
+def alias_bomb(levels):
+    """A task list holding ``levels + 1`` anchored lists of ten entries,
+    each entry of one an alias to the one before: ``yaml.load`` builds
+    10 ** (levels + 1) leaves from text that grows by about 56 bytes a level."""
+    lists = ["&a0 [" + ", ".join(["x"] * 10) + "]"]
+    lists += [f"&a{i} [" + ", ".join([f"*a{i - 1}"] * 10) + "]" for i in range(1, levels + 1)]
+    return MINIMAL + "tasks: [check, " + ", ".join(lists) + "]\n"
+
+
+def test_alias_bomb_exits_2_with_a_short_message(loader_base, tmp_path, capsys):
+    # 6 levels: a loader that expands the aliases still answers within a second
+    text = alias_bomb(6)
+    f = tmp_path / "bomb.yaml"
+    f.write_text(text)
+    code, out, err = run_cli(["report", "--scenario", str(f)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "flatnet: " + NOT_A_TREE_MESSAGE.format("tasks[1]", "anchor &a0", 5, 16) + "\n"
+    assert len(err) < len(text) + 200
 
 
 @pytest.mark.parametrize("base", LOADER_BASES)
@@ -1444,6 +1510,20 @@ def test_control_characters_give_line_and_column(loader_base, tail, where):
     # reader and in UTF-8 bytes by libyaml: both name the same character
     message = str(error_of(MINIMAL + tail))
     assert f"not valid YAML at {where}: unacceptable character" in message
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        (MINIMAL.replace("pi/2", '"\udcff"'), "line 4:14"),
+        (MINIMAL + "# é\npaths: {\ud800: [0]}\n", "line 6:9"),  # past a multi-byte character
+    ],
+    ids=["value", "key"],
+)
+def test_lone_surrogate_gives_line_and_column(loader_base, text, where):
+    # a str need not be valid UTF-8: libyaml fails to encode a lone surrogate
+    # before it reads any text, and PyYAML's reader rejects it as a character
+    assert str(error_of(text)).startswith(f"<scenario>: not valid YAML at {where}: ")
 
 
 def test_bytes_that_are_not_utf8_exit_2_with_line_and_column(tmp_path, capsys):

@@ -920,6 +920,19 @@ def test_rho_layer_requires_matrix_identity():
         rho_layer_transporter(coc)
 
 
+def test_default_rho_layer_wraps_the_cocycle_itself():
+    # no copy of the values and no second transport table
+    _, nerve, sigma, _ = fig8_matrix_transporter()
+    coc = transition_cocycle(sigma, nerve)
+    t = rho_layer_transporter(coc)
+    assert t.cocycle is coc and t.window is None and t.weights == {}
+    explicit = rho_layer_transporter(coc, rho=lambda g: g)
+    assert explicit.cocycle is not coc
+    for k in range(2):
+        loop = generator_loop(nerve, k)
+        assert rho_holonomy(t, loop).mat.tobytes() == rho_holonomy(explicit, loop).mat.tobytes()
+
+
 def test_rho_layer_lift_of_phases():
     nerve = build_nerve(ANN)
     sigma = SigmaMorphism({"g0": PhaseU1(0.3)}, PhaseU1(0.0))
