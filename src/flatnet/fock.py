@@ -2,42 +2,45 @@
 
 Modes are allocated to regions in blocks (sorted region order), the Fock
 basis is indexed by occupation bitsets in little-endian mode order, and
-smeared fields are Jordan-Wigner creators.  Every operator is one
-complex CSR matrix: creators have 2^(K-1) entries, and implementers and
-transporters are signed partial permutations, so products and sums stay
-sparse and cancel paired monomials to exact zeros.  The supported
-envelope is K <= 12 modes; beyond that construction fails with
-CapacityError rather than degrading.
+smeared fields are Jordan-Wigner creators.  The supported envelope is
+K <= 12 modes; beyond that construction fails with CapacityError rather
+than degrading.
 
-``scipy.sparse`` is imported where a CSR matrix is first built or
-checked, not with this module.  The scenario path builds none, so a
-report never loads scipy; the CSR oracle and observable layer load it
-on first use.
+Every operator is a short sum of signed partial permutations of
+occupation bitsets (``FieldOp.terms``).  A term is keyed by four mode
+bitmasks ``(one, zero, flip, sign)``: it acts on the bitsets whose
+``one`` modes are occupied and whose ``zero`` modes are empty, flips the
+``flip`` modes and carries (-1)^popcount(state & sign).  The creator of
+mode m is the single term (0, 1<<m, 1<<m, (1<<m)-1) with coefficient 1.
+Products compose keys with integer bit operations, so Jordan-Wigner
+signs are exact, paired monomials cancel to exact zeros, and
+``field(f) * field(f)`` has no term at all.  Every flipped mode is
+conditioned, and sign bits on conditioned modes are folded into the
+coefficient, so equal keys are equal operators.  Only ``matrix``,
+``apply`` and ``norm_max`` evaluate all 2^K bitsets.
 
 Operators carry a support tag (the regions whose modes they were built
-from) and a grading, computed on first read from which charge blocks
-their matrix couples (an operator with a non-finite entry has no
-grading, and reading it raises ValueError); the gauge unitary acts on a
-grade-k operator as multiplication by zeta^k.
+from) and a grading read from their keys: a term moves
+popcount(flip & zero) - popcount(flip & one) units of charge, exactly
+(an operator with a non-finite coefficient has no grading, and reading
+it raises ValueError); the gauge unitary acts on a grade-k term as
+multiplication by zeta^k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .cocycles import FlatPotentialU1, InvalidPotential
+from .cocycles import FlatPotentialU1, InvalidPotential, worst
 from .covers import Cover
 from .groups import PhaseU1
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
 CAPACITY_MODES = 12
-GRADE_SCAN_CUTOFF = 1e-13
+Term = tuple[int, int, int, int]  # (one, zero, flip, sign) mode bitmasks
 
 
 class CapacityError(RuntimeError):
@@ -102,7 +105,6 @@ class FockSpace:
         self.space = space
         self.K = space.num_modes
         self.dim = 1 << self.K
-        self._creators: dict[int, sp.csr_matrix] = {}
 
     @cached_property
     def occupation_counts(self) -> np.ndarray:
@@ -118,77 +120,51 @@ class FockSpace:
         v[0] = 1.0
         return v
 
-    def creator(self, mode: int) -> sp.csr_matrix:
-        """Jordan-Wigner creation operator for one mode (sparse, exact entries).
+    def creator(self, mode: int) -> "FieldOp":
+        """Jordan-Wigner creation operator for one mode: the one term that
+        fills an empty ``mode`` with sign (-1)^(occupied modes below it)."""
+        if not 0 <= mode < self.K:
+            raise ValueError(f"mode {mode} out of range")
+        bit = 1 << mode
+        return FieldOp({(0, bit, bit, bit - 1): 1 + 0j}, self,
+                       frozenset({self.space.mode_owner[mode]}))
 
-        Row s | bit holds the one entry (-1)^(occupied modes below ``mode``)
-        in column s, for every bitset s with ``mode`` empty.
-        """
-        if mode not in self._creators:
-            if not 0 <= mode < self.K:
-                raise ValueError(f"mode {mode} out of range")
-            import scipy.sparse as sp
-
-            bit = 1 << mode
-            filled = (np.arange(self.dim) & bit) != 0
-            cols = np.flatnonzero(filled) ^ bit
-            signs = 1.0 - 2.0 * (self.occupation_counts[cols & (bit - 1)] & 1)
-            indptr = np.concatenate(([0], np.cumsum(filled)))
-            self._creators[mode] = sp.csr_matrix(
-                (signs.astype(complex), cols, indptr), shape=(self.dim, self.dim)
-            )
-        return self._creators[mode]
-
-    def annihilator(self, mode: int) -> sp.csr_matrix:
-        return self.creator(mode).conj().T.tocsr()
-
-    def gauge_diagonal(self, zeta: complex) -> np.ndarray:
-        """Diagonal of the gauge unitary zeta^N."""
-        return np.power(complex(zeta), self.occupation_counts)
+    def annihilator(self, mode: int) -> "FieldOp":
+        return self.creator(mode).adjoint()
 
 
-def _scan_grades(fock: FockSpace, m: sp.csr_matrix) -> frozenset[int]:
-    c = m.tocoo()
-    mags = np.abs(c.data)
-    scale = mags.max(initial=0.0)
-    if not np.isfinite(scale):
-        raise ValueError("operator has a non-finite entry, so it has no grading")
-    if scale == 0.0:
-        return frozenset()
-    keep = mags > GRADE_SCAN_CUTOFF * scale
-    counts = fock.occupation_counts
-    return frozenset((counts[c.row[keep]] - counts[c.col[keep]]).tolist())
+def _nonzero(terms: dict[Term, complex]) -> dict[Term, complex]:
+    return {k: c for k, c in terms.items() if c != 0}
+
+
+def _charge(term: Term) -> int:
+    """Modes a term fills minus modes it empties."""
+    one, zero, flip, _ = term
+    return (flip & zero).bit_count() - (flip & one).bit_count()
 
 
 @dataclass(frozen=True, eq=False)
 class FieldOp:
-    """Sparse (CSR) operator with support and grading tags.
+    """Sum of signed partial permutations with support and grading tags.
 
-    ``matrix`` is a dense copy built on access, for inspection only.
-    ``charge`` is the common charge transfer of all nonzero matrix blocks,
-    or None when blocks of different transfer are mixed; ``parity`` is
-    'even', 'odd', or 'mixed'.  Both are computed on first read and cached,
-    and both raise ValueError when the matrix holds a NaN or infinite entry.
+    ``terms`` maps each ``(one, zero, flip, sign)`` key to its nonzero
+    coefficient (see the module docstring).  ``matrix`` is a dense copy
+    built on access, for inspection only.  ``charge`` is the common charge
+    transfer of all terms, or None when terms of different transfer are
+    mixed; ``parity`` is 'even', 'odd', or 'mixed'.  Both are read from
+    the keys on first use and cached, and both raise ValueError when a
+    coefficient is NaN or infinite.
     """
 
-    csr: sp.csr_matrix
+    terms: dict[Term, complex]
     fock: FockSpace
     support: frozenset[int]
 
-    def __post_init__(self):
-        import scipy.sparse as sp
-
-        m = self.csr
-        if not (isinstance(m, sp.csr_matrix) and m.dtype == complex):
-            m = sp.csr_matrix(m, dtype=complex)
-        if m.shape != (self.fock.dim, self.fock.dim):
-            raise ValueError(f"matrix shape {m.shape} does not fit the Fock space")
-        m.sum_duplicates()  # sorted indices fix the summation order of products
-        object.__setattr__(self, "csr", m)
-
     @cached_property
     def _grades(self) -> frozenset[int]:
-        return _scan_grades(self.fock, self.csr)
+        if not np.isfinite(list(self.terms.values())).all():
+            raise ValueError("operator has a non-finite entry, so it has no grading")
+        return frozenset(map(_charge, self.terms))
 
     @property
     def charge(self) -> int | None:
@@ -199,21 +175,47 @@ class FieldOp:
         parities = {g % 2 for g in self._grades} or {0}
         return "mixed" if len(parities) > 1 else ("odd" if parities == {1} else "even")
 
+    def _bands(self) -> dict[int, np.ndarray]:
+        """Entry (s ^ flip, s) for every bitset s, one array per flip mask."""
+        states = np.arange(self.fock.dim)
+        odd = (self.fock.occupation_counts & 1).astype(bool)
+        bands: dict[int, np.ndarray] = {}
+        for (one, zero, flip, sign), c in self.terms.items():
+            band = np.where((states & (one | zero)) == one, np.where(odd[states & sign], -c, c), 0)
+            bands[flip] = bands[flip] + band if flip in bands else band
+        return bands
+
     @property
     def matrix(self) -> np.ndarray:
-        m = self.csr.toarray()
+        states = np.arange(self.fock.dim)
+        m = np.zeros((self.fock.dim, self.fock.dim), dtype=complex)
+        for flip, band in self._bands().items():
+            m[states ^ flip, states] = band
         m.setflags(write=False)
         return m
 
     def __mul__(self, other: "FieldOp") -> "FieldOp":
+        """Composition, ``other`` applied first: one pass over term pairs."""
         if self.fock is not other.fock:
             raise ValueError("operators live on different Fock spaces")
-        return FieldOp(self.csr @ other.csr, self.fock, self.support | other.support)
+        out: dict[Term, complex] = {}
+        for (o2, z2, f2, a2), c2 in self.terms.items():
+            for (o1, z1, f1, a1), c1 in other.terms.items():
+                one, zero = o1 | (o2 & ~f1) | (z2 & f1), z1 | (z2 & ~f1) | (o2 & f1)
+                if one & zero:
+                    continue
+                sign, c = a1 ^ a2, c2 * c1
+                key = (one, zero, f1 ^ f2, sign & ~(one | zero))
+                out[key] = out.get(key, 0) + (-c if ((a2 & f1) ^ (sign & one)).bit_count() & 1 else c)
+        return FieldOp(_nonzero(out), self.fock, self.support | other.support)
 
     def __add__(self, other: "FieldOp") -> "FieldOp":
         if self.fock is not other.fock:
             raise ValueError("operators live on different Fock spaces")
-        return FieldOp(self.csr + other.csr, self.fock, self.support | other.support)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out.get(key, 0) + c
+        return FieldOp(_nonzero(out), self.fock, self.support | other.support)
 
     def __sub__(self, other: "FieldOp") -> "FieldOp":
         return self + other.scaled(-1.0)
@@ -221,43 +223,44 @@ class FieldOp:
     def scaled(self, factor: complex | PhaseU1) -> "FieldOp":
         if isinstance(factor, PhaseU1):
             factor = factor.complex_value
-        return FieldOp(self.csr * complex(factor), self.fock, self.support)
+        factor = complex(factor)
+        return FieldOp(_nonzero({k: c * factor for k, c in self.terms.items()}),
+                       self.fock, self.support)
 
     def adjoint(self) -> "FieldOp":
-        return FieldOp(self.csr.conj().T, self.fock, self.support)
+        """Swap ``one`` and ``zero`` on the flipped modes and conjugate; every
+        flipped mode is conditioned, so the sign mask is unchanged."""
+        return FieldOp({((o & ~f) | (z & f), (z & ~f) | (o & f), f, a): c.conjugate()
+                        for (o, z, f, a), c in self.terms.items()}, self.fock, self.support)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.csr @ vec
+        states = np.arange(self.fock.dim)
+        out = np.zeros(self.fock.dim, dtype=complex)
+        for flip, band in self._bands().items():
+            out += (band * vec)[states ^ flip]
+        return out
 
     def norm_max(self) -> float:
-        return float(np.abs(self.csr.data).max(initial=0.0))
+        return worst(np.abs(b).max() for b in self._bands().values())
 
 
 def zero_op(fock: FockSpace) -> FieldOp:
-    import scipy.sparse as sp
-
-    return FieldOp(sp.csr_matrix((fock.dim, fock.dim), dtype=complex), fock, frozenset())
+    return FieldOp({}, fock, frozenset())
 
 
 def identity_op(fock: FockSpace) -> FieldOp:
-    import scipy.sparse as sp
-
-    return FieldOp(sp.identity(fock.dim, dtype=complex, format="csr"), fock, frozenset())
+    return FieldOp({(0, 0, 0, 0): 1 + 0j}, fock, frozenset())
 
 
 def smeared_field(fock: FockSpace, f: np.ndarray) -> FieldOp:
     """Charge-one smeared field psi(f) = sum_i f_i c_i^dagger (linear in f)."""
-    import scipy.sparse as sp
-
     f = np.asarray(f, dtype=complex)
     if f.shape != (fock.K,):
         raise ValueError(f"expected a length-{fock.K} mode vector")
     if not np.isfinite(f).all():
         raise ValueError("mode vector has a non-finite entry")
-    acc = sp.csr_matrix((fock.dim, fock.dim), dtype=complex)
-    for i in np.nonzero(f)[0]:
-        acc = acc + f[i] * fock.creator(int(i))
-    return FieldOp(acc, fock, fock.space.owners(f))
+    terms = {(0, 1 << i, 1 << i, (1 << i) - 1): complex(f[i]) for i in np.flatnonzero(f).tolist()}
+    return FieldOp(terms, fock, fock.space.owners(f))
 
 
 def anticommutator(a: FieldOp, b: FieldOp) -> FieldOp:
@@ -269,18 +272,16 @@ def commutator(a: FieldOp, b: FieldOp) -> FieldOp:
 
 
 def gauge_action(zeta: complex | PhaseU1, t: FieldOp) -> FieldOp:
-    """Conjugate by the gauge unitary zeta^N; grade-k operators pick up zeta^k."""
-    import scipy.sparse as sp
-
+    """Conjugate by the gauge unitary zeta^N: a term of charge k picks up
+    zeta^k (conj(zeta)^-k for k < 0); charge-0 terms are kept as they are."""
     if isinstance(zeta, PhaseU1):
         zeta = zeta.complex_value
     zeta = complex(zeta)
     if not (abs(abs(zeta) - 1.0) <= 1e-12):
         raise ValueError("gauge parameter must lie on the unit circle")
-    d = t.fock.gauge_diagonal(zeta)
-    c = t.csr.tocoo()
-    data = (d[c.row] * c.data) * d.conj()[c.col]
-    return FieldOp(sp.coo_matrix((data, (c.row, c.col)), shape=c.shape), t.fock, t.support)
+    terms = {key: c if (k := _charge(key)) == 0 else c * (zeta if k > 0 else zeta.conjugate()) ** abs(k)
+             for key, c in t.terms.items()}
+    return FieldOp(_nonzero(terms), t.fock, t.support)
 
 
 def grading(t: FieldOp) -> int:
@@ -398,9 +399,7 @@ def glue_psi_A(
         smeared_field(fock, vecs[r]).scaled(PhaseU1(-pot.primitives[r]))
         for r in regions
     ]
-    spread = 0.0
-    for other in ops[1:]:
-        spread = max(spread, (ops[0] - other).norm_max())
+    spread = worst((ops[0] - other).norm_max() for other in ops[1:])
     return GlueResult(op=ops[0], chart_residual=float(spread), charts=regions)
 
 

@@ -16,8 +16,10 @@ the limit (``seed[0]...[0]: nested too deeply (line 5:106)``), on either
 parser.  A loaded value is thus a tree no deeper than MAX_DEPTH, which
 grows linearly with its text.  Errors are ScenarioErrors carrying a
 field path and the 1-based line and column of the offending node; a
-character YAML rejects (a control character, a lone surrogate) is placed
-at its line and column too, on either parser.
+syntax error, and a character YAML rejects (a control character, a
+lone surrogate), is placed at its line and column too, on either
+parser, with a one-line message (``not valid YAML: while parsing a flow
+sequence, did not find expected ',' or ']' (line 5:1)``).
 """
 
 from __future__ import annotations
@@ -76,14 +78,16 @@ class _EventWalk:
         # libyaml encodes a str as UTF-8 before it reads any of it, which
         # fails on a lone surrogate
         except (yaml.YAMLError, UnicodeEncodeError) as e:
-            mark = getattr(e, "problem_mark", None)
             # a reader error carries an offset, in characters from PyYAML's reader and
             # in UTF-8 bytes from libyaml; both stop at the first character YAML rejects
             if isinstance(e, (yaml.reader.ReaderError, UnicodeEncodeError)):
                 bad = yaml.reader.Reader.NON_PRINTABLE.search(text).start()
+                problem = f"unacceptable character #x{ord(text[bad]):04x}: {e.reason}"
                 mark = mark_after(text[:bad], source)
-            loc = f" at line {mark.line + 1}:{mark.column + 1}" if mark is not None else ""
-            raise ScenarioError(f"not valid YAML{loc}: {e}", source) from None
+            else:  # PyYAML's own text spans lines and quotes the source; keep its parts
+                problem = ", ".join(filter(None, (getattr(e, "context", None), getattr(e, "problem", None))))
+                mark = getattr(e, "problem_mark", None)
+            raise ScenarioError(f"not valid YAML: {problem}", source, mark) from None
 
     def _walk(self, source: str):
         get_event, resolve = self.get_event, self.resolve

@@ -48,8 +48,8 @@ is rejected where it appears, and so is nesting past MAX_DEPTH (100), so
 a loaded value grows linearly with its text and its repr is safe.  Every
 ScenarioError from ``load_scenario`` names its field path and ends with
 the line and column of the offending node, e.g. ``sigma.g0: must be a
-finite number (line 9:7)``; malformed YAML reads ``not valid YAML at
-line 3:1: ...``.
+finite number (line 9:7)``; malformed YAML reads ``not valid YAML:
+... (line 3:1)``, on one line.
 
 Reports carry no timestamps and serialize with sorted keys; identical
 config and seed give byte-identical output.  Complex values appear as

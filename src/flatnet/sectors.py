@@ -7,11 +7,11 @@ identity here is asserted after compression to the window subspace
 spanned by the vacuum and the charged vectors v_o, the subspace on
 which the implementer chains act isometrically.
 
-What the finite model checks on the window.  Certification runs on
-integer occupation bitsets, each ladder operator carrying the
-Jordan-Wigner sign of the occupied modes below it: every v_o = phi_o|0>
-must be an occupation-basis vector with + sign, and each region's modes
-must be non-empty and private to it (``WindowSubspace``).  Privacy makes
+What the finite model checks on the window.  Certification reads each
+implementer's operator, a single signed-partial-permutation term whose
+Jordan-Wigner signs are exact integers: every v_o = phi_o|0> must be an
+occupation-basis vector with + sign, and each region's modes must be
+non-empty and private to it (``WindowSubspace``).  Privacy makes
 every bare pair phi_v phi_u^* the window matrix unit E_(v, u): it sends
 v_u to +v_v and annihilates the vacuum and every other v_w.  Each
 transported step is then one complex entry times E_(v, u) in the
@@ -22,17 +22,17 @@ not meet.  ``window_chain`` folds a chain to ``(start, end, entry)``, in
 region ids, and the sector checks (``telescope_residual``,
 ``triple_law_residual``, ``topological_component``,
 ``transition_amplitude``, ``classify``) compute from that triple: they
-build no 2^K object and no window block.  Entries are scaled by the
-ufunc ``FieldOp.scaled`` applies and multiplied in the sparse product's
-real arithmetic, so the folds carry the bits of the CSR route.
+build no 2^K object and no window block.  Entries are scaled by
+numpy's complex multiply and multiplied in a sparse matrix product's
+real arithmetic, so the folds carry the bits of the tests' CSR oracle
+(``tests/csr_oracle.py``: a sparse product of Jordan-Wigner step
+matrices, compressed to the window), which the tests check bit for bit.
 
-The CSR layer is the observable layer and the oracle: ``Implementer.op``,
-``z1``, ``SectorTransporter.op`` and ``z_path``'s operator are built on
-first read, under the Fock space's mode envelope, and ``compress``,
-``charge_morphism``, ``intertwining_residual`` and
-``localization_residual`` act on them.  Tests fold chains against
-``compress`` of the product of step operators, bit for bit, with the
-block built from the triple.
+The operator layer is the observable layer: ``Implementer.op``, ``z1``,
+``SectorTransporter.op`` and ``z_path``'s operator are term sums
+(``FieldOp``), built when called, and ``compress`` (which evaluates
+only the 1 + #regions window columns), ``charge_morphism``,
+``intertwining_residual`` and ``localization_residual`` act on them.
 
 Sign bookkeeping: with bare Jordan-Wigner implementers, odd-charge
 implementers of disjoint regions anticommute both with and without
@@ -88,25 +88,6 @@ class MissingEntry(KeyError):
     """Raised when a path step has no transporter entry."""
 
 
-def _apply_word(state: int, word: Iterable[tuple[int, bool]]) -> tuple[int, int] | None:
-    """Image of an occupation bitset under ladder operators (mode, create),
-    first to last.
-
-    Returns the image bitset and its sign, each operator contributing the
-    Jordan-Wigner parity of the occupied modes below its mode (as in
-    ``FockSpace.creator``); None when a creator meets an occupied mode or
-    an annihilator an empty one.
-    """
-    flips = 0
-    for mode, create in word:
-        bit = 1 << mode
-        if bool(state & bit) == create:
-            return None
-        flips += (state & (bit - 1)).bit_count()
-        state ^= bit
-    return state, 1 - 2 * (flips & 1)
-
-
 @dataclass(frozen=True)
 class Implementer:
     """Charge-kappa partial isometry private to one region: the ordered
@@ -120,11 +101,12 @@ class Implementer:
 
     @cached_property
     def op(self) -> FieldOp:
-        """phi as a CSR operator, built on first read."""
-        mat = self.fock.creator(self.modes[0])
+        """phi, built on first read: one term, or none when a mode repeats
+        (the identity for no modes)."""
+        op = self.fock.creator(self.modes[0]) if self.modes else identity_op(self.fock)
         for m in self.modes[1:]:
-            mat = mat @ self.fock.creator(m)
-        return FieldOp(mat, self.fock, frozenset({self.region}))
+            op = op * self.fock.creator(m)
+        return FieldOp(op.terms, self.fock, frozenset({self.region}))
 
     @cached_property
     def star(self) -> FieldOp:
@@ -152,39 +134,39 @@ def implementer(fock: FockSpace, region: int, kappa: int = 1) -> Implementer:
 class WindowSubspace:
     """Coordinate subspace spanned by the vacuum and the charged vectors.
 
-    Certified on occupation bits: each implementer's creators, applied to
-    the empty bitset, must give an occupation-basis vector with + sign,
-    and the implementers' mode sets must be non-empty and pairwise
-    disjoint (which also makes the vectors distinct).  The error names
-    the rule that failed, and for a shared mode the mode and the region
-    that holds it.  Then phi_v phi_u^*
-    is the window matrix unit E_(v, u) for every pair of regions.  The
+    Certified from each implementer's operator: it must be one term
+    defined on the empty bitset (no ``one`` mode) with coefficient exactly
+    1, so it sends the vacuum to the + occupation-basis vector ``flip``,
+    and the implementers' mode sets must be non-empty, in range and
+    pairwise disjoint (which also makes the vectors distinct).  The error
+    names the rule that failed, and for a shared mode the mode and the
+    region that holds it.  Then phi_v phi_u^* is the window matrix unit
+    E_(v, u) for every pair of regions.  The
     window is stored as the basis index of each column: ``columns[0]`` is
     the vacuum, ``columns[1 + i]`` the charged vector of ``regions[i]``,
-    at window position 1 + i.  Bare CSR transporters (``z1``) are built
-    once per region pair and kept here.
+    at window position 1 + i.
     """
 
     fock: FockSpace
     implementers: dict[int, Implementer]
     regions: tuple[int, ...] = dc_field(init=False)
     columns: np.ndarray = dc_field(init=False)
-    _z1: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         regions = tuple(sorted(self.implementers))
         columns, owner = [0], {}  # ``owner``: the region each mode taken so far is private to
         for r in regions:
             modes = self.implementers[r].modes
-            hit = _apply_word(0, [(m, True) for m in modes[::-1]])
-            # the column is the region's mode bitmask: non-empty and in range
-            if hit is None or hit[1] != 1 or not 0 < hit[0] < self.fock.dim:
+            terms = self.implementers[r].op.terms if all(0 <= m < self.fock.K for m in modes) else {}
+            (one, _, flip, _), c = next(iter(terms.items()), ((0, 0, 0, 0), 0))
+            # one term defined on the empty bitset, coefficient exactly 1: the column is ``flip``
+            if len(terms) != 1 or one or c != 1 or not flip:
                 raise ValueError(f"window basis failed to come out orthonormal at region {r}: "
                                  "charged vectors must be distinct + occupation-basis vectors")
             if (shared := next((m for m in modes if m in owner), None)) is not None:
                 raise ValueError(f"window modes must be private to one region: region {r} "
                                  f"shares mode {shared} with region {owner[shared]}")
-            columns.append(hit[0])
+            columns.append(flip)
             owner.update(dict.fromkeys(modes, r))
         columns = np.array(columns)
         columns.setflags(write=False)
@@ -202,17 +184,14 @@ class WindowSubspace:
 
     def compress(self, op: FieldOp) -> np.ndarray:
         """The window block of ``op``: entry (i, j) is op[columns[i], columns[j]],
-        read straight from the stored CSR rows."""
-        m, n = op.csr, len(self.columns)
-        position = np.full(self.fock.dim, -1)  # window position of each basis index
-        position[self.columns] = np.arange(n)
-        starts, ends = m.indptr[self.columns], m.indptr[self.columns + 1]
-        at = np.concatenate([np.arange(a, b) for a, b in zip(starts.tolist(), ends.tolist())])
-        rows = np.repeat(np.arange(n), ends - starts)
-        cols = position[m.indices[at]]
-        hit = cols >= 0
-        out = np.zeros((n, n), dtype=complex)
-        out[rows[hit], cols[hit]] = m.data[at[hit]]
+        each term evaluated on the window columns only."""
+        columns = self.columns.tolist()
+        position = {s: i for i, s in enumerate(columns)}
+        out = np.zeros((len(columns), len(columns)), dtype=complex)
+        for (one, zero, flip, sign), c in op.terms.items():
+            for j, s in enumerate(columns):
+                if s & (one | zero) == one and (i := position.get(s ^ flip)) is not None:
+                    out[i, j] += -c if (s & sign).bit_count() & 1 else c
         return out
 
 
@@ -222,8 +201,10 @@ def make_window(fock: FockSpace, cover: Cover, kappa: int = 1) -> WindowSubspace
 
 
 def _scaled(entry: complex, factor: PhaseU1) -> complex:
-    """``entry * factor`` by the ufunc ``FieldOp.scaled`` applies to stored
-    data, so a window entry carries the bits of the CSR route."""
+    """``entry * factor`` by numpy's complex multiply, the ufunc a sparse
+    matrix scaled by ``factor`` applies to its stored data, so a window
+    entry carries the bits of the tests' CSR oracle (``oracle_step`` in
+    ``tests/csr_oracle.py``)."""
     return complex((np.full(1, entry, dtype=complex) * factor.complex_value)[0])
 
 
@@ -253,7 +234,6 @@ class SectorTransporter:
     cocycle: TransitionCocycle
     window: WindowSubspace | None = None
     weights: dict[Edge, complex] = dc_field(default_factory=dict)
-    _ops: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _weight(self, edge: Edge) -> complex:
         if edge not in self.weights:
@@ -261,23 +241,19 @@ class SectorTransporter:
         return self.weights[edge]
 
     def op(self, dst: int, src: int, comp: int | None) -> FieldOp | None:
-        """CSR operator of the step src -> dst, for the observable layer
-        and as the tests' oracle: None for a reflexive step,
-        ``z1(window, v, u).scaled(entry)`` forward and its adjoint in
-        reverse, each built once on first read; MissingEntry when the pair
-        has no stored edge."""
+        """Operator of the step src -> dst, for the observable layer: None
+        for a reflexive step, ``z1(window, v, u).scaled(entry)`` forward
+        and its adjoint in reverse; MissingEntry when the pair has no
+        stored edge."""
         if dst == src:
             return None
-        key = oriented(dst, src, comp)
-        if key not in self._ops:
-            (u, v, c), forward = key
-            self._ops[key] = (z1(self.window, v, u).scaled(self._weight((u, v, c))) if forward
-                              else self.op(v, u, c).adjoint())
-        return self._ops[key]
+        (u, v, c), forward = oriented(dst, src, comp)
+        step = z1(self.window, v, u).scaled(self._weight((u, v, c)))
+        return step if forward else step.adjoint()
 
     @cached_property
     def entries(self) -> dict[Edge, TransportEntry]:
-        """Read-only view: the u -> v coefficient and CSR operator per
+        """Read-only view: the u -> v coefficient and operator per
         canonical edge (operator None off the Fock layer)."""
         return {
             (u, v, c): TransportEntry(g, None if self.window is None else self.op(v, u, c))
@@ -286,12 +262,8 @@ class SectorTransporter:
 
 
 def z1(window: WindowSubspace, dst: int, src: int) -> FieldOp:
-    """Bare charge transporter phi_dst phi_src^* as a CSR operator, built
-    once per window and region pair."""
-    if (dst, src) not in window._z1:
-        imps = window.implementers
-        window._z1[(dst, src)] = imps[dst].op * imps[src].star
-    return window._z1[(dst, src)]
+    """Bare charge transporter phi_dst phi_src^*: one term."""
+    return window.implementers[dst].op * window.implementers[src].star
 
 
 def plain_transporter(window: WindowSubspace, cover: Cover) -> SectorTransporter:
@@ -330,11 +302,12 @@ def z_path(t: SectorTransporter, path: PosetPath) -> TransportEntry:
     """Coefficient and operator transported along a path (later steps left).
 
     The coefficient is ``holonomy`` of the transporter's cocycle; the
-    operator is the full CSR product of the step operators
+    operator is the product of the step operators
     (``SectorTransporter.op``), reflexive steps skipped, and the identity
-    only when no step carries an operator.  It serves the observable
-    layer and the tests' oracle; the sector checks fold each chain to
-    ``(start, end, entry)`` (``window_chain``) and build no operator.
+    only when no step carries an operator: one term, or none where the
+    chain breaks.  It serves the observable layer; the sector checks fold
+    each chain to ``(start, end, entry)`` (``window_chain``) and build no
+    operator.
     """
     op: FieldOp | None = None
     if t.window is not None:
@@ -352,8 +325,10 @@ def window_chain(
 ) -> tuple[int, int | None, complex] | None:
     """The chain of steps (later steps left) as ``(start, end, entry)``:
     on the window it is ``entry`` times the matrix unit E_(end, start),
-    bit for bit the block ``t.window.compress(z_path(...).op)``, with no
-    Fock-space object and no array.
+    bit for bit the tests' CSR oracle block (``oracle_block`` in
+    ``tests/csr_oracle.py``: the window rows and columns of the sparse
+    product of the step matrices), with no Fock-space object and no
+    array.
 
     ``start`` and ``end`` are region ids.  None when no step moves (the
     chain is the identity); ``end`` is None, and ``entry`` 0, when a step

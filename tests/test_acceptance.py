@@ -18,6 +18,7 @@ from flatnet.cocycles import (
     trivialize,
     SigmaMorphism,
 )
+from flatnet.cocycles import worst as sticky_max
 from flatnet.covers import (
     annulus_cover,
     approximate_curve,
@@ -172,7 +173,7 @@ def test_criterion_01_cocycle_law():
                 su2_sigma(pres, rng),
             ):
                 chk = check_cocycle(transition_cocycle(sigma, nerve), 1e-10)
-                worst = max(worst, chk.max_residual)
+                worst = sticky_max((worst, chk.max_residual))
                 assert chk.ok
     report(1, f"cocycle law on all builtin covers (max residual {worst:.2e})",
            worst <= 1e-10)
@@ -190,7 +191,7 @@ def test_criterion_02_holonomy_round_trip():
             coc = transition_cocycle(sigma, nerve)
             for idx, gname in enumerate(pres.generators):
                 got = holonomy(coc, generator_loop(nerve, idx))
-                worst = max(worst, distance(got, sigma.assignment[gname]))
+                worst = sticky_max((worst, distance(got, sigma.assignment[gname])))
     ann, ann_nerve, _ = setup("annulus")
     ring = [0, 1, 2, 3, 0]
     for theta in (np.pi / 7, np.pi / 2, 1.0):
@@ -205,10 +206,25 @@ def test_criterion_02_holonomy_round_trip():
             else:
                 visited = ring[::-1][:-1] * (-k) + [0]
             got = holonomy(coc, approximate_curve(ann, visited))
-            worst = max(worst, distance(got, PhaseU1(k * theta)))
+            worst = sticky_max((worst, distance(got, PhaseU1(k * theta))))
     report(2, f"holonomy round trip and annulus windings (max gap {worst:.2e})",
            worst <= 1e-10)
 
+
+
+def test_nan_gap_fails_criterion_02(monkeypatch):
+    # every gap after the first is NaN: the NaN-sticky aggregate must fail
+    # the criterion, where max(0.0, nan) == 0.0 would pass it with 0.00e+00
+    calls = []
+
+    def nan_after_first(a, b):
+        calls.append(1)
+        return distance(a, b) if len(calls) == 1 else float("nan")
+
+    monkeypatch.setitem(globals(), "distance", nan_after_first)
+    with pytest.raises(AssertionError, match="criterion 2: .*max gap nan"):
+        test_criterion_02_holonomy_round_trip()
+    assert len(calls) > 1
 
 def test_criterion_03_trivialization_dichotomy():
     rng = np.random.default_rng(103)
@@ -233,9 +249,9 @@ def test_criterion_03_trivialization_dichotomy():
             assert res.success
             for (u, v, c) in cover.overlaps:
                 rebuilt = compose(res.lambdas[v], inverse(res.lambdas[u]))
-                worst_rebuild = max(
+                worst_rebuild = sticky_max((
                     worst_rebuild, distance(rebuilt, coc.value(v, u, c))
-                )
+                ))
             count_cob += 1
     assert count_cob == 50
 
@@ -260,9 +276,9 @@ def test_criterion_03_trivialization_dichotomy():
             w = res.witness
             word = loop_class(pres, w.loop)
             assert len(word.letters) == 1  # witness is a generator loop
-            worst_witness = max(
+            worst_witness = sticky_max((
                 worst_witness, distance(w.holonomy, sigma.evaluate(word))
-            )
+            ))
             count_non += 1
     assert count_non == 50
     ok = worst_rebuild <= 1e-10 and worst_witness <= 1e-10
@@ -289,7 +305,7 @@ def test_criterion_04_homotopy_invariance():
             assert loop_class(pres, pa) == loop_class(pres, pb)
             ca = topological_component(t, pa)
             cb = topological_component(t, pb)
-            worst = max(worst, abs(ca.value - cb.value), ca.residual, cb.residual)
+            worst = sticky_max((worst, abs(ca.value - cb.value), ca.residual, cb.residual))
     report(4, f"homotopy invariance of loop classes and components "
               f"(max gap {worst:.2e})", worst <= 1e-10)
 
@@ -310,8 +326,8 @@ def test_criterion_05_car_suite():
             g = rng.normal(size=fock.K) + 1j * rng.normal(size=fock.K)
             pf, pg = smeared_field(fock, f), smeared_field(fock, g)
             first = anticommutator(pf.adjoint(), pg).matrix - fock.space.inner(f, g) * eye
-            worst = max(worst, float(np.max(np.abs(first))))
-            worst = max(worst, anticommutator(pf, pg).norm_max())
+            worst = sticky_max((worst, float(np.max(np.abs(first)))))
+            worst = sticky_max((worst, anticommutator(pf, pg).norm_max()))
             squares_exact = squares_exact and (pf * pf).norm_max() == 0.0
             pairs += 1
     assert pairs == 50
@@ -331,15 +347,15 @@ def test_criterion_06_twisted_field_gluing():
             pot = coboundary_potential(cover, nerve, rng)
             for (u, v, c) in cover.overlaps:
                 f = random_mode_vector(rng, fock, u)
-                worst_nested = max(
+                worst_nested = sticky_max((
                     worst_nested, nested_pair_residual(fock, pot, v, u, f, c)
-                )
+                ))
             s0 = rng.normal(size=fock.K) + 1j * rng.normal(size=fock.K)
             section = {
                 r: np.exp(1j * pot.primitives[r]) * s0 for r in cover.regions
             }
             glued = glue_psi_A(fock, pot, section)
-            worst_chart = max(worst_chart, glued.chart_residual)
+            worst_chart = sticky_max((worst_chart, glued.chart_residual))
     ok = worst_nested <= 1e-12 and worst_chart <= 1e-10
     report(6, f"twisted-field gluing: nested pairs {worst_nested:.2e}, "
               f"chart independence {worst_chart:.2e}", ok)
@@ -357,12 +373,12 @@ def test_criterion_07_sector_cocycle_and_telescoping():
         twisted = twisted_transporter(window, transition_cocycle(sigma, nerve))
         for t in (plain, twisted):
             for triple in cover.triples:
-                worst = max(worst, triple_law_residual(t, triple))
+                worst = sticky_max((worst, triple_law_residual(t, triple)))
             for _ in range(30):
                 p = random_walk_path(
                     rng, cover, int(rng.integers(1, 8)), int(rng.choice(cover.regions))
                 )
-                worst = max(worst, telescope_residual(t, p))
+                worst = sticky_max((worst, telescope_residual(t, p)))
     report(7, f"sector cocycle and telescoping residuals (max {worst:.2e})",
            worst <= 1e-10)
 
@@ -385,10 +401,10 @@ def test_criterion_08_topological_component():
             visits = random_loop_visits(rng, nerve, int(rng.integers(1, 4)))
             loop = approximate_curve(cover, visits)
             cp = topological_component(plain, loop)
-            worst_plain = max(worst_plain, abs(cp.value - 1.0), cp.residual)
+            worst_plain = sticky_max((worst_plain, abs(cp.value - 1.0), cp.residual))
             ct = topological_component(twisted, loop)
             want = sigma.evaluate(loop_class(pres, loop)).complex_value
-            worst_twisted = max(worst_twisted, abs(ct.value - want), ct.residual)
+            worst_twisted = sticky_max((worst_twisted, abs(ct.value - want), ct.residual))
 
     agreements = 0
     for k in range(40):
@@ -429,7 +445,7 @@ def test_criterion_09_transition_amplitude():
             amp = transition_amplitude(t, p, q)
             loop = path_compose(p, path_reverse(q))
             want = np.exp(1j * lift_sum(pot, loop))  # exp of the loop integral
-            worst = max(worst, abs(amp - want))
+            worst = sticky_max((worst, abs(amp - want)))
             pairs += 1
     assert pairs == 50
 
@@ -447,7 +463,7 @@ def test_criterion_09_transition_amplitude():
         q = random_walk_path(rng, cover, int(rng.integers(1, 7)), a)
         if p.end != q.end:
             continue
-        worst_trivial = max(worst_trivial, abs(transition_amplitude(t0, p, q) - 1.0))
+        worst_trivial = sticky_max((worst_trivial, abs(transition_amplitude(t0, p, q) - 1.0)))
         matched += 1
     ok = worst <= 1e-10 and worst_trivial <= 1e-10
     report(9, f"transition amplitudes equal loop-integral exponentials "

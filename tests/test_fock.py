@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import csr_oracle as oracle
 
 from flatnet.cocycles import (
     InvalidPotential,
@@ -35,7 +36,6 @@ from flatnet.fock import (
     twisted_local_field,
     twisted_product,
     zero_op,
-    _scan_grades,
 )
 from flatnet.groups import PhaseU1
 
@@ -122,37 +122,27 @@ def test_vacuum_and_number_operator():
     assert [int(c) for c in n] == [bin(s).count("1") for s in range(fock.dim)]
 
 
-def loop_creator(fock, mode):
-    """Reference Jordan-Wigner creator built one basis state at a time."""
-    rows, cols, vals = [], [], []
-    bit = 1 << mode
-    below = bit - 1
-    for s in range(fock.dim):
-        if s & bit:
-            continue
-        sign = -1.0 if bin(s & below).count("1") % 2 else 1.0
-        rows.append(s | bit)
-        cols.append(s)
-        vals.append(sign)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(fock.dim, fock.dim), dtype=complex)
-
-
 @pytest.mark.parametrize("K", range(1, CAPACITY_MODES + 1))
 def test_creator_matches_loop_reference_bit_for_bit(K):
+    # one term (0, 1<<m, 1<<m, (1<<m)-1) with coefficient 1, which acts on
+    # every bitset as the reference creator does, entry for entry
     fock = FockSpace(OneParticleSpace(tuple(range(K))))
     for m in range(K):
-        got, want = fock.creator(m), loop_creator(fock, m)
-        assert isinstance(got, sp.csr_matrix) and got.shape == want.shape
-        assert got.dtype == want.dtype and got.has_canonical_format
+        got, want = fock.creator(m), oracle.loop_creator(fock, m)
+        bit = 1 << m
+        assert got.terms == {(0, bit, bit, bit - 1): 1.0}
+        assert np.array(got.terms[(0, bit, bit, bit - 1)]).tobytes() == np.array(1 + 0j).tobytes()
+        assert got.support == frozenset({m}) and got.charge == 1
+        got = oracle.terms_csr(fock, got.terms)
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert got.data.tobytes() == want.data.tobytes()
-        assert fock.creator(m) is got  # built once per mode
 
 
-def eager_grading(op):
-    """Charge and parity classified eagerly from ``_scan_grades``."""
-    grades = _scan_grades(op.fock, op.csr)
+def eager_grading(fock, m):
+    """Charge and parity classified eagerly from the oracle's cutoff scan
+    of a CSR matrix."""
+    grades = oracle.scan_grades(fock, m)
     if not grades:
         return 0, "even"
     if len(grades) == 1:
@@ -166,24 +156,39 @@ GRADING_FOCK = small_fock(1)  # 4 modes, dimension 16
 
 
 def unit_field(m, star, z):
-    op = smeared_field(GRADING_FOCK, np.eye(GRADING_FOCK.K)[m])
-    return (op.adjoint() if star else op).scaled(z)
+    """A unit-mode field or its adjoint, scaled, with its CSR oracle."""
+    f = np.eye(GRADING_FOCK.K)[m]
+    op, mat = smeared_field(GRADING_FOCK, f), oracle.field(GRADING_FOCK, f)
+    if star:
+        op, mat = op.adjoint(), oracle.adjoint(mat)
+    return op.scaled(z), oracle.csr(mat * complex(z))
 
 
+def gauge_pair(pair, zeta):
+    op, mat = pair
+    return gauge_action(zeta, op), oracle.gauge(zeta, mat, GRADING_FOCK)
+
+
+# (operator, CSR oracle) pairs: every leaf and combinator is built twice,
+# once by the library's term algebra and once by scipy
 leaf_ops = st.builds(
     unit_field,
     st.integers(0, GRADING_FOCK.K - 1),
     st.booleans(),
     st.sampled_from([1.0, -1.0, 0.5j, 2.0 - 1.0j]),
-) | st.sampled_from([identity_op(GRADING_FOCK), zero_op(GRADING_FOCK)])
+) | st.sampled_from([
+    (identity_op(GRADING_FOCK), oracle.identity(GRADING_FOCK)),
+    (zero_op(GRADING_FOCK), oracle.csr((GRADING_FOCK.dim, GRADING_FOCK.dim))),
+])
 
 field_exprs = st.recursive(
     leaf_ops,
     lambda sub: st.one_of(
-        st.tuples(sub, sub).map(lambda ab: ab[0] * ab[1]),
-        st.tuples(sub, sub).map(lambda ab: ab[0] + ab[1]),
-        st.tuples(sub, sub).map(lambda ab: ab[0] - ab[1]),
-        sub.map(lambda a: a.adjoint()),
+        st.tuples(sub, sub).map(lambda ab: (ab[0][0] * ab[1][0], oracle.csr(ab[0][1] @ ab[1][1]))),
+        st.tuples(sub, sub).map(lambda ab: (ab[0][0] + ab[1][0], oracle.csr(ab[0][1] + ab[1][1]))),
+        st.tuples(sub, sub).map(lambda ab: (ab[0][0] - ab[1][0], oracle.csr(ab[0][1] - ab[1][1]))),
+        sub.map(lambda a: (a[0].adjoint(), oracle.adjoint(a[1]))),
+        st.tuples(sub, st.sampled_from([1.0, -1.0, 1j, -1j])).map(lambda az: gauge_pair(*az)),
     ),
     max_leaves=6,
 )
@@ -191,9 +196,10 @@ field_exprs = st.recursive(
 
 @settings(max_examples=150, deadline=None)
 @given(field_exprs, st.booleans())
-def test_lazy_grading_matches_eager_scan(op, parity_first):
-    fresh = FieldOp(op.csr.copy(), op.fock, op.support)
-    want_charge, want_parity = eager_grading(fresh)
+def test_lazy_grading_matches_eager_scan(pair, parity_first):
+    op, mat = pair
+    fresh = FieldOp(dict(op.terms), op.fock, op.support)
+    want_charge, want_parity = eager_grading(op.fock, mat)
     if parity_first:
         assert fresh.parity == want_parity
         assert fresh.charge == want_charge
@@ -203,11 +209,26 @@ def test_lazy_grading_matches_eager_scan(op, parity_first):
     assert fresh.charge == want_charge and fresh.parity == want_parity  # cached reads
 
 
+@settings(max_examples=200, deadline=None)
+@given(field_exprs, st.integers(0, 2**32 - 1))
+def test_term_algebra_matches_csr_oracle(pair, seed):
+    # coefficients are small dyadic numbers, so products, sums, adjoints
+    # and gauge actions by zeta in {1, -1, 1j, -1j} are exact on both routes
+    op, mat = pair
+    assert np.array_equal(op.matrix, mat.toarray())
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=op.fock.dim) + 1j * rng.normal(size=op.fock.dim)
+    # a row may sum several entries, in another order than the sparse product
+    assert np.allclose(op.apply(v), mat @ v, rtol=1e-15, atol=1e-15)
+    assert np.isclose(op.norm_max(), np.abs(mat.data).max(initial=0.0), rtol=1e-15, atol=1e-15)
+    assert all(c != 0 for c in op.terms.values())  # no stored zeros
+
+
 def test_creator_annihilator_adjoint():
     fock = small_fock(1)
     for m in range(fock.K):
-        c = fock.creator(m).toarray()
-        a = fock.annihilator(m).toarray()
+        c = fock.creator(m).matrix
+        a = fock.annihilator(m).matrix
         assert np.array_equal(a, c.conj().T)
         assert np.max(np.abs(c @ c)) == 0.0
 
@@ -235,7 +256,7 @@ def test_car_random_pairs():
         want = fock.space.inner(f, g) * np.eye(fock.dim)
         assert np.max(np.abs(first.matrix - want)) <= 1e-12
         second = anticommutator(smeared_field(fock, f), smeared_field(fock, g))
-        assert second.norm_max() <= 1e-12
+        assert second.terms == {}  # every c_i^+ c_j^+ cancels its partner exactly
 
 
 def test_field_squares_to_zero_exactly():
@@ -244,7 +265,7 @@ def test_field_squares_to_zero_exactly():
     for _ in range(10):
         psi = smeared_field(fock, random_mode_vector(rng, fock))
         assert (psi * psi).norm_max() == 0.0
-        assert (psi * psi).csr.nnz == 0  # cancellation leaves no stored entries
+        assert (psi * psi).terms == {}  # cancellation leaves no term
 
 
 def test_field_linearity_and_support():
@@ -335,22 +356,22 @@ def test_field_rejects_non_finite_mode_vector(bad):
 
 def non_finite_ops(fock, bad):
     """A scaled field, a scaled gauge-invariant product, and a field with
-    one stored entry replaced: each holds a NaN or infinite entry."""
-    psi = smeared_field(fock, np.eye(fock.K)[0])
-    one = psi.csr.copy()
-    one.data[0] = bad
-    with np.errstate(invalid="ignore"):  # complex 0 * inf is NaN
-        return [
-            FieldOp(psi.csr * bad, fock, psi.support),
-            FieldOp((psi * psi.adjoint()).csr * bad, fock, psi.support),
-            FieldOp(one, fock, psi.support),
-        ]
+    one term's coefficient replaced: each holds a NaN or infinite
+    coefficient."""
+    psi = smeared_field(fock, np.eye(fock.K)[0] + np.eye(fock.K)[1])
+    key = list(psi.terms)[-1]  # evaluated after the finite term
+    return [
+        psi.scaled(bad),
+        (psi * psi.adjoint()).scaled(bad),
+        FieldOp({**psi.terms, key: complex(bad)}, fock, psi.support),
+    ]
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)
 def test_non_finite_operator_has_no_grading(bad):
     fock = small_fock(1)
     for op in non_finite_ops(fock, bad):
+        assert not np.isfinite(op.norm_max())  # a NaN entry is never dropped
         with pytest.raises(ValueError, match="non-finite"):
             op.charge
         with pytest.raises(ValueError, match="non-finite"):
@@ -385,8 +406,8 @@ def test_normal_commutation_signs():
     assert normal_commutation_check(ANN, a_odd, b_odd) == 0.0  # CAR, exact
     a_even = a_odd * a_odd.adjoint()
     b_even = b_odd * b_odd.adjoint()
-    assert normal_commutation_check(ANN, a_even, b_even) <= 1e-12
-    assert normal_commutation_check(ANN, a_even, b_odd) <= 1e-12
+    assert normal_commutation_check(ANN, a_even, b_even) == 0.0
+    assert normal_commutation_check(ANN, a_even, b_odd) == 0.0
 
 
 def test_normal_commutation_guards():

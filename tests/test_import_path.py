@@ -1,4 +1,4 @@
-"""The report path runs without scipy; the CSR layer loads it on first use.
+"""Neither the report path nor the operator layer loads scipy.
 
 pytest has already imported scipy by the time these tests run, so each
 check starts a fresh interpreter and reads its ``sys.modules``.
@@ -67,34 +67,43 @@ def test_reports_never_load_scipy():
     assert run_fresh(REPORTS, json.dumps(items)).split() == [str(len(items))]
 
 
-ON_DEMAND = {
-    "creator": ("fock.creator(0)", "m.nnz == fock.dim // 2"),
-    "smeared_field": ("smeared_field(fock, np.eye(fock.K)[0]).csr", "m.nnz == fock.dim // 2"),
-    "identity_op": ("identity_op(fock).csr", "m.nnz == fock.dim"),
+OPERATOR_SITES = {
+    "creator": ("fock.creator(0)", "op.terms == {(0, 1, 1, 0): 1}"),
+    "smeared_field": ("smeared_field(fock, np.eye(fock.K)[0])", "op.terms == {(0, 1, 1, 0): 1}"),
+    "identity_op": ("identity_op(fock)", "np.array_equal(op.matrix, np.eye(fock.dim))"),
     "charge_morphism": (
         "charge_morphism(make_window(fock, cover), 0, "
-        "FieldOp(np.diag(np.arange(fock.dim, dtype=complex)), fock, frozenset({2}))).csr",
-        # phi_0 t phi_0^* carries t's entry s - 1 to each state s with mode 0 filled
-        "m.diagonal().tolist() == [s - 1 if s & 1 else 0 for s in range(fock.dim)]",
+        "smeared_field(fock, np.eye(fock.K)[2]) * smeared_field(fock, np.eye(fock.K)[2]).adjoint())",
+        # phi_0 n_2 phi_0^* is n_2 on the states with mode 0 filled
+        "np.diag(op.matrix).tolist() == [float(s & 5 == 5) for s in range(fock.dim)]",
+    ),
+    "algebra": (
+        "(fock.creator(1) + fock.annihilator(2)).adjoint() * gauge_action(1j, fock.creator(0))",
+        "op.charge is None and op.parity == 'even' and op.norm_max() == 1.0 "
+        "and op.apply(fock.vacuum)[0] == 0",
+    ),
+    "sector": (
+        "z_path(twisted_transporter(make_window(fock, cover), identity_cocycle(cover, PhaseU1(0.3))), "
+        "approximate_curve(cover, [0, 1, 2])).op",
+        "abs(make_window(fock, cover).compress(op)[3, 1] - np.exp(0.6j)) <= 1e-15 and len(op.terms) == 1",
     ),
 }
 
 
-@pytest.mark.parametrize("site", sorted(ON_DEMAND))
-def test_csr_layer_loads_scipy_on_demand(site):
-    build, check = ON_DEMAND[site]
+@pytest.mark.parametrize("site", sorted(OPERATOR_SITES))
+def test_operator_layer_never_loads_scipy(site):
+    build, check = OPERATOR_SITES[site]
     code = PRELUDE + f"""
 import numpy as np
-from flatnet import (FieldOp, FockSpace, allocate_modes, annulus_cover, charge_morphism,
-                     identity_op, make_window, smeared_field)
+from flatnet import (FockSpace, PhaseU1, allocate_modes, annulus_cover, approximate_curve,
+                     charge_morphism, gauge_action, identity_cocycle, identity_op, make_window,
+                     smeared_field, twisted_transporter, z_path)
 
 cover = annulus_cover()
 fock = FockSpace(allocate_modes(cover, 1))
-assert "scipy" not in sys.modules
-m = {build}
-import scipy.sparse as sp
-assert isinstance(m, sp.csr_matrix) and m.dtype == complex, type(m)
-assert {check}
+op = {build}
+assert {check}, op.terms
+assert "scipy" not in sys.modules, "the operator layer loaded scipy"
 print("ok")
 """
     assert run_fresh(code).split() == ["ok"]

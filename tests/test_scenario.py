@@ -17,7 +17,8 @@ import flatnet.loader as loader_module
 import flatnet.scenario as scenario_module
 from flatnet.cli import main as cli_main
 from flatnet.covers import approximate_curve, build_nerve, builtin_cover, pi1_presentation
-from flatnet.fock import CapacityError, FockSpace
+from flatnet.fock import CapacityError, FieldOp, FockSpace
+from flatnet.sectors import SectorTransporter
 from flatnet.scenario import (
     SCHEMA_VERSION,
     TASK_ORDER,
@@ -538,7 +539,9 @@ def test_libyaml_and_python_loaders_agree():
                 yaml.load(bad, Loader=loader)
             lines.add(exc.value.problem_mark.line + 1)
         assert len(lines) == 1
-        expect_error(bad, f"not valid YAML at line {lines.pop()}")
+        error = error_of(bad)
+        assert str(error).startswith("<scenario>: not valid YAML: ") and error.line == lines.pop()
+        assert str(error).endswith(f" (line {error.line}:{error.column})") and "\n" not in str(error)
 
 
 # ---------------------------------------------------------------------------
@@ -617,17 +620,42 @@ paths: {edge: [0, 1]}
 
 
 def test_reference_scenarios_build_no_fock_operator(monkeypatch):
-    # the Fock tasks certify the window on occupation bits and fold one
-    # entry per edge: no 2^K creator, implementer or transporter is built
-    def no_creator(self, mode):
-        raise AssertionError("the scenario path built a Fock creator")
+    # the Fock tasks certify the window from each region's one-term
+    # implementer and fold one entry per edge: the only operators built are
+    # the implementers' creators and their one-term products, none is
+    # evaluated on the 2^K bitsets, and no transporter operator is built
+    def refuse(what):
+        def fail(*args):
+            raise AssertionError(f"the scenario path {what}")
+        return fail
 
-    monkeypatch.setattr(FockSpace, "creator", no_creator)
+    calls, creator, product = [], FockSpace.creator, FieldOp.__mul__
+
+    def counted_creator(self, mode):
+        calls.append(mode)
+        return creator(self, mode)
+
+    def one_term_product(a, b):
+        out = product(a, b)
+        assert len(a.terms) == len(b.terms) == len(out.terms) == 1
+        return out
+
+    monkeypatch.setattr(FockSpace, "creator", counted_creator)
+    monkeypatch.setattr(FieldOp, "__mul__", one_term_product)
+    monkeypatch.setattr(FieldOp, "_bands", refuse("evaluated an operator on every bitset"))
+    monkeypatch.setattr(FockSpace, "occupation_counts", property(refuse("counted 2^K occupations")))
+    monkeypatch.setattr(SectorTransporter, "op", refuse("built a transporter operator"))
     scenarios = sorted(GOLDEN_DIR.glob("*.yaml"))
     assert len(scenarios) == 4
+    windows = 0
     for path in scenarios:
-        report = run_scenario(parse_scenario(str(path)))
+        config = parse_scenario(str(path))
+        calls.clear()
+        report = run_scenario(config)
         assert report["summary"]["status"] == "pass", path.name
+        assert len(calls) in (0, len(config.cover.regions) * config.charge), path.name
+        windows += bool(calls)
+    assert windows >= 2
 
 
 # ---------------------------------------------------------------------------
@@ -1493,7 +1521,9 @@ def test_loading_composes_no_node_tree(base, monkeypatch):
 
 
 def test_yaml_syntax_errors_give_line_and_column():
-    assert "not valid YAML at line 3:1:" in str(error_of(HAND_CORPUS["unclosed"]))
+    error = error_of(HAND_CORPUS["unclosed"])
+    assert (error.line, error.column) == (3, 1)
+    assert str(error).startswith("<scenario>: not valid YAML: ") and str(error).endswith(" (line 3:1)")
 
 
 @pytest.mark.parametrize(
@@ -1509,7 +1539,8 @@ def test_control_characters_give_line_and_column(loader_base, tail, where):
     # a reader error carries an offset, counted in characters by PyYAML's
     # reader and in UTF-8 bytes by libyaml: both name the same character
     message = str(error_of(MINIMAL + tail))
-    assert f"not valid YAML at {where}: unacceptable character" in message
+    assert "not valid YAML: unacceptable character #x" in message and message.endswith(f"({where})")
+    assert "\n" not in message
 
 
 @pytest.mark.parametrize(
@@ -1523,7 +1554,32 @@ def test_control_characters_give_line_and_column(loader_base, tail, where):
 def test_lone_surrogate_gives_line_and_column(loader_base, text, where):
     # a str need not be valid UTF-8: libyaml fails to encode a lone surrogate
     # before it reads any text, and PyYAML's reader rejects it as a character
-    assert str(error_of(text)).startswith(f"<scenario>: not valid YAML at {where}: ")
+    error = error_of(text)
+    assert str(error).startswith("<scenario>: not valid YAML: unacceptable character #x")
+    assert str(error).endswith(f"({where})") and "\n" not in str(error)
+    assert f"line {error.line}:{error.column}" == where
+
+
+@pytest.mark.parametrize(
+    "tail, where",
+    [
+        ("tasks: [check, sector\n", (6, 1)),  # an unclosed flow list
+        ("sigma2:\n\t x: 1\n", (6, 1)),  # a tab that cannot start a token
+        ("paths: {a: [0, 1]}\n  b: : x\n", (6, 3)),  # a key where none is expected
+        ('seed: "\udcff"\n', (5, 8)),  # a lone surrogate
+        ("seed: 1\x00\n", (5, 8)),  # a control character
+    ],
+    ids=["unclosed_flow_list", "tab", "stray_key", "lone_surrogate", "control_character"],
+)
+def test_not_valid_yaml_is_one_line_with_line_and_column(loader_base, tail, where):
+    # PyYAML's own text spans lines and quotes the source, and differs by
+    # base; the error keeps its parts on one line, ending at the position
+    error = error_of(MINIMAL + tail)
+    message = str(error)
+    assert (error.line, error.column) == where
+    assert message.startswith("<scenario>: not valid YAML: ") and "\n" not in message
+    assert message.endswith(f" (line {where[0]}:{where[1]})")
+    assert "<unicode string>" not in message
 
 
 def test_bytes_that_are_not_utf8_exit_2_with_line_and_column(tmp_path, capsys):

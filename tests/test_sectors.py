@@ -6,6 +6,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import csr_oracle as oracle
+from csr_oracle import oracle_block, oracle_step
+
 from flatnet.cocycles import (
     CocycleInconsistent,
     SigmaMorphism,
@@ -26,7 +29,6 @@ from flatnet.covers import (
     free_h1_coordinates,
     generator_loop,
     loop_class,
-    oriented,
     path_compose,
     path_reverse,
     pi1_presentation,
@@ -107,11 +109,11 @@ def annulus_setup(theta=0.7, m=2, kappa=1):
 
 
 def assert_partial_permutation(op, fock):
-    """At most one stored entry per row and per column, so nnz <= dim."""
-    m = op.csr
-    assert m.nnz <= fock.dim
-    assert np.diff(m.indptr).max() <= 1
-    assert np.bincount(m.indices, minlength=1).max() <= 1
+    """One term, so at most one nonzero entry per row and per column."""
+    assert len(op.terms) == 1
+    m = op.matrix != 0
+    assert m.sum() <= fock.dim
+    assert m.sum(axis=1).max() <= 1 and m.sum(axis=0).max() <= 1
 
 
 def random_walk(rng, cover, length, start=None):
@@ -119,25 +121,6 @@ def random_walk(rng, cover, length, start=None):
     for _ in range(length):
         visited.append(int(rng.choice(cover.neighbors(visited[-1]))))
     return visited
-
-
-def oracle_step(t, dst, src, comp):
-    """CSR step operator built here, not by the library: the bare pair
-    scaled by the edge's window entry forward, its adjoint in reverse."""
-    (u, v, c), forward = oriented(dst, src, comp)
-    op = z1(t.window, v, u).scaled(t.weights[(u, v, c)])
-    return op if forward else op.adjoint()
-
-
-def oracle_block(t, crossings):
-    """``window.compress`` of the CSR product of the oracle steps (later
-    steps left, reflexive steps skipped)."""
-    prod = None
-    for dst, src, comp in crossings:
-        if dst != src:
-            step = oracle_step(t, dst, src, comp)
-            prod = step if prod is None else step * prod
-    return t.window.compress(prod if prod is not None else identity_op(t.window.fock))
 
 
 def chain_block(t, chain):
@@ -159,9 +142,9 @@ def folded_block(t, crossings):
     return chain_block(t, window_chain(t, crossings))
 
 
-def assert_same_csr(a, b):
-    for name in ("indptr", "indices", "data"):
-        assert getattr(a.csr, name).tobytes() == getattr(b.csr, name).tobytes()
+def assert_matches_oracle(op, m):
+    """The operator's entries equal the CSR oracle's."""
+    assert np.array_equal(op.matrix, m.toarray())
 
 
 # ---------------------------------------------------------------------------
@@ -294,34 +277,41 @@ def test_compress_equals_dense_basis_product(seed):
         rows = rng.choice(pool, k, replace=False)
         cols = rng.choice(pool, k, replace=False)
         vals = rng.choice(np.array([1, -1, 1j, -1j, np.exp(0.3j)]), k)
-        m = sp.csr_matrix((vals, (rows, cols)), shape=(fock.dim, fock.dim))
-        return FieldOp(m, fock, frozenset())
+        return oracle.csr(sp.csr_matrix((vals, (rows, cols)), shape=(fock.dim, fock.dim)))
 
-    full = sp.csr_matrix(
+    def random_term():
+        # one term on random masks: a signed partial permutation of its own
+        one, zero, flip, sign = (int(x) for x in rng.integers(0, fock.dim, 4))
+        zero &= ~one
+        flip &= one | zero
+        return {(one, zero, flip, sign & ~(one | zero)): complex(rng.choice([1, -1, 1j, np.exp(0.3j)]))}
+
+    full = oracle.csr(sp.csr_matrix(
         (rng.choice([1.0, -1.0], fock.dim), (np.arange(fock.dim), rng.permutation(fock.dim))),
         shape=(fock.dim, fock.dim),
-    )
+    ))
     a, c = signed_partial_permutation(), signed_partial_permutation()
     t = (plain_transporter(w, ANN), twisted_transporter(w, coc))[seed % 2]
     path = approximate_curve(ANN, random_walk(rng, ANN, int(rng.integers(1, 8))))
-    ops = [a, a + c, a * c, FieldOp(full, fock, frozenset()), z_path(t, path).op]
-    for op in ops:
-        assert np.array_equal(w.compress(op), b.conj().T @ (op.csr @ b))
+    terms = {**random_term(), **random_term()}
+    pairs = [(oracle.as_field_op(m, fock), m, 0.0) for m in (a, oracle.csr(a + c), oracle.csr(a @ c), full)]
+    pairs += [(FieldOp(terms, fock, frozenset()), oracle.terms_csr(fock, terms), 0.0),
+              (z_path(t, path).op, oracle.oracle_product(t, path.crossings()), 1e-15)]
+    for op, m, tol in pairs:
+        assert np.max(np.abs(w.compress(op) - b.conj().T @ (m @ b))) <= tol
 
 
-def test_reverse_entry_built_once_per_edge():
+def test_reverse_entry_is_the_adjoint_of_the_forward_entry():
     _, _, coc, _, window = annulus_setup()
     for t in (plain_transporter(window, ANN), twisted_transporter(window, coc)):
         for (u, v, c), g in t.cocycle.values.items():
             op = t.op(v, u, c)
-            assert t.op(v, u, c) is op
-            assert t.entries[(u, v, c)].op is op and t.entries[(u, v, c)].coeff is g
+            assert t.entries[(u, v, c)].op.terms == op.terms and t.entries[(u, v, c)].coeff is g
             rev = t.op(u, v, c)
-            assert t.op(u, v, c) is rev
+            assert len(op.terms) == 1 and rev.terms == op.adjoint().terms
             assert distance(t.cocycle.value(u, v, c), inverse(g)) == 0.0
-            assert_same_csr(op, oracle_step(t, v, u, c))
-            assert_same_csr(rev, oracle_step(t, u, v, c))
-            assert_same_csr(rev, op.adjoint())
+            assert_matches_oracle(op, oracle_step(t, v, u, c))
+            assert_matches_oracle(rev, oracle_step(t, u, v, c))
 
 
 def test_charged_vector_gauge_covariance():
@@ -329,7 +319,7 @@ def test_charged_vector_gauge_covariance():
     for kappa in (1, 2):
         w = make_window(fock, ANN, kappa)
         zeta = np.exp(0.61j)
-        u = fock.gauge_diagonal(zeta)
+        u = np.power(zeta, fock.occupation_counts)  # the gauge unitary zeta^N
         for r in ANN.regions:
             v = w.charged_vector(r)
             assert np.max(np.abs(u * v - (zeta ** kappa) * v)) <= 1e-15
@@ -389,7 +379,7 @@ def assert_fold_matches_product(t, path):
     want = oracle_block(t, path.crossings())
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
-    assert want.tobytes() == t.window.compress(z_path(t, path).op).tobytes()
+    assert np.max(np.abs(t.window.compress(z_path(t, path).op) - want)) <= 1e-15
 
 
 @settings(max_examples=80, deadline=None)
@@ -439,11 +429,11 @@ def test_one_step_blocks_equal_oracle_step_and_its_adjoint():
             assert folded_block(t, [(1, 1, None)]).tobytes() == eye
             for (u, v, c) in t.weights:
                 op = oracle_step(t, v, u, c)
-                for (dst, src), want in (((v, u), op), ((u, v), op.adjoint())):
+                for (dst, src), want in (((v, u), op), ((u, v), oracle.adjoint(op))):
                     chain = window_chain(t, [(dst, src, c)])
                     assert chain[:2] == (src, dst)
                     got = chain_block(t, chain)
-                    assert got.tobytes() == t.window.compress(want).tobytes()
+                    assert got.tobytes() == oracle.compress(t.window, want).tobytes()
 
 
 def test_window_block_non_chaining_crossings_are_zero_bitwise():
@@ -476,26 +466,27 @@ def test_pair_certification_fails_closed_on_two_entries():
     assert len(set(columns)) == len(columns)
 
     def block(dst, src):
-        return (imps[dst].op * imps[src].star).csr[columns][:, columns].toarray()
+        m = oracle.implementer(fock, imps[dst].modes) @ oracle.adjoint(oracle.implementer(fock, imps[src].modes))
+        return m[columns][:, columns].toarray()
 
     assert np.count_nonzero(block(0, 0)) == 2 and block(0, 0)[2, 2] == 1.0
     assert np.count_nonzero(block(2, 0)) == 1  # v_1 left the window
 
 
-def test_z1_cached_on_window_equals_fresh_product():
+def test_z1_is_one_unit_term_equal_to_the_oracle_pair():
     _, _, coc, _, window = annulus_setup()
     plain, twisted = plain_transporter(window, ANN), twisted_transporter(window, coc)
     for (u, v, c) in ANN.overlaps:
         z = z1(window, v, u)
-        assert z1(window, v, u) is z
-        fresh = window.implementers[v].op * window.implementers[u].star
-        assert_same_csr(z, fresh)
-        # both transporters' operators are the cached product scaled by
-        # the window entry, with the bits of scaling by the coefficient
+        assert list(z.terms.values()) == [1.0]
+        assert z.terms == (window.implementers[v].op * window.implementers[u].star).terms
+        assert_matches_oracle(z, oracle.z1(window, v, u))
+        # both transporters' operators are the pair scaled by the window
+        # entry, equal to the pair scaled by the coefficient
         for t in (plain, twisted):
             g = t.cocycle.values[(u, v, c)]
-            assert_same_csr(t.op(v, u, c), z.scaled(t.weights[(u, v, c)]))
-            assert_same_csr(t.op(v, u, c), z.scaled(g))
+            assert t.op(v, u, c).terms == z.scaled(t.weights[(u, v, c)]).terms
+            assert t.op(v, u, c).terms == z.scaled(g).terms
 
 
 def test_window_entries_carry_the_csr_route_bits():
@@ -509,14 +500,15 @@ def test_window_entries_carry_the_csr_route_bits():
         phases = {r: PhaseU1(rng.uniform(-np.pi, np.pi)) for r in cover.regions}
         redressed = dress_transporter(twisted, phases)
         for (u, v, c), g in twisted.cocycle.values.items():
-            op = z1(w, v, u).scaled(g)
+            pair = oracle.z1(w, v, u)
+            op = oracle.csr(pair * g.complex_value)
             at = (w.position(v), w.position(u))
             for t, want in (
-                (plain, z1(w, v, u).scaled(PhaseU1(0.0))),
+                (plain, oracle.csr(pair * PhaseU1(0.0).complex_value)),
                 (twisted, op),
-                (redressed, op.scaled(compose(phases[v], inverse(phases[u])))),
+                (redressed, oracle.csr(op * compose(phases[v], inverse(phases[u])).complex_value)),
             ):
-                block = w.compress(want)
+                block = oracle.compress(w, want)
                 assert np.count_nonzero(block) == 1
                 assert np.array(t.weights[(u, v, c)]).tobytes() == block[at].tobytes()
 
@@ -537,8 +529,8 @@ def test_entry_reflexive_and_reverse():
     assert distance(t.cocycle.value(0, 1, 0), inverse(t.cocycle.value(1, 0, 0))) == 0.0
     assert np.array_equal(rev.matrix, fwd.matrix.conj().T)
     # a chain starts from its first step operator, not from an identity
-    assert z_path(t, approximate_curve(ANN, [0, 1])).op is fwd
-    assert z_path(t, approximate_curve(ANN, [1, 1, 0, 0])).op is rev
+    assert z_path(t, approximate_curve(ANN, [0, 1])).op.terms == fwd.terms
+    assert z_path(t, approximate_curve(ANN, [1, 1, 0, 0])).op.terms == rev.terms
 
 
 def test_missing_entry():
@@ -606,8 +598,8 @@ def test_telescope_residual_equals_csr_route_bitwise():
                     assert telescope_residual(t, path) == 0.0
                     continue
                 assert folded[:2] == (path.start, path.end)
-                pair = z1(t.window, path.end, path.start).scaled(holonomy(t.cocycle, path))
-                want = float(np.max(np.abs(chain - t.window.compress(pair))))
+                pair = oracle.z1(t.window, path.end, path.start) * holonomy(t.cocycle, path).complex_value
+                want = float(np.max(np.abs(chain - oracle.compress(t.window, pair))))
                 assert np.float64(telescope_residual(t, path)).tobytes() == np.float64(want).tobytes()
 
 
@@ -678,7 +670,7 @@ def test_charge_morphism_rejects_non_finite_observable(bad):
     window = make_window(fock, ANN)
     psi = smeared_field(fock, np.eye(fock.K)[4])
     with np.errstate(invalid="ignore"):  # complex 0 * inf is NaN
-        obs = FieldOp((psi * psi.adjoint()).csr * bad, fock, frozenset({2}))
+        obs = (psi * psi.adjoint()).scaled(bad)
     with pytest.raises(ValueError, match="non-finite"):
         charge_morphism(window, 2, obs)
 
@@ -768,7 +760,7 @@ def test_topological_component_reads_the_chain_entry_bitwise():
             loop = path_compose(loop, path_reverse(out))
             comp = topological_component(t, loop)
             ia = t.window.position(a)
-            want = t.window.compress(z_path(t, loop).op)[ia, ia]
+            want = oracle_block(t, loop.crossings())[ia, ia]
             if window_chain(t, loop.crossings()) is None:
                 assert want == 1.0 and comp.value == 1.0 and comp.residual == 1.0
                 continue
@@ -835,7 +827,8 @@ def test_transition_amplitude_equals_csr_apply_bitwise():
                 back = random_crossing_path(rng, cover, int(rng.integers(0, 9)), p.end)
                 q = path_compose(p, path_compose(back, path_reverse(back)))
                 v = t.window.charged_vector(a)
-                want = np.vdot(z_path(t, q).op.apply(v), z_path(t, p).op.apply(v))
+                zq, zp = (oracle.oracle_product(t, r.crossings()) for r in (q, p))
+                want = np.vdot(zq @ v, zp @ v)
                 got = transition_amplitude(t, p, q)
                 assert np.array(got).tobytes() == np.array(want).tobytes()
 
