@@ -3,10 +3,13 @@ potential lifts, and holonomy.
 
 A morphism from the loop group assigns a group value to each presentation
 generator.  Pushing it onto the nerve gives one transition value per
-oriented overlap component; tree edges carry the identity, the non-tree
-edge crossed low-to-high carries its generator's value.  The triple law
-g(r3<-r2) g(r2<-r1) = g(r3<-r1) then holds whenever the morphism
-respects the triangle relations.
+overlap component; tree edges carry the identity, the non-tree edge
+crossed low-to-high carries its generator's value, and the crossing the
+other way its inverse.  The triple law g(r3<-r2) g(r2<-r1) = g(r3<-r1)
+then holds whenever the morphism respects the triangle relations.
+Every fold reads a two-sided table (``groups.transport_table``) by the
+signed overlap numbers of ``Cover.codes``: slot k holds the value of
+overlap k, slot -k its inverse.
 
 Trivialization walks the spanning tree assigning per-region values
 lambda with g(v<-u) = lambda_v lambda_u^{-1}; the first non-tree edge
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import neg
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,7 +36,6 @@ from .covers import (
     PosetPath,
     Triple,
     generator_loop,
-    oriented,
 )
 from .groups import (
     GROUP_EQ_TOL,
@@ -47,6 +50,7 @@ from .groups import (
     ordered_products,
     same_variant,
     transport_table,
+    two_sided,
     wrap_angle,
 )
 
@@ -64,18 +68,6 @@ class InvalidPotential(ValueError):
 
 class MissingGenerator(KeyError):
     """Raised when a morphism assignment does not cover every generator."""
-
-
-def _slotted_table(identity: GroupValue, entries) -> tuple[dict, TransportTable]:
-    """Transport table (``groups.transport_table``, slot 0 the identity) of
-    ``(forward key, reverse key, value)`` entries, and the slot of each key:
-    the value under its forward key, its inverse under its reverse key."""
-    slots: dict = {}
-    factors: list[tuple[GroupValue, bool]] = []
-    for forward_key, reverse_key, g in entries:
-        factors += [(g, True), (g, False)]
-        slots[forward_key], slots[reverse_key] = len(factors) - 1, len(factors)
-    return slots, transport_table(identity, factors)
 
 
 @dataclass(frozen=True)
@@ -101,10 +93,11 @@ class SigmaMorphism:
         return self.assignment[generator]
 
     @cached_property
-    def _transport(self) -> tuple[dict[tuple[str, bool], int], TransportTable]:
-        """Slot of each (generator, forward) letter and the table holding them."""
-        entries = (((n, True), (n, False), g) for n, g in self.assignment.items())
-        return _slotted_table(self.identity, entries)
+    def _transport(self) -> tuple[dict[str, int], TransportTable]:
+        """Slot k of each generator and the table holding its value there,
+        the inverse at -k."""
+        slots = {n: k for k, n in enumerate(self.assignment, 1)}
+        return slots, transport_table(self.identity, self.assignment.values())
 
     def evaluate_all(self, words: Sequence[FreeWord]) -> list[GroupValue]:
         """Evaluate reduced words, letters composed left to right.
@@ -118,7 +111,9 @@ class SigmaMorphism:
         for word in words:
             names = word.alphabet
             try:
-                rows.append([slots[(names[abs(l) - 1], l > 0)] for l in word.letters])
+                rows.append(
+                    [slots[names[abs(l) - 1]] * (1 if l > 0 else -1) for l in word.letters]
+                )
             except KeyError:
                 for l in word.letters:
                     self.value(names[abs(l) - 1])  # raises MissingGenerator
@@ -154,14 +149,15 @@ def validate_sigma(
 
 @dataclass(frozen=True)
 class TransitionCocycle:
-    """One group value per oriented overlap component.
+    """One group value per overlap component.
 
     ``values`` is keyed by the canonical edge (u, v, c) with u < v and
     holds the value for crossing u -> v; the reverse crossing is the
     inverse.  Same-region steps carry the identity.  Every key must be a
     canonical overlap of the cover.  Holonomies and the triple-law check
-    read a transport table built on first use, so ``values`` is read-only
-    once the cocycle is in use.
+    read the two-sided transport table ``_table`` by overlap code
+    (``Cover.codes``), built on first use, so ``values`` is read-only once
+    the cocycle is in use.
     """
 
     cover: Cover
@@ -183,50 +179,33 @@ class TransitionCocycle:
 
     def value(self, dst: int, src: int, comp: int | None) -> GroupValue:
         """Transition value of the crossing src -> dst: the stored value low
-        to high, its inverse high to low, the identity for a reflexive step."""
-        if dst == src:
+        to high, its inverse high to low, the identity for a reflexive step;
+        InvalidPath for a step that crosses no overlap."""
+        (k,) = self.cover.codes([(dst, src, comp)])
+        if k == 0:
             return self.identity
-        edge, forward = oriented(dst, src, comp)
-        try:
-            g = self.values[edge]
-        except KeyError:
-            raise CocycleInconsistent(
-                "no transition value for component ({},{},{})".format(*edge)
-            ) from None
-        return g if forward else inverse(g)
+        g = self.values[self.cover.overlaps[abs(k) - 1]]
+        return g if k > 0 else inverse(g)
 
     @cached_property
-    def _transport(self) -> tuple[dict[tuple[int, int, int], int], TransportTable]:
-        """Slot of every oriented crossing (dst, src, comp) and the table
-        holding the stored value low to high and its inverse high to low."""
-        entries = (((v, u, c), (u, v, c), g) for (u, v, c), g in self.values.items())
-        return _slotted_table(self.identity, entries)
+    def _table(self) -> TransportTable:
+        """Transport table by overlap code: the stored value of overlap k
+        at slot k, its inverse at -k."""
+        return transport_table(self.identity, map(self.values.__getitem__, self.cover.overlaps))
 
     @cached_property
     def _triple_residuals(self) -> tuple[float, ...]:
         """distance(g(r3<-r2) g(r2<-r1), g(r3<-r1)) of every triple of the
-        cover, in order.  Each triple is the two-slot row
-        [slot(r2<-r1), slot(r3<-r2)] of one ``ordered_products`` fold."""
-        slots, table = self._transport
+        cover, in order.  Each triple is the two-slot row of the codes of
+        r1 -> r2 and r2 -> r3 in one ``ordered_products`` fold."""
         triples = self.cover.triples
-        rows = [
-            [slots[(r2, r1, c12)], slots[(r3, r2, c23)]] for r1, r2, r3, (c12, _, c23) in triples
-        ]
-        products = ordered_products(self.identity, table, rows)
+        codes = self.cover.codes
+        rows = [codes([(r2, r1, c12), (r3, r2, c23)]) for r1, r2, r3, (c12, _, c23) in triples]
+        products = ordered_products(self.identity, self._table, rows)
         return tuple(
             distance(p, self.value(r3, r1, c13))
             for p, (r1, _, r3, (_, c13, _)) in zip(products, triples)
         )
-
-    def _row(self, crossings: Sequence[tuple[int, int, int | None]]) -> list[int]:
-        """Table slot of each crossing ``(dst, src, comp)``; 0 for a reflexive step."""
-        slots = self._transport[0]
-        try:
-            return [0 if c is None else slots[(d, s, c)] for d, s, c in crossings]
-        except KeyError:
-            for d, s, c in crossings:
-                self.value(d, s, c)  # raises CocycleInconsistent
-            raise
 
 
 def identity_cocycle(cover: Cover, identity: GroupValue) -> TransitionCocycle:
@@ -241,8 +220,7 @@ def transition_cocycle(sigma: SigmaMorphism, nerve: NerveGraph) -> TransitionCoc
     """Push a morphism onto the nerve: tree edges identity, non-tree edges
     their generator's value (crossing low-to-high is the positive direction)."""
     values: dict[Edge, GroupValue] = {}
-    for e in nerve.cover.overlaps:
-        letter = nerve.letters[e]
+    for e, letter in zip(nerve.cover.overlaps, nerve.letters[1:]):
         values[e] = sigma.value(nerve.generators[letter - 1]) if letter else sigma.identity
     return TransitionCocycle(cover=nerve.cover, values=values, identity=sigma.identity)
 
@@ -316,8 +294,8 @@ def trivialize(
     The base region gets the identity and every region the transport
     along its tree path from the base, all regions in one
     ``ordered_products`` fold.  Each non-tree edge u -> v is then tested
-    against lambda_v lambda_u^{-1}, the two-slot row [lambda_u^{-1},
-    lambda_v] of a second fold over a table of the lambdas, and the first
+    against lambda_v lambda_u^{-1}, the two-slot row [-slot(u), slot(v)]
+    of a second fold over a transport table of the lambdas, and the first
     failure is returned as a witness loop through that edge (its holonomy
     is the transported obstruction).
     """
@@ -327,10 +305,11 @@ def trivialize(
             f"cocycle fails the triple law, max residual {chk.max_residual:.3e}"
         )
     order = nerve.bfs_order
-    rows = [cocycle._row(nerve.tree_steps_from_base(r)) for r in order]
-    lam = dict(zip(order, ordered_products(cocycle.identity, cocycle._transport[1], rows)))
-    slots, table = _slotted_table(cocycle.identity, (((r, 1), (r, -1), lam[r]) for r in order))
-    pairs = [[slots[(u, -1)], slots[(v, 1)]] for u, v, _ in nerve.non_tree_edges]
+    rows = [cocycle.cover.codes(nerve.tree_steps_from_base(r)) for r in order]
+    lam = dict(zip(order, ordered_products(cocycle.identity, cocycle._table, rows)))
+    table = transport_table(cocycle.identity, lam.values())
+    slot = {r: k for k, r in enumerate(order, 1)}
+    pairs = [[-slot[u], slot[v]] for u, v, _ in nerve.non_tree_edges]
     wants = ordered_products(cocycle.identity, table, pairs)
     for idx, ((u, v, c), want) in enumerate(zip(nerve.non_tree_edges, wants)):
         resid = distance(cocycle.value(v, u, c), want)
@@ -361,9 +340,8 @@ def holonomies(source, paths: Sequence[PosetPath]) -> list[GroupValue]:
     """
     if isinstance(source, FlatPotentialU1):
         return [PhaseU1(lift_sum(source, p)) for p in paths]
-    table = source._transport[1]
-    rows = [source._row(tuple(p.crossings())) for p in paths]
-    return ordered_products(source.identity, table, rows)
+    rows = [source.cover.codes(p.crossings()) for p in paths]
+    return ordered_products(source.identity, source._table, rows)
 
 
 def holonomy(source, path: PosetPath) -> GroupValue:
@@ -381,7 +359,10 @@ class FlatPotentialU1:
     """Real lifts of unit-phase transition data.
 
     ``angles`` holds one real number per canonical edge (u, v, c), the lift
-    for crossing u -> v.  Triangle sums must land on 2 pi Z within
+    for crossing u -> v; every key must be a canonical overlap of the
+    cover.  Lifts are read from the two-sided table ``_lifts`` by overlap
+    code (``Cover.codes``): the lift at slot k, its negative at -k, and
+    0.0 for a step in place.  Triangle sums must land on 2 pi Z within
     TRIANGLE_INT_TOL; the rounded integers are exposed by
     ``triangle_integers``.  When the underlying cocycle trivializes, the
     per-region primitives phi satisfy angle(v<-u) == phi_v - phi_u mod 2 pi.
@@ -392,6 +373,10 @@ class FlatPotentialU1:
     primitives: dict[int, float] | None = None
 
     def __post_init__(self):
+        overlaps = set(self.cover.overlaps)
+        for e in self.angles:
+            if e not in overlaps:
+                raise InvalidPotential(f"lift keyed by {e}, not a canonical overlap of the cover")
         for e in self.cover.overlaps:
             if e not in self.angles:
                 raise InvalidPotential(f"no lift for overlap {e}")
@@ -415,27 +400,20 @@ class FlatPotentialU1:
                         f"primitives fail on ({u},{v},{c}): gap {gap:.3e}"
                     )
 
+    @cached_property
+    def _lifts(self) -> tuple[float, ...]:
+        return two_sided(0.0, map(self.angles.__getitem__, self.cover.overlaps), neg)
+
     def lift(self, dst: int, src: int, comp: int | None) -> float:
-        if dst == src:
-            return 0.0
-        edge, forward = oriented(dst, src, comp)
-        try:
-            th = self.angles[edge]
-        except KeyError:
-            raise InvalidPotential(
-                "no lift for component ({},{},{})".format(*edge)
-            ) from None
-        return th if forward else -th
+        return self._lifts[self.cover.codes([(dst, src, comp)])[0]]
 
     def _triangle_data(self) -> dict[Triple, tuple[int, float]]:
         out = {}
+        lifts = self._lifts
         for t in self.cover.triples:
             r1, r2, r3, (c12, c13, c23) = t
-            s = (
-                self.lift(r2, r1, c12)
-                + self.lift(r3, r2, c23)
-                - self.lift(r3, r1, c13)
-            )
+            a, b, c = self.cover.codes([(r2, r1, c12), (r3, r2, c23), (r3, r1, c13)])
+            s = lifts[a] + lifts[b] - lifts[c]
             n = int(round(s / (2.0 * np.pi)))
             out[t] = (n, abs(s - 2.0 * np.pi * n))
         return out
@@ -446,7 +424,7 @@ class FlatPotentialU1:
 
 def lift_sum(pot: FlatPotentialU1, path: PosetPath) -> float:
     """Unwrapped sum of lifts along a path (winding-sensitive)."""
-    return float(sum(pot.lift(d, s, c) for d, s, c in path.crossings()))
+    return float(sum(map(pot._lifts.__getitem__, pot.cover.codes(path.crossings()))))
 
 
 def lift_potential(

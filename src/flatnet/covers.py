@@ -10,8 +10,11 @@ non-tree edge and one relation per triangle.
 
 Paths are chains of elementary steps, each step crossing one overlap
 component (or resting in place), stored as their visited regions and
-crossed components.  Words read operator-style:
-the first step of a path sits rightmost in its word.
+crossed components.  A cover numbers its sorted overlaps 1..E, and
+``Cover.codes`` names each crossing by a signed overlap number, the one
+map from a crossing to an overlap: every per-overlap table is two-sided
+(``groups.two_sided``) and read by those codes.  Words read
+operator-style: the first step of a path sits rightmost in its word.
 """
 
 from __future__ import annotations
@@ -19,20 +22,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import neg
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .groups import FreeWord
+from .groups import FreeWord, two_sided
 
 Edge = tuple[int, int, int]  # (u, v, component) with u < v
 Triple = tuple[int, int, int, tuple[int, int, int]]
-
-
-def oriented(dst: int, src: int, comp: int | None) -> tuple[Edge, bool]:
-    """Canonical edge of the crossing from ``src`` into ``dst``, and whether
-    the crossing runs low-to-high, the direction its stored value is for."""
-    if src < dst:
-        return (src, dst, comp), True
-    return (dst, src, comp), False
+Crossing = tuple[int, int, int | None]  # (dst, src, component)
 
 
 class InvalidCover(ValueError):
@@ -58,11 +55,14 @@ class Step(NamedTuple):
 class Cover:
     """Combinatorial cover data; immutable after construction.
 
+    ``overlaps`` is stored sorted, and ``overlaps[k - 1]`` is overlap k.
     Construction also derives the lookup tables behind the queries:
     ``_components`` maps a pair (u, v) with u < v to its overlap component
     ids in ascending order, ``_neighbors`` maps a region to its sorted
-    overlapping regions, and ``_disjoint`` holds the disjoint pairs.  They
-    take no part in equality and are rebuilt by ``dataclasses.replace``.
+    overlapping regions, ``_disjoint`` holds the disjoint pairs, and
+    ``_codes`` maps each crossing to its signed overlap number
+    (``codes``).  They take no part in equality and are rebuilt by
+    ``dataclasses.replace``.
     """
 
     regions: tuple[int, ...]
@@ -76,6 +76,7 @@ class Cover:
     )
     _neighbors: dict[int, tuple[int, ...]] = field(init=False, compare=False, repr=False)
     _disjoint: frozenset[tuple[int, int]] = field(init=False, compare=False, repr=False)
+    _codes: dict[Crossing, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         regions = tuple(self.regions)
@@ -141,6 +142,21 @@ class Cover:
         object.__setattr__(self, "_components", components)
         object.__setattr__(self, "_neighbors", {r: tuple(sorted(adj[r])) for r in regions})
         object.__setattr__(self, "_disjoint", frozenset(self.disjoint_pairs))
+        codes: dict[Crossing, int] = {(r, r, None): 0 for r in regions}
+        for k, (u, v, c) in enumerate(self.overlaps, 1):
+            codes[(v, u, c)], codes[(u, v, c)] = k, -k
+        object.__setattr__(self, "_codes", codes)
+
+    def codes(self, crossings: Iterable[Crossing]) -> list[int]:
+        """Signed overlap number of each crossing ``(dst, src, comp)``: +k
+        for crossing ``overlaps[k - 1]`` low to high, -k high to low, 0 for
+        a step in place (comp None) at a region of the cover.  InvalidPath
+        names the first step that crosses no overlap."""
+        try:
+            return list(map(self._codes.__getitem__, crossings))
+        except KeyError as err:
+            step = Step._make(err.args[0])
+            raise InvalidPath(f"step {step} crosses no overlap of the cover") from None
 
     def overlap_components(self, u: int, v: int) -> tuple[int, ...]:
         return self._components.get((min(u, v), max(u, v)), ())
@@ -156,8 +172,11 @@ class Cover:
 class NerveGraph:
     """Nerve of a cover plus a deterministic BFS spanning tree.
 
-    ``letters`` maps every nerve edge to its generator letter: 0 for a
-    tree edge, i + 1 for non-tree edge i (``non_tree_edges[i]``).
+    ``letters`` is the two-sided table (``groups.two_sided``) of signed
+    generator letters read by overlap code (``Cover.codes``): slot k holds
+    the letter of overlap k crossed low to high, 0 for a tree edge and
+    i + 1 for non-tree edge i (``non_tree_edges[i]``); slot -k holds its
+    negative, and slot 0 the empty letter of a step in place.
     """
 
     cover: Cover
@@ -165,7 +184,7 @@ class NerveGraph:
     tree_edges: frozenset[Edge]
     non_tree_edges: tuple[Edge, ...]
     parent: dict[int, Step | None] = field(compare=False)
-    letters: dict[Edge, int] = field(compare=False)
+    letters: tuple[int, ...] = field(compare=False)
     bfs_order: tuple[int, ...] = ()
 
     @property
@@ -177,30 +196,13 @@ class NerveGraph:
         """Presentation generator names: ``g{i}`` for ``non_tree_edges[i]``."""
         return tuple(f"g{i}" for i in range(len(self.non_tree_edges)))
 
-    @cached_property
-    def oriented_letters(self) -> dict[tuple[int, int, int | None], int]:
-        """Signed letter of every crossing keyed (dst, src, comp): +letter
-        low-to-high, -letter high-to-low, 0 for a reflexive step in place."""
-        table: dict[tuple[int, int, int | None], int] = {
-            (r, r, None): 0 for r in self.cover.regions
-        }
-        for (u, v, c), letter in self.letters.items():
-            table[(v, u, c)] = letter
-            table[(u, v, c)] = -letter
-        return table
-
     def step_letter(self, step: Step) -> int:
         """Signed generator letter contributed by one step (0 for none).
 
         Crossing a non-tree edge from its lower to its higher region id is
         the positive direction of that generator.
         """
-        if step.comp is None:
-            return 0
-        letter = self.oriented_letters.get((step.dst, step.src, step.comp))
-        if letter is None:
-            raise InvalidPath(f"step {step} does not cross a nerve edge")
-        return letter
+        return self.letters[self.cover.codes([step])[0]]
 
     def tree_steps_from_base(self, r: int) -> tuple[Step, ...]:
         """Steps walking the spanning tree from the base region out to r."""
@@ -222,12 +224,11 @@ def build_nerve(cover: Cover) -> NerveGraph:
     the non-tree edge list, and everything derived from them are
     deterministic functions of the cover data.
     """
-    adj: dict[int, list[tuple[int, int]]] = {r: [] for r in cover.regions}
-    for (u, v, c) in cover.overlaps:
-        adj[u].append((v, c))
-        adj[v].append((u, c))
-    for r in adj:
-        adj[r].sort()
+    adj: dict[int, list[tuple[int, int, Edge]]] = {r: [] for r in cover.regions}
+    for e in cover.overlaps:  # sorted with u < v: each list comes out in (region, comp) order
+        u, v, c = e
+        adj[u].append((v, c, e))
+        adj[v].append((u, c, e))
 
     parent: dict[int, Step | None] = {cover.base_region: None}
     tree: set[Edge] = set()
@@ -235,15 +236,15 @@ def build_nerve(cover: Cover) -> NerveGraph:
     queue = deque([cover.base_region])
     while queue:
         r = queue.popleft()
-        for (s, c) in adj[r]:
+        for (s, c, e) in adj[r]:
             if s not in parent:
                 parent[s] = Step(dst=s, src=r, comp=c)
-                tree.add(oriented(s, r, c)[0])
+                tree.add(e)
                 order.append(s)
                 queue.append(s)
     non_tree = tuple(e for e in cover.overlaps if e not in tree)
-    letters = dict.fromkeys(tree, 0)
-    letters.update((e, i + 1) for i, e in enumerate(non_tree))
+    number = {e: i + 1 for i, e in enumerate(non_tree)}
+    letters = two_sided(0, [number.get(e, 0) for e in cover.overlaps], neg)
     return NerveGraph(
         cover=cover,
         edges=cover.overlaps,
@@ -282,7 +283,7 @@ def pi1_presentation(nerve: NerveGraph) -> Pi1Presentation:
             Step(dst=r3, src=r2, comp=c23),
             Step(dst=r1, src=r3, comp=c13),
         )
-        letters = [nerve.step_letter(s) for s in reversed(boundary)]
+        letters = map(nerve.letters.__getitem__, nerve.cover.codes(reversed(boundary)))
         word = FreeWord(tuple(l for l in letters if l != 0), nerve.generators)
         if len(word) > 0:
             relations.append(word)
@@ -408,11 +409,8 @@ def loop_class(presentation: Pi1Presentation, p: PosetPath) -> FreeWord:
     non-tree crossings actually present in ``p``.
     """
     nerve = presentation.nerve
-    try:
-        letters = [l for l in map(nerve.oriented_letters.__getitem__, p.crossings()) if l]
-    except KeyError:  # a reflexive step outside the cover, or a bad crossing
-        letters = [l for l in map(nerve.step_letter, p.steps) if l]
-    return presentation.word(letters[::-1])
+    codes = nerve.cover.codes(p.crossings())
+    return presentation.word([l for l in map(nerve.letters.__getitem__, reversed(codes)) if l])
 
 
 def generator_loop(nerve: NerveGraph, index: int) -> PosetPath:

@@ -212,30 +212,33 @@ def inverse(a: GroupValue) -> GroupValue:
     raise VariantMismatch(f"not a group value: {type(a).__name__}")
 
 
-# factors indexed by slot: a stacked (n, d, d) array for matrices, else values
+def two_sided(zero, values: Iterable, inv) -> tuple:
+    """Per-overlap table read by signed overlap code (``Cover.codes``):
+    ``zero`` at slot 0, ``values[k - 1]`` at slot k and ``inv`` of it at
+    slot -k, the tuple's negative index, for k = 1..len(values)."""
+    values = tuple(values)
+    return (zero, *values, *map(inv, values[::-1]))
+
+
+# entries indexed by signed slot: a stacked (n, d, d) array for matrices, else values
 TransportTable = Union[np.ndarray, tuple[GroupValue, ...]]
 
 
-def transport_table(
-    identity: GroupValue, factors: Iterable[tuple[GroupValue, bool]]
-) -> TransportTable:
-    """Slot 0 the identity, slot i the i-th ``(value, forward)`` factor as it
-    enters a product: the value itself forward, its inverse in reverse.
+def transport_table(identity: GroupValue, values: Iterable[GroupValue]) -> TransportTable:
+    """``two_sided`` table of ``values`` as they enter a product: slot 0
+    the identity, slot k the k-th value, slot -k its inverse.
 
     Matrices stack into one (n, d, d) complex array whose reverse slots
     hold the conjugate transpose, the bits ``inverse`` stores; other
     variants stay a tuple of values.
     """
     if isinstance(identity, MatrixUn):
-        factors = list(factors)
-        for v, _ in factors:
+        values = tuple(values)
+        for v in values:
             if type(v) is not MatrixUn or v.dim != identity.dim:
                 same_variant(identity, v)
-        table = np.stack([identity.mat] + [v.mat for v, _ in factors])
-        reverse = 1 + np.flatnonzero([not forward for _, forward in factors])
-        table[reverse] = table[reverse].conj().transpose(0, 2, 1)
-        return table
-    return (identity,) + tuple(v if forward else inverse(v) for v, forward in factors)
+        return np.stack(two_sided(identity.mat, [v.mat for v in values], lambda m: m.conj().T))
+    return two_sided(identity, values, inverse)
 
 
 def ordered_products(
@@ -244,7 +247,7 @@ def ordered_products(
     rows: Sequence[Sequence[int]],
     later_left: bool = True,
 ) -> list[GroupValue]:
-    """Fold every row of slot indices into ``table`` into one product.
+    """Fold every row of signed slot indices into ``table`` into one product.
 
     With ``later_left`` each factor multiplies the running product on the
     left (transport order); otherwise on the right (word order).  Each

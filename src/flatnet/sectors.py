@@ -16,13 +16,14 @@ every bare pair phi_v phi_u^* the window matrix unit E_(v, u): it sends
 v_u to +v_v and annihilates the vacuum and every other v_w.  Each
 transported step is then one complex entry times E_(v, u) in the
 1 + #regions window, so a transporter is its transition cocycle plus one
-complex entry per canonical edge, and a chain of steps is one entry
-times one matrix unit E_(end, start), or zero where consecutive steps do
-not meet.  ``window_chain`` folds a chain to ``(start, end, entry)``, in
-region ids, and the sector checks (``telescope_residual``,
-``triple_law_residual``, ``topological_component``,
-``transition_amplitude``, ``classify``) compute from that triple: they
-build no 2^K object and no window block.  Entries are scaled by
+complex entry per canonical edge, held two-sided by signed overlap
+number (``Cover.codes``: the entry at +k, its conjugate at -k), and a
+chain of steps is one entry times one matrix unit E_(end, start), or
+zero where consecutive steps do not meet.  ``window_chain`` folds a
+chain to ``(start, end, entry)``, in region ids, and the sector checks
+(``telescope_residual``, ``triple_law_residual``,
+``topological_component``, ``transition_amplitude``, ``classify``)
+compute from that triple: they build no 2^K object and no window block.  Entries are scaled by
 numpy's complex multiply and multiplied in a sparse matrix product's
 real arithmetic, so the folds carry the bits of the tests' CSR oracle
 (``tests/csr_oracle.py``: a sparse product of Jordan-Wigner step
@@ -64,7 +65,6 @@ from .covers import (
     NerveGraph,
     PosetPath,
     generator_loop,
-    oriented,
 )
 from .groups import (
     GroupValue,
@@ -74,6 +74,7 @@ from .groups import (
     compose,
     inverse,
     is_identity,
+    two_sided,
 )
 from .fock import FieldOp, FockSpace, SupportError, identity_op
 
@@ -85,7 +86,8 @@ class NotGaugeInvariant(ValueError):
 
 
 class MissingEntry(KeyError):
-    """Raised when a path step has no transporter entry."""
+    """Raised when a transporter's window entries are not exactly one per
+    overlap of its cover."""
 
 
 @dataclass(frozen=True)
@@ -227,29 +229,45 @@ class SectorTransporter:
     ``cocycle`` holds every transport coefficient.  ``weights[(u, v, c)]``
     is the window entry of the u -> v step, which on the window is that
     entry times the matrix unit E_(v, u) that the window certifies; the
-    reverse step carries its conjugate times E_(u, v).  ``weights`` is
-    empty on the coefficient-only matrix layer, which has no ``window``.
+    reverse step carries its conjugate times E_(u, v).  With a window,
+    construction checks that ``weights`` holds one entry per overlap of
+    the cover and no other key (MissingEntry otherwise), and stores them
+    as the two-sided table ``_entries`` read by overlap code
+    (``Cover.codes``): the entry of overlap k at slot k, its conjugate at
+    -k, and slot 0 unused, since a step in place is skipped.  ``weights``
+    is empty on the coefficient-only matrix layer, which has no
+    ``window``.
     """
 
     cocycle: TransitionCocycle
     window: WindowSubspace | None = None
     weights: dict[Edge, complex] = dc_field(default_factory=dict)
+    _entries: tuple = dc_field(init=False, compare=False, repr=False)
 
-    def _weight(self, edge: Edge) -> complex:
-        if edge not in self.weights:
-            raise MissingEntry("no transporter entry for ({},{},{})".format(*edge))
-        return self.weights[edge]
+    def __post_init__(self):
+        entries = ()
+        if self.window is not None:
+            overlaps = self.cocycle.cover.overlaps
+            known = set(overlaps)
+            if (e := next((e for e in self.weights if e not in known), None)) is not None:
+                raise MissingEntry(f"transporter entry keyed by {e}, not a canonical overlap")
+            if (e := next((e for e in overlaps if e not in self.weights), None)) is not None:
+                raise MissingEntry(f"no transporter entry for overlap {e}")
+            weights = map(self.weights.__getitem__, overlaps)
+            entries = two_sided(None, weights, lambda w: w.conjugate())
+        object.__setattr__(self, "_entries", entries)
 
     def op(self, dst: int, src: int, comp: int | None) -> FieldOp | None:
         """Operator of the step src -> dst, for the observable layer: None
         for a reflexive step, ``z1(window, v, u).scaled(entry)`` forward
-        and its adjoint in reverse; MissingEntry when the pair has no
-        stored edge."""
-        if dst == src:
+        and its adjoint in reverse; InvalidPath for a step that crosses
+        no overlap."""
+        (k,) = self.cocycle.cover.codes([(dst, src, comp)])
+        if k == 0:
             return None
-        (u, v, c), forward = oriented(dst, src, comp)
-        step = z1(self.window, v, u).scaled(self._weight((u, v, c)))
-        return step if forward else step.adjoint()
+        u, v, _ = self.cocycle.cover.overlaps[abs(k) - 1]
+        step = z1(self.window, v, u).scaled(self._entries[abs(k)])
+        return step if k > 0 else step.adjoint()
 
     @cached_property
     def entries(self) -> dict[Edge, TransportEntry]:
@@ -333,8 +351,10 @@ def window_chain(
     ``start`` and ``end`` are region ids.  None when no step moves (the
     chain is the identity); ``end`` is None, and ``entry`` 0, when a step
     does not start where the chain stands (the chain is zero).
-    Reflexive steps are skipped.  The first step's entry is taken as
-    stored (conjugated in reverse); each later step s multiplies the
+    Reflexive steps are skipped, and a step that crosses no overlap
+    raises InvalidPath.  Each step's entry is read from the transporter's
+    two-sided table by overlap code, so the first step's entry is taken
+    as stored (conjugated in reverse); each later step s multiplies the
     carried entry v in real arithmetic, re = 0.0 + (sr*vr - si*vi),
     im = 0.0 + (sr*vi + si*vr), which is the sparse product's complex
     multiply and its sum from zero.  numpy's complex ``s * v`` may round
@@ -344,12 +364,13 @@ def window_chain(
     """
     if t.window is None:
         raise ValueError("window checks need a Fock window; use rho_holonomy off the Fock layer")
+    crossings = tuple(crossings)
+    entries = t._entries
     start = at = None  # region ids; ``at`` is None once the chain is zero
-    for dst, src, comp in crossings:
-        if dst == src:
+    for k, (dst, src, _) in zip(t.cocycle.cover.codes(crossings), crossings):
+        if k == 0:
             continue
-        edge, forward = oriented(dst, src, comp)
-        s = t._weight(edge) if forward else t._weight(edge).conjugate()
+        s = entries[k]
         if start is None:
             start, at, re, im = src, dst, s.real, s.imag
         elif at == src:

@@ -14,7 +14,6 @@ window blocks read straight from the stored rows, signed zeros included.
 import numpy as np
 import scipy.sparse as sp
 
-from flatnet.covers import oriented
 from flatnet.fock import FieldOp
 
 SCAN_CUTOFF = 1e-13
@@ -124,9 +123,9 @@ def z1(window, dst, src) -> sp.csr_matrix:
 def oracle_step(t, dst, src, comp) -> sp.csr_matrix:
     """The bare pair scaled by the edge's window entry forward, its adjoint
     in reverse."""
-    (u, v, c), forward = oriented(dst, src, comp)
-    op = csr(z1(t.window, v, u) * complex(t.weights[(u, v, c)]))
-    return op if forward else adjoint(op)
+    u, v = min(dst, src), max(dst, src)
+    op = csr(z1(t.window, v, u) * complex(t.weights[(u, v, comp)]))
+    return op if src < dst else adjoint(op)
 
 
 def oracle_product(t, crossings) -> sp.csr_matrix:

@@ -814,7 +814,7 @@ def test_holonomies_are_read_only_and_unshared():
     paths += paths[:3]  # repeated paths have bit-equal holonomies
     mats = [v.mat for v in holonomies(coc, paths)]
     for i, m in enumerate(mats):
-        assert not m.flags.writeable and not np.shares_memory(m, coc._transport[1])
+        assert not m.flags.writeable and not np.shares_memory(m, coc._table)
         assert not any(np.shares_memory(m, other) for other in mats[i + 1 :])
 
 
@@ -859,12 +859,19 @@ def test_cocycle_rejects_a_value_for_a_disjoint_pair():
     values = {e: PhaseU1(0.0) for e in cov.overlaps}
     with pytest.raises(CocycleInconsistent, match=r"\(0, 2, 0\)"):
         TransitionCocycle(cov, {**values, (0, 2, 0): PhaseU1(0.5)}, PhaseU1(0.0))
+    angles = {e: 0.0 for e in cov.overlaps}
+    with pytest.raises(InvalidPotential, match=r"\(0, 2, 0\)"):
+        FlatPotentialU1(cover=cov, angles={**angles, (0, 2, 0): NAN, (3, 1, 0): 2.0})
 
 
-@pytest.mark.parametrize("key", [(2, 0, 0), (2, 1, 0)])
+@pytest.mark.parametrize("key", [(2, 0, 0), (2, 1, 0), (3, 1, 0)])
 def test_cocycle_rejects_a_non_canonical_key(key):
-    # (2, 0, 0) names a disjoint pair high to low, (2, 1, 0) an overlap
+    # (2, 0, 0) and (3, 1, 0) name the disjoint pairs high to low, (2, 1, 0)
+    # an overlap; transition values and potential lifts reject each of them
     cov = annulus_cover()
     values = {e: PhaseU1(0.0) for e in cov.overlaps}
     with pytest.raises(CocycleInconsistent, match=r"\({}, {}, {}\)".format(*key)):
         TransitionCocycle(cov, {**values, key: PhaseU1(0.5)}, PhaseU1(0.0))
+    angles = {e: 0.0 for e in cov.overlaps}
+    with pytest.raises(InvalidPotential, match=r"\({}, {}, {}\)".format(*key)):
+        FlatPotentialU1(cover=cov, angles={**angles, key: 2.0})

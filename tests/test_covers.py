@@ -1,3 +1,5 @@
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +32,7 @@ from flatnet.covers import (
     relation_matrix,
     torus_cover,
 )
+from flatnet.groups import MatrixUn, PhaseU1, inverse, transport_table
 
 ALL_BUILTINS = ["circle", "annulus", "disk", "figure_eight", "torus"]
 
@@ -374,16 +377,37 @@ def scan_neighbors(cover, r):
     return tuple(sorted(out))
 
 
+def scan_code(cover, step):
+    """Signed overlap number of a step, by a scan of the overlaps: +k for
+    crossing overlaps[k - 1] low to high, -k high to low, 0 in place."""
+    if step.dst == step.src and step.comp is None and step.src in cover.regions:
+        return 0
+    for k, (u, v, c) in enumerate(cover.overlaps, 1):
+        if c == step.comp and (step.src, step.dst) in ((u, v), (v, u)):
+            return k if step.src == u else -k
+    raise InvalidPath(f"step {step} crosses no overlap")
+
+
 def scan_letter(nerve, step):
-    if step.comp is None:
+    k = scan_code(nerve.cover, step)
+    if k == 0 or nerve.edges[abs(k) - 1] in nerve.tree_edges:
         return 0
-    key = (min(step.src, step.dst), max(step.src, step.dst), step.comp)
-    if key not in nerve.edges:
-        raise InvalidPath(f"step {step} does not cross a nerve edge")
-    if key in nerve.tree_edges:
-        return 0
-    idx = nerve.non_tree_edges.index(key) + 1
-    return idx if step.src == key[0] else -idx
+    idx = nerve.non_tree_edges.index(nerve.edges[abs(k) - 1]) + 1
+    return idx if k > 0 else -idx
+
+
+def assert_codes_match_scan(cover, steps):
+    valid = []
+    for step in steps:
+        try:
+            want = scan_code(cover, step)
+        except InvalidPath:
+            with pytest.raises(InvalidPath, match=re.escape(f"step {step} crosses no overlap")):
+                cover.codes([step])
+        else:
+            assert cover.codes([step]) == [want]
+            valid.append((step, want))
+    assert cover.codes(s for s, _ in valid) == [want for _, want in valid]
 
 
 covers = st.one_of(
@@ -409,7 +433,29 @@ def test_lookup_tables_match_linear_scans(cover, data):
         lambda e: st.sampled_from([Step(e[1], e[0], e[2]), Step(e[0], e[1], e[2])])
     )
     anything = st.builds(Step, regions, regions, st.none() | st.integers(0, 2))
-    for step in data.draw(st.lists(crossing | anything, max_size=40)):
+    steps = data.draw(st.lists(crossing | anything, max_size=40))
+    assert_codes_match_scan(cover, steps)
+    # replace rebuilds the codes: one more component renumbers the overlaps
+    (u, v, _) = cover.overlaps[0]
+    extra = (u, v, 1 + max(c for (_, _, c) in cover.overlaps))
+    grown = replace(cover, overlaps=cover.overlaps + (extra,))
+    assert_codes_match_scan(grown, steps + [Step(v, u, extra[2]), Step(u, v, extra[2])])
+    # slot -k of a transport table holds the bits ``inverse`` stores
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    phases = [PhaseU1(math.pi)] + [PhaseU1(a) for a in rng.uniform(-4, 4, len(cover.overlaps))]
+    table = transport_table(PhaseU1(0.0), phases)
+    assert table[-1].angle == math.pi  # -pi wraps back to pi
+    gauss = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+    mats = [MatrixUn(np.linalg.qr(z)[0]) for z in gauss]
+    stack = transport_table(MatrixUn(np.eye(2)), mats)
+    assert stack[-1].tobytes() == mats[0].mat.conj().T.tobytes()
+    for k, g in enumerate(phases, 1):
+        assert table[k] is g and table[-k].angle == inverse(g).angle
+    for k, g in enumerate(mats, 1):
+        assert stack[k].tobytes() == g.mat.tobytes()
+        assert stack[-k].tobytes() == inverse(g).mat.tobytes()
+
+    for step in steps:
         try:
             want = scan_letter(nerve, step)
         except InvalidPath:

@@ -331,19 +331,28 @@ def test_isclose_tolerance():
 # ordered-product fold
 
 
+def entering(identity, values, k):
+    """The value slot k of ``transport_table(identity, values)`` stands for,
+    as it enters a product: the identity at 0, ``values[k - 1]`` at k > 0,
+    its ``inverse`` at -k."""
+    if k == 0:
+        return identity
+    return values[k - 1] if k > 0 else inverse(values[-k - 1])
+
+
 def stepwise_product(identity, factors, later_left):
-    """The per-step compose/inverse loop the fold replaces."""
+    """The per-step compose loop the fold replaces, over the factors as
+    they enter the product, in path order."""
     acc = identity
-    for v, forward in factors:
-        f = v if forward else inverse(v)
+    for f in factors:
         acc = compose(f, acc) if later_left else compose(acc, f)
     return acc
 
 
-def one_row(identity, factors, later_left=True):
-    """The one-row fold of ``(value, forward)`` factors given in path order."""
-    table = transport_table(identity, factors)
-    return ordered_products(identity, table, [range(1, len(factors) + 1)], later_left)[0]
+def one_row(identity, values, slots, later_left=True):
+    """The one-row fold of signed ``slots`` into the table of ``values``."""
+    table = transport_table(identity, values)
+    return ordered_products(identity, table, [slots], later_left)[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -357,14 +366,14 @@ def test_fold_matches_stepwise_compose_bit_for_bit(kinds, seed, later_left):
     pool = [MatrixUn(random_unitary(rng, 3)) for _ in range(4)]
     angles = [PhaseU1(float(a)) for a in rng.uniform(-4.0, 4.0, size=4)]
     for identity, values in ((MatrixUn(np.eye(3)), pool), (PhaseU1(0.0), angles)):
-        factors = []
+        slots = []
         for kind in kinds:
-            if kind == "reflexive":
-                factors.append((identity, True))
-            else:
-                factors.append((values[int(rng.integers(0, 4))], kind == "forward"))
-        folded = one_row(identity, factors, later_left)
-        expected = stepwise_product(identity, factors, later_left)
+            k = int(rng.integers(1, 5))
+            slots.append({"forward": k, "reverse": -k, "reflexive": 0}[kind])
+        folded = one_row(identity, values, slots, later_left)
+        expected = stepwise_product(
+            identity, [entering(identity, values, k) for k in slots], later_left
+        )
         if isinstance(identity, MatrixUn):
             assert np.array_equal(folded.mat, expected.mat)
         else:
@@ -379,23 +388,22 @@ def test_fold_checks_the_product_for_unitarity():
     drift = np.max(np.abs(coarse.mat.conj().T @ coarse.mat - np.eye(3)))
     assert drift > UNITARY_TOL  # built by _as_unitary_loose, unchecked
     for later_left in (True, False):
-        for forward in (True, False):
-            factors = [(u, True), (coarse, forward), (u, False)]
+        for sign in (1, -1):
             with pytest.raises(ValueError, match="not unitary"):
-                one_row(MatrixUn(np.eye(3)), factors, later_left)
+                one_row(MatrixUn(np.eye(3)), [u, coarse], [1, 2 * sign, -1], later_left)
     loose = _as_unitary_loose(np.eye(3) * (1.0 + 1e-9))
     with pytest.raises(ValueError, match="not unitary"):
-        one_row(MatrixUn(np.eye(3)), [(u, True)] * 50 + [(loose, True)])
+        one_row(MatrixUn(np.eye(3)), [u, loose], [1] * 50 + [2])
 
 
 def test_fold_rejects_mixed_variants():
     with pytest.raises(VariantMismatch):
-        one_row(MatrixUn(np.eye(2)), [(PhaseU1(0.3), True)])
+        one_row(MatrixUn(np.eye(2)), [PhaseU1(0.3)], [1])
     with pytest.raises(VariantMismatch):
-        one_row(MatrixUn(np.eye(2)), [(MatrixUn(np.eye(3)), False)])
+        one_row(MatrixUn(np.eye(2)), [MatrixUn(np.eye(3))], [-1])
     with pytest.raises(VariantMismatch):
-        one_row(PhaseU1(0.0), [(MatrixUn(np.eye(2)), True)])
-    assert one_row(PhaseU1(0.0), []).angle == 0.0
+        one_row(PhaseU1(0.0), [MatrixUn(np.eye(2))], [1])
+    assert one_row(PhaseU1(0.0), [], []).angle == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +418,8 @@ def test_fold_rejects_mixed_variants():
     later_left=st.booleans(),
 )
 def test_ordered_products_match_stepwise_compose_bit_for_bit(lengths, dim, seed, later_left):
-    # rows of unequal length (empty ones too) over reflexive, forward and
-    # reverse slots; dim None is the scalar U(1) fold
+    # rows of unequal length (empty ones too) over reflexive (0), forward
+    # (+k) and reverse (-k) slots; dim None is the scalar U(1) fold
     rng = np.random.default_rng(seed)
     if dim is None:
         identity = PhaseU1(0.0)
@@ -419,14 +427,14 @@ def test_ordered_products_match_stepwise_compose_bit_for_bit(lengths, dim, seed,
     else:
         identity = MatrixUn(np.eye(dim))
         pool = [MatrixUn(random_unitary(rng, dim)) for _ in range(4)]
-    factors = [(v, forward) for v in pool for forward in (True, False)]
-    table = transport_table(identity, factors)
-    entry = [(identity, True)] + factors  # what each slot stands for
-    rows = [rng.integers(0, len(entry), size=n).tolist() for n in lengths]
+    table = transport_table(identity, pool)
+    rows = [rng.integers(-len(pool), len(pool) + 1, size=n).tolist() for n in lengths]
     folded = ordered_products(identity, table, rows, later_left=later_left)
     assert len(folded) == len(rows)
     for row, value in zip(rows, folded):
-        expected = stepwise_product(identity, [entry[i] for i in row], later_left)
+        expected = stepwise_product(
+            identity, [entering(identity, pool, k) for k in row], later_left
+        )
         if dim is None:
             assert value.angle == expected.angle
         else:
@@ -435,7 +443,7 @@ def test_ordered_products_match_stepwise_compose_bit_for_bit(lengths, dim, seed,
 
 def test_ordered_products_empty_input_and_empty_rows():
     ident = MatrixUn(np.eye(2))
-    table = transport_table(ident, [(MatrixUn(SX), True)])
+    table = transport_table(ident, [MatrixUn(SX)])
     assert ordered_products(ident, table, []) == []
     out = ordered_products(ident, table, [[], [1, 1], []])
     assert np.array_equal(out[0].mat, np.eye(2)) and np.array_equal(out[2].mat, np.eye(2))
@@ -454,7 +462,7 @@ def test_ordered_products_one_bad_row_raises(bad, later_left):
         broken = _as_unitary_loose(np.full((3, 3), np.nan))
     else:
         broken = _as_unitary_loose(np.eye(3) * (1.0 + 1e-9))
-    table = transport_table(ident, [(v, True) for v in good] + [(broken, True)])
+    table = transport_table(ident, good + [broken])
     rows = [[1, 2, 3] * 10, [1, 2], [2, 4, 1], [3] * 7]
     with pytest.raises(ValueError, match="not unitary"):
         ordered_products(ident, table, rows, later_left=later_left)
@@ -470,7 +478,7 @@ def test_ordered_products_names_the_first_bad_row_in_row_order(later_left):
     good = MatrixUn(random_unitary(rng, 3))
     small = _as_unitary_loose(np.eye(3) * (1.0 + 1e-9))
     large = _as_unitary_loose(np.eye(3) * (1.0 + 1e-6))
-    table = transport_table(ident, [(good, True), (small, True), (large, True)])
+    table = transport_table(ident, [good, small, large])
     rows = [[1] * 5, [2], [1, 1, 3, 1]]
     first = unitary_defects(small.mat)
     assert first < unitary_defects(large.mat)
@@ -485,8 +493,8 @@ def test_ordered_products_results_are_read_only_and_unshared(dim):
     rng = np.random.default_rng(dim)
     ident = MatrixUn(np.eye(dim))
     pool = [MatrixUn(random_unitary(rng, dim)) for _ in range(2)]
-    table = transport_table(ident, [(v, f) for v in pool for f in (True, False)])
-    rows = [[1, 2, 3], [1, 2, 3], [], [], [4], [0], [2, 4, 1, 3]]
+    table = transport_table(ident, pool)
+    rows = [[1, -1, 2], [1, -1, 2], [], [], [-2], [0], [-1, -2, 1, 2]]
     for later_left in (True, False):
         mats = [v.mat for v in ordered_products(ident, table, rows, later_left)]
         for i, m in enumerate(mats):
@@ -496,7 +504,7 @@ def test_ordered_products_results_are_read_only_and_unshared(dim):
 
 
 def test_ordered_products_rejects_a_table_of_another_size():
-    table = transport_table(MatrixUn(np.eye(2)), [(MatrixUn(SX), True)])
+    table = transport_table(MatrixUn(np.eye(2)), [MatrixUn(SX)])
     with pytest.raises(VariantMismatch):
         ordered_products(MatrixUn(np.eye(3)), table, [[1]])
 

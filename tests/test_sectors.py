@@ -1,3 +1,4 @@
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -10,9 +11,9 @@ import csr_oracle as oracle
 from csr_oracle import oracle_block, oracle_step
 
 from flatnet.cocycles import (
-    CocycleInconsistent,
     SigmaMorphism,
     holonomy,
+    lift_potential,
     transition_cocycle,
     trivialize,
 )
@@ -534,18 +535,53 @@ def test_entry_reflexive_and_reverse():
 
 
 def test_missing_entry():
+    # a crossing of no overlap is InvalidPath on both layers, naming the step
     _, _, _, _, window = annulus_setup()
     t = plain_transporter(window, ANN)
-    with pytest.raises(MissingEntry):
+    with pytest.raises(InvalidPath, match=r"Step\(dst=2, src=0, comp=0\)"):
         t.op(2, 0, 0)  # disjoint pair, no overlap edge
     hop = PosetPath((Step(dst=2, src=0, comp=0),), 0, 2)
-    with pytest.raises(MissingEntry):
+    with pytest.raises(InvalidPath, match=r"Step\(dst=2, src=0, comp=0\)"):
         z_path(t, hop)
-    # the coefficient-only layer looks steps up in its cocycle
+    # the coefficient-only layer looks steps up in its cocycle's cover
     _, _, _, m = fig8_matrix_transporter()
     loop = PosetPath((Step(dst=3, src=1, comp=0), Step(dst=1, src=3, comp=0)), 1, 1)
-    with pytest.raises(CocycleInconsistent):
+    with pytest.raises(InvalidPath, match=r"Step\(dst=3, src=1, comp=0\)"):
         rho_holonomy(m, loop)
+
+    # every reader says the same: a disjoint pair, a missing component of an
+    # overlap, a step in place at a region outside the cover, and a malformed
+    # step in place (which no PosetPath holds, so only crossing readers see it)
+    nerve, _, coc, _, window = annulus_setup()
+    t = twisted_transporter(window, coc)
+    pot = lift_potential(coc, nerve)
+    pres = pi1_presentation(nerve)
+    for bad in (Step(2, 0, 0), Step(1, 0, 5), Step(9, 9, None), Step(1, 1, 0)):
+        readers = [
+            lambda: coc.value(*bad),
+            lambda: pot.lift(*bad),
+            lambda: nerve.step_letter(bad),
+            lambda: window_chain(t, [(1, 0, 0), bad]),
+            lambda: t.op(*bad),
+        ]
+        if (bad.comp is None) == (bad.dst == bad.src):
+            hop = PosetPath((bad,), bad.src, bad.dst)
+            readers += [
+                lambda: holonomy(coc, hop),
+                lambda: loop_class(pres, hop),
+                lambda: z_path(t, hop),
+                lambda: rho_holonomy(t, path_compose(hop, path_reverse(hop))),
+            ]
+        for read in readers:
+            with pytest.raises(InvalidPath, match=re.escape(f"step {bad} crosses no overlap")):
+                read()
+
+    # window entries are checked when the transporter is built
+    with pytest.raises(MissingEntry, match=r"\(0, 2, 0\)"):
+        SectorTransporter(coc, window, {**t.weights, (0, 2, 0): 1.0 + 0j})  # disjoint pair
+    with pytest.raises(MissingEntry, match=r"\(0, 1, 0\)"):
+        SectorTransporter(coc, window, {e: w for e, w in t.weights.items() if e != (0, 1, 0)})
+    assert SectorTransporter(coc).weights == {}  # the coefficient-only layer has none
 
 
 def test_twisted_rejects_matrix_cocycle():
