@@ -4,7 +4,7 @@ Subcommands name a single task (check, trivialize, holonomy, sector,
 amplitude, classify) or run every task the scenario requests (report).
 Reports go to stdout or --out; diagnostics go to stderr.  Exit codes:
 0 all tasks passed, 1 some task failed, 2 parse or config error (or an
---out path that cannot be written), 3 capacity exceeded.
+--out path that cannot be written).
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .fock import CapacityError
 from .scenario import (
     TASK_ORDER,
     ScenarioError,
@@ -90,12 +89,7 @@ def main(argv=None) -> int:
     if updates:
         config = replace(config, **updates)
 
-    try:
-        report = run_scenario(config)
-    except CapacityError as e:
-        print(f"flatnet: capacity: {e}", file=sys.stderr)
-        return 3
-
+    report = run_scenario(config)
     rendered = emit_report(report, args.format)
     if args.out is None:
         sys.stdout.write(rendered)

@@ -2,9 +2,13 @@
 
 Modes are allocated to regions in blocks (sorted region order), the Fock
 basis is indexed by occupation bitsets in little-endian mode order, and
-smeared fields are Jordan-Wigner creators.  The supported envelope is
-K <= 12 modes; beyond that construction fails with CapacityError rather
-than degrading.
+smeared fields are Jordan-Wigner creators.  ``FockSpace.dim`` (2^K) is
+the one place that decides the envelope: every object of size 2^K (the
+occupation counts, the vacuum, ``FieldOp.matrix``, ``apply`` and
+``norm_max``, a window's ``charged_vector``) reads it, and past
+CAPACITY_MODES (12) modes it raises CapacityError rather than degrading.
+Creators, products, window certification, ``compress`` and window chains
+never read it, so they run at any K.
 
 Every operator is a short sum of signed partial permutations of
 occupation bitsets (``FieldOp.terms``).  A term is keyed by four mode
@@ -44,7 +48,8 @@ Term = tuple[int, int, int, int]  # (one, zero, flip, sign) mode bitmasks
 
 
 class CapacityError(RuntimeError):
-    """Raised when a construction would exceed the K <= 12 mode envelope."""
+    """Raised by ``FockSpace.dim``, and so by every object of size 2^K,
+    past CAPACITY_MODES (12) modes."""
 
 
 class SupportError(ValueError):
@@ -98,13 +103,18 @@ class FockSpace:
     """Antisymmetric Fock space over a OneParticleSpace (dimension 2^K)."""
 
     def __init__(self, space: OneParticleSpace):
-        if space.num_modes > CAPACITY_MODES:
-            raise CapacityError(
-                f"{space.num_modes} modes exceeds the {CAPACITY_MODES}-mode envelope"
-            )
         self.space = space
         self.K = space.num_modes
-        self.dim = 1 << self.K
+
+    @property
+    def dim(self) -> int:
+        """2^K, read by every object of that size; CapacityError past
+        CAPACITY_MODES modes."""
+        if self.K > CAPACITY_MODES:
+            raise CapacityError(
+                f"{self.K} modes exceeds the {CAPACITY_MODES}-mode envelope of 2^K objects"
+            )
+        return 1 << self.K
 
     @cached_property
     def occupation_counts(self) -> np.ndarray:

@@ -55,8 +55,9 @@ Reports carry no timestamps and serialize with sorted keys; identical
 config and seed give byte-identical output.  Complex values appear as
 [re, im] pairs rendered by shortest round-trip (at most 17 significant
 digits, exact value recovery).  Exit-code contract, used by the CLI:
-0 all requested tasks pass, 1 task failure, 2 parse/config error,
-3 capacity.
+0 all requested tasks pass, 1 task failure, 2 parse/config error.  No
+task builds an object of size 2^K, so a scenario takes any mode count:
+the Fock window's memory grows linearly in regions x modes_per_region.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ from .covers import (
     loop_class,
     pi1_presentation,
 )
-from .fock import CAPACITY_MODES, CapacityError, FockSpace, allocate_modes
+from .fock import FockSpace, allocate_modes
 from .groups import (
     UNITARY_TOL,
     GroupValue,
@@ -118,7 +119,6 @@ from .sectors import (
 
 SCHEMA_VERSION = 1
 TASK_ORDER = ("check", "trivialize", "holonomy", "sector", "amplitude", "classify")
-FOCK_TASKS = frozenset({"sector", "amplitude", "classify"})
 DEFAULT_TOLERANCE = 1e-10
 
 
@@ -541,9 +541,9 @@ def _sample_paths(config: ScenarioConfig, count: int):
 def run_scenario(config: ScenarioConfig) -> dict:
     """Execute the requested tasks in fixed order and build the report.
 
-    Raises CapacityError when a Fock-window task is requested and the
-    total mode count exceeds the CAPACITY_MODES (12) envelope; task-level
-    errors are folded into the report (status fail), never raised.
+    Task-level errors are folded into the report (status fail), never
+    raised.  The Fock tasks certify the window and fold one entry per
+    step, so they run at any mode count.
     """
     cover = config.cover
     nerve = build_nerve(cover)
@@ -555,14 +555,6 @@ def run_scenario(config: ScenarioConfig) -> dict:
     )
     sigma = SigmaMorphism(dict(config.sigma), identity)
     cocycle = transition_cocycle(sigma, nerve)
-
-    total_modes = len(cover.regions) * config.modes_per_region
-    if set(config.tasks) & FOCK_TASKS and config.group_variant == "PhaseU1":
-        if total_modes > CAPACITY_MODES:
-            raise CapacityError(
-                f"{total_modes} modes exceed the Fock envelope of "
-                f"{CAPACITY_MODES}; lower modes_per_region or shrink the cover"
-            )
 
     # lazily built Fock context shared by sector/amplitude/classify
     ctx: dict = {}
@@ -658,7 +650,7 @@ def run_scenario(config: ScenarioConfig) -> dict:
         )
         body = {
             "tolerance": tol,
-            "modes": total_modes,
+            "modes": window.fock.K,
             "charge": config.charge,
             "triples_checked": len(cover.triples),
             "max_triple_residual": float(triple_max),
@@ -725,8 +717,6 @@ def run_scenario(config: ScenarioConfig) -> dict:
             continue
         try:
             runners[task]()
-        except CapacityError:
-            raise
         except Exception as e:  # fold into the report, never panic
             record(task, {"error": f"{type(e).__name__}: {e}"}, ok=False)
 

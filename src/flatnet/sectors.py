@@ -87,7 +87,8 @@ class NotGaugeInvariant(ValueError):
 
 class MissingEntry(KeyError):
     """Raised when a transporter's window entries are not exactly one per
-    overlap of its cover."""
+    overlap of its cover, or when a transporter without a window holds
+    any."""
 
 
 @dataclass(frozen=True)
@@ -144,15 +145,16 @@ class WindowSubspace:
     names the rule that failed, and for a shared mode the mode and the
     region that holds it.  Then phi_v phi_u^* is the window matrix unit
     E_(v, u) for every pair of regions.  The
-    window is stored as the basis index of each column: ``columns[0]`` is
-    the vacuum, ``columns[1 + i]`` the charged vector of ``regions[i]``,
-    at window position 1 + i.
+    window is stored as the basis index of each column, a Python int
+    (an occupation bitset, of any width): ``columns[0]`` is the vacuum,
+    ``columns[1 + i]`` the charged vector of ``regions[i]``, at window
+    position 1 + i.
     """
 
     fock: FockSpace
     implementers: dict[int, Implementer]
     regions: tuple[int, ...] = dc_field(init=False)
-    columns: np.ndarray = dc_field(init=False)
+    columns: tuple[int, ...] = dc_field(init=False)
 
     def __post_init__(self):
         regions = tuple(sorted(self.implementers))
@@ -170,10 +172,8 @@ class WindowSubspace:
                                  f"shares mode {shared} with region {owner[shared]}")
             columns.append(flip)
             owner.update(dict.fromkeys(modes, r))
-        columns = np.array(columns)
-        columns.setflags(write=False)
         object.__setattr__(self, "regions", regions)
-        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "columns", tuple(columns))
 
     def position(self, region: int) -> int:
         """Window position of a region's charged vector."""
@@ -187,11 +187,10 @@ class WindowSubspace:
     def compress(self, op: FieldOp) -> np.ndarray:
         """The window block of ``op``: entry (i, j) is op[columns[i], columns[j]],
         each term evaluated on the window columns only."""
-        columns = self.columns.tolist()
-        position = {s: i for i, s in enumerate(columns)}
-        out = np.zeros((len(columns), len(columns)), dtype=complex)
+        position = {s: i for i, s in enumerate(self.columns)}
+        out = np.zeros((len(self.columns), len(self.columns)), dtype=complex)
         for (one, zero, flip, sign), c in op.terms.items():
-            for j, s in enumerate(columns):
+            for j, s in enumerate(self.columns):
                 if s & (one | zero) == one and (i := position.get(s ^ flip)) is not None:
                     out[i, j] += -c if (s & sign).bit_count() & 1 else c
         return out
@@ -236,7 +235,8 @@ class SectorTransporter:
     (``Cover.codes``): the entry of overlap k at slot k, its conjugate at
     -k, and slot 0 unused, since a step in place is skipped.  ``weights``
     is empty on the coefficient-only matrix layer, which has no
-    ``window``.
+    ``window``: there any weight is a MissingEntry at construction, and
+    ``op`` and every window check raise ValueError (``_require_window``).
     """
 
     cocycle: TransitionCocycle
@@ -246,6 +246,9 @@ class SectorTransporter:
 
     def __post_init__(self):
         entries = ()
+        if self.window is None and self.weights:
+            raise MissingEntry(f"transporter entry keyed by {next(iter(self.weights))} "
+                               "on a transporter without a Fock window")
         if self.window is not None:
             overlaps = self.cocycle.cover.overlaps
             known = set(overlaps)
@@ -261,12 +264,13 @@ class SectorTransporter:
         """Operator of the step src -> dst, for the observable layer: None
         for a reflexive step, ``z1(window, v, u).scaled(entry)`` forward
         and its adjoint in reverse; InvalidPath for a step that crosses
-        no overlap."""
+        no overlap, ValueError without a window."""
+        window = _require_window(self)
         (k,) = self.cocycle.cover.codes([(dst, src, comp)])
         if k == 0:
             return None
         u, v, _ = self.cocycle.cover.overlaps[abs(k) - 1]
-        step = z1(self.window, v, u).scaled(self._entries[abs(k)])
+        step = z1(window, v, u).scaled(self._entries[abs(k)])
         return step if k > 0 else step.adjoint()
 
     @cached_property
@@ -277,6 +281,13 @@ class SectorTransporter:
             (u, v, c): TransportEntry(g, None if self.window is None else self.op(v, u, c))
             for (u, v, c), g in self.cocycle.values.items()
         }
+
+
+def _require_window(t: SectorTransporter) -> WindowSubspace:
+    """The transporter's window; ValueError on the coefficient-only layer."""
+    if t.window is None:
+        raise ValueError("window checks need a Fock window; use rho_holonomy off the Fock layer")
+    return t.window
 
 
 def z1(window: WindowSubspace, dst: int, src: int) -> FieldOp:
@@ -362,8 +373,7 @@ def window_chain(
     this fold, so it raises ValueError for a transporter without a Fock
     window.
     """
-    if t.window is None:
-        raise ValueError("window checks need a Fock window; use rho_holonomy off the Fock layer")
+    _require_window(t)
     crossings = tuple(crossings)
     entries = t._entries
     start = at = None  # region ids; ``at`` is None once the chain is zero

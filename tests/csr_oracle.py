@@ -142,7 +142,7 @@ def oracle_product(t, crossings) -> sp.csr_matrix:
 def compress(window, m) -> np.ndarray:
     """The window block of a CSR matrix: entry (i, j) is m[columns[i],
     columns[j]], read straight from the stored rows."""
-    m, columns, n = csr(m), window.columns, len(window.columns)
+    m, columns, n = csr(m), np.array(window.columns), len(window.columns)
     position = np.full(window.fock.dim, -1)  # window position of each basis index
     position[columns] = np.arange(n)
     starts, ends = m.indptr[columns], m.indptr[columns + 1]

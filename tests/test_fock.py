@@ -38,6 +38,7 @@ from flatnet.fock import (
     zero_op,
 )
 from flatnet.groups import PhaseU1
+from flatnet.sectors import make_window, z1
 
 ANN = annulus_cover()
 
@@ -99,14 +100,33 @@ def test_inner_product_conjugate_first():
 def test_fock_dimensions_and_capacity():
     fock = small_fock(2)
     assert fock.K == 8 and fock.dim == 256
-    with pytest.raises(CapacityError):
-        FockSpace(allocate_modes(torus_cover(), 2))  # 14 > 12
+    # past the envelope (14 > 12 modes) creators, their products and the
+    # window run; every object of size 2^K raises CapacityError
+    big = FockSpace(allocate_modes(torus_cover(), 2))
+    a, b = big.creator(13), big.creator(0)
+    assert len((a * b).terms) == 1 and (a * a).terms == {}
+    assert anticommutator(a, b).terms == {}
+    window = make_window(big, torus_cover())
+    assert window.columns[7] == 1 << 12  # region 6 owns modes 12 and 13
+    assert window.compress(z1(window, 6, 0))[7, 1] == 1
+    for refused in (
+        lambda: big.dim,
+        lambda: big.vacuum,
+        lambda: big.occupation_counts,
+        lambda: a.matrix,
+        lambda: a.apply(np.zeros(2)),
+        a.norm_max,
+        lambda: window.charged_vector(0),
+    ):
+        with pytest.raises(CapacityError, match="14 modes"):
+            refused()
 
 
 def test_capacity_boundary():
-    cov = circle_cover(12)
-    FockSpace(allocate_modes(cov, 1))  # exactly at the envelope
-    assert CAPACITY_MODES == 12
+    fock = FockSpace(allocate_modes(circle_cover(12), 1))  # exactly at the envelope
+    assert CAPACITY_MODES == 12 and fock.dim == 4096
+    with pytest.raises(CapacityError, match="13 modes"):
+        FockSpace(allocate_modes(circle_cover(13), 1)).dim
 
 
 def test_vacuum_and_number_operator():

@@ -206,7 +206,7 @@ def test_window_basis_orthonormal_and_projector():
     w = make_window(fock, ANN)
     assert w.regions == (0, 1, 2, 3)
     b = dense_basis(w)
-    assert b.shape == (fock.dim, 5) and w.columns.shape == (5,)
+    assert b.shape == (fock.dim, 5) and len(w.columns) == 5
     assert np.array_equal(b, np.eye(fock.dim)[:, w.columns])  # + basis vectors
     p = b @ b.conj().T
     assert np.max(np.abs(p @ p - p)) <= 1e-14
@@ -214,6 +214,17 @@ def test_window_basis_orthonormal_and_projector():
     assert np.array_equal(w.charged_vector(2), b[:, 3])
     ident = w.compress(identity_op(fock))
     assert np.max(np.abs(ident - np.eye(5))) <= 1e-14
+
+
+def test_window_columns_stay_exact_past_64_modes():
+    # 64 modes at charge two: region 31's charged vector is bits 62 and 63,
+    # past int64, so the columns stay Python ints and compress reads them
+    cover = circle_cover(32)
+    fock = FockSpace(allocate_modes(cover, 2))
+    w = make_window(fock, cover, 2)
+    assert w.columns[32] == 3 << 62 and all(type(s) is int for s in w.columns)
+    block = w.compress(z1(w, 31, 0))
+    assert block[32, 1] == 1 and np.count_nonzero(block) == 1
 
 
 def test_window_gate_fails_closed_on_layouts_off_the_basis():
@@ -582,6 +593,11 @@ def test_missing_entry():
     with pytest.raises(MissingEntry, match=r"\(0, 1, 0\)"):
         SectorTransporter(coc, window, {e: w for e, w in t.weights.items() if e != (0, 1, 0)})
     assert SectorTransporter(coc).weights == {}  # the coefficient-only layer has none
+    _, _, _, m = fig8_matrix_transporter()
+    with pytest.raises(MissingEntry, match=r"\(1, 3, 0\) on a transporter without a Fock window"):
+        SectorTransporter(m.cocycle, None, {(1, 3, 0): 5.0})  # a disjoint pair of the figure eight
+    with pytest.raises(MissingEntry, match="without a Fock window"):
+        SectorTransporter(m.cocycle, None, {e: 1.0 + 0j for e in m.cocycle.values})
 
 
 def test_twisted_rejects_matrix_cocycle():
@@ -983,6 +999,7 @@ def test_window_checks_reject_the_coefficient_only_layer():
         lambda: triple_law_residual(t, (0, 1, 2, (0, 0, 0))),
         lambda: topological_component(t, loop),
         lambda: transition_amplitude(t, loop, loop),
+        lambda: t.op(1, 0, 0),
     ):
         with pytest.raises(ValueError, match="need a Fock window"):
             check()
