@@ -58,36 +58,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    updates = {} if args.command == "report" else {"tasks": (args.command,)}
+    if args.seed is not None:
+        updates["seed"] = args.seed
     try:
         config = parse_scenario(args.scenario)
+        if args.tolerance is not None:
+            updates["tolerance"] = parse_tolerance(args.tolerance, "--tolerance")
+            updates["tolerances"] = {}
+        if updates:  # ScenarioConfig re-checks its seed and task rules
+            config = replace(config, **updates)
     except ScenarioError as e:
         print(f"flatnet: {e}", file=sys.stderr)
         return 2
-
-    updates = {}
-    if args.seed is not None:
-        if args.seed < 0:
-            print("flatnet: --seed must be non-negative", file=sys.stderr)
-            return 2
-        updates["seed"] = args.seed
-    if args.tolerance is not None:
-        try:
-            updates["tolerance"] = parse_tolerance(args.tolerance, "--tolerance")
-        except ScenarioError as e:
-            print(f"flatnet: {e}", file=sys.stderr)
-            return 2
-        updates["tolerances"] = {}
-    if args.command != "report":
-        if args.command in ("sector", "amplitude") and config.group_variant != "PhaseU1":
-            print(
-                f"flatnet: task {args.command} acts on the Fock window and needs "
-                "a PhaseU1 scenario",
-                file=sys.stderr,
-            )
-            return 2
-        updates["tasks"] = (args.command,)
-    if updates:
-        config = replace(config, **updates)
 
     report = run_scenario(config)
     rendered = emit_report(report, args.format)

@@ -291,13 +291,14 @@ def trivialize(
 ) -> TrivializationResult:
     """Solve g(v<-u) = lambda_v lambda_u^{-1} along the spanning tree.
 
-    The base region gets the identity and every region the transport
-    along its tree path from the base, all regions in one
-    ``ordered_products`` fold.  Each non-tree edge u -> v is then tested
-    against lambda_v lambda_u^{-1}, the two-slot row [-slot(u), slot(v)]
-    of a second fold over a transport table of the lambdas, and the first
-    failure is returned as a witness loop through that edge (its holonomy
-    is the transported obstruction).
+    The base region gets the identity, and every other region, in BFS
+    order, lambda_r = g(r <- parent) lambda_parent: one ``compose`` per
+    tree edge, so each lambda is the transport along its tree path from
+    the base.  Each non-tree edge u -> v is then tested against
+    lambda_v lambda_u^{-1}, the two-slot row [-slot(u), slot(v)] of one
+    ``ordered_products`` fold over a transport table of the lambdas, and
+    the first failure is returned as a witness loop through that edge
+    (its holonomy is the transported obstruction).
     """
     chk = check_cocycle(cocycle, tol)
     if not chk.ok:
@@ -305,8 +306,10 @@ def trivialize(
             f"cocycle fails the triple law, max residual {chk.max_residual:.3e}"
         )
     order = nerve.bfs_order
-    rows = [cocycle.cover.codes(nerve.tree_steps_from_base(r)) for r in order]
-    lam = dict(zip(order, ordered_products(cocycle.identity, cocycle._table, rows)))
+    lam = {nerve.base: cocycle.identity}
+    for r in order[1:]:
+        up = nerve.parent[r]
+        lam[r] = compose(cocycle.value(*up), lam[up.src])
     table = transport_table(cocycle.identity, lam.values())
     slot = {r: k for k, r in enumerate(order, 1)}
     pairs = [[-slot[u], slot[v]] for u, v, _ in nerve.non_tree_edges]

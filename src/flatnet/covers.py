@@ -2,7 +2,10 @@
 
 A cover is purely combinatorial: region ids, overlap components (one
 entry per connected component of a pairwise overlap, as declared by the
-caller), triple-overlap records, and pairs declared causally disjoint.
+caller) and triple-overlap records.  Two regions are causally disjoint
+exactly when they are distinct and share no overlap component, so
+disjointness is read off the overlaps and never stored.
+
 The nerve turns overlap components into edges and triples into
 triangles; a breadth-first spanning tree rooted at the base region then
 yields a presentation of the fundamental group with one generator per
@@ -58,9 +61,9 @@ class Cover:
     ``overlaps`` is stored sorted, and ``overlaps[k - 1]`` is overlap k.
     Construction also derives the lookup tables behind the queries:
     ``_components`` maps a pair (u, v) with u < v to its overlap component
-    ids in ascending order, ``_neighbors`` maps a region to its sorted
-    overlapping regions, ``_disjoint`` holds the disjoint pairs, and
-    ``_codes`` maps each crossing to its signed overlap number
+    ids in ascending order (so ``are_disjoint`` reads the pairs it
+    lacks), ``_neighbors`` maps a region to its sorted overlapping
+    regions, and ``_codes`` maps each crossing to its signed overlap number
     (``codes``).  They take no part in equality and are rebuilt by
     ``dataclasses.replace``.
     """
@@ -68,14 +71,12 @@ class Cover:
     regions: tuple[int, ...]
     overlaps: tuple[Edge, ...]
     triples: tuple[Triple, ...] = ()
-    disjoint_pairs: tuple[tuple[int, int], ...] = ()
     base_region: int = 0
     kind: str = "custom"
     _components: dict[tuple[int, int], tuple[int, ...]] = field(
         init=False, compare=False, repr=False
     )
     _neighbors: dict[int, tuple[int, ...]] = field(init=False, compare=False, repr=False)
-    _disjoint: frozenset[tuple[int, int]] = field(init=False, compare=False, repr=False)
     _codes: dict[Crossing, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -111,14 +112,6 @@ class Cover:
         components: dict[tuple[int, int], tuple[int, ...]] = {}
         for (u, v, c) in self.overlaps:  # sorted, so component ids ascend
             components[(u, v)] = components.get((u, v), ()) + (c,)
-        for (u, v) in self.disjoint_pairs:
-            if not u < v:
-                raise InvalidCover(f"disjoint pair ({u},{v}) must be stored with u < v")
-            if (u, v) in components:
-                raise InvalidCover(f"pair ({u},{v}) both overlaps and is disjoint")
-            if u not in rset or v not in rset:
-                raise InvalidCover(f"disjoint pair ({u},{v}) uses unknown region")
-        object.__setattr__(self, "disjoint_pairs", tuple(sorted(self.disjoint_pairs)))
 
         if self.base_region not in rset:
             raise InvalidCover(f"base region {self.base_region} not in cover")
@@ -141,7 +134,6 @@ class Cover:
 
         object.__setattr__(self, "_components", components)
         object.__setattr__(self, "_neighbors", {r: tuple(sorted(adj[r])) for r in regions})
-        object.__setattr__(self, "_disjoint", frozenset(self.disjoint_pairs))
         codes: dict[Crossing, int] = {(r, r, None): 0 for r in regions}
         for k, (u, v, c) in enumerate(self.overlaps, 1):
             codes[(v, u, c)], codes[(u, v, c)] = k, -k
@@ -162,7 +154,14 @@ class Cover:
         return self._components.get((min(u, v), max(u, v)), ())
 
     def are_disjoint(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self._disjoint
+        """Causally disjoint: u and v are distinct regions of the cover that
+        share no overlap component."""
+        return (
+            u != v
+            and u in self._neighbors
+            and v in self._neighbors
+            and (min(u, v), max(u, v)) not in self._components
+        )
 
     def neighbors(self, r: int) -> tuple[int, ...]:
         return self._neighbors.get(r, ())
@@ -571,36 +570,14 @@ def circle_cover(n: int) -> Cover:
     """Cyclic chain of n >= 3 regions; one winding generator."""
     if n < 3:
         raise InvalidCover("circle covers need at least 3 regions")
-    overlaps = []
-    for k in range(n):
-        u, v = k, (k + 1) % n
-        overlaps.append((min(u, v), max(u, v), 0))
-    adjacent = {(min(k, (k + 1) % n), max(k, (k + 1) % n)) for k in range(n)}
-    disjoint = tuple(
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if (u, v) not in adjacent
-    )
-    return Cover(
-        regions=tuple(range(n)),
-        overlaps=tuple(sorted(overlaps)),
-        disjoint_pairs=disjoint,
-        base_region=0,
-        kind="circle",
-    )
+    overlaps = tuple(sorted((min(k, (k + 1) % n), max(k, (k + 1) % n), 0) for k in range(n)))
+    return Cover(regions=tuple(range(n)), overlaps=overlaps, base_region=0, kind="circle")
 
 
 def annulus_cover() -> Cover:
     """Four sector regions around a ring; opposite sectors are disjoint."""
     c = circle_cover(4)
-    return Cover(
-        regions=c.regions,
-        overlaps=c.overlaps,
-        disjoint_pairs=c.disjoint_pairs,
-        base_region=0,
-        kind="annulus",
-    )
+    return Cover(regions=c.regions, overlaps=c.overlaps, base_region=0, kind="annulus")
 
 
 def disk_cover() -> Cover:
@@ -617,14 +594,7 @@ def disk_cover() -> Cover:
 def figure_eight_cover() -> Cover:
     """Two three-region lobes sharing a hub; free group on two generators."""
     overlaps = ((0, 1, 0), (0, 2, 0), (0, 3, 0), (0, 4, 0), (1, 2, 0), (3, 4, 0))
-    disjoint = ((1, 3), (1, 4), (2, 3), (2, 4))
-    return Cover(
-        regions=(0, 1, 2, 3, 4),
-        overlaps=overlaps,
-        disjoint_pairs=disjoint,
-        base_region=0,
-        kind="figure_eight",
-    )
+    return Cover(regions=(0, 1, 2, 3, 4), overlaps=overlaps, base_region=0, kind="figure_eight")
 
 
 def torus_cover() -> Cover:

@@ -304,16 +304,18 @@ def grading(t: FieldOp) -> int:
 def normal_commutation_check(cover: Cover, t: FieldOp, s: FieldOp) -> float:
     """Max-norm of [t, s] (graded: anticommutator iff both odd).
 
-    Requires every region pair across the two supports to be declared
-    causally disjoint, and definite parities on both operands.
+    Requires every region pair across the two supports to be causally
+    disjoint (``Cover.are_disjoint``), and definite parities on both
+    operands.
     """
     if t.parity == "mixed" or s.parity == "mixed":
         raise MixedGrade("normal commutation needs definite parities")
     for u in t.support:
         for v in s.support:
-            if u == v or not cover.are_disjoint(u, v):
+            if not cover.are_disjoint(u, v):
                 raise SupportError(
-                    f"regions {u} and {v} are not declared causally disjoint"
+                    f"regions {u} and {v} are not causally disjoint "
+                    "(distinct regions of the cover sharing no overlap)"
                 )
     bracket = anticommutator(t, s) if (t.parity == "odd" and s.parity == "odd") \
         else commutator(t, s)

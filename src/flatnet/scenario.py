@@ -12,8 +12,8 @@ target group, a generator assignment, and a task list.  Schema:
     #   regions: [0, 1, 2]
     #   overlaps: [[0, 1, 0], [1, 2, 0]]    # [low, high, component]
     #   triples: [[0, 1, 2, [0, 0, 0]]]     # optional
-    #   disjoint: [[0, 2]]                  # optional
     #   base: 0                             # optional
+    #   (regions sharing no overlap are causally disjoint)
     group:
       variant: PhaseU1           # or MatrixUn
       dimension: 2               # MatrixUn only
@@ -37,9 +37,10 @@ Angles are radians (YAML numbers) or strings of the form 'p*pi/q' with
 integer p, q ('pi', '-pi/3', '2pi/3', '3*pi/4').  Matrix values must be
 unitary within UNITARY_TOL (1e-10), the bound every MatrixUn meets.
 Explicit covers take integers only; floats and booleans are rejected,
-not rounded.  The sector and amplitude tasks act on the Fock window and
-are unit-phase only; MatrixUn scenarios may run check, trivialize,
-holonomy and classify (coefficient layer).
+not rounded, and so is any key outside the four above.  The sector and
+amplitude tasks act on the Fock window and are unit-phase only; MatrixUn
+scenarios may run check, trivialize, holonomy and classify (coefficient
+layer).
 
 Loading (``flatnet.loader``): one pass over PyYAML's event stream, with
 PyYAML's YAML 1.1 meaning.  A scenario is a tree: an anchor, an alias, a
@@ -239,9 +240,12 @@ def _parse_matrices(raw: dict, names: list[str], dim: int) -> list[MatrixUn]:
 class ScenarioConfig:
     """A validated scenario.
 
-    ``curves`` holds each named path as built by ``approximate_curve``.
-    It is derived on construction (so ``dataclasses.replace`` rebuilds it)
-    and takes no part in equality; every task reads its paths from it.
+    Construction, and so ``dataclasses.replace``, decides two rules:
+    ``seed`` is None or an integer >= 0, and only PhaseU1 scenarios run
+    the Fock-window tasks (sector, amplitude); either failure is a
+    ScenarioError.  ``curves`` holds each named path as built by
+    ``approximate_curve``.  It is derived on construction too and takes no
+    part in equality; every task reads its paths from it.
     """
 
     cover: Cover
@@ -261,6 +265,14 @@ class ScenarioConfig:
     curves: dict[str, PosetPath] = dc_field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.seed is not None:
+            _int(self.seed, "seed", 0)
+        if self.group_variant != "PhaseU1":
+            unsupported = sorted(set(self.tasks) & {"sector", "amplitude"})
+            if unsupported:
+                raise ScenarioError(
+                    f"{unsupported} act on the Fock window and need PhaseU1", "tasks"
+                )
         curves = {}
         for name, seq in self.paths.items():
             try:
@@ -300,6 +312,9 @@ def _parse_topology(raw) -> tuple[Cover, str]:
         raise ScenarioError(
             "needs either 'builtin' or explicit 'regions' + 'overlaps'", "topology"
         )
+    extra = set(raw) - needed - {"triples", "base"}
+    if extra:
+        raise ScenarioError(f"unknown keys {sorted(extra, key=str)}", "topology")
     regions = _ints(raw["regions"], "topology.regions")
     overlaps = tuple(
         _ints(e, f"topology.overlaps[{i}]", 3)
@@ -311,10 +326,6 @@ def _parse_topology(raw) -> tuple[Cover, str]:
         if not (isinstance(t, list) and len(t) == 4):
             raise ScenarioError("must be [r1, r2, r3, [c12, c13, c23]]", where)
         triples.append(_ints(t[:3], where) + (_ints(t[3], f"{where}[3]", 3),))
-    disjoint = tuple(
-        _ints(d, f"topology.disjoint[{i}]", 2)
-        for i, d in enumerate(_rows(raw.get("disjoint", []), "topology.disjoint"))
-    )
     if "base" in raw:
         base = _int(raw["base"], "topology.base")
     else:
@@ -324,7 +335,6 @@ def _parse_topology(raw) -> tuple[Cover, str]:
             regions=regions,
             overlaps=overlaps,
             triples=tuple(triples),
-            disjoint_pairs=disjoint,
             base_region=base,
         )
     except (InvalidCover, TypeError, ValueError) as e:
@@ -439,13 +449,6 @@ def _parse_config(doc, source: str) -> ScenarioConfig:
     if bad:
         raise ScenarioError(f"unknown tasks {bad!r}", "tasks")
     tasks = tuple(t for t in TASK_ORDER if t in set(traw))
-    if variant == "MatrixUn":
-        unsupported = sorted(set(tasks) & {"sector", "amplitude"})
-        if unsupported:
-            raise ScenarioError(
-                f"tasks {unsupported} act on the Fock window and need PhaseU1",
-                "tasks",
-            )
 
     tol = parse_tolerance(doc.get("tolerance", DEFAULT_TOLERANCE), "tolerance")
     traw2 = doc.get("tolerances", {}) or {}
@@ -458,8 +461,6 @@ def _parse_config(doc, source: str) -> ScenarioConfig:
         tolerances[t] = parse_tolerance(traw2[t], f"tolerances.{t}")
 
     seed = doc.get("seed")
-    if seed is not None:
-        _int(seed, "seed", 0)
     random_paths = _int(doc.get("random_paths", 0), "random_paths", 0)
     if random_paths > 0 and seed is None:
         raise ScenarioError("randomized checks need a seed", "seed")

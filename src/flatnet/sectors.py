@@ -455,7 +455,10 @@ def localization_residual(
     vectors see the support projector of the chain).
     """
     if not cover.are_disjoint(o, e):
-        raise SupportError(f"regions {o} and {e} are not declared causally disjoint")
+        raise SupportError(
+            f"regions {o} and {e} are not causally disjoint "
+            "(distinct regions of the cover sharing no overlap)"
+        )
     if not t.support <= {e}:
         raise SupportError(f"observable must be supported in region {e}")
     for r in (o, e):

@@ -48,6 +48,7 @@ from flatnet.groups import (
     distance,
     inverse,
     is_identity,
+    ordered_products,
     power,
     wrap_angle,
     _as_unitary_loose,
@@ -67,6 +68,23 @@ def make(name):
 def random_unitary(rng, n):
     q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     return q * (np.diagonal(r) / np.abs(np.diagonal(r))).conj()
+
+
+def tree_fold_lambdas(coc, nerve):
+    """Independent lambdas: one ``ordered_products`` fold of every region's
+    whole tree path from the base, in BFS order."""
+    rows = [coc.cover.codes(nerve.tree_steps_from_base(r)) for r in nerve.bfs_order]
+    return dict(zip(nerve.bfs_order, ordered_products(coc.identity, coc._table, rows)))
+
+
+def assert_same_bits(got, want):
+    assert list(got) == list(want)
+    for r, g in got.items():
+        w = want[r]
+        if isinstance(g, MatrixUn):
+            assert g.mat.tobytes() == w.mat.tobytes(), r
+        else:
+            assert np.float64(g.angle).tobytes() == np.float64(w.angle).tobytes(), r
 
 
 def u1_sigma_from_h1(pres, alpha, beta=0.0):
@@ -307,9 +325,9 @@ def test_trivialize_witness_residual_is_the_compose_distance(name):
 
 
 @pytest.mark.parametrize("name", ALL_BUILTINS)
-def test_trivialize_lambdas_match_tree_walk_compose(name, monkeypatch):
-    # one fold over the spanning-tree rows gives the bits of the walk
-    # lambda_r = g(r <- parent) lambda_parent, with one unitarity check
+def test_trivialize_lambdas_match_tree_walk_compose(name):
+    # the walk lambda_r = g(r <- parent) lambda_parent, one compose per
+    # tree edge, gives the bits of a fold over each whole tree path
     rng = np.random.default_rng(17)
     cov = make(name)
     nerve = build_nerve(cov)
@@ -318,30 +336,50 @@ def test_trivialize_lambdas_match_tree_walk_compose(name, monkeypatch):
         (MatrixUn(np.eye(3)), {r: MatrixUn(random_unitary(rng, 3)) for r in cov.regions}),
     ]:
         coc = dress_cocycle(identity_cocycle(cov, ident), gauge)
-        check_cocycle(coc)
-        checks = []
-        require = groups_module._require_unitary
-        spy = lambda m: checks.append(m) or require(m)  # noqa: E731
-        monkeypatch.setattr(groups_module, "_require_unitary", spy)
-        monkeypatch.setattr(MatrixUn, "__post_init__", lambda self: checks.append(self))
         res = trivialize(coc, nerve)
-        monkeypatch.undo()
         assert res.success and list(res.lambdas) == list(nerve.bfs_order)
-        if isinstance(ident, MatrixUn):
-            # one stack check for all lambdas, one for every non-tree edge's
-            # lambda_v lambda_u^-1
-            assert len(checks) == 2
-        else:
-            assert checks == []
-        walk = {nerve.base: ident}
-        for r in nerve.bfs_order[1:]:
-            up = nerve.parent[r]
-            walk[r] = compose(coc.value(up.dst, up.src, up.comp), walk[up.src])
-        for r, lam in res.lambdas.items():
-            if isinstance(ident, MatrixUn):
-                assert lam.mat.tobytes() == walk[r].mat.tobytes()
-            else:
-                assert lam.angle == walk[r].angle
+        assert_same_bits(res.lambdas, tree_fold_lambdas(coc, nerve))
+
+
+@pytest.mark.parametrize("ident", [PhaseU1(0.0), MatrixUn(np.eye(2))], ids=["U1", "U2"])
+def test_trivialize_takes_one_compose_per_tree_edge(ident, monkeypatch):
+    # a deep circle: folding each tree path from the base would take
+    # about n^2 / 4 steps, the walk from each parent takes n - 1
+    cov = circle_cover(400)
+    nerve = build_nerve(cov)
+    rng = np.random.default_rng(23)
+    if isinstance(ident, PhaseU1):
+        gauge = {r: PhaseU1(rng.uniform(-np.pi, np.pi)) for r in cov.regions}
+    else:
+        gauge = {r: MatrixUn(random_unitary(rng, 2)) for r in cov.regions}
+    coc = dress_cocycle(identity_cocycle(cov, ident), gauge)
+    tree_steps, all_steps, folds = [], [], []
+    compose_any, fold = groups_module.compose, cocycles_module.ordered_products
+
+    def tree_step(a, b):
+        tree_steps.append(1)
+        return compose_any(a, b)
+
+    def any_step(a, b):
+        all_steps.append(1)
+        return compose_any(a, b)
+
+    def fold_spy(identity, table, rows, later_left=True):
+        folds.append(list(rows))
+        return fold(identity, table, rows, later_left)
+
+    monkeypatch.setattr(cocycles_module, "compose", tree_step)
+    monkeypatch.setattr(groups_module, "compose", any_step)
+    monkeypatch.setattr(cocycles_module, "ordered_products", fold_spy)
+    res = trivialize(coc, nerve)
+    monkeypatch.undo()
+    assert res.success
+    assert len(tree_steps) == len(cov.regions) - 1
+    assert len(all_steps) <= 2 * len(nerve.non_tree_edges)  # the edge test's fold alone
+    # no tree-path rows: the triples (none here) and the two-slot edge tests
+    assert [len(rows) for rows in folds] == [0, len(nerve.non_tree_edges)]
+    assert all(len(row) == 2 for row in folds[1])
+    assert_same_bits(res.lambdas, tree_fold_lambdas(coc, nerve))
 
 
 def test_trivialize_rejects_lawless_cocycle():
@@ -593,7 +631,6 @@ def test_two_cycle_integer_sum_rerooting_invariant():
             regions=cov2.regions,
             overlaps=cov2.overlaps,
             triples=cov2.triples,
-            disjoint_pairs=cov2.disjoint_pairs,
             base_region=base,
             kind=cov2.kind,
         )
@@ -834,16 +871,14 @@ def test_check_then_trivialize_folds_the_triples_once(monkeypatch):
     monkeypatch.setattr(cocycles_module, "ordered_products", spy)
     assert check_cocycle(coc).ok
     nerve = build_nerve(cov)
-    assert trivialize(coc, nerve).success
-    # one fold of the triples (shared by both), one of the tree paths, and
-    # one of the non-tree edge tests
-    assert [len(rows) for rows in folds] == [
-        len(cov.triples), len(cov.regions), len(nerve.non_tree_edges)
-    ]
-    assert all(len(row) == 2 for row in folds[0] + folds[2])
-    assert [len(row) for row in folds[1]] == [
-        len(nerve.tree_steps_from_base(r)) for r in nerve.bfs_order
-    ]
+    res = trivialize(coc, nerve)
+    monkeypatch.undo()
+    assert res.success
+    # one fold of the triples (shared by both) and one of the non-tree
+    # edge tests; the lambdas walk the tree one compose per edge
+    assert [len(rows) for rows in folds] == [len(cov.triples), len(nerve.non_tree_edges)]
+    assert all(len(row) == 2 for row in folds[0] + folds[1])
+    assert_same_bits(res.lambdas, tree_fold_lambdas(coc, nerve))
     # the shared residuals are tolerance-free: a loose check does not let
     # a broken triple law through a tight trivialize
     values = dict(coc.values)

@@ -69,15 +69,6 @@ def test_cover_rejects_triple_without_overlaps():
         )
 
 
-def test_cover_rejects_disjoint_overlapping_pair():
-    with pytest.raises(InvalidCover):
-        Cover(
-            regions=(0, 1),
-            overlaps=((0, 1, 0),),
-            disjoint_pairs=((0, 1),),
-        )
-
-
 def test_cover_rejects_disconnected():
     with pytest.raises(InvalidCover):
         Cover(regions=(0, 1, 2, 3), overlaps=((0, 1, 0), (2, 3, 0)))
@@ -144,6 +135,11 @@ def test_disjointness_declarations():
     fig = figure_eight_cover()
     assert fig.are_disjoint(1, 3) and fig.are_disjoint(2, 4)
     assert not fig.are_disjoint(0, 1)
+    # the rule, not a stored list: distinct regions of the cover with no overlap
+    circ = circle_cover(40)
+    assert circ.are_disjoint(0, 20) and circ.are_disjoint(39, 1)
+    assert not circ.are_disjoint(0, 39) and not circ.are_disjoint(5, 5)
+    assert not circ.are_disjoint(0, 40) and not circ.are_disjoint(-1, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +421,9 @@ def test_lookup_tables_match_linear_scans(cover, data):
         assert cover.neighbors(u) == scan_neighbors(cover, u)
         for v in cover.regions:
             assert cover.overlap_components(u, v) == scan_components(cover, u, v)
-            assert cover.are_disjoint(u, v) == ((min(u, v), max(u, v)) in cover.disjoint_pairs)
+            assert cover.are_disjoint(u, v) == (u != v and not scan_components(cover, u, v))
+        outside = max(cover.regions) + 1
+        assert not cover.are_disjoint(u, outside) and not cover.are_disjoint(outside, u)
 
     nerve = build_nerve(cover)
     regions = st.sampled_from(cover.regions)
@@ -496,10 +494,10 @@ def test_lookup_tables_ignored_by_equality_and_rebuilt_by_replace():
     assert moved.neighbors(2) == scan_neighbors(ann, 2)
     assert moved.overlap_components(3, 0) == (0,)
     assert moved.are_disjoint(2, 0)
-    grown = replace(ann, overlaps=ann.overlaps + ((0, 2, 0),), disjoint_pairs=((1, 3),))
+    grown = replace(ann, overlaps=ann.overlaps + ((0, 2, 0),))
     assert grown.neighbors(0) == (1, 2, 3)
     assert grown.overlap_components(2, 0) == (0,)
-    assert not grown.are_disjoint(0, 2)
+    assert not grown.are_disjoint(0, 2) and grown.are_disjoint(1, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -397,7 +397,6 @@ topology:
   regions: {regions}
   overlaps: {overlaps}
   triples: {triples}
-  disjoint: {disjoint}
   base: {base}
 sigma: {{g0: 0.0}}
 tasks: [check]
@@ -406,7 +405,6 @@ EXPLICIT_OK = dict(
     regions="[0, 1, 2, 3]",
     overlaps="[[0, 1, 0], [1, 2, 0], [0, 2, 0], [2, 3, 0]]",
     triples="[[0, 1, 2, [0, 0, 0]]]",
-    disjoint="[[0, 3], [1, 3]]",
     base="0",
 )
 
@@ -454,15 +452,33 @@ def test_explicit_base_must_be_an_integer():
     expect_error(explicit(base="1.0"), "topology.base: must be an integer")
 
 
-def test_explicit_disjoint_must_be_integers():
-    expect_error(
-        explicit(disjoint="[[0, 3], [1, 3.0]]"),
-        "topology.disjoint[1][1]: must be an integer",
-    )
+def test_explicit_topology_rejects_unknown_keys(tmp_path, capsys):
+    # a misspelled 'triples' would leave the disk cover without its
+    # triple, and classify would call the contractible disk topological
+    disk = explicit(
+        regions="[0, 1, 2]", overlaps="[[0, 1, 0], [0, 2, 0], [1, 2, 0]]"
+    ).replace("triples:", "tripels:")
+    expect_error(disk, "topology: unknown keys ['tripels'] (line 4:3)")
+    target = tmp_path / "typo.yaml"
+    target.write_text(disk, encoding="utf-8")
+    code, out, err = run_cli(["classify", "--scenario", str(target)], capsys)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err == "flatnet: topology: unknown keys ['tripels'] (line 4:3)\n"
+    # disjointness is read off the overlaps, so a 'disjoint' list is unknown too
+    old = explicit().replace("  base: 0\n", "  disjoint: [[0, 3], [1, 3]]\n  base: 0\n")
+    expect_error(old, "topology: unknown keys ['disjoint'] (line 4:3)")
+    expect_error(explicit().replace("base:", "bsae:"), "topology: unknown keys ['bsae']")
+
+
+def test_explicit_cover_disjointness_is_the_overlap_complement():
+    cover = loads(explicit()).cover
+    assert cover.are_disjoint(0, 3) and cover.are_disjoint(3, 1)
+    assert not cover.are_disjoint(0, 1) and not cover.are_disjoint(2, 3)
+    assert not cover.are_disjoint(2, 2) and not cover.are_disjoint(0, 4)
 
 
 def test_explicit_empty_regions_rejected(tmp_path, capsys):
-    text = explicit(regions="[]", overlaps="[]", triples="[]", disjoint="[]", base="0")
+    text = explicit(regions="[]", overlaps="[]", triples="[]", base="0")
     expect_error(text.replace("  base: 0\n", ""), "topology")
     target = tmp_path / "empty.yaml"
     target.write_text(text.replace("  base: 0\n", ""), encoding="utf-8")
@@ -814,10 +830,30 @@ def test_cli_exit_code_parse_error(tmp_path, capsys):
 
 
 def test_cli_exit_code_matrix_fock_task(capsys):
-    code, _, err = run_cli(
-        ["amplitude", "--scenario", str(FIG8_YAML)], capsys
+    for task in ("sector", "amplitude"):
+        code, out, err = run_cli([task, "--scenario", str(FIG8_YAML)], capsys)
+        assert code == 2 and out == ""
+        assert err == f"flatnet: tasks: ['{task}'] act on the Fock window and need PhaseU1\n"
+
+
+def test_config_decides_seed_and_fock_task_rules_on_replace():
+    # the CLI's overrides go through replace, which re-runs these checks
+    u1, su2 = parse_scenario(str(ANNULUS_YAML)), parse_scenario(str(FIG8_YAML))
+    for bad in (-1, True, 1.0):
+        with pytest.raises(ScenarioError, match="^seed: must be an integer"):
+            replace(u1, seed=bad)
+    assert replace(u1, seed=0).seed == 0 and replace(su2, seed=None).seed is None
+    with pytest.raises(ScenarioError, match=r"^tasks: \['amplitude', 'sector'\] act on"):
+        replace(su2, tasks=("check", "sector", "amplitude"))
+    assert replace(su2, tasks=("classify",)).tasks == ("classify",)
+    assert replace(u1, tasks=("sector",)).tasks == ("sector",)
+    # loading applies the same rules, placed at their YAML nodes
+    text = FIG8_YAML.read_text(encoding="utf-8")
+    expect_error(
+        text.replace("holonomy, classify]", "holonomy, sector, classify]"),
+        "tasks: ['sector'] act on the Fock window and need PhaseU1 (line 14:8)",
     )
-    assert code == 2 and "PhaseU1" in err
+    expect_error(text + "seed: -3\n", "seed: must be an integer >= 0 (line 15:7)")
 
 
 def test_cli_exit_code_capacity(tmp_path, capsys):
@@ -848,7 +884,7 @@ def test_cli_seed_and_tolerance_overrides(capsys):
     code, _, err = run_cli(
         ["check", "--scenario", str(ANNULUS_YAML), "--seed", "-1"], capsys
     )
-    assert code == 2
+    assert code == 2 and err == "flatnet: seed: must be an integer >= 0\n"
     code, _, err = run_cli(
         ["check", "--scenario", str(ANNULUS_YAML), "--tolerance", "0"], capsys
     )
@@ -1008,7 +1044,6 @@ topology:
   regions: [0, 1, 2, 3]
   overlaps: [[0, 1, 0], [1, 2, 0], [2, 3, 0], [0, 3, 0]]
   triples: []
-  disjoint: [[0, 2], [1, 3]]
   base: 0
 sigma: {g0: 0.5}
 paths: {p: [0, 1, 2], q: [0, 3, 2]}
