@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import neg
+from operator import matmul, neg
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,9 +41,12 @@ from .groups import (
     GROUP_EQ_TOL,
     FreeWord,
     GroupValue,
+    MatrixUn,
     PhaseU1,
     TransportTable,
     VariantMismatch,
+    _as_unitary_loose,
+    _require_unitary,
     compose,
     distance,
     inverse,
@@ -292,24 +295,39 @@ def trivialize(
     """Solve g(v<-u) = lambda_v lambda_u^{-1} along the spanning tree.
 
     The base region gets the identity, and every other region, in BFS
-    order, lambda_r = g(r <- parent) lambda_parent: one ``compose`` per
-    tree edge, so each lambda is the transport along its tree path from
-    the base.  Each non-tree edge u -> v is then tested against
-    lambda_v lambda_u^{-1}, the two-slot row [-slot(u), slot(v)] of one
-    ``ordered_products`` fold over a transport table of the lambdas, and
-    the first failure is returned as a witness loop through that edge
-    (its holonomy is the transported obstruction).
+    order, lambda_r = g(r <- parent) lambda_parent, the factor read from
+    the cocycle's transport table by overlap code: one product per tree
+    edge (a 2-D matrix product, an angle sum wrapped as ``compose``
+    wraps it, or a ``compose`` of words), so each lambda is the transport
+    along its tree path from the base.  Matrix lambdas are checked for
+    unitarity once, as one stack.  Each non-tree edge u -> v is then
+    tested against lambda_v lambda_u^{-1}, the two-slot row
+    [-slot(u), slot(v)] of one ``ordered_products`` fold over a transport
+    table of the lambdas, and the first failure is returned as a witness
+    loop through that edge (its holonomy is the transported obstruction).
     """
     chk = check_cocycle(cocycle, tol)
     if not chk.ok:
         raise CocycleInconsistent(
             f"cocycle fails the triple law, max residual {chk.max_residual:.3e}"
         )
-    order = nerve.bfs_order
-    lam = {nerve.base: cocycle.identity}
-    for r in order[1:]:
-        up = nerve.parent[r]
-        lam[r] = compose(cocycle.value(*up), lam[up.src])
+    ident, factors, order = cocycle.identity, cocycle._table, nerve.bfs_order
+    if isinstance(ident, MatrixUn):
+        start, product = ident.mat, matmul
+    elif isinstance(ident, PhaseU1):
+        start, product = ident.angle, lambda a, b: wrap_angle(a + b)
+    else:
+        start, product = ident, compose
+    lam = {nerve.base: start}
+    ups = [nerve.parent[r] for r in order[1:]]
+    for r, up, k in zip(order[1:], ups, cocycle.cover.codes(ups)):
+        lam[r] = product(factors[k], lam[up.src])
+    if isinstance(ident, MatrixUn):
+        stack = np.stack(list(lam.values()))
+        _require_unitary(stack)
+        lam = dict(zip(lam, map(_as_unitary_loose, stack)))
+    elif isinstance(ident, PhaseU1):
+        lam = {r: PhaseU1(a) for r, a in lam.items()}
     table = transport_table(cocycle.identity, lam.values())
     slot = {r: k for k, r in enumerate(order, 1)}
     pairs = [[-slot[u], slot[v]] for u, v, _ in nerve.non_tree_edges]
@@ -337,9 +355,9 @@ def holonomies(source, paths: Sequence[PosetPath]) -> list[GroupValue]:
     the transported loop-group value; open paths are allowed but their
     value is chart-dependent bookkeeping, not an invariant.  All paths go
     through one ``ordered_products`` fold over the cocycle's transport
-    table: matrix products are folded step-major across the paths, one
-    stacked product per step, and each returned holonomy is checked for
-    unitarity once.
+    table: phase rows fold float angles, matrix products are folded
+    step-major across the paths, one stacked product per step, and each
+    returned holonomy is checked for unitarity once.
     """
     if isinstance(source, FlatPotentialU1):
         return [PhaseU1(lift_sum(source, p)) for p in paths]

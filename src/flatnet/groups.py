@@ -220,24 +220,32 @@ def two_sided(zero, values: Iterable, inv) -> tuple:
     return (zero, *values, *map(inv, values[::-1]))
 
 
-# entries indexed by signed slot: a stacked (n, d, d) array for matrices, else values
-TransportTable = Union[np.ndarray, tuple[GroupValue, ...]]
+# entries indexed by signed slot: a stacked (n, d, d) array for matrices,
+# a tuple of canonical angles for phases, else a tuple of values
+TransportTable = Union[np.ndarray, tuple[float, ...], tuple[GroupValue, ...]]
 
 
 def transport_table(identity: GroupValue, values: Iterable[GroupValue]) -> TransportTable:
     """``two_sided`` table of ``values`` as they enter a product: slot 0
     the identity, slot k the k-th value, slot -k its inverse.
 
+    Every value's variant is checked here, once (VariantMismatch for a
+    mixed table), so the folds over the table need not check each step.
     Matrices stack into one (n, d, d) complex array whose reverse slots
-    hold the conjugate transpose, the bits ``inverse`` stores; other
-    variants stay a tuple of values.
+    hold the conjugate transpose, the bits ``inverse`` stores.  Phases
+    become a tuple of float angles: slot k the angle of value k, slot -k
+    the angle of its ``inverse``, the wrapped negation (so the tie at
+    -pi maps to +pi).  Free words stay a tuple of values.
     """
-    if isinstance(identity, MatrixUn):
-        values = tuple(values)
-        for v in values:
-            if type(v) is not MatrixUn or v.dim != identity.dim:
-                same_variant(identity, v)
+    values = tuple(values)
+    kind, shape = type(identity), _shape(identity)
+    for v in values:
+        if type(v) is not kind or _shape(v) != shape:
+            same_variant(identity, v)  # raises, naming both variants
+    if kind is MatrixUn:
         return np.stack(two_sided(identity.mat, [v.mat for v in values], lambda m: m.conj().T))
+    if kind is PhaseU1:
+        return two_sided(identity.angle, [v.angle for v in values], lambda a: wrap_angle(-a))
     return two_sided(identity, values, inverse)
 
 
@@ -252,14 +260,29 @@ def ordered_products(
     With ``later_left`` each factor multiplies the running product on the
     left (transport order); otherwise on the right (word order).  Each
     product starts from ``identity`` and equals the step-by-step
-    ``compose`` loop over its row bit for bit.  Matrix products fold
-    step-major across rows: rows run longest first, so the rows still
-    running are a prefix, and step i is one stacked ``matmul`` of the
-    prefix against its gathered factors.  The matrix results are checked
-    against UNITARY_TOL once, as one stack (the error gives the first
-    failing row's defect, in row order), and each is returned as its own
-    read-only copy; the other variants compose step by step.
+    ``compose`` loop over its row bit for bit.  Phase rows fold their
+    angles as plain floats, ``acc = wrap_angle(angle + acc)`` per step,
+    which is what ``compose`` stores (float addition commutes, so both
+    orders give the same bits; NaN stays NaN), and make one ``PhaseU1``
+    per row.  Matrix products fold step-major across rows: rows run
+    longest first, so the rows still running are a prefix, and step i is
+    one stacked ``matmul`` of the prefix against its gathered factors.
+    The matrix results are checked against UNITARY_TOL once, as one stack
+    (the error gives the first failing row's defect, in row order), and
+    each is returned as its own read-only copy.  Free words compose step
+    by step.  A table of another variant than ``identity`` raises
+    VariantMismatch.
     """
+    if isinstance(identity, PhaseU1):
+        if type(table[0]) is not float:
+            raise VariantMismatch("phase products need a table of angles")
+        out = []
+        for row in rows:
+            acc = identity.angle
+            for i in row:
+                acc = wrap_angle(table[i] + acc)
+            out.append(PhaseU1(acc))
+        return out
     if not isinstance(identity, MatrixUn):
         out = []
         for row in rows:
@@ -269,8 +292,8 @@ def ordered_products(
             out.append(acc)
         return out
     d = identity.dim
-    if table.shape[1:] != (d, d):
-        raise VariantMismatch(f"table of {table.shape[1:]} factors for U({d}) products")
+    if not isinstance(table, np.ndarray) or table.shape[1:] != (d, d):
+        raise VariantMismatch(f"U({d}) products need a stacked table of {d} x {d} factors")
     lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
     order = np.argsort(-lengths, kind="stable")
     lens = lengths[order]

@@ -67,6 +67,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 # numpy loads its random module lazily; _sample_paths needs it, so load it
@@ -86,6 +87,7 @@ from .covers import (
     Cover,
     InvalidCover,
     InvalidPath,
+    NerveGraph,
     PosetPath,
     approximate_curve,
     builtin_cover,
@@ -112,7 +114,7 @@ from .sectors import (
     make_window,
     plain_transporter,
     rho_layer_transporter,
-    telescope_residual,
+    telescope_residuals,
     transition_amplitude,
     triple_law_residual,
     twisted_transporter,
@@ -245,7 +247,10 @@ class ScenarioConfig:
     the Fock-window tasks (sector, amplitude); either failure is a
     ScenarioError.  ``curves`` holds each named path as built by
     ``approximate_curve``.  It is derived on construction too and takes no
-    part in equality; every task reads its paths from it.
+    part in equality; every task reads its paths from it.  ``nerve`` is
+    the cover's ``build_nerve``, derived on first read (``load_scenario``
+    hands over the one it read the generator names from); every task
+    reads the nerve from it.
     """
 
     cover: Cover
@@ -280,6 +285,10 @@ class ScenarioConfig:
             except InvalidPath as e:
                 raise ScenarioError(str(e), f"paths.{name}") from None
         object.__setattr__(self, "curves", curves)
+
+    @cached_property
+    def nerve(self) -> NerveGraph:
+        return build_nerve(self.cover)
 
     def task_tolerance(self, task: str) -> float:
         return float(self.tolerances.get(task, self.tolerance))
@@ -465,7 +474,7 @@ def _parse_config(doc, source: str) -> ScenarioConfig:
     if random_paths > 0 and seed is None:
         raise ScenarioError("randomized checks need a seed", "seed")
 
-    return ScenarioConfig(
+    config = ScenarioConfig(
         cover=cover,
         topology_name=topo_name,
         group_variant=variant,
@@ -481,6 +490,8 @@ def _parse_config(doc, source: str) -> ScenarioConfig:
         seed=seed,
         random_paths=random_paths,
     )
+    config.__dict__["nerve"] = nerve  # the nerve of this cover, built once per load
+    return config
 
 
 def parse_scenario(path: str) -> ScenarioConfig:
@@ -546,8 +557,7 @@ def run_scenario(config: ScenarioConfig) -> dict:
     raised.  The Fock tasks certify the window and fold one entry per
     step, so they run at any mode count.
     """
-    cover = config.cover
-    nerve = build_nerve(cover)
+    cover, nerve = config.cover, config.nerve
     presentation = pi1_presentation(nerve)
     identity = (
         PhaseU1(0.0)
@@ -646,9 +656,7 @@ def run_scenario(config: ScenarioConfig) -> dict:
         )
         probe = list(config.curves.values())
         probe += _sample_paths(config, config.random_paths)
-        tele_max = worst(
-            telescope_residual(t, p) for p in probe for t in (plain, twisted)
-        )
+        tele_max = worst(telescope_residuals(plain, probe) + telescope_residuals(twisted, probe))
         body = {
             "tolerance": tol,
             "modes": window.fock.K,

@@ -21,10 +21,13 @@ number (``Cover.codes``: the entry at +k, its conjugate at -k), and a
 chain of steps is one entry times one matrix unit E_(end, start), or
 zero where consecutive steps do not meet.  ``window_chain`` folds a
 chain to ``(start, end, entry)``, in region ids, and the sector checks
-(``telescope_residual``, ``triple_law_residual``,
+(``telescope_residuals``, ``triple_law_residual``,
 ``topological_component``, ``transition_amplitude``, ``classify``)
-compute from that triple: they build no 2^K object and no window block.  Entries are scaled by
-numpy's complex multiply and multiplied in a sparse matrix product's
+compute from that triple: they build no 2^K object and no window block.
+A transporter's entries, and the telescope pairs of all probe paths,
+are scaled by one numpy complex multiply over the whole array (the
+holonomies behind the pairs come from one ``holonomies`` fold of float
+angles), and chain entries are multiplied in a sparse matrix product's
 real arithmetic, so the folds carry the bits of the tests' CSR oracle
 (``tests/csr_oracle.py``: a sparse product of Jordan-Wigner step
 matrices, compressed to the window), which the tests check bit for bit.
@@ -201,12 +204,15 @@ def make_window(fock: FockSpace, cover: Cover, kappa: int = 1) -> WindowSubspace
     return WindowSubspace(fock=fock, implementers=imps)
 
 
-def _scaled(entry: complex, factor: PhaseU1) -> complex:
-    """``entry * factor`` by numpy's complex multiply, the ufunc a sparse
-    matrix scaled by ``factor`` applies to its stored data, so a window
-    entry carries the bits of the tests' CSR oracle (``oracle_step`` in
-    ``tests/csr_oracle.py``)."""
-    return complex((np.full(1, entry, dtype=complex) * factor.complex_value)[0])
+def _scaled(entries: complex | list[complex], factors: Iterable[PhaseU1]) -> list[complex]:
+    """``entries * factors`` elementwise (``entries`` may be one number for
+    all): each factor's ``complex_value``, exp(1j * angle), taken as one
+    array, times the entries by one numpy complex multiply, the ufunc a
+    sparse matrix scaled by a factor applies to its stored data.  So each
+    window entry carries the bits of the tests' CSR oracle
+    (``oracle_step`` in ``tests/csr_oracle.py``), NaN angles included."""
+    phases = np.exp(1j * np.array([g.angle for g in factors], dtype=float))
+    return (np.asarray(entries, dtype=complex) * phases).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +318,7 @@ def twisted_transporter(
         raise VariantMismatch(
             "Fock-layer twisting needs unit phases; use rho_layer_transporter"
         )
-    weights = {e: _scaled(1.0, g) for e, g in cocycle.values.items()}
+    weights = dict(zip(cocycle.values, _scaled(1.0, cocycle.values.values())))
     return SectorTransporter(cocycle, window, weights)
 
 
@@ -320,10 +326,8 @@ def dress_transporter(
     t: SectorTransporter, phases: dict[int, GroupValue]
 ) -> SectorTransporter:
     """Conjugate by per-region phases: op'(v<-u) = p_v op(v<-u) p_u^{-1}."""
-    weights = {
-        (u, v, c): _scaled(w, compose(phases[v], inverse(phases[u])))
-        for (u, v, c), w in t.weights.items()
-    }
+    factors = [compose(phases[v], inverse(phases[u])) for u, v, _ in t.weights]
+    weights = dict(zip(t.weights, _scaled(list(t.weights.values()), factors)))
     return SectorTransporter(dress_cocycle(t.cocycle, phases), t.window, weights)
 
 
@@ -391,21 +395,28 @@ def window_chain(
     return None if start is None else (start, at, complex(re, im))
 
 
-def telescope_residual(t: SectorTransporter, path: PosetPath) -> float:
-    """Window gap between transported chain and its telescoped pair.
+def telescope_residuals(t: SectorTransporter, paths: Iterable[PosetPath]) -> list[float]:
+    """Window gap between each transported chain and its telescoped pair.
 
-    The chain is folded as ``(start, end, entry)`` (``window_chain``);
-    the pair is the certified matrix unit E_(end, start) carrying the
-    path's holonomy, an independent fold of the cocycle, scaled as
-    ``FieldOp.scaled`` scales, so the gap is |entry - scaled holonomy|.
+    Each chain is folded as ``(start, end, entry)`` (``window_chain``);
+    its pair is the certified matrix unit E_(end, start) carrying the
+    path's holonomy, an independent fold of the cocycle (one
+    ``holonomies`` call for all paths), scaled as ``FieldOp.scaled``
+    scales, so the gap is |entry - scaled holonomy|, NaN when either is.
     A path that never moves (empty, or reflexive steps only) telescopes
     to the reflexive identity entry, not to the degenerate pair
     phi phi^*, so its residual is zero by construction.
     """
-    chain = window_chain(t, path.crossings())
-    if chain is None:
-        return 0.0
-    return float(np.abs(chain[2] - _scaled(1.0, holonomy(t.cocycle, path))))
+    paths = list(paths)
+    chains = [window_chain(t, p.crossings()) for p in paths]
+    pairs = _scaled(1.0, holonomies(t.cocycle, paths))
+    gaps = [0j if c is None else c[2] - z for c, z in zip(chains, pairs)]
+    return np.abs(np.array(gaps, dtype=complex)).tolist()
+
+
+def telescope_residual(t: SectorTransporter, path: PosetPath) -> float:
+    """``telescope_residuals`` of one path."""
+    return telescope_residuals(t, [path])[0]
 
 
 def triple_law_residual(

@@ -341,8 +341,19 @@ def test_trivialize_lambdas_match_tree_walk_compose(name):
         assert_same_bits(res.lambdas, tree_fold_lambdas(coc, nerve))
 
 
+class CountingFactors(np.ndarray):
+    """A matrix transport table whose slots count the ``@`` products they
+    take part in, on the list ``products``."""
+
+    products: list = []
+
+    def __matmul__(self, other):
+        self.products.append(1)
+        return np.asarray(self) @ other
+
+
 @pytest.mark.parametrize("ident", [PhaseU1(0.0), MatrixUn(np.eye(2))], ids=["U1", "U2"])
-def test_trivialize_takes_one_compose_per_tree_edge(ident, monkeypatch):
+def test_trivialize_takes_one_product_per_tree_edge(ident, monkeypatch):
     # a deep circle: folding each tree path from the base would take
     # about n^2 / 4 steps, the walk from each parent takes n - 1
     cov = circle_cover(400)
@@ -353,29 +364,43 @@ def test_trivialize_takes_one_compose_per_tree_edge(ident, monkeypatch):
     else:
         gauge = {r: MatrixUn(random_unitary(rng, 2)) for r in cov.regions}
     coc = dress_cocycle(identity_cocycle(cov, ident), gauge)
-    tree_steps, all_steps, folds = [], [], []
+    products, composes, folds, checks = [], [], [], []
     compose_any, fold = groups_module.compose, cocycles_module.ordered_products
-
-    def tree_step(a, b):
-        tree_steps.append(1)
-        return compose_any(a, b)
+    wrap, require = cocycles_module.wrap_angle, cocycles_module._require_unitary
 
     def any_step(a, b):
-        all_steps.append(1)
+        composes.append(1)
         return compose_any(a, b)
 
     def fold_spy(identity, table, rows, later_left=True):
         folds.append(list(rows))
         return fold(identity, table, rows, later_left)
 
-    monkeypatch.setattr(cocycles_module, "compose", tree_step)
+    def phase_step(theta):
+        products.append(1)
+        return wrap(theta)
+
+    def check_spy(mats):
+        checks.append(mats.shape)
+        return require(mats)
+
+    if isinstance(ident, MatrixUn):
+        # tree factors come from the cocycle's table; count the products they take
+        monkeypatch.setattr(CountingFactors, "products", products)
+        monkeypatch.setitem(coc.__dict__, "_table", coc._table.view(CountingFactors))
+    else:
+        monkeypatch.setattr(cocycles_module, "wrap_angle", phase_step)
+    monkeypatch.setattr(cocycles_module, "compose", any_step)
     monkeypatch.setattr(groups_module, "compose", any_step)
     monkeypatch.setattr(cocycles_module, "ordered_products", fold_spy)
+    monkeypatch.setattr(cocycles_module, "_require_unitary", check_spy)
     res = trivialize(coc, nerve)
     monkeypatch.undo()
     assert res.success
-    assert len(tree_steps) == len(cov.regions) - 1
-    assert len(all_steps) <= 2 * len(nerve.non_tree_edges)  # the edge test's fold alone
+    assert len(products) == len(cov.regions) - 1
+    assert not composes  # no checked group value is composed on either layer
+    # one stacked unitarity check of every matrix lambda, none of the phases
+    assert checks == ([(len(cov.regions), 2, 2)] if isinstance(ident, MatrixUn) else [])
     # no tree-path rows: the triples (none here) and the two-slot edge tests
     assert [len(rows) for rows in folds] == [0, len(nerve.non_tree_edges)]
     assert all(len(row) == 2 for row in folds[1])

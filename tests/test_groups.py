@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flatnet.groups as groups_module
 from flatnet.groups import (
     ANTIHERM_TOL,
     GROUP_EQ_TOL,
@@ -404,6 +405,54 @@ def test_fold_rejects_mixed_variants():
     with pytest.raises(VariantMismatch):
         one_row(PhaseU1(0.0), [MatrixUn(np.eye(2))], [1])
     assert one_row(PhaseU1(0.0), [], []).angle == 0.0
+
+
+def angle_bits(value):
+    return np.float64(value.angle).tobytes()
+
+
+def test_phase_table_holds_angles_and_reaches_the_tie_through_an_inverse_slot():
+    # slot -k holds wrap_angle(-angle): the inverse of pi is pi, never -pi,
+    # and -pi/2 - pi/2 lands on the tie and wraps back to pi
+    values = [PhaseU1(np.pi), PhaseU1(np.pi / 2), PhaseU1(0.5)]
+    table = transport_table(PhaseU1(0.0), values)
+    assert all(type(a) is float for a in table)
+    assert table[1] == table[-1] == np.pi
+    assert table[-2] == -np.pi / 2 and table[-3] == -0.5
+    rows = [[-1], [-2, -2], [-1, -1], [1, -1], [-3, -1, 2], []]
+    for later_left in (True, False):
+        folded = ordered_products(PhaseU1(0.0), table, rows, later_left)
+        for row, value in zip(rows, folded):
+            expected = stepwise_product(
+                PhaseU1(0.0), [entering(PhaseU1(0.0), values, k) for k in row], later_left
+            )
+            assert angle_bits(value) == angle_bits(expected)
+        assert folded[0].angle == folded[1].angle == np.pi
+
+
+def test_phase_fold_keeps_nan_and_composes_no_value(monkeypatch):
+    table = transport_table(PhaseU1(0.0), [PhaseU1(0.3), PhaseU1(float("nan"))])
+    calls = []
+    for name in ("compose", "same_variant"):
+        monkeypatch.setattr(groups_module, name, lambda *a, name=name: calls.append(name))
+    out = ordered_products(PhaseU1(0.0), table, [[1, 2, 1], [-2], [1, -1]])
+    monkeypatch.undo()
+    assert calls == []  # the table was checked when it was built
+    assert np.isnan(out[0].angle) and np.isnan(out[1].angle) and out[2].angle == 0.0
+    assert not is_identity(out[0]) and not is_identity(out[1])
+
+
+def test_phase_fold_rejects_a_table_of_another_variant():
+    with pytest.raises(VariantMismatch):
+        transport_table(PhaseU1(0.0), [PhaseU1(0.3), MatrixUn(np.eye(1))])
+    with pytest.raises(VariantMismatch):
+        transport_table(PhaseU1(0.0), [FreeWord((1,), ("a",))])
+    matrices = transport_table(MatrixUn(np.eye(2)), [MatrixUn(SX)])
+    with pytest.raises(VariantMismatch):
+        ordered_products(PhaseU1(0.0), matrices, [[1]])
+    angles = transport_table(PhaseU1(0.0), [PhaseU1(0.3)])
+    with pytest.raises(VariantMismatch):
+        ordered_products(MatrixUn(np.eye(2)), angles, [[1]])
 
 
 # ---------------------------------------------------------------------------

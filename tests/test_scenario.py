@@ -526,6 +526,26 @@ def test_named_paths_built_once_per_report(monkeypatch):
     assert other.curves == cfg.curves
 
 
+def test_one_nerve_per_load_and_report(monkeypatch):
+    # the nerve the parser reads the generator names from is the one every
+    # task reads; a replaced config derives its own from its cover
+    calls = []
+
+    def counting(cover):
+        calls.append(cover)
+        return build_nerve(cover)
+
+    monkeypatch.setattr(scenario_module, "build_nerve", counting)
+    cfg = loads(ANNULUS_YAML.read_text(encoding="utf-8"))
+    report = run_scenario(cfg)
+    assert len(calls) == 1 and report["summary"]["status"] == "pass"
+    assert cfg.nerve == build_nerve(cfg.cover)
+    disk = replace(cfg, cover=builtin_cover("disk"), paths={}, amplitudes=())
+    assert disk.nerve == build_nerve(disk.cover) and len(calls) == 2
+    run_scenario(replace(cfg, seed=11))
+    assert len(calls) == 3
+
+
 def test_random_paths_need_seed():
     expect_error(MINIMAL + "random_paths: 3\n", "seed")
     cfg = loads(MINIMAL + "random_paths: 3\nseed: 1\n")
@@ -946,17 +966,21 @@ def test_sector_triple_nan_fails_closed(monkeypatch):
 
 
 def test_sector_telescope_nan_fails_closed(monkeypatch):
-    real = scenario_module.telescope_residual
-    calls = []
+    real = scenario_module.telescope_residuals
+    batches = []
 
-    def nan_on_third(t, path):
-        calls.append(path)
-        return float("nan") if len(calls) == 3 else real(t, path)
+    def nan_at_third(t, paths):
+        # one batch per transporter; a NaN in the middle of the first one
+        out = real(t, paths)
+        if not batches:
+            out[2] = float("nan")
+        batches.append(out)
+        return out
 
-    monkeypatch.setattr(scenario_module, "telescope_residual", nan_on_third)
+    monkeypatch.setattr(scenario_module, "telescope_residuals", nan_at_third)
     report = run_scenario(loads(ANNULUS_YAML.read_text(encoding="utf-8")))
     body = report["tasks"]["sector"]
-    assert len(calls) > 3
+    assert len(batches) == 2 and len(batches[0]) > 3
     assert np.isnan(body["max_telescope_residual"]) and body["status"] == "fail"
 
 

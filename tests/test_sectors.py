@@ -8,14 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import csr_oracle as oracle
+import flatnet.sectors as sectors_module
 from csr_oracle import oracle_block, oracle_step
 
 from flatnet.cocycles import (
     SigmaMorphism,
+    TransitionCocycle,
     holonomy,
     lift_potential,
     transition_cocycle,
     trivialize,
+    worst,
 )
 from flatnet.covers import (
     InvalidPath,
@@ -72,6 +75,7 @@ from flatnet.sectors import (
     rho_holonomy,
     rho_layer_transporter,
     telescope_residual,
+    telescope_residuals,
     topological_component,
     transition_amplitude,
     triple_law_residual,
@@ -653,6 +657,59 @@ def test_telescope_residual_equals_csr_route_bitwise():
                 pair = oracle.z1(t.window, path.end, path.start) * holonomy(t.cocycle, path).complex_value
                 want = float(np.max(np.abs(chain - oracle.compress(t.window, pair))))
                 assert np.float64(telescope_residual(t, path)).tobytes() == np.float64(want).tobytes()
+
+
+def test_telescope_residuals_equal_per_path_and_csr_route_bitwise(monkeypatch):
+    # one holonomies fold per batch; each residual keeps the bits of the
+    # one-path call and of compress(chain - z1(end, start).scaled(holonomy))
+    real, folds = sectors_module.holonomies, []
+
+    def counting(source, paths):
+        folds.append(len(paths))
+        return real(source, paths)
+
+    rng = np.random.default_rng(67)
+    for index in range(len(FOLD_COVERS)):
+        cover, ts = fold_setup(index, 2)
+        paths = [random_crossing_path(rng, cover, int(rng.integers(0, 10))) for _ in range(8)]
+        for t in ts:
+            folds.clear()
+            monkeypatch.setattr(sectors_module, "holonomies", counting)
+            got = telescope_residuals(t, paths)
+            monkeypatch.undo()
+            assert folds == [len(paths)] and len(got) == len(paths)
+            assert telescope_residuals(t, []) == []
+            for path, r in zip(paths, got):
+                assert np.float64(r).tobytes() == np.float64(telescope_residual(t, path)).tobytes()
+                chain = oracle_block(t, path.crossings())
+                if set(path.regions) == {path.start}:
+                    assert r == 0.0
+                    continue
+                pair = oracle.z1(t.window, path.end, path.start) * holonomy(t.cocycle, path).complex_value
+                want = float(np.max(np.abs(chain - oracle.compress(t.window, pair))))
+                assert np.float64(r).tobytes() == np.float64(want).tobytes()
+
+
+def test_telescope_residuals_nan_fails_closed():
+    # a NaN phase on one overlap: every path crossing it has a NaN
+    # residual, the others keep theirs, and the plain transporter is clean
+    nerve, _, _, _, window = annulus_setup()
+    values = {e: PhaseU1(0.4) for e in ANN.overlaps}
+    values[ANN.overlaps[0]] = PhaseU1(float("nan"))
+    coc = TransitionCocycle(ANN, values, PhaseU1(0.0))
+    u, v, _ = ANN.overlaps[0]
+    paths = [
+        approximate_curve(ANN, [u, v]),
+        approximate_curve(ANN, [v, u, v]),
+        approximate_curve(ANN, [u]),
+        generator_loop(nerve, 0),
+    ]
+    crosses = [any({step.src, step.dst} == {u, v} for step in p.steps) for p in paths]
+    assert crosses[:3] == [True, True, False]
+    got = telescope_residuals(twisted_transporter(window, coc), paths)
+    assert [np.isnan(r) for r in got] == crosses
+    assert np.isnan(worst(got))
+    assert telescope_residuals(plain_transporter(window, ANN), paths) == [0.0] * len(paths)
 
 
 def test_triple_law_disk_and_torus():
