@@ -2,13 +2,16 @@
 
 Modes are allocated to regions in blocks (sorted region order), the Fock
 basis is indexed by occupation bitsets in little-endian mode order, and
-smeared fields are Jordan-Wigner creators.  ``FockSpace.dim`` (2^K) is
+smeared fields are Jordan-Wigner creators.  Every mode has exactly one
+owner, so a region's modes (``OneParticleSpace.region_modes``, ascending)
+are private to it: the sector window is read from this allocation
+alone (``sectors.make_window``), with no operator built.  ``FockSpace.dim`` (2^K) is
 the one place that decides the envelope: every object of size 2^K (the
 occupation counts, the vacuum, ``FieldOp.matrix``, ``apply`` and
 ``norm_max``, a window's ``charged_vector``) reads it, and past
 CAPACITY_MODES (12) modes it raises CapacityError rather than degrading.
-Creators, products, window certification, ``compress`` and window chains
-never read it, so they run at any K.
+Creators, products, the window, ``compress`` and window chains never
+read it, so they run at any K.
 
 Every operator is a short sum of signed partial permutations of
 occupation bitsets (``FieldOp.terms``).  A term is keyed by four mode

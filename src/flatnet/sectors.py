@@ -7,36 +7,42 @@ identity here is asserted after compression to the window subspace
 spanned by the vacuum and the charged vectors v_o, the subspace on
 which the implementer chains act isometrically.
 
-What the finite model checks on the window.  Certification reads each
-implementer's operator, a single signed-partial-permutation term whose
-Jordan-Wigner signs are exact integers: every v_o = phi_o|0> must be an
-occupation-basis vector with + sign, and each region's modes must be
-non-empty and private to it (``WindowSubspace``).  Privacy makes
-every bare pair phi_v phi_u^* the window matrix unit E_(v, u): it sends
-v_u to +v_v and annihilates the vacuum and every other v_w.  Each
-transported step is then one complex entry times E_(v, u) in the
-1 + #regions window, so a transporter is its transition cocycle plus one
-complex entry per canonical edge, held two-sided by signed overlap
-number (``Cover.codes``: the entry at +k, its conjugate at -k), and a
-chain of steps is one entry times one matrix unit E_(end, start), or
-zero where consecutive steps do not meet.  ``window_chain`` folds a
-chain to ``(start, end, entry)``, in region ids, and the sector checks
+What the finite model checks on the window.  The window is a fact
+about the mode allocation: region o's implementer is its first kappa
+modes, ``fock.space.region_modes(o)[:kappa]``, which are ascending, in
+range and private to o (a mode has exactly one owner), so each
+v_o = phi_o|0> is the + occupation-basis vector of those modes and
+every bare pair phi_v phi_u^* is the window matrix unit E_(v, u): it
+sends v_u to +v_v and annihilates the vacuum and every other v_w.
+``make_window`` only checks that kappa >= 1 and that every region owns
+at least kappa modes (``implementer``'s guards); it builds no operator
+and no bitset.  Each transported step is then one complex entry times
+E_(v, u) in the 1 + #regions window, so a transporter is its transition
+cocycle plus one step ``(src, dst, entry)`` per canonical edge, held
+two-sided by signed overlap number (``Cover.codes``: the step at +k,
+its reverse with the conjugate entry at -k), and a chain of steps is
+one entry times one matrix unit E_(end, start), or zero where
+consecutive steps do not meet.  ``window_chain`` folds a chain to
+``(start, end, entry)``, in region ids, and the sector checks
 (``telescope_residuals``, ``triple_law_residual``,
 ``topological_component``, ``transition_amplitude``, ``classify``)
 compute from that triple: they build no 2^K object and no window block.
 A transporter's entries, and the telescope pairs of all probe paths,
 are scaled by one numpy complex multiply over the whole array (the
-holonomies behind the pairs come from one ``holonomies`` fold of float
-angles), and chain entries are multiplied in a sparse matrix product's
-real arithmetic, so the folds carry the bits of the tests' CSR oracle
-(``tests/csr_oracle.py``: a sparse product of Jordan-Wigner step
-matrices, compressed to the window), which the tests check bit for bit.
+holonomies behind the pairs come from one ``ordered_products`` fold of
+float angles over the same code rows as the chains), and chain entries
+are multiplied in a sparse matrix product's real arithmetic, so the
+folds carry the bits of the tests' CSR oracle (``tests/csr_oracle.py``:
+a sparse product of Jordan-Wigner step matrices, compressed to the
+window), which the tests check bit for bit.
 
 The operator layer is the observable layer: ``Implementer.op``, ``z1``,
 ``SectorTransporter.op`` and ``z_path``'s operator are term sums
 (``FieldOp``), built when called, and ``compress`` (which evaluates
 only the 1 + #regions window columns), ``charge_morphism``,
 ``intertwining_residual`` and ``localization_residual`` act on them.
+The window's ``implementers`` and ``columns`` are derived on first read,
+for this layer only.
 
 Sign bookkeeping: with bare Jordan-Wigner implementers, odd-charge
 implementers of disjoint regions anticommute both with and without
@@ -49,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -77,6 +83,7 @@ from .groups import (
     compose,
     inverse,
     is_identity,
+    ordered_products,
     two_sided,
 )
 from .fock import FieldOp, FockSpace, SupportError, identity_op
@@ -102,8 +109,11 @@ class Implementer:
 
     fock: FockSpace
     region: int
-    charge: int
     modes: tuple[int, ...]
+
+    @property
+    def charge(self) -> int:
+        return len(self.modes)
 
     @cached_property
     def op(self) -> FieldOp:
@@ -126,6 +136,12 @@ def implementer(fock: FockSpace, region: int, kappa: int = 1) -> Implementer:
     Creators are applied in descending mode order so the charged vector
     op |vacuum> is the plain occupation basis vector with + sign.
     """
+    return Implementer(fock=fock, region=region, modes=_charge_modes(fock, region, kappa))
+
+
+def _charge_modes(fock: FockSpace, region: int, kappa: int) -> tuple[int, ...]:
+    """The region's first kappa modes; ValueError for kappa < 1, and
+    SupportError naming a region that owns fewer than kappa modes."""
     if kappa < 1:
         raise ValueError("charge must be >= 1")
     modes = fock.space.region_modes(region)
@@ -133,50 +149,43 @@ def implementer(fock: FockSpace, region: int, kappa: int = 1) -> Implementer:
         raise SupportError(
             f"region {region} owns {len(modes)} modes, fewer than charge {kappa}"
         )
-    return Implementer(fock=fock, region=region, charge=kappa, modes=modes[:kappa])
+    return modes[:kappa]
 
 
 @dataclass(frozen=True)
 class WindowSubspace:
-    """Coordinate subspace spanned by the vacuum and the charged vectors.
+    """Coordinate subspace spanned by the vacuum and the charged vectors
+    of ``regions`` at charge ``charge``.
 
-    Certified from each implementer's operator: it must be one term
-    defined on the empty bitset (no ``one`` mode) with coefficient exactly
-    1, so it sends the vacuum to the + occupation-basis vector ``flip``,
-    and the implementers' mode sets must be non-empty, in range and
-    pairwise disjoint (which also makes the vectors distinct).  The error
-    names the rule that failed, and for a shared mode the mode and the
-    region that holds it.  Then phi_v phi_u^* is the window matrix unit
-    E_(v, u) for every pair of regions.  The
-    window is stored as the basis index of each column, a Python int
-    (an occupation bitset, of any width): ``columns[0]`` is the vacuum,
-    ``columns[1 + i]`` the charged vector of ``regions[i]``, at window
-    position 1 + i.
+    Construction applies ``implementer``'s guards (``_charge_modes``) to
+    every region (ValueError for a charge below 1, SupportError naming a
+    region that owns fewer modes than the charge) and builds nothing
+    else: region
+    r's implementer is its first ``charge`` modes, private to r, so its
+    charged vector is a + occupation-basis vector and phi_v phi_u^* is
+    the window matrix unit E_(v, u) for every pair of regions.
+    ``implementers`` and ``columns`` are derived on first read, for the
+    observable layer.  ``columns`` holds the basis index of each window
+    column, a Python int (an occupation bitset, of any width):
+    ``columns[0]`` is the vacuum, ``columns[1 + i]`` the charged vector
+    of ``regions[i]``, at window position 1 + i.
     """
 
     fock: FockSpace
-    implementers: dict[int, Implementer]
-    regions: tuple[int, ...] = dc_field(init=False)
-    columns: tuple[int, ...] = dc_field(init=False)
+    regions: tuple[int, ...]
+    charge: int = 1
 
     def __post_init__(self):
-        regions = tuple(sorted(self.implementers))
-        columns, owner = [0], {}  # ``owner``: the region each mode taken so far is private to
-        for r in regions:
-            modes = self.implementers[r].modes
-            terms = self.implementers[r].op.terms if all(0 <= m < self.fock.K for m in modes) else {}
-            (one, _, flip, _), c = next(iter(terms.items()), ((0, 0, 0, 0), 0))
-            # one term defined on the empty bitset, coefficient exactly 1: the column is ``flip``
-            if len(terms) != 1 or one or c != 1 or not flip:
-                raise ValueError(f"window basis failed to come out orthonormal at region {r}: "
-                                 "charged vectors must be distinct + occupation-basis vectors")
-            if (shared := next((m for m in modes if m in owner), None)) is not None:
-                raise ValueError(f"window modes must be private to one region: region {r} "
-                                 f"shares mode {shared} with region {owner[shared]}")
-            columns.append(flip)
-            owner.update(dict.fromkeys(modes, r))
-        object.__setattr__(self, "regions", regions)
-        object.__setattr__(self, "columns", tuple(columns))
+        for r in self.regions:
+            _charge_modes(self.fock, r, self.charge)
+
+    @cached_property
+    def implementers(self) -> dict[int, Implementer]:
+        return {r: implementer(self.fock, r, self.charge) for r in self.regions}
+
+    @cached_property
+    def columns(self) -> tuple[int, ...]:
+        return (0, *(sum(1 << m for m in imp.modes) for imp in self.implementers.values()))
 
     def position(self, region: int) -> int:
         """Window position of a region's charged vector."""
@@ -200,8 +209,8 @@ class WindowSubspace:
 
 
 def make_window(fock: FockSpace, cover: Cover, kappa: int = 1) -> WindowSubspace:
-    imps = {r: implementer(fock, r, kappa) for r in cover.regions}
-    return WindowSubspace(fock=fock, implementers=imps)
+    """The charge-kappa window of the cover's regions, in ascending order."""
+    return WindowSubspace(fock, tuple(sorted(cover.regions)), kappa)
 
 
 def _scaled(entries: complex | list[complex], factors: Iterable[PhaseU1]) -> list[complex]:
@@ -233,25 +242,26 @@ class SectorTransporter:
 
     ``cocycle`` holds every transport coefficient.  ``weights[(u, v, c)]``
     is the window entry of the u -> v step, which on the window is that
-    entry times the matrix unit E_(v, u) that the window certifies; the
+    entry times the matrix unit E_(v, u) of the window; the
     reverse step carries its conjugate times E_(u, v).  With a window,
     construction checks that ``weights`` holds one entry per overlap of
     the cover and no other key (MissingEntry otherwise), and stores them
-    as the two-sided table ``_entries`` read by overlap code
-    (``Cover.codes``): the entry of overlap k at slot k, its conjugate at
-    -k, and slot 0 unused, since a step in place is skipped.  ``weights``
-    is empty on the coefficient-only matrix layer, which has no
-    ``window``: there any weight is a MissingEntry at construction, and
-    ``op`` and every window check raise ValueError (``_require_window``).
+    as the two-sided table ``_steps`` read by overlap code
+    (``Cover.codes``): ``(u, v, entry)`` for overlap (u, v, c) at slot k,
+    ``(v, u, entry.conjugate())`` at -k, and slot 0 unused, since a step
+    in place is skipped.  ``weights`` is empty on the coefficient-only
+    matrix layer, which has no ``window``: there any weight is a
+    MissingEntry at construction, and ``op`` and every window check
+    raise ValueError (``_require_window``).
     """
 
     cocycle: TransitionCocycle
     window: WindowSubspace | None = None
     weights: dict[Edge, complex] = dc_field(default_factory=dict)
-    _entries: tuple = dc_field(init=False, compare=False, repr=False)
+    _steps: tuple = dc_field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        entries = ()
+        steps = ()
         if self.window is None and self.weights:
             raise MissingEntry(f"transporter entry keyed by {next(iter(self.weights))} "
                                "on a transporter without a Fock window")
@@ -262,9 +272,9 @@ class SectorTransporter:
                 raise MissingEntry(f"transporter entry keyed by {e}, not a canonical overlap")
             if (e := next((e for e in overlaps if e not in self.weights), None)) is not None:
                 raise MissingEntry(f"no transporter entry for overlap {e}")
-            weights = map(self.weights.__getitem__, overlaps)
-            entries = two_sided(None, weights, lambda w: w.conjugate())
-        object.__setattr__(self, "_entries", entries)
+            forward = ((u, v, self.weights[(u, v, c)]) for u, v, c in overlaps)
+            steps = two_sided(None, forward, lambda s: (s[1], s[0], s[2].conjugate()))
+        object.__setattr__(self, "_steps", steps)
 
     def op(self, dst: int, src: int, comp: int | None) -> FieldOp | None:
         """Operator of the step src -> dst, for the observable layer: None
@@ -275,8 +285,8 @@ class SectorTransporter:
         (k,) = self.cocycle.cover.codes([(dst, src, comp)])
         if k == 0:
             return None
-        u, v, _ = self.cocycle.cover.overlaps[abs(k) - 1]
-        step = z1(window, v, u).scaled(self._entries[abs(k)])
+        u, v, entry = self._steps[abs(k)]
+        step = z1(window, v, u).scaled(entry)
         return step if k > 0 else step.adjoint()
 
     @cached_property
@@ -367,24 +377,28 @@ def window_chain(
     chain is the identity); ``end`` is None, and ``entry`` 0, when a step
     does not start where the chain stands (the chain is zero).
     Reflexive steps are skipped, and a step that crosses no overlap
-    raises InvalidPath.  Each step's entry is read from the transporter's
-    two-sided table by overlap code, so the first step's entry is taken
-    as stored (conjugated in reverse); each later step s multiplies the
-    carried entry v in real arithmetic, re = 0.0 + (sr*vr - si*vi),
-    im = 0.0 + (sr*vi + si*vr), which is the sparse product's complex
-    multiply and its sum from zero.  numpy's complex ``s * v`` may round
-    differently (fused multiply-add).  Every window check goes through
-    this fold, so it raises ValueError for a transporter without a Fock
-    window.
+    raises InvalidPath.  The crossings are mapped to overlap codes once
+    and folded by ``_fold``.  Every window check goes through that fold,
+    so it raises ValueError for a transporter without a Fock window.
     """
     _require_window(t)
-    crossings = tuple(crossings)
-    entries = t._entries
+    return _fold(t, t.cocycle.cover.codes(crossings))
+
+
+def _fold(t: SectorTransporter, row: Iterable[int]) -> tuple[int, int | None, complex] | None:
+    """``window_chain`` of a row of overlap codes.  Each step is read from
+    the transporter's two-sided table ``_steps`` by code, so the first
+    step's entry is taken as stored (conjugated in reverse); each later
+    step s multiplies the carried entry v in real arithmetic,
+    re = 0.0 + (sr*vr - si*vi), im = 0.0 + (sr*vi + si*vr), which is the
+    sparse product's complex multiply and its sum from zero.  numpy's
+    complex ``s * v`` may round differently (fused multiply-add)."""
+    steps = t._steps
     start = at = None  # region ids; ``at`` is None once the chain is zero
-    for k, (dst, src, _) in zip(t.cocycle.cover.codes(crossings), crossings):
+    for k in row:
         if k == 0:
             continue
-        s = entries[k]
+        src, dst, s = steps[k]
         if start is None:
             start, at, re, im = src, dst, s.real, s.imag
         elif at == src:
@@ -395,28 +409,31 @@ def window_chain(
     return None if start is None else (start, at, complex(re, im))
 
 
-def telescope_residuals(t: SectorTransporter, paths: Iterable[PosetPath]) -> list[float]:
-    """Window gap between each transported chain and its telescoped pair.
+def telescope_residuals(t: SectorTransporter, rows: Sequence[Sequence[int]]) -> list[float]:
+    """Window gap between each transported chain and its telescoped pair,
+    one chain per row of overlap codes (``Cover.codes`` of a path's
+    crossings), so one set of rows serves every transporter on a cover.
 
-    Each chain is folded as ``(start, end, entry)`` (``window_chain``);
-    its pair is the certified matrix unit E_(end, start) carrying the
-    path's holonomy, an independent fold of the cocycle (one
-    ``holonomies`` call for all paths), scaled as ``FieldOp.scaled``
-    scales, so the gap is |entry - scaled holonomy|, NaN when either is.
-    A path that never moves (empty, or reflexive steps only) telescopes
-    to the reflexive identity entry, not to the degenerate pair
-    phi phi^*, so its residual is zero by construction.
+    Each row is folded as ``(start, end, entry)`` (``_fold``); its pair
+    is the window matrix unit E_(end, start) carrying the path's
+    holonomy, an independent fold of the cocycle's transport table over
+    the same rows (one ``ordered_products`` call for all of them),
+    scaled as ``FieldOp.scaled`` scales, so the gap is
+    |entry - scaled holonomy|, NaN when either is.  A path that never
+    moves (empty, or reflexive steps only) telescopes to the reflexive
+    identity entry, not to the degenerate pair phi phi^*, so its
+    residual is zero by construction.  ValueError without a window.
     """
-    paths = list(paths)
-    chains = [window_chain(t, p.crossings()) for p in paths]
-    pairs = _scaled(1.0, holonomies(t.cocycle, paths))
+    _require_window(t)
+    chains = [_fold(t, row) for row in rows]
+    pairs = _scaled(1.0, ordered_products(t.cocycle.identity, t.cocycle._table, rows))
     gaps = [0j if c is None else c[2] - z for c, z in zip(chains, pairs)]
     return np.abs(np.array(gaps, dtype=complex)).tolist()
 
 
 def telescope_residual(t: SectorTransporter, path: PosetPath) -> float:
     """``telescope_residuals`` of one path."""
-    return telescope_residuals(t, [path])[0]
+    return telescope_residuals(t, [t.cocycle.cover.codes(path.crossings())])[0]
 
 
 def triple_law_residual(

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 import flatnet.loader as loader_module
 import flatnet.scenario as scenario_module
 from flatnet.cli import main as cli_main
-from flatnet.covers import approximate_curve, build_nerve, builtin_cover, pi1_presentation
+from flatnet.covers import Cover, approximate_curve, build_nerve, builtin_cover, pi1_presentation
 from flatnet.fock import FieldOp, FockSpace
-from flatnet.sectors import SectorTransporter
+from flatnet.sectors import SectorTransporter, WindowSubspace
 from flatnet.scenario import (
     SCHEMA_VERSION,
     TASK_ORDER,
@@ -656,42 +656,60 @@ paths: {edge: [0, 1]}
 
 
 def test_reference_scenarios_build_no_fock_operator(monkeypatch):
-    # the Fock tasks certify the window from each region's one-term
-    # implementer and fold one entry per edge: the only operators built are
-    # the implementers' creators and their one-term products, none is
-    # evaluated on the 2^K bitsets, and no transporter operator is built
+    # the Fock tasks read the window from the mode allocation and fold one
+    # entry per edge: no creator, no operator product, no window column
+    # and no implementer is built, nothing is evaluated on the 2^K
+    # bitsets, and no transporter operator is built
     def refuse(what):
         def fail(*args):
             raise AssertionError(f"the scenario path {what}")
         return fail
 
-    calls, creator, product = [], FockSpace.creator, FieldOp.__mul__
+    windows, make = [], scenario_module.make_window
 
-    def counted_creator(self, mode):
-        calls.append(mode)
-        return creator(self, mode)
+    def counted_window(fock, cover, kappa):
+        windows.append(make(fock, cover, kappa))
+        return windows[-1]
 
-    def one_term_product(a, b):
-        out = product(a, b)
-        assert len(a.terms) == len(b.terms) == len(out.terms) == 1
-        return out
-
-    monkeypatch.setattr(FockSpace, "creator", counted_creator)
-    monkeypatch.setattr(FieldOp, "__mul__", one_term_product)
+    monkeypatch.setattr(scenario_module, "make_window", counted_window)
+    monkeypatch.setattr(FockSpace, "creator", refuse("built a creator"))
+    monkeypatch.setattr(FieldOp, "__mul__", refuse("multiplied operators"))
     monkeypatch.setattr(FieldOp, "_bands", refuse("evaluated an operator on every bitset"))
     monkeypatch.setattr(FockSpace, "occupation_counts", property(refuse("counted 2^K occupations")))
     monkeypatch.setattr(SectorTransporter, "op", refuse("built a transporter operator"))
+    monkeypatch.setattr(WindowSubspace, "columns", property(refuse("read the window columns")), raising=False)
+    monkeypatch.setattr(WindowSubspace, "implementers", property(refuse("built the implementers")), raising=False)
     scenarios = sorted(GOLDEN_DIR.glob("*.yaml"))
     assert len(scenarios) == 5
-    windows = 0
     for path in scenarios:
         config = parse_scenario(str(path))
-        calls.clear()
         report = run_scenario(config)
-        assert report["summary"]["status"] == "pass", path.name
-        assert len(calls) in (0, len(config.cover.regions) * config.charge), path.name
-        windows += bool(calls)
-    assert windows >= 2
+        assert report["summary"]["status"] == "pass", (path.name, report["tasks"])
+    assert len(windows) >= 2
+
+
+def test_sector_task_maps_each_probe_path_to_codes_once(monkeypatch):
+    # one code row per probe path serves both transporters' chain and
+    # holonomy folds; each triple folds two chains per transporter.  Calls
+    # are counted once the sector task builds its window
+    calls, windows = [], []
+    real, make = Cover.codes, scenario_module.make_window
+
+    def counted(self, crossings):
+        calls.extend(windows[:1])
+        return real(self, crossings)
+
+    def counted_window(*args):
+        windows.append(1)
+        return make(*args)
+
+    text = TORUS_YAML.read_text(encoding="utf-8")
+    config = load_scenario(re.sub(r"(?m)^tasks:.*$", "tasks: [sector]", text))
+    monkeypatch.setattr(Cover, "codes", counted)
+    monkeypatch.setattr(scenario_module, "make_window", counted_window)
+    body = run_scenario(config)["tasks"]["sector"]
+    assert body["status"] == "pass" and body["paths_checked"] > 2 and body["triples_checked"] > 2
+    assert len(calls) == body["paths_checked"] + 4 * body["triples_checked"]
 
 
 # ---------------------------------------------------------------------------

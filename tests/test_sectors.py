@@ -41,6 +41,7 @@ from flatnet.covers import (
 from flatnet.fock import (
     FieldOp,
     FockSpace,
+    OneParticleSpace,
     SupportError,
     allocate_modes,
     anticommutator,
@@ -62,7 +63,6 @@ from flatnet.sectors import (
     MissingEntry,
     NotGaugeInvariant,
     SectorTransporter,
-    WindowSubspace,
     charge_morphism,
     classify,
     coefficient_ratio_cocycle,
@@ -231,39 +231,53 @@ def test_window_columns_stay_exact_past_64_modes():
     assert block[32, 1] == 1 and np.count_nonzero(block) == 1
 
 
-def test_window_gate_fails_closed_on_layouts_off_the_basis():
-    # the gate reads occupation bits: a charged vector that is not a
-    # + basis vector (a Jordan-Wigner - sign, a mode created twice, a mode
-    # past the space) raises naming the basis rule, and modes shared by
-    # two regions raise naming the shared mode
+def test_implementer_signs_equal_the_csr_oracle():
+    # the creator product applied to the vacuum, on the term layer and on
+    # the CSR oracle: a mode created after a lower one, or over an occupied
+    # lower one, carries the Jordan-Wigner sign -1; ascending modes give +1
     fock = fock_for(ANN, 2)
-    imps = {r: implementer(fock, r) for r in ANN.regions}
-    WindowSubspace(fock, imps)
-
-    def layout(region, modes):
-        return Implementer(fock=fock, region=region, charge=len(modes), modes=modes)
-
-    bad_layouts = [
-        # two regions share their modes: equal columns
-        ({1: imps[0]}, "region 1 shares mode 0 with region 0"),
-        # shared charge-two modes
-        ({0: layout(0, (0, 2)), 1: layout(1, (0, 2))}, "region 1 shares mode 0 with region 0"),
-        # mode 0 created after mode 1: sign -1
-        ({0: layout(0, (1, 0))}, "orthonormal at region 0: .* occupation-basis"),
-        # mode 2 created over an occupied mode 0: sign -1
-        ({1: layout(1, (2, 0, 3))}, "orthonormal at region 1: .* occupation-basis"),
-        # created twice: annihilated
-        ({0: layout(0, (1, 1))}, "orthonormal at region 0: .* occupation-basis"),
-        # past the Fock space
-        ({0: layout(0, (fock.K,))}, "orthonormal at region 0: .* occupation-basis"),
-    ]
-    for bad, message in bad_layouts:
-        with pytest.raises(ValueError, match=message):
-            WindowSubspace(fock, {**imps, **bad})
-    # the same signs on the CSR layer: the creator product applied to the vacuum
     for modes, sign in (((1, 0), -1.0), ((2, 0, 3), -1.0), ((0, 2), 1.0)):
-        v = layout(0, modes).op.apply(fock.vacuum)
-        assert v[sum(1 << m for m in modes)] == sign and np.count_nonzero(v) == 1
+        imp = Implementer(fock=fock, region=0, modes=modes)
+        assert imp.charge == len(modes)
+        bits = sum(1 << m for m in modes)
+        v = imp.op.apply(fock.vacuum)
+        assert v[bits] == sign and np.count_nonzero(v) == 1
+        col = oracle.implementer(fock, modes)[:, 0].toarray().ravel()
+        assert np.array_equal(col, v)
+
+
+def test_window_is_read_from_the_mode_allocation():
+    # owners interleaved across the modes: region 0 owns modes 1 and 4,
+    # region 1 modes 0 and 3, region 2 modes 2 and 5.  The window takes
+    # each region's first kappa modes, and its columns, compressed pairs
+    # and chain folds equal the CSR oracle's bit for bit
+    cover = circle_cover(3)
+    fock = FockSpace(OneParticleSpace((1, 0, 2, 1, 0, 2)))
+    nerve = build_nerve(cover)
+    coc = transition_cocycle(SigmaMorphism({"g0": PhaseU1(0.7)}, PhaseU1(0.0)), nerve)
+    want_columns = {1: (0, 1 << 1, 1 << 0, 1 << 2), 2: (0, 0b10010, 0b1001, 0b100100)}
+    rng = np.random.default_rng(23)
+    for kappa in (1, 2):
+        w = make_window(fock, cover, kappa)
+        assert w.regions == (0, 1, 2) and w.columns == want_columns[kappa]
+        for i, r in enumerate(w.regions):
+            col = oracle.implementer(fock, w.implementers[r].modes)[:, 0].toarray().ravel()
+            assert col.tobytes() == np.eye(fock.dim, dtype=complex)[:, w.columns[1 + i]].tobytes()
+        for u in cover.regions:
+            for v in cover.regions:
+                got = w.compress(z1(w, v, u))
+                assert got.tobytes() == oracle.compress(w, oracle.z1(w, v, u)).tobytes()
+        for t in (plain_transporter(w, cover), twisted_transporter(w, coc)):
+            for _ in range(6):
+                crossings = tuple(random_crossing_path(rng, cover, 8).crossings())
+                assert folded_block(t, crossings).tobytes() == oracle_block(t, crossings).tobytes()
+    # region 2 owns a single mode: charge 2 names it
+    short = FockSpace(OneParticleSpace((1, 0, 2, 1, 0)))
+    make_window(short, cover, 1)
+    with pytest.raises(SupportError, match="region 2 owns 1 modes, fewer than charge 2"):
+        make_window(short, cover, 2)
+    with pytest.raises(ValueError, match="charge must be >= 1"):
+        make_window(short, cover, 0)
 
 
 def test_window_charge_two():
@@ -464,31 +478,6 @@ def test_window_block_non_chaining_crossings_are_zero_bitwise():
         assert got.tobytes() == oracle_block(t, crossings).tobytes()
 
 
-def test_pair_certification_fails_closed_on_two_entries():
-    # a window column that the pair phi_dst phi_src^* does not annihilate,
-    # besides v_src, is a second entry of the step.  Charge 1 sits on mode 0
-    # of region 0; region 1's charge occupies modes 0 and 2, so phi_0^* does
-    # not annihilate v_1.  The columns are distinct + vectors, but the
-    # regions share mode 0: the window fails closed at construction
-    fock = fock_for(ANN, 2)
-    imps = {r: implementer(fock, r) for r in ANN.regions}
-    imps[0] = Implementer(fock=fock, region=0, charge=1, modes=(0,))
-    imps[1] = Implementer(fock=fock, region=1, charge=2, modes=(0, 2))
-    with pytest.raises(ValueError, match="private to one region: region 1 shares mode 0 with region 0"):
-        WindowSubspace(fock, imps)
-    # the CSR oracle sees the two entries the shared mode makes: 0 <- 0
-    # keeps v_1 in place, 2 <- 0 sends v_1 off the window
-    columns = [0] + [sum(1 << m for m in imps[r].modes) for r in ANN.regions]
-    assert len(set(columns)) == len(columns)
-
-    def block(dst, src):
-        m = oracle.implementer(fock, imps[dst].modes) @ oracle.adjoint(oracle.implementer(fock, imps[src].modes))
-        return m[columns][:, columns].toarray()
-
-    assert np.count_nonzero(block(0, 0)) == 2 and block(0, 0)[2, 2] == 1.0
-    assert np.count_nonzero(block(2, 0)) == 1  # v_1 left the window
-
-
 def test_z1_is_one_unit_term_equal_to_the_oracle_pair():
     _, _, coc, _, window = annulus_setup()
     plain, twisted = plain_transporter(window, ANN), twisted_transporter(window, coc)
@@ -660,13 +649,14 @@ def test_telescope_residual_equals_csr_route_bitwise():
 
 
 def test_telescope_residuals_equal_per_path_and_csr_route_bitwise(monkeypatch):
-    # one holonomies fold per batch; each residual keeps the bits of the
-    # one-path call and of compress(chain - z1(end, start).scaled(holonomy))
-    real, folds = sectors_module.holonomies, []
+    # one holonomy fold per batch, over the batch's code rows; each
+    # residual keeps the bits of the one-path call and of
+    # compress(chain - z1(end, start).scaled(holonomy))
+    real, folds = sectors_module.ordered_products, []
 
-    def counting(source, paths):
-        folds.append(len(paths))
-        return real(source, paths)
+    def counting(identity, table, rows):
+        folds.append(len(rows))
+        return real(identity, table, rows)
 
     rng = np.random.default_rng(67)
     for index in range(len(FOLD_COVERS)):
@@ -674,8 +664,8 @@ def test_telescope_residuals_equal_per_path_and_csr_route_bitwise(monkeypatch):
         paths = [random_crossing_path(rng, cover, int(rng.integers(0, 10))) for _ in range(8)]
         for t in ts:
             folds.clear()
-            monkeypatch.setattr(sectors_module, "holonomies", counting)
-            got = telescope_residuals(t, paths)
+            monkeypatch.setattr(sectors_module, "ordered_products", counting)
+            got = telescope_residuals(t, [cover.codes(p.crossings()) for p in paths])
             monkeypatch.undo()
             assert folds == [len(paths)] and len(got) == len(paths)
             assert telescope_residuals(t, []) == []
@@ -706,10 +696,11 @@ def test_telescope_residuals_nan_fails_closed():
     ]
     crosses = [any({step.src, step.dst} == {u, v} for step in p.steps) for p in paths]
     assert crosses[:3] == [True, True, False]
-    got = telescope_residuals(twisted_transporter(window, coc), paths)
+    rows = [ANN.codes(p.crossings()) for p in paths]
+    got = telescope_residuals(twisted_transporter(window, coc), rows)
     assert [np.isnan(r) for r in got] == crosses
     assert np.isnan(worst(got))
-    assert telescope_residuals(plain_transporter(window, ANN), paths) == [0.0] * len(paths)
+    assert telescope_residuals(plain_transporter(window, ANN), rows) == [0.0] * len(paths)
 
 
 def test_triple_law_disk_and_torus():
