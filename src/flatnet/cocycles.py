@@ -168,15 +168,7 @@ class TransitionCocycle:
     identity: GroupValue
 
     def __post_init__(self):
-        overlaps = set(self.cover.overlaps)
-        for e in self.values:
-            if e not in overlaps:
-                raise CocycleInconsistent(
-                    f"transition value keyed by {e}, not a canonical overlap of the cover"
-                )
-        for e in self.cover.overlaps:
-            if e not in self.values:
-                raise CocycleInconsistent(f"no transition value for overlap {e}")
+        self.cover.check_overlap_keys(self.values, CocycleInconsistent, "transition value")
         for v in self.values.values():
             same_variant(self.identity, v)
 
@@ -297,10 +289,10 @@ def trivialize(
     The base region gets the identity, and every other region, in BFS
     order, lambda_r = g(r <- parent) lambda_parent, the factor read from
     the cocycle's transport table by overlap code: one product per tree
-    edge (a 2-D matrix product, an angle sum wrapped as ``compose``
-    wraps it, or a ``compose`` of words), so each lambda is the transport
-    along its tree path from the base.  Matrix lambdas are checked for
-    unitarity once, as one stack.  Each non-tree edge u -> v is then
+    edge (a 2-D matrix product, or an angle sum wrapped as ``compose``
+    wraps it), so each lambda is the transport along its tree path from
+    the base.  Matrix lambdas are checked for unitarity once, as one
+    stack.  Each non-tree edge u -> v is then
     tested against lambda_v lambda_u^{-1}, the two-slot row
     [-slot(u), slot(v)] of one ``ordered_products`` fold over a transport
     table of the lambdas, and the first failure is returned as a witness
@@ -314,10 +306,8 @@ def trivialize(
     ident, factors, order = cocycle.identity, cocycle._table, nerve.bfs_order
     if isinstance(ident, MatrixUn):
         start, product = ident.mat, matmul
-    elif isinstance(ident, PhaseU1):
+    else:  # the triple-law check read the table, so the data is U(1) or U(n)
         start, product = ident.angle, lambda a, b: wrap_angle(a + b)
-    else:
-        start, product = ident, compose
     lam = {nerve.base: start}
     ups = [nerve.parent[r] for r in order[1:]]
     for r, up, k in zip(order[1:], ups, cocycle.cover.codes(ups)):
@@ -326,7 +316,7 @@ def trivialize(
         stack = np.stack(list(lam.values()))
         _require_unitary(stack)
         lam = dict(zip(lam, map(_as_unitary_loose, stack)))
-    elif isinstance(ident, PhaseU1):
+    else:
         lam = {r: PhaseU1(a) for r, a in lam.items()}
     table = transport_table(cocycle.identity, lam.values())
     slot = {r: k for k, r in enumerate(order, 1)}
@@ -394,13 +384,8 @@ class FlatPotentialU1:
     primitives: dict[int, float] | None = None
 
     def __post_init__(self):
-        overlaps = set(self.cover.overlaps)
-        for e in self.angles:
-            if e not in overlaps:
-                raise InvalidPotential(f"lift keyed by {e}, not a canonical overlap of the cover")
+        self.cover.check_overlap_keys(self.angles, InvalidPotential, "lift")
         for e in self.cover.overlaps:
-            if e not in self.angles:
-                raise InvalidPotential(f"no lift for overlap {e}")
             if not np.isfinite(self.angles[e]):
                 raise InvalidPotential(f"lift for overlap {e} is not finite")
         for t, (n, defect) in self._triangle_data().items():

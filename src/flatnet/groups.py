@@ -1,8 +1,11 @@
 """Group and Lie-algebra values used for transport data.
 
-Three group variants cover everything the rest of the package needs:
-unit phases (stored as canonical angles), unitary matrices, and reduced
-free-group words.  A small Lie layer (real scalars and anti-Hermitian
+Two transport groups carry every transition value: unit phases U(1)
+(stored as canonical angles) and unitary matrices U(n).  Reduced
+free-group words are the third variant, but only as the loop-class
+word: ``loop_class``, presentation relations and the input of a
+morphism's ``evaluate_all``, which ``compose`` and ``inverse``
+manipulate.  A small Lie layer (real scalars and anti-Hermitian
 matrices) feeds ``path_ordered_exp``.
 
 Conventions, fixed once here and relied on everywhere else:
@@ -54,9 +57,6 @@ class GroupValue:
             return distance(self, other) <= GROUP_EQ_TOL
         except VariantMismatch:
             return False
-
-    def __mul__(self, other):
-        return compose(self, other)
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,8 +221,12 @@ def two_sided(zero, values: Iterable, inv) -> tuple:
 
 
 # entries indexed by signed slot: a stacked (n, d, d) array for matrices,
-# a tuple of canonical angles for phases, else a tuple of values
-TransportTable = Union[np.ndarray, tuple[float, ...], tuple[GroupValue, ...]]
+# a tuple of canonical angles for phases
+TransportTable = Union[np.ndarray, tuple[float, ...]]
+
+
+def _not_transport(kind: type) -> VariantMismatch:
+    return VariantMismatch(f"transport values are U(1) or U(n), not {kind.__name__}")
 
 
 def transport_table(identity: GroupValue, values: Iterable[GroupValue]) -> TransportTable:
@@ -235,7 +239,7 @@ def transport_table(identity: GroupValue, values: Iterable[GroupValue]) -> Trans
     hold the conjugate transpose, the bits ``inverse`` stores.  Phases
     become a tuple of float angles: slot k the angle of value k, slot -k
     the angle of its ``inverse``, the wrapped negation (so the tie at
-    -pi maps to +pi).  Free words stay a tuple of values.
+    -pi maps to +pi).  Any other variant raises VariantMismatch.
     """
     values = tuple(values)
     kind, shape = type(identity), _shape(identity)
@@ -246,7 +250,7 @@ def transport_table(identity: GroupValue, values: Iterable[GroupValue]) -> Trans
         return np.stack(two_sided(identity.mat, [v.mat for v in values], lambda m: m.conj().T))
     if kind is PhaseU1:
         return two_sided(identity.angle, [v.angle for v in values], lambda a: wrap_angle(-a))
-    return two_sided(identity, values, inverse)
+    raise _not_transport(kind)
 
 
 def ordered_products(
@@ -269,8 +273,8 @@ def ordered_products(
     one stacked ``matmul`` of the prefix against its gathered factors.
     The matrix results are checked against UNITARY_TOL once, as one stack
     (the error gives the first failing row's defect, in row order), and
-    each is returned as its own read-only copy.  Free words compose step
-    by step.  A table of another variant than ``identity`` raises
+    each is returned as its own read-only copy.  An identity of another
+    variant, or a table of another variant than ``identity``, raises
     VariantMismatch.
     """
     if isinstance(identity, PhaseU1):
@@ -284,13 +288,7 @@ def ordered_products(
             out.append(PhaseU1(acc))
         return out
     if not isinstance(identity, MatrixUn):
-        out = []
-        for row in rows:
-            acc = identity
-            for i in row:
-                acc = compose(table[i], acc) if later_left else compose(acc, table[i])
-            out.append(acc)
-        return out
+        raise _not_transport(type(identity))
     d = identity.dim
     if not isinstance(table, np.ndarray) or table.shape[1:] != (d, d):
         raise VariantMismatch(f"U({d}) products need a stacked table of {d} x {d} factors")

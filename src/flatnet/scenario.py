@@ -116,7 +116,6 @@ from .sectors import (
     classify,
     make_window,
     plain_transporter,
-    rho_layer_transporter,
     telescope_residuals,
     transition_amplitude,
     triple_law_residual,
@@ -703,7 +702,7 @@ def run_scenario(config: ScenarioConfig) -> dict:
             _, _, twisted = fock_context()
             cls = classify(twisted, nerve, tol)
         else:
-            cls = classify(rho_layer_transporter(cocycle), nerve, tol)
+            cls = classify(cocycle, nerve, tol)
         res_max = worst(cls.residuals.values())
         body = {
             "tolerance": tol,

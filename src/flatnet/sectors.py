@@ -7,6 +7,12 @@ identity here is asserted after compression to the window subspace
 spanned by the vacuum and the charged vectors v_o, the subspace on
 which the implementer chains act isometrically.
 
+Two transport groups, one transporter.  A ``SectorTransporter`` always
+holds a Fock window and carries U(1) coefficients.  U(n) data has no
+faithful realization on the finite window, so its coefficient-only
+layer is the transition cocycle itself (``rho_layer_transporter``):
+``rho_holonomy`` and ``classify`` read its transport table.
+
 What the finite model checks on the window.  The window is a fact
 about the mode allocation: region o's implementer is its first kappa
 modes, ``fock.space.region_modes(o)[:kappa]``, which are ascending, in
@@ -55,7 +61,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -97,8 +103,7 @@ class NotGaugeInvariant(ValueError):
 
 class MissingEntry(KeyError):
     """Raised when a transporter's window entries are not exactly one per
-    overlap of its cover, or when a transporter without a window holds
-    any."""
+    overlap of its cover."""
 
 
 @dataclass(frozen=True)
@@ -168,7 +173,8 @@ class WindowSubspace:
     observable layer.  ``columns`` holds the basis index of each window
     column, a Python int (an occupation bitset, of any width):
     ``columns[0]`` is the vacuum, ``columns[1 + i]`` the charged vector
-    of ``regions[i]``, at window position 1 + i.
+    of ``regions[i]``, at window position 1 + i (``position``, read from
+    a map derived on first read).
     """
 
     fock: FockSpace
@@ -187,9 +193,17 @@ class WindowSubspace:
     def columns(self) -> tuple[int, ...]:
         return (0, *(sum(1 << m for m in imp.modes) for imp in self.implementers.values()))
 
+    @cached_property
+    def _positions(self) -> dict[int, int]:
+        return {r: i for i, r in enumerate(self.regions, 1)}
+
     def position(self, region: int) -> int:
-        """Window position of a region's charged vector."""
-        return 1 + self.regions.index(region)
+        """Window position of a region's charged vector; ValueError naming
+        a region outside the window."""
+        try:
+            return self._positions[region]
+        except KeyError:
+            raise ValueError(f"region {region} is not in the window") from None
 
     def charged_vector(self, region: int) -> np.ndarray:
         v = np.zeros(self.fock.dim, dtype=complex)
@@ -230,10 +244,10 @@ def _scaled(entries: complex | list[complex], factors: Iterable[PhaseU1]) -> lis
 
 @dataclass(frozen=True)
 class TransportEntry:
-    """A transport coefficient and its Fock operator (None off the Fock layer)."""
+    """A transport coefficient and its Fock operator."""
 
     coeff: GroupValue
-    op: FieldOp | None
+    op: FieldOp
 
 
 @dataclass(frozen=True)
@@ -243,67 +257,47 @@ class SectorTransporter:
     ``cocycle`` holds every transport coefficient.  ``weights[(u, v, c)]``
     is the window entry of the u -> v step, which on the window is that
     entry times the matrix unit E_(v, u) of the window; the
-    reverse step carries its conjugate times E_(u, v).  With a window,
-    construction checks that ``weights`` holds one entry per overlap of
-    the cover and no other key (MissingEntry otherwise), and stores them
-    as the two-sided table ``_steps`` read by overlap code
-    (``Cover.codes``): ``(u, v, entry)`` for overlap (u, v, c) at slot k,
+    reverse step carries its conjugate times E_(u, v).  Construction
+    checks that ``weights`` holds one entry per overlap of the cover and
+    no other key (MissingEntry otherwise), and stores them as the
+    two-sided table ``_steps`` read by overlap code (``Cover.codes``):
+    ``(u, v, entry)`` for overlap (u, v, c) at slot k,
     ``(v, u, entry.conjugate())`` at -k, and slot 0 unused, since a step
-    in place is skipped.  ``weights`` is empty on the coefficient-only
-    matrix layer, which has no ``window``: there any weight is a
-    MissingEntry at construction, and ``op`` and every window check
-    raise ValueError (``_require_window``).
+    in place is skipped.
     """
 
     cocycle: TransitionCocycle
-    window: WindowSubspace | None = None
-    weights: dict[Edge, complex] = dc_field(default_factory=dict)
+    window: WindowSubspace
+    weights: dict[Edge, complex]
     _steps: tuple = dc_field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        steps = ()
-        if self.window is None and self.weights:
-            raise MissingEntry(f"transporter entry keyed by {next(iter(self.weights))} "
-                               "on a transporter without a Fock window")
-        if self.window is not None:
-            overlaps = self.cocycle.cover.overlaps
-            known = set(overlaps)
-            if (e := next((e for e in self.weights if e not in known), None)) is not None:
-                raise MissingEntry(f"transporter entry keyed by {e}, not a canonical overlap")
-            if (e := next((e for e in overlaps if e not in self.weights), None)) is not None:
-                raise MissingEntry(f"no transporter entry for overlap {e}")
-            forward = ((u, v, self.weights[(u, v, c)]) for u, v, c in overlaps)
-            steps = two_sided(None, forward, lambda s: (s[1], s[0], s[2].conjugate()))
+        cover = self.cocycle.cover
+        cover.check_overlap_keys(self.weights, MissingEntry, "transporter entry")
+        forward = ((u, v, self.weights[(u, v, c)]) for u, v, c in cover.overlaps)
+        steps = two_sided(None, forward, lambda s: (s[1], s[0], s[2].conjugate()))
         object.__setattr__(self, "_steps", steps)
 
     def op(self, dst: int, src: int, comp: int | None) -> FieldOp | None:
         """Operator of the step src -> dst, for the observable layer: None
         for a reflexive step, ``z1(window, v, u).scaled(entry)`` forward
         and its adjoint in reverse; InvalidPath for a step that crosses
-        no overlap, ValueError without a window."""
-        window = _require_window(self)
+        no overlap."""
         (k,) = self.cocycle.cover.codes([(dst, src, comp)])
         if k == 0:
             return None
         u, v, entry = self._steps[abs(k)]
-        step = z1(window, v, u).scaled(entry)
+        step = z1(self.window, v, u).scaled(entry)
         return step if k > 0 else step.adjoint()
 
     @cached_property
     def entries(self) -> dict[Edge, TransportEntry]:
         """Read-only view: the u -> v coefficient and operator per
-        canonical edge (operator None off the Fock layer)."""
+        canonical edge."""
         return {
-            (u, v, c): TransportEntry(g, None if self.window is None else self.op(v, u, c))
+            (u, v, c): TransportEntry(g, self.op(v, u, c))
             for (u, v, c), g in self.cocycle.values.items()
         }
-
-
-def _require_window(t: SectorTransporter) -> WindowSubspace:
-    """The transporter's window; ValueError on the coefficient-only layer."""
-    if t.window is None:
-        raise ValueError("window checks need a Fock window; use rho_holonomy off the Fock layer")
-    return t.window
 
 
 def z1(window: WindowSubspace, dst: int, src: int) -> FieldOp:
@@ -322,7 +316,7 @@ def twisted_transporter(
     as the window entry g(v<-u) of each canonical edge.
 
     Only unit-phase transition data acts on the Fock layer; matrix-valued
-    data goes through rho_layer_transporter instead.
+    data is its own coefficient layer (rho_layer_transporter).
     """
     if not isinstance(cocycle.identity, PhaseU1):
         raise VariantMismatch(
@@ -353,13 +347,12 @@ def z_path(t: SectorTransporter, path: PosetPath) -> TransportEntry:
     operator.
     """
     op: FieldOp | None = None
-    if t.window is not None:
-        for dst, src, comp in path.crossings():
-            step = t.op(dst, src, comp)
-            if step is not None:
-                op = step if op is None else step * op
-        if op is None:
-            op = identity_op(t.window.fock)
+    for dst, src, comp in path.crossings():
+        step = t.op(dst, src, comp)
+        if step is not None:
+            op = step if op is None else step * op
+    if op is None:
+        op = identity_op(t.window.fock)
     return TransportEntry(holonomy(t.cocycle, path), op)
 
 
@@ -378,10 +371,8 @@ def window_chain(
     does not start where the chain stands (the chain is zero).
     Reflexive steps are skipped, and a step that crosses no overlap
     raises InvalidPath.  The crossings are mapped to overlap codes once
-    and folded by ``_fold``.  Every window check goes through that fold,
-    so it raises ValueError for a transporter without a Fock window.
+    and folded by ``_fold``.
     """
-    _require_window(t)
     return _fold(t, t.cocycle.cover.codes(crossings))
 
 
@@ -422,9 +413,8 @@ def telescope_residuals(t: SectorTransporter, rows: Sequence[Sequence[int]]) -> 
     |entry - scaled holonomy|, NaN when either is.  A path that never
     moves (empty, or reflexive steps only) telescopes to the reflexive
     identity entry, not to the degenerate pair phi phi^*, so its
-    residual is zero by construction.  ValueError without a window.
+    residual is zero by construction.
     """
-    _require_window(t)
     chains = [_fold(t, row) for row in rows]
     pairs = _scaled(1.0, ordered_products(t.cocycle.identity, t.cocycle._table, rows))
     gaps = [0j if c is None else c[2] - z for c, z in zip(chains, pairs)]
@@ -552,28 +542,33 @@ class Classification:
 
 
 def classify(
-    t: SectorTransporter, nerve: NerveGraph, tol: float = SECTOR_TOL
+    t: TransitionCocycle | SectorTransporter, nerve: NerveGraph, tol: float = SECTOR_TOL
 ) -> Classification:
     """Evaluate the transported loop value on every presentation generator.
 
-    All components identity => the sector data is equivalent to an
+    ``t`` is a TransitionCocycle for the coefficient layer, whose
+    components are the generator loops' holonomies (one ``holonomies``
+    fold, residuals zero), or a SectorTransporter for the Fock window,
+    whose components are read from ``topological_component``.  All
+    components identity => the sector data is equivalent to an
     untwisted (DHR-type) sector; any non-identity component is a
     topological obstruction.  Phase-layer dimension is 1; the matrix
     layer reports its fiber dimension.
     """
     names = nerve.generators
     loops = [generator_loop(nerve, idx) for idx in range(len(names))]
-    if t.window is None:
-        components = dict(zip(names, holonomies(t.cocycle, loops)))
+    if isinstance(t, TransitionCocycle):
+        ident = t.identity
+        components = dict(zip(names, holonomies(t, loops)))
         residuals = dict.fromkeys(names, 0.0)
     else:
+        ident = t.cocycle.identity
         components, residuals = {}, {}
         for name, loop in zip(names, loops):
             comp = topological_component(t, loop)
             components[name] = PhaseU1(float(np.angle(comp.value)))
             residuals[name] = worst((comp.residual, abs(abs(comp.value) - 1.0)))
     trivial = all(is_identity(v, tol) for v in components.values())
-    ident = t.cocycle.identity
     dim = ident.dim if isinstance(ident, MatrixUn) else 1
     return Classification(
         kind="DHR" if trivial else "topological",
@@ -597,33 +592,23 @@ def coefficient_ratio_cocycle(
 # Coefficient-only matrix layer
 
 
-def rho_layer_transporter(
-    cocycle: TransitionCocycle,
-    rho: Callable[[GroupValue], MatrixUn] | None = None,
-) -> SectorTransporter:
-    """Matrix-coefficient transporter: the cocycle pushed through rho; no Fock ops.
+def rho_layer_transporter(cocycle: TransitionCocycle) -> TransitionCocycle:
+    """The coefficient-only matrix layer: ``cocycle`` itself, once it is
+    checked to carry U(n) data (VariantMismatch otherwise).
 
     Higher-dimensional transport has no faithful realization on the
-    finite Fock window, so this layer carries coefficients only.  By
-    default rho is the identity on already-matrix transition data, and
-    the transporter wraps ``cocycle`` itself, sharing its transport table.
+    finite Fock window, so this layer carries coefficients only, read
+    from the cocycle's own transport table by ``rho_holonomy`` and
+    ``classify``.
     """
-    if rho is None:
-        if not isinstance(cocycle.identity, MatrixUn):
-            raise VariantMismatch(
-                "default rho needs matrix transition data; pass an explicit rho"
-            )
-        return SectorTransporter(cocycle)
-    ident = rho(cocycle.identity)
-    if not isinstance(ident, MatrixUn):
-        raise VariantMismatch("rho must produce unitary matrices")
-    values = {e: rho(g) for e, g in cocycle.values.items()}
-    return SectorTransporter(TransitionCocycle(cocycle.cover, values, ident))
+    if not isinstance(cocycle.identity, MatrixUn):
+        raise VariantMismatch("the coefficient-only layer needs matrix transition data")
+    return cocycle
 
 
-def rho_holonomy(t: SectorTransporter, loop: PosetPath) -> GroupValue:
-    """Ordered coefficient product around a loop (later steps left): the
-    ``holonomy`` of the transporter's cocycle."""
+def rho_holonomy(cocycle: TransitionCocycle, loop: PosetPath) -> GroupValue:
+    """Ordered coefficient product around a loop (later steps left):
+    ``holonomy(cocycle, loop)``; InvalidPath for an open path."""
     if not loop.is_loop:
         raise InvalidPath("holonomy is defined for loops")
-    return holonomy(t.cocycle, loop)
+    return holonomy(cocycle, loop)

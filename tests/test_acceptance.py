@@ -27,7 +27,6 @@ from flatnet.covers import (
     circle_cover,
     disk_cover,
     figure_eight_cover,
-    free_h1_coordinates,
     generator_loop,
     loop_class,
     path_compose,
@@ -67,6 +66,7 @@ from flatnet.sectors import (
     triple_law_residual,
     twisted_transporter,
 )
+from homology import free_h1_coordinates
 
 BUILTIN_NAMES = ("circle", "annulus", "disk", "figure_eight", "torus")
 SX = np.array([[0, 1], [1, 0]], dtype=complex)

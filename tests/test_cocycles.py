@@ -28,10 +28,8 @@ from flatnet.covers import (
     build_nerve,
     builtin_cover,
     circle_cover,
-    closed_triangle_cycles,
     disk_cover,
     figure_eight_cover,
-    free_h1_coordinates,
     generator_loop,
     loop_class,
     path_compose,
@@ -50,9 +48,11 @@ from flatnet.groups import (
     is_identity,
     ordered_products,
     power,
+    transport_table,
     wrap_angle,
     _as_unitary_loose,
 )
+from homology import closed_triangle_cycles, free_h1_coordinates
 
 NAN = float("nan")
 ALL_BUILTINS = ["circle", "annulus", "disk", "figure_eight", "torus"]
@@ -758,6 +758,25 @@ def test_variant_uniformity_builds_no_products(monkeypatch):
             TransitionCocycle(cov, {**coc.values, cov.overlaps[0]: bad}, MatrixUn(I2))
     with pytest.raises(VariantMismatch):
         SigmaMorphism({"g0": FreeWord((1,), ("a",))}, FreeWord((), ("b",)))
+
+
+def test_free_words_are_loop_classes_not_transport_values():
+    # transport values are U(1) or U(n); a word identity is refused, by name, where
+    # a word table or fold would have been built
+    one, g = FreeWord((), ("g0",)), FreeWord((1,), ("g0",))
+    named = r"U\(1\) or U\(n\), not FreeWord"
+    with pytest.raises(VariantMismatch, match=named):
+        transport_table(one, [g])
+    with pytest.raises(VariantMismatch, match=named):
+        ordered_products(one, (one, g, inverse(g)), [[1, -1]])
+    with pytest.raises(VariantMismatch, match=named):
+        SigmaMorphism({"g0": g}, one).evaluate_all([g])
+    nerve = build_nerve(disk_cover())
+    words = identity_cocycle(nerve.cover, one)
+    with pytest.raises(VariantMismatch, match=named):
+        check_cocycle(words)
+    with pytest.raises(VariantMismatch, match=named):
+        trivialize(words, nerve)
 
 
 # ---------------------------------------------------------------------------

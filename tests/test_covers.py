@@ -13,26 +13,23 @@ from flatnet.covers import (
     InvalidPath,
     PosetPath,
     Step,
-    abelianization_rank,
     annulus_cover,
     approximate_curve,
     build_nerve,
     builtin_cover,
     circle_cover,
-    closed_triangle_cycles,
     disk_cover,
     empty_path,
     figure_eight_cover,
-    free_h1_coordinates,
     generator_loop,
     loop_class,
     path_compose,
     path_reverse,
     pi1_presentation,
-    relation_matrix,
     torus_cover,
 )
 from flatnet.groups import MatrixUn, PhaseU1, inverse, transport_table
+from homology import abelianization_rank, closed_triangle_cycles, free_h1_coordinates, relation_matrix
 
 ALL_BUILTINS = ["circle", "annulus", "disk", "figure_eight", "torus"]
 

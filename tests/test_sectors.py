@@ -30,7 +30,6 @@ from flatnet.covers import (
     circle_cover,
     disk_cover,
     figure_eight_cover,
-    free_h1_coordinates,
     generator_loop,
     loop_class,
     path_compose,
@@ -84,6 +83,7 @@ from flatnet.sectors import (
     z1,
     z_path,
 )
+from homology import free_h1_coordinates
 
 ANN = annulus_cover()
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -229,6 +229,15 @@ def test_window_columns_stay_exact_past_64_modes():
     assert w.columns[32] == 3 << 62 and all(type(s) is int for s in w.columns)
     block = w.compress(z1(w, 31, 0))
     assert block[32, 1] == 1 and np.count_nonzero(block) == 1
+
+
+def test_window_position_is_one_past_the_region_index():
+    cover = circle_cover(1000)
+    window = make_window(fock_for(cover, 1), cover)
+    for r in cover.regions:
+        assert window.position(r) == 1 + window.regions.index(r)
+    with pytest.raises(ValueError, match="region 1000 is not in the window"):
+        window.position(1000)
 
 
 def test_implementer_signs_equal_the_csr_oracle():
@@ -548,7 +557,7 @@ def test_missing_entry():
     with pytest.raises(InvalidPath, match=r"Step\(dst=2, src=0, comp=0\)"):
         z_path(t, hop)
     # the coefficient-only layer looks steps up in its cocycle's cover
-    _, _, _, m = fig8_matrix_transporter()
+    _, _, _, m = fig8_matrix_layer()
     loop = PosetPath((Step(dst=3, src=1, comp=0), Step(dst=1, src=3, comp=0)), 1, 1)
     with pytest.raises(InvalidPath, match=r"Step\(dst=3, src=1, comp=0\)"):
         rho_holonomy(m, loop)
@@ -574,7 +583,7 @@ def test_missing_entry():
                 lambda: holonomy(coc, hop),
                 lambda: loop_class(pres, hop),
                 lambda: z_path(t, hop),
-                lambda: rho_holonomy(t, path_compose(hop, path_reverse(hop))),
+                lambda: rho_holonomy(coc, path_compose(hop, path_reverse(hop))),
             ]
         for read in readers:
             with pytest.raises(InvalidPath, match=re.escape(f"step {bad} crosses no overlap")):
@@ -585,12 +594,8 @@ def test_missing_entry():
         SectorTransporter(coc, window, {**t.weights, (0, 2, 0): 1.0 + 0j})  # disjoint pair
     with pytest.raises(MissingEntry, match=r"\(0, 1, 0\)"):
         SectorTransporter(coc, window, {e: w for e, w in t.weights.items() if e != (0, 1, 0)})
-    assert SectorTransporter(coc).weights == {}  # the coefficient-only layer has none
-    _, _, _, m = fig8_matrix_transporter()
-    with pytest.raises(MissingEntry, match=r"\(1, 3, 0\) on a transporter without a Fock window"):
-        SectorTransporter(m.cocycle, None, {(1, 3, 0): 5.0})  # a disjoint pair of the figure eight
-    with pytest.raises(MissingEntry, match="without a Fock window"):
-        SectorTransporter(m.cocycle, None, {e: 1.0 + 0j for e in m.cocycle.values})
+    with pytest.raises(TypeError):
+        SectorTransporter(coc)  # every transporter holds a window and its entries
 
 
 def test_twisted_rejects_matrix_cocycle():
@@ -995,7 +1000,7 @@ def test_classify_agrees_with_trivialize():
 # coefficient-only matrix layer
 
 
-def fig8_matrix_transporter():
+def fig8_matrix_layer():
     cover = figure_eight_cover()
     nerve = build_nerve(cover)
     sigma = SigmaMorphism(
@@ -1014,47 +1019,14 @@ def test_rho_layer_requires_matrix_identity():
 
 
 def test_default_rho_layer_wraps_the_cocycle_itself():
-    # no copy of the values and no second transport table
-    _, nerve, sigma, _ = fig8_matrix_transporter()
+    # the coefficient-only layer is the cocycle: no copy of the values, no second table
+    _, nerve, sigma, _ = fig8_matrix_layer()
     coc = transition_cocycle(sigma, nerve)
-    t = rho_layer_transporter(coc)
-    assert t.cocycle is coc and t.window is None and t.weights == {}
-    explicit = rho_layer_transporter(coc, rho=lambda g: g)
-    assert explicit.cocycle is not coc
-    for k in range(2):
-        loop = generator_loop(nerve, k)
-        assert rho_holonomy(t, loop).mat.tobytes() == rho_holonomy(explicit, loop).mat.tobytes()
-
-
-def test_rho_layer_lift_of_phases():
-    nerve = build_nerve(ANN)
-    sigma = SigmaMorphism({"g0": PhaseU1(0.3)}, PhaseU1(0.0))
-    coc = transition_cocycle(sigma, nerve)
-    t = rho_layer_transporter(
-        coc, rho=lambda g: MatrixUn(np.eye(1) * g.complex_value)
-    )
-    val = rho_holonomy(t, generator_loop(nerve, 0))
-    assert distance(val, MatrixUn(np.eye(1) * np.exp(0.3j))) <= 1e-12
-
-
-def test_window_checks_reject_the_coefficient_only_layer():
-    # every window check folds through window_chain, which names the layer
-    cover, nerve, _, t = fig8_matrix_transporter()
-    loop = generator_loop(nerve, 0)
-    for check in (
-        lambda: telescope_residual(t, loop),
-        lambda: telescope_residual(t, approximate_curve(cover, [0])),
-        lambda: triple_law_residual(t, (0, 1, 2, (0, 0, 0))),
-        lambda: topological_component(t, loop),
-        lambda: transition_amplitude(t, loop, loop),
-        lambda: t.op(1, 0, 0),
-    ):
-        with pytest.raises(ValueError, match="need a Fock window"):
-            check()
+    assert rho_layer_transporter(coc) is coc
 
 
 def test_fig8_commutator_holonomy():
-    cover, nerve, sigma, t = fig8_matrix_transporter()
+    cover, nerve, sigma, t = fig8_matrix_layer()
     pres = pi1_presentation(nerve)
     comm = approximate_curve(cover, [0, 1, 2, 0, 3, 4, 0, 2, 1, 0, 4, 3, 0])
     val = rho_holonomy(t, comm)
@@ -1066,21 +1038,20 @@ def test_fig8_commutator_holonomy():
 
 
 def test_rho_holonomy_and_matrix_z_path_match_stepwise_compose():
-    cover, nerve, sigma, t = fig8_matrix_transporter()
-    coc = transition_cocycle(sigma, nerve)
+    cover, nerve, sigma, m = fig8_matrix_layer()
+    coc = transition_cocycle(sigma, nerve)  # a second cocycle, with its own transport table
     # the second loop crosses g0 once, in reverse, so an orientation slip shows
     for visited in ([0, 1, 1, 2, 0, 3, 4, 0, 2, 1, 0, 4, 3, 3, 0], [0, 2, 1, 0, 3, 0]):
         loop = approximate_curve(cover, visited)
-        acc = t.cocycle.identity
+        acc = m.identity
         for st in loop.steps:
-            acc = compose(t.cocycle.value(st.dst, st.src, st.comp), acc)
-        assert np.array_equal(rho_holonomy(t, loop).mat, acc.mat)
-        assert np.array_equal(z_path(t, loop).coeff.mat, acc.mat)
+            acc = compose(m.value(st.dst, st.src, st.comp), acc)
+        assert np.array_equal(rho_holonomy(m, loop).mat, acc.mat)
         assert np.array_equal(holonomy(coc, loop).mat, acc.mat)
 
 
 def test_fig8_classify_topological_dim2():
-    cover, nerve, _, t = fig8_matrix_transporter()
+    cover, nerve, _, t = fig8_matrix_layer()
     c = classify(t, nerve)
     assert c.kind == "topological" and c.dimension == 2
     assert distance(c.components["g0"], MatrixUn(1j * SX)) <= 1e-12
@@ -1088,7 +1059,7 @@ def test_fig8_classify_topological_dim2():
 
 
 def test_rho_holonomy_matches_path_ordered_exp():
-    cover, nerve, _, t = fig8_matrix_transporter()
+    cover, nerve, _, t = fig8_matrix_layer()
     a_then_b = path_compose(generator_loop(nerve, 0), generator_loop(nerve, 1))
     val = rho_holonomy(t, a_then_b)
     steps = [
@@ -1100,6 +1071,6 @@ def test_rho_holonomy_matches_path_ordered_exp():
 
 
 def test_rho_holonomy_rejects_open_path():
-    cover, nerve, _, t = fig8_matrix_transporter()
+    cover, nerve, _, t = fig8_matrix_layer()
     with pytest.raises(InvalidPath):
         rho_holonomy(t, approximate_curve(cover, [0, 1]))
