@@ -52,6 +52,7 @@ from .groups import (
     inverse,
     ordered_products,
     same_variant,
+    stacked_products,
     transport_table,
     two_sided,
     wrap_angle,
@@ -102,14 +103,9 @@ class SigmaMorphism:
         slots = {n: k for k, n in enumerate(self.assignment, 1)}
         return slots, transport_table(self.identity, self.assignment.values())
 
-    def evaluate_all(self, words: Sequence[FreeWord]) -> list[GroupValue]:
-        """Evaluate reduced words, letters composed left to right.
-
-        One ``ordered_products`` fold over every word: matrix words are
-        multiplied step-major across words and each result is checked
-        for unitarity once.
-        """
-        slots, table = self._transport
+    def _rows(self, words: Sequence[FreeWord]) -> list[list[int]]:
+        """Signed transport-table slots of each word's letters."""
+        slots, _ = self._transport
         rows = []
         for word in words:
             names = word.alphabet
@@ -121,7 +117,17 @@ class SigmaMorphism:
                 for l in word.letters:
                     self.value(names[abs(l) - 1])  # raises MissingGenerator
                 raise
-        return ordered_products(self.identity, table, rows, later_left=False)
+        return rows
+
+    def evaluate_all(self, words: Sequence[FreeWord]) -> list[GroupValue]:
+        """Evaluate reduced words, letters composed left to right.
+
+        One ``ordered_products`` fold over every word: matrix words are
+        multiplied step-major across words and each result is checked
+        for unitarity once.
+        """
+        rows = self._rows(words)
+        return ordered_products(self.identity, self._transport[1], rows, later_left=False)
 
     def evaluate(self, word: FreeWord) -> GroupValue:
         """``evaluate_all`` of one word."""
@@ -137,17 +143,26 @@ def validate_sigma(
 
     Every presentation generator must be assigned (MissingGenerator
     otherwise).  An empty return value means sigma is a morphism within
-    ``tol``.
+    ``tol``.  U(n) relations are evaluated as one ``stacked_products``
+    fold and compared with the identity in one reduction (``max_gaps``).
     """
     for name in presentation.generators:
         if name not in sigma.assignment:
             raise MissingGenerator(name)
-    violations = []
-    for rel, val in zip(presentation.relations, sigma.evaluate_all(presentation.relations)):
-        resid = distance(val, sigma.identity)
-        if not (resid <= tol):
-            violations.append((rel, resid))
-    return violations
+    rels, ident = presentation.relations, sigma.identity
+    if isinstance(ident, MatrixUn):
+        stack = stacked_products(ident, sigma._transport[1], sigma._rows(rels), later_left=False)
+        residuals = max_gaps(stack, ident.mat)
+    else:
+        residuals = [distance(val, ident) for val in sigma.evaluate_all(rels)]
+    return [(rel, r) for rel, r in zip(rels, residuals) if not (r <= tol)]
+
+
+def max_gaps(stack: np.ndarray, want: np.ndarray) -> list[float]:
+    """``distance`` of each matrix of an (n, d, d) stack to ``want`` (one
+    (d, d) matrix, or a stack of n), bit for bit, in one reduction: the
+    max-norm gap of each pair, NaN when either holds a NaN."""
+    return np.abs(stack - want).max(axis=(1, 2)).tolist()
 
 
 @dataclass(frozen=True)
@@ -192,10 +207,16 @@ class TransitionCocycle:
     def _triple_residuals(self) -> tuple[float, ...]:
         """distance(g(r3<-r2) g(r2<-r1), g(r3<-r1)) of every triple of the
         cover, in order.  Each triple is the two-slot row of the codes of
-        r1 -> r2 and r2 -> r3 in one ``ordered_products`` fold."""
+        r1 -> r2 and r2 -> r3 in one fold.  U(n) products stay one
+        ``stacked_products`` stack, compared in one reduction with the
+        table's entries at the codes of r1 -> r3."""
         triples = self.cover.triples
         codes = self.cover.codes
         rows = [codes([(r2, r1, c12), (r3, r2, c23)]) for r1, r2, r3, (c12, _, c23) in triples]
+        if isinstance(self.identity, MatrixUn):
+            wants = codes([(r3, r1, c13) for r1, _, r3, (_, c13, _) in triples])
+            stack = stacked_products(self.identity, self._table, rows)
+            return tuple(max_gaps(stack, self._table[wants]))
         products = ordered_products(self.identity, self._table, rows)
         return tuple(
             distance(p, self.value(r3, r1, c13))
@@ -294,9 +315,11 @@ def trivialize(
     the base.  Matrix lambdas are checked for unitarity once, as one
     stack.  Each non-tree edge u -> v is then
     tested against lambda_v lambda_u^{-1}, the two-slot row
-    [-slot(u), slot(v)] of one ``ordered_products`` fold over a transport
-    table of the lambdas, and the first failure is returned as a witness
-    loop through that edge (its holonomy is the transported obstruction).
+    [-slot(u), slot(v)] of one fold over a transport table of the
+    lambdas (for U(n), one ``stacked_products`` stack compared in one
+    reduction with the cocycle's table at the edges' codes), and the
+    first failure is returned as a witness loop through that edge (its
+    holonomy is the transported obstruction).
     """
     chk = check_cocycle(cocycle, tol)
     if not chk.ok:
@@ -312,18 +335,21 @@ def trivialize(
     ups = [nerve.parent[r] for r in order[1:]]
     for r, up, k in zip(order[1:], ups, cocycle.cover.codes(ups)):
         lam[r] = product(factors[k], lam[up.src])
+    slot = {r: k for k, r in enumerate(order, 1)}
+    edges = nerve.non_tree_edges
+    pairs = [[-slot[u], slot[v]] for u, v, _ in edges]
     if isinstance(ident, MatrixUn):
         stack = np.stack(list(lam.values()))
         _require_unitary(stack)
         lam = dict(zip(lam, map(_as_unitary_loose, stack)))
+        wants = stacked_products(ident, transport_table(ident, lam.values()), pairs)
+        got = factors[cocycle.cover.codes([(v, u, c) for u, v, c in edges])]
+        residuals = max_gaps(got, wants)
     else:
         lam = {r: PhaseU1(a) for r, a in lam.items()}
-    table = transport_table(cocycle.identity, lam.values())
-    slot = {r: k for k, r in enumerate(order, 1)}
-    pairs = [[-slot[u], slot[v]] for u, v, _ in nerve.non_tree_edges]
-    wants = ordered_products(cocycle.identity, table, pairs)
-    for idx, ((u, v, c), want) in enumerate(zip(nerve.non_tree_edges, wants)):
-        resid = distance(cocycle.value(v, u, c), want)
+        wants = ordered_products(ident, transport_table(ident, lam.values()), pairs)
+        residuals = (distance(cocycle.value(v, u, c), w) for (u, v, c), w in zip(edges, wants))
+    for idx, ((u, v, c), resid) in enumerate(zip(edges, residuals)):
         if not (resid <= tol):
             loop = generator_loop(nerve, idx)
             return TrivializationResult(

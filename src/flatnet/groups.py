@@ -268,14 +268,10 @@ def ordered_products(
     angles as plain floats, ``acc = wrap_angle(angle + acc)`` per step,
     which is what ``compose`` stores (float addition commutes, so both
     orders give the same bits; NaN stays NaN), and make one ``PhaseU1``
-    per row.  Matrix products fold step-major across rows: rows run
-    longest first, so the rows still running are a prefix, and step i is
-    one stacked ``matmul`` of the prefix against its gathered factors.
-    The matrix results are checked against UNITARY_TOL once, as one stack
-    (the error gives the first failing row's defect, in row order), and
-    each is returned as its own read-only copy.  An identity of another
-    variant, or a table of another variant than ``identity``, raises
-    VariantMismatch.
+    per row.  Matrix rows go through ``stacked_products``, and each
+    matrix of its checked stack is returned as its own read-only
+    ``MatrixUn`` copy.  An identity of another variant, or a table of
+    another variant than ``identity``, raises VariantMismatch.
     """
     if isinstance(identity, PhaseU1):
         if type(table[0]) is not float:
@@ -289,6 +285,26 @@ def ordered_products(
         return out
     if not isinstance(identity, MatrixUn):
         raise _not_transport(type(identity))
+    return [_as_unitary_loose(m) for m in stacked_products(identity, table, rows, later_left)]
+
+
+def stacked_products(
+    identity: MatrixUn,
+    table: np.ndarray,
+    rows: Sequence[Sequence[int]],
+    later_left: bool = True,
+) -> np.ndarray:
+    """The U(n) fold: the products of ``ordered_products`` as one
+    (len(rows), d, d) stack in row order, for callers that compare them
+    as a whole rather than hand them out.
+
+    Rows fold step-major: they run longest first, so the rows still
+    running are a prefix, and step i is one stacked ``matmul`` of the
+    prefix against its gathered factors.  The stack is checked against
+    UNITARY_TOL once (the error gives the first failing row's defect, in
+    row order).  A table that is no stack of d x d factors raises
+    VariantMismatch.
+    """
     d = identity.dim
     if not isinstance(table, np.ndarray) or table.shape[1:] != (d, d):
         raise VariantMismatch(f"U({d}) products need a stacked table of {d} x {d} factors")
@@ -317,7 +333,7 @@ def ordered_products(
     slot[order] = np.arange(len(order))
     products = bufs[lengths % 2, slot]  # row order
     _require_unitary(products)
-    return [_as_unitary_loose(m) for m in products]
+    return products
 
 
 def power(a: GroupValue, k: int) -> GroupValue:
@@ -460,7 +476,7 @@ def _as_unitary_loose(m: np.ndarray) -> MatrixUn:
     """Wrap a matrix as a read-only MatrixUn copy without the unitarity check.
 
     Used where the check is made elsewhere or must not apply:
-    ``ordered_products`` checks its result stack once, and subdivided
+    ``stacked_products`` checks its result stack once, and subdivided
     products drift off the unitary manifold by O(1/substeps^2), which
     the constructor tolerance would reject for coarse subdivisions.
     """

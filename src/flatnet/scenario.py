@@ -519,10 +519,14 @@ def parse_scenario(path: str) -> ScenarioConfig:
 
 
 def _render_value(v: GroupValue):
+    """A phase as its angle and [re, im] value; a matrix as rows of
+    [re, im] entries, read in one ``tolist`` of its float view (the bits
+    of ``float(x.real), float(x.imag)`` per entry, signed zeros too)."""
     if isinstance(v, PhaseU1):
         z = v.complex_value
         return {"angle": float(v.angle), "value": [float(z.real), float(z.imag)]}
-    return {"rows": [[[float(x.real), float(x.imag)] for x in row] for row in v.mat]}
+    d = v.dim
+    return {"rows": np.ascontiguousarray(v.mat).view(float).reshape(d, d, 2).tolist()}
 
 
 def _render_complex(z: complex):
@@ -764,12 +768,15 @@ def run_scenario(config: ScenarioConfig) -> dict:
 
 # json's own ASCII string encoder (C when available), as json.dumps uses it
 _encode_str = json.encoder.encode_basestring_ascii
+_NUMBER_TYPES = frozenset((int, float))
 
 
 def _write_json(value, out: list, indent: str) -> None:
     """Append the JSON text of ``value`` to ``out`` as ``json.dumps`` with
     ``sort_keys=True, indent=2`` writes it; ``indent`` is the newline and
-    indentation of ``value``'s own line."""
+    indentation of ``value``'s own line.  A list of plain ints and floats
+    (exactly those types) is written as one join of their reprs, unless
+    the text holds an ``n`` (nan or inf), which JSON spells otherwise."""
     if isinstance(value, str):
         out.append(_encode_str(value))
     elif value is None:
@@ -788,6 +795,11 @@ def _write_json(value, out: list, indent: str) -> None:
             out.append("[]")
             return
         inner, sep = indent + "  ", "["
+        if type(value) is list and _NUMBER_TYPES.issuperset(map(type, value)):
+            text = f",{inner}".join(map(repr, value))
+            if "n" not in text:
+                out.append(f"[{inner}{text}{indent}]")
+                return
         for item in value:
             out.append(sep + inner)
             _write_json(item, out, inner)

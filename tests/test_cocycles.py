@@ -49,7 +49,6 @@ from flatnet.groups import (
     ordered_products,
     power,
     transport_table,
-    wrap_angle,
     _as_unitary_loose,
 )
 from homology import closed_triangle_cycles, free_h1_coordinates
@@ -365,7 +364,9 @@ def test_trivialize_takes_one_product_per_tree_edge(ident, monkeypatch):
         gauge = {r: MatrixUn(random_unitary(rng, 2)) for r in cov.regions}
     coc = dress_cocycle(identity_cocycle(cov, ident), gauge)
     products, composes, folds, checks = [], [], [], []
-    compose_any, fold = groups_module.compose, cocycles_module.ordered_products
+    # matrix data folds to stacks, phase data to values
+    fold_name = "stacked_products" if isinstance(ident, MatrixUn) else "ordered_products"
+    compose_any, fold = groups_module.compose, getattr(cocycles_module, fold_name)
     wrap, require = cocycles_module.wrap_angle, cocycles_module._require_unitary
 
     def any_step(a, b):
@@ -392,7 +393,7 @@ def test_trivialize_takes_one_product_per_tree_edge(ident, monkeypatch):
         monkeypatch.setattr(cocycles_module, "wrap_angle", phase_step)
     monkeypatch.setattr(cocycles_module, "compose", any_step)
     monkeypatch.setattr(groups_module, "compose", any_step)
-    monkeypatch.setattr(cocycles_module, "ordered_products", fold_spy)
+    monkeypatch.setattr(cocycles_module, fold_name, fold_spy)
     monkeypatch.setattr(cocycles_module, "_require_unitary", check_spy)
     res = trivialize(coc, nerve)
     monkeypatch.undo()
@@ -705,6 +706,38 @@ def test_trivialize_nan_fails_closed():
     assert res.witness.edge == nerve.non_tree_edges[0]
 
 
+def test_unitary_checks_nan_fail_closed():
+    # the U(2) counterpart of the phase tests above: the stacked residuals
+    # of relations, triples and non-tree edges keep NaN and fail it
+    nerve = build_nerve(torus_cover())
+    pres = pi1_presentation(nerve)
+    ident = MatrixUn(I2)
+    sigma = SigmaMorphism({g: MatrixUn(np.diag([p.complex_value, 1.0]))
+                           for g, p in u1_sigma_from_h1(pres, 0.7, -1.3).assignment.items()},
+                          ident)
+    assert validate_sigma(pres, sigma) == []
+    assert [w for w, _ in validate_sigma(pres, sigma, tol=NAN)] == list(pres.relations)
+    coc = transition_cocycle(sigma, nerve)
+    cov = coc.cover
+    assert check_cocycle(coc).ok
+    assert [t for t, _ in check_cocycle(coc, tol=NAN).failures] == list(cov.triples)
+    # an overlap that is only ever the long edge r1 -> r3 of a triple
+    # enters no product, so its NaN reaches the residual stack unchecked
+    long_only = (0, 5, 0)
+    assert long_only in cov.overlaps and all(long_only not in ((r1, r2, a), (r2, r3, b)) for r1, r2, r3, (a, _, b) in cov.triples)
+    values = {**coc.values, long_only: _as_unitary_loose(np.full((2, 2), NAN))}
+    chk = check_cocycle(TransitionCocycle(cov, values, ident))
+    assert not chk.ok and np.isnan(chk.max_residual)
+    assert [t[:3] for t, _ in chk.failures] == [t[:3] for t in cov.triples if (t[0], t[2]) == (0, 5)]
+    ring = circle_cover(4)  # no triples: the edge test alone sees the NaN
+    ring_nerve = build_nerve(ring)
+    ring_values = {e: ident for e in ring.overlaps}
+    ring_values[ring_nerve.non_tree_edges[0]] = _as_unitary_loose(np.full((2, 2), NAN))
+    # the edge fails, and the witness holonomy through it is no unitary
+    with pytest.raises(ValueError, match="not unitary: max .* = nan"):
+        trivialize(TransitionCocycle(ring, ring_values, ident), ring_nerve)
+
+
 def test_potential_rejects_non_finite_lifts_and_primitives():
     cov = disk_cover()
     angles = {e: 0.0 for e in cov.overlaps}
@@ -905,21 +938,21 @@ def test_check_then_trivialize_folds_the_triples_once(monkeypatch):
     ident = MatrixUn(np.eye(2))
     gauge = {r: MatrixUn(random_unitary(rng, 2)) for r in cov.regions}
     coc = dress_cocycle(identity_cocycle(cov, ident), gauge)  # a coboundary
-    fold = cocycles_module.ordered_products
+    fold = cocycles_module.stacked_products
     folds = []
 
     def spy(identity, table, rows, later_left=True):
         folds.append(list(rows))
         return fold(identity, table, rows, later_left)
 
-    monkeypatch.setattr(cocycles_module, "ordered_products", spy)
+    monkeypatch.setattr(cocycles_module, "stacked_products", spy)
     assert check_cocycle(coc).ok
     nerve = build_nerve(cov)
     res = trivialize(coc, nerve)
     monkeypatch.undo()
     assert res.success
-    # one fold of the triples (shared by both) and one of the non-tree
-    # edge tests; the lambdas walk the tree one compose per edge
+    # one stacked fold of the triples (shared by both) and one of the
+    # non-tree edge tests; the lambdas walk the tree one product per edge
     assert [len(rows) for rows in folds] == [len(cov.triples), len(nerve.non_tree_edges)]
     assert all(len(row) == 2 for row in folds[0] + folds[1])
     assert_same_bits(res.lambdas, tree_fold_lambdas(coc, nerve))
@@ -931,6 +964,76 @@ def test_check_then_trivialize_folds_the_triples_once(monkeypatch):
     assert check_cocycle(broken, tol=10.0).ok
     with pytest.raises(CocycleInconsistent):
         trivialize(broken, build_nerve(cov))
+
+
+def test_unitary_checks_compare_stacks_not_pairs(monkeypatch):
+    # U(n) relations, triples and non-tree edges are compared as stacks:
+    # no per-pair distance, inverse or checked MatrixUn construction, and
+    # every residual has the bits of the per-pair distance
+    rng = np.random.default_rng(29)
+    cov = grid_torus(4)
+    nerve = build_nerve(cov)
+    pres = pi1_presentation(nerve)
+    basis = random_unitary(rng, 3)
+    phases = [u1_sigma_from_h1(pres, *rng.uniform(-3, 3, 2)).assignment for _ in range(3)]
+    commuting = {  # a morphism with non-trivial holonomy
+        g: MatrixUn((basis * [p[g].complex_value for p in phases]) @ basis.conj().T)
+        for g in pres.generators
+    }
+    ident = MatrixUn(np.eye(3))
+    gauge = {r: MatrixUn(random_unitary(rng, 3)) for r in cov.regions}
+    coc = dress_cocycle(transition_cocycle(SigmaMorphism(commuting, ident), nerve), gauge)
+    noisy = {g: MatrixUn(random_unitary(rng, 3)) for g in pres.generators}  # breaks relations
+    sigmas = [SigmaMorphism(commuting, ident), SigmaMorphism(noisy, ident)]
+
+    rel_want = [[distance(val, ident) for val in s.evaluate_all(pres.relations)] for s in sigmas]
+    triple_want = [
+        distance(compose(coc.value(r3, r2, c23), coc.value(r2, r1, c12)), coc.value(r3, r1, c13))
+        for (r1, r2, r3, (c12, c13, c23)) in cov.triples
+    ]
+    lam = {nerve.base: ident}
+    for r in nerve.bfs_order[1:]:
+        up = nerve.parent[r]
+        lam[r] = compose(coc.value(up.dst, up.src, up.comp), lam[up.src])
+    edge_want = [
+        distance(coc.value(v, u, c), compose(lam[v], inverse(lam[u])))
+        for u, v, c in nerve.non_tree_edges
+    ]
+    # every tolerance between the triple law's noise and the largest edge
+    # residual names a different first failing edge
+    tols = sorted({r for r in edge_want if r >= max(triple_want)})[:-1]
+    assert len(tols) > 3
+
+    calls = []
+
+    def spy(name, real):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return counted
+
+    for module in (cocycles_module, groups_module):
+        monkeypatch.setattr(module, "distance", spy("distance", module.distance))
+        monkeypatch.setattr(module, "inverse", spy("inverse", module.inverse))
+    monkeypatch.setattr(MatrixUn, "__post_init__", spy("MatrixUn", MatrixUn.__post_init__))
+    rel_got = [[r for _, r in validate_sigma(pres, s, tol=-1.0)] for s in sigmas]
+    chk = check_cocycle(coc, tol=-1.0)
+    witnesses = [trivialize(coc, nerve, tol).witness for tol in tols]
+    monkeypatch.undo()
+    assert calls == []
+
+    def bits(xs):
+        return np.array(xs, dtype=float).tobytes()
+
+    assert all(type(r) is float for rs in rel_got for r in rs)
+    assert [bits(rs) for rs in rel_got] == [bits(rs) for rs in rel_want]
+    assert max(rel_want[0]) <= 1e-10 < min(rel_want[1])
+    assert [t for t, _ in chk.failures] == list(cov.triples)
+    assert bits([r for _, r in chk.failures]) == bits(triple_want)
+    for tol, w in zip(tols, witnesses):
+        first = next(i for i, r in enumerate(edge_want) if not (r <= tol))
+        assert w.edge == nerve.non_tree_edges[first]
+        assert type(w.residual) is float and bits([w.residual]) == bits([edge_want[first]])
 
 
 def test_cocycle_rejects_a_value_for_a_disjoint_pair():

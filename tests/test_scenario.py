@@ -19,8 +19,10 @@ from flatnet.cli import main as cli_main
 from flatnet.covers import Cover, approximate_curve, build_nerve, builtin_cover, pi1_presentation
 from flatnet.fock import FieldOp, FockSpace
 from flatnet.sectors import SectorTransporter, WindowSubspace
+from flatnet.groups import MatrixUn, _as_unitary_loose, inverse
 from flatnet.scenario import (
     SCHEMA_VERSION,
+    _render_value,
     TASK_ORDER,
     ScenarioError,
     emit_report,
@@ -763,6 +765,28 @@ def test_structured_writer_matches_json_dumps_on_edge_values():
             "b": (True, False, None, (), [], {}, ""), "a": {"": "\x00\u2028\U0001f600"}}
     assert emit_report(tree, "structured") == dumps(tree)
     assert emit_report(np.float64(0.1), "structured") == dumps(np.float64(0.1))
+    # number lists written as one join of reprs, and lists beside them
+    # that must fall back to the per-item path: bools, numpy scalars,
+    # nan and inf, tuples, nested lists
+    lists = [[True, 1], [1, np.float64(0.5)], [0.5, math.nan], [-math.inf, 1e300],
+             [-0.0, 0.0, 5e-324], [10**40, 2.5], (1, 2.0), [[1, 2], [3.0]], [1, 2, 3], [0.1]]
+    for value in lists:
+        assert emit_report(value, "structured") == dumps(value), value
+    assert emit_report({"x": lists}, "structured") == dumps({"x": lists})
+
+
+def test_render_value_reads_each_entry_bits():
+    # one tolist of the float view keeps every entry's bits: signed zeros,
+    # subnormals, and matrices stored in Fortran order
+    m = np.array([[-0.0 + 5e-324j, 1.0 - 0.0j], [complex(-5e-324, -0.0), 0.1 + 0.2j]])
+    flip = MatrixUn(np.array([[complex(-0.0, 1e-300), 1.0], [1.0, complex(0.0, -0.0)]]))
+    rot = inverse(MatrixUn([[0.6, 0.8j], [0.8j, 0.6]]))
+    values = [_as_unitary_loose(m), _as_unitary_loose(m.T), rot, flip]
+    for v in values:
+        want = [[[float(x.real), float(x.imag)] for x in row] for row in v.mat]
+        assert repr(_render_value(v)["rows"]) == repr(want)
+    # transposed input stays transposed in the value
+    assert not values[1].mat.flags.c_contiguous and not values[2].mat.flags.c_contiguous
 
 
 @pytest.mark.parametrize("bad", [{1: "a"}, {None: 1}, {"a": {2.5: 1}}, [object()], {"a": {1, 2}},
