@@ -20,12 +20,12 @@ from flatnet import (
     distance,
     figure_eight_cover,
     generator_loop,
+    holonomy,
     loop_class,
     path_compose,
     path_ordered_exp,
     path_ordered_exp_subdivided,
     pi1_presentation,
-    rho_holonomy,
     rho_layer_transporter,
     transition_cocycle,
 )
@@ -49,7 +49,7 @@ t = rho_layer_transporter(coc)
 comm = approximate_curve(cover, [0, 1, 2, 0, 3, 4, 0, 2, 1, 0, 4, 3, 0])
 word = loop_class(pres, comm)
 print("commutator class:", word.as_names())
-val = rho_holonomy(t, comm)
+val = holonomy(t, comm)
 print("loop holonomy:\n", np.round(val.mat, 12))
 print("distance from identity:", distance(val, MatrixUn(np.eye(2))))
 print("matches direct word evaluation:",
@@ -61,7 +61,7 @@ print("classification:", verdict.kind, "dimension", verdict.dimension)
 ab = path_compose(generator_loop(nerve, 0), generator_loop(nerve, 1))
 ba = path_compose(generator_loop(nerve, 1), generator_loop(nerve, 0))
 print("a-then-b equals b-then-a:",
-      distance(rho_holonomy(t, ab), rho_holonomy(t, ba)) < 1e-12)
+      distance(holonomy(t, ab), holonomy(t, ba)) < 1e-12)
 
 # -- the same values as ordered exponentials -----------------------------------
 
@@ -71,7 +71,7 @@ steps = [
     AntiHermitianUn(1j * (np.pi / 2) * SY),
 ]
 print("ordered exponential reproduces a-then-b:",
-      distance(path_ordered_exp(steps), rho_holonomy(t, ab)) < 1e-12)
+      distance(path_ordered_exp(steps), holonomy(t, ab)) < 1e-12)
 
 rng = np.random.default_rng(42)
 rand_steps = [

@@ -9,7 +9,11 @@ other way its inverse.  The triple law g(r3<-r2) g(r2<-r1) = g(r3<-r1)
 then holds whenever the morphism respects the triangle relations.
 Every fold reads a two-sided table (``groups.transport_table``) by the
 signed overlap numbers of ``Cover.codes``: slot k holds the value of
-overlap k, slot -k its inverse.
+overlap k, slot -k its inverse.  Morphisms and cocycles build that table
+at construction, which is their one check of every value's variant.
+The relation, triple-law and non-tree-edge checks each compare a fold
+(``groups.products``) with gathered table entries (``groups.entries``)
+in one ``groups.gaps`` call, so none of them branches on U(1) or U(n).
 
 Trivialization walks the spanning tree assigning per-region values
 lambda with g(v<-u) = lambda_v lambda_u^{-1}; the first non-tree edge
@@ -21,9 +25,9 @@ and those integers are the discrete curvature bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from operator import matmul, neg
+from operator import neg
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,19 +45,18 @@ from .groups import (
     GROUP_EQ_TOL,
     FreeWord,
     GroupValue,
-    MatrixUn,
     PhaseU1,
     TransportTable,
     VariantMismatch,
-    _as_unitary_loose,
-    _require_unitary,
+    as_values,
     compose,
-    distance,
+    entries,
+    gaps,
     inverse,
     ordered_products,
-    same_variant,
-    stacked_products,
+    products,
     transport_table,
+    tree_products,
     two_sided,
     wrap_angle,
 )
@@ -78,34 +81,29 @@ class MissingGenerator(KeyError):
 class SigmaMorphism:
     """Generator assignment defining a morphism from the loop group.
 
-    ``identity`` fixes the target variant (and matrix size / alphabet);
-    every assigned value must live in the same variant.  Word evaluation
-    reads a transport table built on first use, so ``assignment`` is
-    read-only once the morphism is in use.
+    ``identity`` fixes the target group (and matrix size); every assigned
+    value must live in the same one.  Construction builds the transport
+    table ``_table`` (the k-th assigned generator's value at slot k, its
+    inverse at -k), which checks each value's variant once
+    (VariantMismatch otherwise), so ``assignment`` is read-only once the
+    morphism exists.
     """
 
     assignment: dict[str, GroupValue]
     identity: GroupValue
+    _table: TransportTable = dc_field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        for val in self.assignment.values():
-            same_variant(self.identity, val)
+        object.__setattr__(self, "_table", transport_table(self.identity, self.assignment.values()))
 
     def value(self, generator: str) -> GroupValue:
         if generator not in self.assignment:
             raise MissingGenerator(generator)
         return self.assignment[generator]
 
-    @cached_property
-    def _transport(self) -> tuple[dict[str, int], TransportTable]:
-        """Slot k of each generator and the table holding its value there,
-        the inverse at -k."""
-        slots = {n: k for k, n in enumerate(self.assignment, 1)}
-        return slots, transport_table(self.identity, self.assignment.values())
-
     def _rows(self, words: Sequence[FreeWord]) -> list[list[int]]:
         """Signed transport-table slots of each word's letters."""
-        slots, _ = self._transport
+        slots = {n: k for k, n in enumerate(self.assignment, 1)}
         rows = []
         for word in words:
             names = word.alphabet
@@ -126,8 +124,7 @@ class SigmaMorphism:
         multiplied step-major across words and each result is checked
         for unitarity once.
         """
-        rows = self._rows(words)
-        return ordered_products(self.identity, self._transport[1], rows, later_left=False)
+        return ordered_products(self.identity, self._table, self._rows(words), later_left=False)
 
     def evaluate(self, word: FreeWord) -> GroupValue:
         """``evaluate_all`` of one word."""
@@ -143,26 +140,17 @@ def validate_sigma(
 
     Every presentation generator must be assigned (MissingGenerator
     otherwise).  An empty return value means sigma is a morphism within
-    ``tol``.  U(n) relations are evaluated as one ``stacked_products``
-    fold and compared with the identity in one reduction (``max_gaps``).
+    ``tol``.  The relations are one ``products`` fold, compared with the
+    identity (slot 0 of the table) in one ``gaps`` call: each residual is
+    ``distance(value, identity)``.
     """
     for name in presentation.generators:
         if name not in sigma.assignment:
             raise MissingGenerator(name)
-    rels, ident = presentation.relations, sigma.identity
-    if isinstance(ident, MatrixUn):
-        stack = stacked_products(ident, sigma._transport[1], sigma._rows(rels), later_left=False)
-        residuals = max_gaps(stack, ident.mat)
-    else:
-        residuals = [distance(val, ident) for val in sigma.evaluate_all(rels)]
+    rels, table = presentation.relations, sigma._table
+    folded = products(sigma.identity, table, sigma._rows(rels), later_left=False)
+    residuals = gaps(folded, entries(table, [0] * len(rels)))
     return [(rel, r) for rel, r in zip(rels, residuals) if not (r <= tol)]
-
-
-def max_gaps(stack: np.ndarray, want: np.ndarray) -> list[float]:
-    """``distance`` of each matrix of an (n, d, d) stack to ``want`` (one
-    (d, d) matrix, or a stack of n), bit for bit, in one reduction: the
-    max-norm gap of each pair, NaN when either holds a NaN."""
-    return np.abs(stack - want).max(axis=(1, 2)).tolist()
 
 
 @dataclass(frozen=True)
@@ -172,20 +160,23 @@ class TransitionCocycle:
     ``values`` is keyed by the canonical edge (u, v, c) with u < v and
     holds the value for crossing u -> v; the reverse crossing is the
     inverse.  Same-region steps carry the identity.  Every key must be a
-    canonical overlap of the cover.  Holonomies and the triple-law check
-    read the two-sided transport table ``_table`` by overlap code
-    (``Cover.codes``), built on first use, so ``values`` is read-only once
-    the cocycle is in use.
+    canonical overlap of the cover.  Construction builds the two-sided
+    transport table ``_table`` (the value of overlap k at slot k, its
+    inverse at -k), which checks each value's variant once
+    (VariantMismatch otherwise); holonomies and the checks read it by
+    overlap code (``Cover.codes``), so ``values`` is read-only once the
+    cocycle exists.
     """
 
     cover: Cover
     values: dict[Edge, GroupValue]
     identity: GroupValue
+    _table: TransportTable = dc_field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.cover.check_overlap_keys(self.values, CocycleInconsistent, "transition value")
-        for v in self.values.values():
-            same_variant(self.identity, v)
+        table = transport_table(self.identity, map(self.values.__getitem__, self.cover.overlaps))
+        object.__setattr__(self, "_table", table)
 
     def value(self, dst: int, src: int, comp: int | None) -> GroupValue:
         """Transition value of the crossing src -> dst: the stored value low
@@ -198,30 +189,15 @@ class TransitionCocycle:
         return g if k > 0 else inverse(g)
 
     @cached_property
-    def _table(self) -> TransportTable:
-        """Transport table by overlap code: the stored value of overlap k
-        at slot k, its inverse at -k."""
-        return transport_table(self.identity, map(self.values.__getitem__, self.cover.overlaps))
-
-    @cached_property
     def _triple_residuals(self) -> tuple[float, ...]:
         """distance(g(r3<-r2) g(r2<-r1), g(r3<-r1)) of every triple of the
-        cover, in order.  Each triple is the two-slot row of the codes of
-        r1 -> r2 and r2 -> r3 in one fold.  U(n) products stay one
-        ``stacked_products`` stack, compared in one reduction with the
-        table's entries at the codes of r1 -> r3."""
-        triples = self.cover.triples
-        codes = self.cover.codes
+        cover, in order: one ``products`` fold of the two-slot rows (the
+        codes of r1 -> r2 and r2 -> r3), compared in one ``gaps`` call
+        with the table's entries at the codes of r1 -> r3."""
+        triples, codes, table = self.cover.triples, self.cover.codes, self._table
         rows = [codes([(r2, r1, c12), (r3, r2, c23)]) for r1, r2, r3, (c12, _, c23) in triples]
-        if isinstance(self.identity, MatrixUn):
-            wants = codes([(r3, r1, c13) for r1, _, r3, (_, c13, _) in triples])
-            stack = stacked_products(self.identity, self._table, rows)
-            return tuple(max_gaps(stack, self._table[wants]))
-        products = ordered_products(self.identity, self._table, rows)
-        return tuple(
-            distance(p, self.value(r3, r1, c13))
-            for p, (r1, _, r3, (_, c13, _)) in zip(products, triples)
-        )
+        wants = codes([(r3, r1, c13) for r1, _, r3, (_, c13, _) in triples])
+        return tuple(gaps(products(self.identity, table, rows), entries(table, wants)))
 
 
 def identity_cocycle(cover: Cover, identity: GroupValue) -> TransitionCocycle:
@@ -309,46 +285,31 @@ def trivialize(
 
     The base region gets the identity, and every other region, in BFS
     order, lambda_r = g(r <- parent) lambda_parent, the factor read from
-    the cocycle's transport table by overlap code: one product per tree
-    edge (a 2-D matrix product, or an angle sum wrapped as ``compose``
-    wraps it), so each lambda is the transport along its tree path from
-    the base.  Matrix lambdas are checked for unitarity once, as one
-    stack.  Each non-tree edge u -> v is then
+    the cocycle's transport table by overlap code: one ``tree_products``
+    walk, one product per tree edge, so each lambda is the transport
+    along its tree path from the base (matrix lambdas checked for
+    unitarity once, as one stack).  Each non-tree edge u -> v is then
     tested against lambda_v lambda_u^{-1}, the two-slot row
-    [-slot(u), slot(v)] of one fold over a transport table of the
-    lambdas (for U(n), one ``stacked_products`` stack compared in one
-    reduction with the cocycle's table at the edges' codes), and the
-    first failure is returned as a witness loop through that edge (its
-    holonomy is the transported obstruction).
+    [-slot(u), slot(v)] of one ``products`` fold over a transport table
+    of the lambdas, compared in one ``gaps`` call with the cocycle's
+    table at the edges' codes, and the first failure is returned as a
+    witness loop through that edge (its holonomy is the transported
+    obstruction).
     """
     chk = check_cocycle(cocycle, tol)
     if not chk.ok:
         raise CocycleInconsistent(
             f"cocycle fails the triple law, max residual {chk.max_residual:.3e}"
         )
-    ident, factors, order = cocycle.identity, cocycle._table, nerve.bfs_order
-    if isinstance(ident, MatrixUn):
-        start, product = ident.mat, matmul
-    else:  # the triple-law check read the table, so the data is U(1) or U(n)
-        start, product = ident.angle, lambda a, b: wrap_angle(a + b)
-    lam = {nerve.base: start}
+    ident, table, codes = cocycle.identity, cocycle._table, cocycle.cover.codes
+    order = nerve.bfs_order
+    at = {r: i for i, r in enumerate(order)}
     ups = [nerve.parent[r] for r in order[1:]]
-    for r, up, k in zip(order[1:], ups, cocycle.cover.codes(ups)):
-        lam[r] = product(factors[k], lam[up.src])
-    slot = {r: k for k, r in enumerate(order, 1)}
+    lam = as_values(tree_products(ident, table, codes(ups), [at[up.src] for up in ups]))
     edges = nerve.non_tree_edges
-    pairs = [[-slot[u], slot[v]] for u, v, _ in edges]
-    if isinstance(ident, MatrixUn):
-        stack = np.stack(list(lam.values()))
-        _require_unitary(stack)
-        lam = dict(zip(lam, map(_as_unitary_loose, stack)))
-        wants = stacked_products(ident, transport_table(ident, lam.values()), pairs)
-        got = factors[cocycle.cover.codes([(v, u, c) for u, v, c in edges])]
-        residuals = max_gaps(got, wants)
-    else:
-        lam = {r: PhaseU1(a) for r, a in lam.items()}
-        wants = ordered_products(ident, transport_table(ident, lam.values()), pairs)
-        residuals = (distance(cocycle.value(v, u, c), w) for (u, v, c), w in zip(edges, wants))
+    pairs = [[-1 - at[u], 1 + at[v]] for u, v, _ in edges]
+    wants = products(ident, transport_table(ident, lam), pairs)
+    residuals = gaps(entries(table, codes([(v, u, c) for u, v, c in edges])), wants)
     for idx, ((u, v, c), resid) in enumerate(zip(edges, residuals)):
         if not (resid <= tol):
             loop = generator_loop(nerve, idx)
@@ -361,7 +322,7 @@ def trivialize(
                     residual=resid,
                 ),
             )
-    return TrivializationResult(success=True, lambdas=lam)
+    return TrivializationResult(success=True, lambdas=dict(zip(order, lam)))
 
 
 def holonomies(source, paths: Sequence[PosetPath]) -> list[GroupValue]:

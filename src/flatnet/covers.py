@@ -208,14 +208,6 @@ class NerveGraph:
         """Presentation generator names: ``g{i}`` for ``non_tree_edges[i]``."""
         return tuple(f"g{i}" for i in range(len(self.non_tree_edges)))
 
-    def step_letter(self, step: Step) -> int:
-        """Signed generator letter contributed by one step (0 for none).
-
-        Crossing a non-tree edge from its lower to its higher region id is
-        the positive direction of that generator.
-        """
-        return self.letters[self.cover.codes([step])[0]]
-
     def tree_steps_from_base(self, r: int) -> tuple[Step, ...]:
         """Steps walking the spanning tree from the base region out to r."""
         chain: list[Step] = []

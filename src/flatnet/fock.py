@@ -142,9 +142,6 @@ class FockSpace:
         return FieldOp({(0, bit, bit, bit - 1): 1 + 0j}, self,
                        frozenset({self.space.mode_owner[mode]}))
 
-    def annihilator(self, mode: int) -> "FieldOp":
-        return self.creator(mode).adjoint()
-
 
 def _nonzero(terms: dict[Term, complex]) -> dict[Term, complex]:
     return {k: c for k, c in terms.items() if c != 0}
@@ -255,10 +252,6 @@ class FieldOp:
 
     def norm_max(self) -> float:
         return worst(np.abs(b).max() for b in self._bands().values())
-
-
-def zero_op(fock: FockSpace) -> FieldOp:
-    return FieldOp({}, fock, frozenset())
 
 
 def identity_op(fock: FockSpace) -> FieldOp:

@@ -1,11 +1,16 @@
 """Group and Lie-algebra values used for transport data.
 
 Two transport groups carry every transition value: unit phases U(1)
-(stored as canonical angles) and unitary matrices U(n).  Reduced
-free-group words are the third variant, but only as the loop-class
-word: ``loop_class``, presentation relations and the input of a
-morphism's ``evaluate_all``, which ``compose`` and ``inverse``
-manipulate.  A small Lie layer (real scalars and anti-Hermitian
+(stored as canonical angles) and unitary matrices U(n).  They are the
+only group values.  This module alone decides between them: a U(1)
+transport table is a tuple of angles and a U(n) table an (n, d, d)
+stack.  ``transport_table`` checks each value's variant once, when the
+table is built, and ``products`` (folds), ``entries`` (gathers) and
+``gaps`` (``distance`` per pair, one reduction) work on either form, so
+the checks built on them hold no variant branch.  Reduced free-group
+words (``FreeWord``) are loop classes, not group values: the output of
+``loop_class``, presentation relations and the input of a morphism's
+``evaluate_all``.  A small Lie layer (real scalars and anti-Hermitian
 matrices) feeds ``path_ordered_exp``.
 
 Conventions, fixed once here and relied on everywhere else:
@@ -44,7 +49,7 @@ def wrap_angle(theta: float) -> float:
 
 
 class GroupValue:
-    """Base class; concrete variants are PhaseU1, MatrixUn, FreeWord."""
+    """Base class; the concrete variants are PhaseU1 and MatrixUn."""
 
     __hash__ = None  # tolerance-based equality is incompatible with hashing
 
@@ -126,13 +131,15 @@ def _reduce_letters(letters: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
-class FreeWord(GroupValue):
-    """A reduced word over a named generator alphabet.
+@dataclass(frozen=True)
+class FreeWord:
+    """A reduced word over a named generator alphabet: a loop class, not a
+    group value.
 
     Letters are nonzero integers: +k is the k-th generator (1-based),
     -k its inverse.  Reduction happens at construction, so every stored
-    word is reduced.
+    word is reduced, and two words are equal when their letters and
+    alphabets are.
     """
 
     letters: tuple[int, ...]
@@ -161,30 +168,23 @@ class FreeWord(GroupValue):
         return ".".join(parts)
 
 
-def identity_like(value: GroupValue) -> GroupValue:
-    """The identity element of the same variant (and shape) as ``value``."""
-    if isinstance(value, PhaseU1):
-        return PhaseU1(0.0)
-    if isinstance(value, MatrixUn):
-        return MatrixUn(np.eye(value.dim))
-    if isinstance(value, FreeWord):
-        return FreeWord((), value.alphabet)
-    raise VariantMismatch(f"not a group value: {type(value).__name__}")
+def _not_transport(v) -> VariantMismatch:
+    return VariantMismatch(f"transport values are U(1) or U(n), not {type(v).__name__}")
 
 
 def _shape(v: GroupValue):
+    """None for a phase, the dimension of a matrix; VariantMismatch for
+    anything else."""
     if isinstance(v, PhaseU1):
         return None
     if isinstance(v, MatrixUn):
         return v.dim
-    if isinstance(v, FreeWord):
-        return v.alphabet
-    raise VariantMismatch(f"not a group value: {type(v).__name__}")
+    raise _not_transport(v)
 
 
 def same_variant(a: GroupValue, b: GroupValue) -> None:
     """Raise VariantMismatch unless a and b are one variant of one shape
-    (matrix dimension, word alphabet)."""
+    (matrix dimension)."""
     if type(a) is not type(b) or _shape(a) != _shape(b):
         raise VariantMismatch(
             f"cannot combine {type(a).__name__} (shape {_shape(a)}) "
@@ -197,19 +197,13 @@ def compose(a: GroupValue, b: GroupValue) -> GroupValue:
     same_variant(a, b)
     if isinstance(a, PhaseU1):
         return PhaseU1(a.angle + b.angle)
-    if isinstance(a, MatrixUn):
-        return MatrixUn(a.mat @ b.mat)
-    return FreeWord(a.letters + b.letters, a.alphabet)
+    return MatrixUn(a.mat @ b.mat)
 
 
 def inverse(a: GroupValue) -> GroupValue:
-    if isinstance(a, PhaseU1):
+    if _shape(a) is None:  # _shape raises for a value of neither group
         return PhaseU1(-a.angle)
-    if isinstance(a, MatrixUn):
-        return MatrixUn(a.mat.conj().T)
-    if isinstance(a, FreeWord):
-        return FreeWord(tuple(-l for l in reversed(a.letters)), a.alphabet)
-    raise VariantMismatch(f"not a group value: {type(a).__name__}")
+    return MatrixUn(a.mat.conj().T)
 
 
 def two_sided(zero, values: Iterable, inv) -> tuple:
@@ -223,10 +217,9 @@ def two_sided(zero, values: Iterable, inv) -> tuple:
 # entries indexed by signed slot: a stacked (n, d, d) array for matrices,
 # a tuple of canonical angles for phases
 TransportTable = Union[np.ndarray, tuple[float, ...]]
-
-
-def _not_transport(kind: type) -> VariantMismatch:
-    return VariantMismatch(f"transport values are U(1) or U(n), not {kind.__name__}")
+# fold results and gathered slots: a checked (n, d, d) stack for matrices,
+# a list of canonical angles for phases
+Folded = Union[np.ndarray, list[float]]
 
 
 def transport_table(identity: GroupValue, values: Iterable[GroupValue]) -> TransportTable:
@@ -234,12 +227,12 @@ def transport_table(identity: GroupValue, values: Iterable[GroupValue]) -> Trans
     the identity, slot k the k-th value, slot -k its inverse.
 
     Every value's variant is checked here, once (VariantMismatch for a
-    mixed table), so the folds over the table need not check each step.
-    Matrices stack into one (n, d, d) complex array whose reverse slots
-    hold the conjugate transpose, the bits ``inverse`` stores.  Phases
-    become a tuple of float angles: slot k the angle of value k, slot -k
-    the angle of its ``inverse``, the wrapped negation (so the tie at
-    -pi maps to +pi).  Any other variant raises VariantMismatch.
+    mixed table, or for anything but U(1) and U(n) values), so the folds
+    over the table need not check each step.  Matrices stack into one
+    (n, d, d) complex array whose reverse slots hold the conjugate
+    transpose, the bits ``inverse`` stores.  Phases become a tuple of
+    float angles: slot k the angle of value k, slot -k the angle of its
+    ``inverse``, the wrapped negation (so the tie at -pi maps to +pi).
     """
     values = tuple(values)
     kind, shape = type(identity), _shape(identity)
@@ -248,63 +241,45 @@ def transport_table(identity: GroupValue, values: Iterable[GroupValue]) -> Trans
             same_variant(identity, v)  # raises, naming both variants
     if kind is MatrixUn:
         return np.stack(two_sided(identity.mat, [v.mat for v in values], lambda m: m.conj().T))
-    if kind is PhaseU1:
-        return two_sided(identity.angle, [v.angle for v in values], lambda a: wrap_angle(-a))
-    raise _not_transport(kind)
+    return two_sided(identity.angle, [v.angle for v in values], lambda a: wrap_angle(-a))
 
 
-def ordered_products(
+def products(
     identity: GroupValue,
     table: TransportTable,
     rows: Sequence[Sequence[int]],
     later_left: bool = True,
-) -> list[GroupValue]:
-    """Fold every row of signed slot indices into ``table`` into one product.
+) -> Folded:
+    """Fold every row of signed slot indices into ``table`` into one
+    product, in row order: a list of canonical angles for U(1) data, one
+    checked (len(rows), d, d) stack for U(n) data.
 
     With ``later_left`` each factor multiplies the running product on the
     left (transport order); otherwise on the right (word order).  Each
     product starts from ``identity`` and equals the step-by-step
-    ``compose`` loop over its row bit for bit.  Phase rows fold their
-    angles as plain floats, ``acc = wrap_angle(angle + acc)`` per step,
-    which is what ``compose`` stores (float addition commutes, so both
-    orders give the same bits; NaN stays NaN), and make one ``PhaseU1``
-    per row.  Matrix rows go through ``stacked_products``, and each
-    matrix of its checked stack is returned as its own read-only
-    ``MatrixUn`` copy.  An identity of another variant, or a table of
-    another variant than ``identity``, raises VariantMismatch.
+    ``compose`` loop over its row bit for bit.  Phase rows fold plain
+    floats, ``acc = wrap_angle(angle + acc)`` per step, which is what
+    ``compose`` stores (float addition commutes, so both orders give the
+    same bits; NaN stays NaN).  Matrix rows fold step-major: they run
+    longest first, so the rows still running are a prefix, and step i is
+    one stacked ``matmul`` of the prefix against its gathered factors.
+    The stack is checked against UNITARY_TOL once (the error gives the
+    first failing row's defect, in row order).  An identity of neither
+    group, or a table of another variant than ``identity``, raises
+    VariantMismatch.
     """
     if isinstance(identity, PhaseU1):
-        if type(table[0]) is not float:
+        if isinstance(table, np.ndarray):
             raise VariantMismatch("phase products need a table of angles")
         out = []
         for row in rows:
             acc = identity.angle
             for i in row:
                 acc = wrap_angle(table[i] + acc)
-            out.append(PhaseU1(acc))
+            out.append(acc)
         return out
     if not isinstance(identity, MatrixUn):
-        raise _not_transport(type(identity))
-    return [_as_unitary_loose(m) for m in stacked_products(identity, table, rows, later_left)]
-
-
-def stacked_products(
-    identity: MatrixUn,
-    table: np.ndarray,
-    rows: Sequence[Sequence[int]],
-    later_left: bool = True,
-) -> np.ndarray:
-    """The U(n) fold: the products of ``ordered_products`` as one
-    (len(rows), d, d) stack in row order, for callers that compare them
-    as a whole rather than hand them out.
-
-    Rows fold step-major: they run longest first, so the rows still
-    running are a prefix, and step i is one stacked ``matmul`` of the
-    prefix against its gathered factors.  The stack is checked against
-    UNITARY_TOL once (the error gives the first failing row's defect, in
-    row order).  A table that is no stack of d x d factors raises
-    VariantMismatch.
-    """
+        raise _not_transport(identity)
     d = identity.dim
     if not isinstance(table, np.ndarray) or table.shape[1:] != (d, d):
         raise VariantMismatch(f"U({d}) products need a stacked table of {d} x {d} factors")
@@ -331,48 +306,84 @@ def stacked_products(
             np.matmul(acc, f, out=out)
     slot = np.empty_like(order)
     slot[order] = np.arange(len(order))
-    products = bufs[lengths % 2, slot]  # row order
-    _require_unitary(products)
-    return products
+    stack = bufs[lengths % 2, slot]  # row order
+    _require_unitary(stack)
+    return stack
 
 
-def power(a: GroupValue, k: int) -> GroupValue:
-    """Integer power by repeated composition (k may be negative)."""
-    if k < 0:
-        return power(inverse(a), -k)
-    out = identity_like(a)
-    for _ in range(k):
-        out = compose(out, a)
+def tree_products(
+    identity: GroupValue, table: TransportTable, codes: Sequence[int], parents: Sequence[int]
+) -> Folded:
+    """Products down a tree, one per edge: entry 0 is ``identity`` and
+    entry i + 1 is ``table[codes[i]]`` times entry ``parents[i]`` (a
+    parent's entry comes before its children's), so each entry is the
+    transport from the root along its tree path.  Each edge takes one
+    2-D matrix product or one wrapped angle sum, as ``compose`` takes it.
+    Returns what ``products`` returns: a list of angles, or one stack
+    checked for unitarity once."""
+    matrix = isinstance(identity, MatrixUn)
+    out = [identity.mat if matrix else identity.angle]
+    for k, p in zip(codes, parents):
+        out.append(table[k] @ out[p] if matrix else wrap_angle(table[k] + out[p]))
+    if matrix:
+        out = np.stack(out)
+        _require_unitary(out)
     return out
 
 
+def as_values(folded: Folded) -> list[GroupValue]:
+    """The group values of a fold result: a ``PhaseU1`` per angle, and each
+    matrix of a checked stack as its own read-only ``MatrixUn`` copy."""
+    if isinstance(folded, np.ndarray):
+        return [_as_unitary_loose(m) for m in folded]
+    return [PhaseU1(a) for a in folded]
+
+
+def ordered_products(
+    identity: GroupValue,
+    table: TransportTable,
+    rows: Sequence[Sequence[int]],
+    later_left: bool = True,
+) -> list[GroupValue]:
+    """``products`` handed out as group values (``as_values``)."""
+    return as_values(products(identity, table, rows, later_left))
+
+
+def entries(table: TransportTable, codes: Sequence[int]) -> Folded:
+    """The table's entries at the signed slots ``codes``, in the form
+    ``products`` returns, so ``gaps`` can compare them with a fold."""
+    if isinstance(table, np.ndarray):
+        return table[np.asarray(codes, dtype=np.intp)]
+    return [table[k] for k in codes]
+
+
+def gaps(got: Folded, want: Folded) -> list[float]:
+    """``distance(got[i], want[i])`` of every pair, bit for bit: the
+    angular gap |wrap_angle(a - b)| per pair of angles, or max |a - b| per
+    pair of matrices in one reduction over the two stacks.  NaN when
+    either side holds one.  The argument order is part of the result:
+    wrap_angle(a - b) and wrap_angle(b - a) can differ in the last bit."""
+    if isinstance(got, np.ndarray):
+        return np.abs(got - want).max(axis=(1, 2)).tolist()
+    return [abs(wrap_angle(a - b)) for a, b in zip(got, want)]
+
+
 def distance(a: GroupValue, b: GroupValue) -> float:
-    """Comparison metric: angular gap, max-norm gap, or 0/1 for words."""
+    """Comparison metric: angular gap or max-norm gap."""
     same_variant(a, b)
     if isinstance(a, PhaseU1):
         return abs(wrap_angle(a.angle - b.angle))
-    if isinstance(a, MatrixUn):
-        return float(np.max(np.abs(a.mat - b.mat)))
-    return 0.0 if a.letters == b.letters else 1.0
-
-
-def isclose(a: GroupValue, b: GroupValue, tol: float = GROUP_EQ_TOL) -> bool:
-    return distance(a, b) <= tol
+    return float(np.max(np.abs(a.mat - b.mat)))
 
 
 def is_identity(a: GroupValue, tol: float = GROUP_EQ_TOL) -> bool:
-    """``distance(a, identity_like(a)) <= tol`` without building the
-    identity value; NaN fails."""
-    if isinstance(a, PhaseU1):
+    """``distance`` from ``a`` to the identity of its group is at most
+    ``tol``, without building the identity value; NaN fails."""
+    if _shape(a) is None:  # _shape raises for a value of neither group
         gap = abs(wrap_angle(a.angle))
-    elif isinstance(a, MatrixUn):
-        gap = float(np.max(np.abs(a.mat - np.eye(a.dim))))
-    elif isinstance(a, FreeWord):
-        gap = 0.0 if not a.letters else 1.0
     else:
-        raise VariantMismatch(f"not a group value: {type(a).__name__}")
+        gap = float(np.max(np.abs(a.mat - np.eye(a.dim))))
     return gap <= tol
-
 
 # ---------------------------------------------------------------------------
 # Lie layer
@@ -476,7 +487,7 @@ def _as_unitary_loose(m: np.ndarray) -> MatrixUn:
     """Wrap a matrix as a read-only MatrixUn copy without the unitarity check.
 
     Used where the check is made elsewhere or must not apply:
-    ``stacked_products`` checks its result stack once, and subdivided
+    ``products`` and ``tree_products`` check their result stacks once, and subdivided
     products drift off the unitary manifold by O(1/substeps^2), which
     the constructor tolerance would reject for coarse subdivisions.
     """

@@ -11,7 +11,7 @@ Two transport groups, one transporter.  A ``SectorTransporter`` always
 holds a Fock window and carries U(1) coefficients.  U(n) data has no
 faithful realization on the finite window, so its coefficient-only
 layer is the transition cocycle itself (``rho_layer_transporter``):
-``rho_holonomy`` and ``classify`` read its transport table.
+``holonomy`` and ``classify`` read its transport table.
 
 What the finite model checks on the window.  The window is a fact
 about the mode allocation: region o's implementer is its first kappa
@@ -598,17 +598,9 @@ def rho_layer_transporter(cocycle: TransitionCocycle) -> TransitionCocycle:
 
     Higher-dimensional transport has no faithful realization on the
     finite Fock window, so this layer carries coefficients only, read
-    from the cocycle's own transport table by ``rho_holonomy`` and
+    from the cocycle's own transport table by ``holonomy`` and
     ``classify``.
     """
     if not isinstance(cocycle.identity, MatrixUn):
         raise VariantMismatch("the coefficient-only layer needs matrix transition data")
     return cocycle
-
-
-def rho_holonomy(cocycle: TransitionCocycle, loop: PosetPath) -> GroupValue:
-    """Ordered coefficient product around a loop (later steps left):
-    ``holonomy(cocycle, loop)``; InvalidPath for an open path."""
-    if not loop.is_loop:
-        raise InvalidPath("holonomy is defined for loops")
-    return holonomy(cocycle, loop)

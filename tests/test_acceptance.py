@@ -58,7 +58,6 @@ from flatnet.sectors import (
     classify,
     make_window,
     plain_transporter,
-    rho_holonomy,
     rho_layer_transporter,
     telescope_residual,
     topological_component,
@@ -478,7 +477,7 @@ def test_criterion_10_non_abelian_layer():
     )
     t = rho_layer_transporter(coc)
     comm = approximate_curve(cover, [0, 1, 2, 0, 3, 4, 0, 2, 1, 0, 4, 3, 0])
-    val = rho_holonomy(t, comm)
+    val = holonomy(t, comm)
     sigma = SigmaMorphism(dict(cfg.sigma), MatrixUn(np.eye(2)))
     word_gap = distance(val, sigma.evaluate(loop_class(pres, comm)))
     ident_gap = distance(val, MatrixUn(np.eye(2)))

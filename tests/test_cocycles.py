@@ -47,7 +47,6 @@ from flatnet.groups import (
     inverse,
     is_identity,
     ordered_products,
-    power,
     transport_table,
     _as_unitary_loose,
 )
@@ -121,9 +120,9 @@ def test_validate_sigma_torus_noncommuting_matrices_fail():
     # some triangle relation then sees the commutator and breaks loudly
     pres = pi1_presentation(build_nerve(torus_cover()))
     coords = free_h1_coordinates(pres)
-    u, v = MatrixUn(1j * SX), MatrixUn(1j * SY)
+    power = np.linalg.matrix_power  # exact here: the entries are 0, 1, -1, i and -i
     assignment = {
-        name: compose(power(u, coords[0][i]), power(v, coords[1][i]))
+        name: MatrixUn(power(1j * SX, coords[0][i]) @ power(1j * SY, coords[1][i]))
         for i, name in enumerate(pres.generators)
     }
     sigma = SigmaMorphism(assignment, MatrixUn(I2))
@@ -351,6 +350,17 @@ class CountingFactors(np.ndarray):
         return np.asarray(self) @ other
 
 
+class CountingAngle(float):
+    """A phase transport table slot that counts the sums it takes part in,
+    on the list ``products``."""
+
+    products: list = []
+
+    def __add__(self, other):
+        self.products.append(1)
+        return float(self) + other
+
+
 @pytest.mark.parametrize("ident", [PhaseU1(0.0), MatrixUn(np.eye(2))], ids=["U1", "U2"])
 def test_trivialize_takes_one_product_per_tree_edge(ident, monkeypatch):
     # a deep circle: folding each tree path from the base would take
@@ -358,16 +368,15 @@ def test_trivialize_takes_one_product_per_tree_edge(ident, monkeypatch):
     cov = circle_cover(400)
     nerve = build_nerve(cov)
     rng = np.random.default_rng(23)
-    if isinstance(ident, PhaseU1):
-        gauge = {r: PhaseU1(rng.uniform(-np.pi, np.pi)) for r in cov.regions}
-    else:
+    matrix = isinstance(ident, MatrixUn)
+    if matrix:
         gauge = {r: MatrixUn(random_unitary(rng, 2)) for r in cov.regions}
+    else:
+        gauge = {r: PhaseU1(rng.uniform(-np.pi, np.pi)) for r in cov.regions}
     coc = dress_cocycle(identity_cocycle(cov, ident), gauge)
     products, composes, folds, checks = [], [], [], []
-    # matrix data folds to stacks, phase data to values
-    fold_name = "stacked_products" if isinstance(ident, MatrixUn) else "ordered_products"
-    compose_any, fold = groups_module.compose, getattr(cocycles_module, fold_name)
-    wrap, require = cocycles_module.wrap_angle, cocycles_module._require_unitary
+    compose_any, fold = groups_module.compose, cocycles_module.products
+    require = groups_module._require_unitary
 
     def any_step(a, b):
         composes.append(1)
@@ -377,33 +386,32 @@ def test_trivialize_takes_one_product_per_tree_edge(ident, monkeypatch):
         folds.append(list(rows))
         return fold(identity, table, rows, later_left)
 
-    def phase_step(theta):
-        products.append(1)
-        return wrap(theta)
-
     def check_spy(mats):
         checks.append(mats.shape)
         return require(mats)
 
-    if isinstance(ident, MatrixUn):
-        # tree factors come from the cocycle's table; count the products they take
+    # tree factors come from the cocycle's table; count the products they take
+    if matrix:
         monkeypatch.setattr(CountingFactors, "products", products)
         monkeypatch.setitem(coc.__dict__, "_table", coc._table.view(CountingFactors))
     else:
-        monkeypatch.setattr(cocycles_module, "wrap_angle", phase_step)
+        monkeypatch.setattr(CountingAngle, "products", products)
+        monkeypatch.setitem(coc.__dict__, "_table", tuple(map(CountingAngle, coc._table)))
     monkeypatch.setattr(cocycles_module, "compose", any_step)
     monkeypatch.setattr(groups_module, "compose", any_step)
-    monkeypatch.setattr(cocycles_module, fold_name, fold_spy)
-    monkeypatch.setattr(cocycles_module, "_require_unitary", check_spy)
+    monkeypatch.setattr(cocycles_module, "products", fold_spy)
+    monkeypatch.setattr(groups_module, "_require_unitary", check_spy)
     res = trivialize(coc, nerve)
     monkeypatch.undo()
     assert res.success
     assert len(products) == len(cov.regions) - 1
     assert not composes  # no checked group value is composed on either layer
-    # one stacked unitarity check of every matrix lambda, none of the phases
-    assert checks == ([(len(cov.regions), 2, 2)] if isinstance(ident, MatrixUn) else [])
+    # one stacked unitarity check per matrix fold: the triples (none here),
+    # the lambdas and the edge products; none of the phases
+    edges = len(nerve.non_tree_edges)
+    assert checks == ([(0, 2, 2), (len(cov.regions), 2, 2), (edges, 2, 2)] if matrix else [])
     # no tree-path rows: the triples (none here) and the two-slot edge tests
-    assert [len(rows) for rows in folds] == [0, len(nerve.non_tree_edges)]
+    assert [len(rows) for rows in folds] == [0, edges]
     assert all(len(row) == 2 for row in folds[1])
     assert_same_bits(res.lambdas, tree_fold_lambdas(coc, nerve))
 
@@ -793,23 +801,55 @@ def test_variant_uniformity_builds_no_products(monkeypatch):
         SigmaMorphism({"g0": FreeWord((1,), ("a",))}, FreeWord((), ("b",)))
 
 
+@pytest.mark.parametrize("ident", [PhaseU1(0.0), MatrixUn(np.eye(2))], ids=["U1", "U2"])
+def test_construction_checks_each_value_once(ident, monkeypatch):
+    # the transport table built at construction is the one variant check:
+    # one _shape call per value (and one for the identity), none when the
+    # table is read
+    cov = grid_torus(3)
+    nerve = build_nerve(cov)
+    pres = pi1_presentation(nerve)
+    rng = np.random.default_rng(31)
+    if isinstance(ident, MatrixUn):
+        draw = lambda: MatrixUn(random_unitary(rng, 2))  # noqa: E731
+    else:
+        draw = lambda: PhaseU1(rng.uniform(-np.pi, np.pi))  # noqa: E731
+    assignment = {g: draw() for g in pres.generators}
+    values = {e: draw() for e in cov.overlaps}
+    shape, calls = groups_module._shape, []
+
+    def spy(v):
+        calls.append(v)
+        return shape(v)
+
+    monkeypatch.setattr(groups_module, "_shape", spy)
+    sigma = SigmaMorphism(assignment, ident)
+    assert len(calls) == len(assignment) + 1
+    coc = TransitionCocycle(cov, values, ident)
+    assert len(calls) == len(assignment) + len(values) + 2
+    calls.clear()
+    sigma.evaluate_all(pres.relations)
+    validate_sigma(pres, sigma, tol=-1.0)
+    holonomies(coc, [generator_loop(nerve, i) for i in range(len(pres.generators))])
+    check_cocycle(coc)
+    monkeypatch.undo()
+    assert calls == []
+
+
 def test_free_words_are_loop_classes_not_transport_values():
     # transport values are U(1) or U(n); a word identity is refused, by name, where
-    # a word table or fold would have been built
+    # a word table or fold would have been built: morphisms and cocycles build
+    # their tables at construction
     one, g = FreeWord((), ("g0",)), FreeWord((1,), ("g0",))
     named = r"U\(1\) or U\(n\), not FreeWord"
     with pytest.raises(VariantMismatch, match=named):
         transport_table(one, [g])
     with pytest.raises(VariantMismatch, match=named):
-        ordered_products(one, (one, g, inverse(g)), [[1, -1]])
+        ordered_products(one, (one, g, g), [[1, -1]])
     with pytest.raises(VariantMismatch, match=named):
-        SigmaMorphism({"g0": g}, one).evaluate_all([g])
-    nerve = build_nerve(disk_cover())
-    words = identity_cocycle(nerve.cover, one)
+        SigmaMorphism({"g0": g}, one)
     with pytest.raises(VariantMismatch, match=named):
-        check_cocycle(words)
-    with pytest.raises(VariantMismatch, match=named):
-        trivialize(words, nerve)
+        identity_cocycle(disk_cover(), one)
 
 
 # ---------------------------------------------------------------------------
@@ -938,14 +978,14 @@ def test_check_then_trivialize_folds_the_triples_once(monkeypatch):
     ident = MatrixUn(np.eye(2))
     gauge = {r: MatrixUn(random_unitary(rng, 2)) for r in cov.regions}
     coc = dress_cocycle(identity_cocycle(cov, ident), gauge)  # a coboundary
-    fold = cocycles_module.stacked_products
+    fold = cocycles_module.products
     folds = []
 
     def spy(identity, table, rows, later_left=True):
         folds.append(list(rows))
         return fold(identity, table, rows, later_left)
 
-    monkeypatch.setattr(cocycles_module, "stacked_products", spy)
+    monkeypatch.setattr(cocycles_module, "products", spy)
     assert check_cocycle(coc).ok
     nerve = build_nerve(cov)
     res = trivialize(coc, nerve)
@@ -964,6 +1004,75 @@ def test_check_then_trivialize_folds_the_triples_once(monkeypatch):
     assert check_cocycle(broken, tol=10.0).ok
     with pytest.raises(CocycleInconsistent):
         trivialize(broken, build_nerve(cov))
+
+
+def pairwise_gaps(pres, sigmas, coc, nerve, dist=distance):
+    """The residuals of the relation, triple-law and non-tree-edge checks
+    as one ``dist`` call per pair, in the argument order each check uses:
+    (value, identity), (g(r3<-r2) g(r2<-r1), g(r3<-r1)) and
+    (g(v<-u), lambda_v lambda_u^-1), lambda composed down the tree."""
+    ident = coc.identity
+    rel = [[dist(val, ident) for val in s.evaluate_all(pres.relations)] for s in sigmas]
+    triple = [
+        dist(compose(coc.value(r3, r2, c23), coc.value(r2, r1, c12)), coc.value(r3, r1, c13))
+        for (r1, r2, r3, (c12, c13, c23)) in coc.cover.triples
+    ]
+    lam = {nerve.base: ident}
+    for r in nerve.bfs_order[1:]:
+        up = nerve.parent[r]
+        lam[r] = compose(coc.value(up.dst, up.src, up.comp), lam[up.src])
+    edge = [
+        dist(coc.value(v, u, c), compose(lam[v], inverse(lam[u])))
+        for u, v, c in nerve.non_tree_edges
+    ]
+    return rel, triple, edge
+
+
+def bits(xs):
+    return np.array(xs, dtype=float).tobytes()
+
+
+def assert_checks_match_pairwise_gaps(pres, sigmas, coc, nerve, tols, monkeypatch):
+    """validate_sigma, check_cocycle and trivialize (at each of ``tols``)
+    compare folds, not pairs: no ``distance``, ``inverse`` or checked
+    ``MatrixUn`` construction runs, and every residual has the bits of
+    ``pairwise_gaps``.  Returns the first failing edge at each tolerance."""
+    rel_want, triple_want, edge_want = pairwise_gaps(pres, sigmas, coc, nerve)
+    calls = []
+
+    def spy(name, real):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(groups_module, "distance", spy("distance", groups_module.distance))
+    for module in (cocycles_module, groups_module):
+        monkeypatch.setattr(module, "inverse", spy("inverse", module.inverse))
+    monkeypatch.setattr(MatrixUn, "__post_init__", spy("MatrixUn", MatrixUn.__post_init__))
+    rel_got = [[r for _, r in validate_sigma(pres, s, tol=-1.0)] for s in sigmas]
+    chk = check_cocycle(coc, tol=-1.0)
+    witnesses = [trivialize(coc, nerve, tol).witness for tol in tols]
+    monkeypatch.undo()
+    assert calls == []
+
+    assert all(type(r) is float for rs in rel_got for r in rs)
+    assert [bits(rs) for rs in rel_got] == [bits(rs) for rs in rel_want]
+    assert [t for t, _ in chk.failures] == list(coc.cover.triples)
+    assert bits([r for _, r in chk.failures]) == bits(triple_want)
+    firsts = []
+    for tol, w in zip(tols, witnesses):
+        first = next(i for i, r in enumerate(edge_want) if not (r <= tol))
+        assert w.edge == nerve.non_tree_edges[first]
+        assert type(w.residual) is float and bits([w.residual]) == bits([edge_want[first]])
+        firsts.append(first)
+    return firsts
+
+
+def edge_tolerances(triple_law, edges):
+    """Every tolerance between the triple law's noise and the largest edge
+    residual: each names a different first failing edge."""
+    return sorted({r for r in edges if r >= max(triple_law)})[:-1]
 
 
 def test_unitary_checks_compare_stacks_not_pairs(monkeypatch):
@@ -985,55 +1094,54 @@ def test_unitary_checks_compare_stacks_not_pairs(monkeypatch):
     coc = dress_cocycle(transition_cocycle(SigmaMorphism(commuting, ident), nerve), gauge)
     noisy = {g: MatrixUn(random_unitary(rng, 3)) for g in pres.generators}  # breaks relations
     sigmas = [SigmaMorphism(commuting, ident), SigmaMorphism(noisy, ident)]
-
-    rel_want = [[distance(val, ident) for val in s.evaluate_all(pres.relations)] for s in sigmas]
-    triple_want = [
-        distance(compose(coc.value(r3, r2, c23), coc.value(r2, r1, c12)), coc.value(r3, r1, c13))
-        for (r1, r2, r3, (c12, c13, c23)) in cov.triples
-    ]
-    lam = {nerve.base: ident}
-    for r in nerve.bfs_order[1:]:
-        up = nerve.parent[r]
-        lam[r] = compose(coc.value(up.dst, up.src, up.comp), lam[up.src])
-    edge_want = [
-        distance(coc.value(v, u, c), compose(lam[v], inverse(lam[u])))
-        for u, v, c in nerve.non_tree_edges
-    ]
-    # every tolerance between the triple law's noise and the largest edge
-    # residual names a different first failing edge
-    tols = sorted({r for r in edge_want if r >= max(triple_want)})[:-1]
+    rel_want, triple_want, edge_want = pairwise_gaps(pres, sigmas, coc, nerve)
+    tols = edge_tolerances(triple_want, edge_want)
     assert len(tols) > 3
-
-    calls = []
-
-    def spy(name, real):
-        def counted(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-        return counted
-
-    for module in (cocycles_module, groups_module):
-        monkeypatch.setattr(module, "distance", spy("distance", module.distance))
-        monkeypatch.setattr(module, "inverse", spy("inverse", module.inverse))
-    monkeypatch.setattr(MatrixUn, "__post_init__", spy("MatrixUn", MatrixUn.__post_init__))
-    rel_got = [[r for _, r in validate_sigma(pres, s, tol=-1.0)] for s in sigmas]
-    chk = check_cocycle(coc, tol=-1.0)
-    witnesses = [trivialize(coc, nerve, tol).witness for tol in tols]
-    monkeypatch.undo()
-    assert calls == []
-
-    def bits(xs):
-        return np.array(xs, dtype=float).tobytes()
-
-    assert all(type(r) is float for rs in rel_got for r in rs)
-    assert [bits(rs) for rs in rel_got] == [bits(rs) for rs in rel_want]
     assert max(rel_want[0]) <= 1e-10 < min(rel_want[1])
-    assert [t for t, _ in chk.failures] == list(cov.triples)
-    assert bits([r for _, r in chk.failures]) == bits(triple_want)
-    for tol, w in zip(tols, witnesses):
-        first = next(i for i, r in enumerate(edge_want) if not (r <= tol))
-        assert w.edge == nerve.non_tree_edges[first]
-        assert type(w.residual) is float and bits([w.residual]) == bits([edge_want[first]])
+    assert_checks_match_pairwise_gaps(pres, sigmas, coc, nerve, tols, monkeypatch)
+
+    # U(1): the angle lists are compared the same way, and the argument order
+    # of each check is kept, since |wrap(a - b)| and |wrap(b - a)| can differ
+    # in the last bit once a - b leaves (-pi, pi] (the order of a relation
+    # value and the identity 0.0 gives the same bits either way)
+    rng = np.random.default_rng(0)
+    ident = PhaseU1(0.0)
+    valid = u1_sigma_from_h1(pres, *rng.uniform(-3, 3, 2))
+    noisy = SigmaMorphism({g: PhaseU1(rng.uniform(-4, 4)) for g in pres.generators}, ident)
+    # NaN and the pi tie: a relation through g0 is NaN, the others land on or near pi
+    edge_cases = {g: PhaseU1(np.pi) for g in pres.generators}
+    edge_cases["g0"] = PhaseU1(NAN)
+    sigmas = [valid, noisy, SigmaMorphism(edge_cases, ident)]
+    gauge = {r: PhaseU1(rng.uniform(-np.pi, np.pi)) for r in cov.regions}
+    coc = dress_cocycle(transition_cocycle(valid, nerve), gauge)
+    want = pairwise_gaps(pres, sigmas, coc, nerve)
+    swapped = pairwise_gaps(pres, sigmas, coc, nerve, dist=lambda a, b: distance(b, a))
+    tols = edge_tolerances(want[1], want[2])
+    assert len(tols) > 3
+    assert np.isnan(want[0][2]).any() and np.pi in want[0][2]
+    firsts = assert_checks_match_pairwise_gaps(pres, sigmas, coc, nerve, tols, monkeypatch)
+    # the data tells the orders apart on the witnessed edges and on the triples below
+    assert any(bits([want[2][i]]) != bits([swapped[2][i]]) for i in firsts)
+    values = {e: PhaseU1(rng.uniform(-4, 4)) for e in cov.overlaps}
+    values[cov.overlaps[0]], values[cov.overlaps[1]] = PhaseU1(NAN), PhaseU1(np.pi)
+    lawless = TransitionCocycle(cov, values, ident)  # every triple is checked
+    triple_want, triple_swapped = (
+        pairwise_gaps(pres, [], lawless, nerve, dist)[1]
+        for dist in (distance, lambda a, b: distance(b, a))
+    )
+    assert np.isnan(triple_want).any() and bits(triple_want) != bits(triple_swapped)
+    assert_checks_match_pairwise_gaps(pres, [], lawless, nerve, [], monkeypatch)
+    # a witness residual of NaN, and of pi (lambda_v lambda_u^-1 = pi, g(v<-u) = 1)
+    ring = circle_cover(5)
+    ring_nerve = build_nerve(ring)
+    (edge,) = ring_nerve.non_tree_edges
+    tree_edge = next(e for e in ring.overlaps if e != edge)
+    ring_pres = pi1_presentation(ring_nerve)
+    for key, value in ((edge, PhaseU1(NAN)), (tree_edge, PhaseU1(np.pi))):
+        coc = TransitionCocycle(ring, {**identity_cocycle(ring, ident).values, key: value}, ident)
+        (resid,) = pairwise_gaps(ring_pres, [], coc, ring_nerve)[2]
+        assert np.isnan(resid) or resid == np.pi
+        assert_checks_match_pairwise_gaps(ring_pres, [], coc, ring_nerve, [0.0], monkeypatch)
 
 
 def test_cocycle_rejects_a_value_for_a_disjoint_pair():

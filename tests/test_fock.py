@@ -35,7 +35,6 @@ from flatnet.fock import (
     smeared_field,
     twisted_local_field,
     twisted_product,
-    zero_op,
 )
 from flatnet.groups import PhaseU1
 from flatnet.sectors import make_window, z1
@@ -198,7 +197,7 @@ leaf_ops = st.builds(
     st.sampled_from([1.0, -1.0, 0.5j, 2.0 - 1.0j]),
 ) | st.sampled_from([
     (identity_op(GRADING_FOCK), oracle.identity(GRADING_FOCK)),
-    (zero_op(GRADING_FOCK), oracle.csr((GRADING_FOCK.dim, GRADING_FOCK.dim))),
+    (FieldOp({}, GRADING_FOCK, frozenset()), oracle.csr((GRADING_FOCK.dim, GRADING_FOCK.dim))),
 ])
 
 field_exprs = st.recursive(
@@ -248,7 +247,7 @@ def test_creator_annihilator_adjoint():
     fock = small_fock(1)
     for m in range(fock.K):
         c = fock.creator(m).matrix
-        a = fock.annihilator(m).matrix
+        a = fock.creator(m).adjoint().matrix
         assert np.array_equal(a, c.conj().T)
         assert np.max(np.abs(c @ c)) == 0.0
 
@@ -327,7 +326,7 @@ def test_field_grades():
     assert mixed.parity == "odd" and mixed.charge is None
     with pytest.raises(MixedGrade):
         grading(mixed)
-    assert zero_op(fock).charge == 0
+    assert FieldOp({}, fock, frozenset()).charge == 0
     assert grading(identity_op(fock)) == 0
 
 

@@ -17,17 +17,18 @@ from flatnet.groups import (
     PhaseU1,
     ScalarU1,
     VariantMismatch,
+    as_values,
     compose,
     distance,
-    identity_like,
+    entries,
+    gaps,
     inverse,
     is_identity,
-    isclose,
     ordered_products,
     path_ordered_exp,
     path_ordered_exp_subdivided,
-    power,
     transport_table,
+    tree_products,
     unitary_defects,
     wrap_angle,
     _as_unitary_loose,
@@ -85,8 +86,8 @@ def test_phase_group_ops():
     a, b = PhaseU1(1.0), PhaseU1(2.5)
     assert compose(a, b).angle == pytest.approx(wrap_angle(3.5))
     assert is_identity(compose(a, inverse(a)))
-    assert power(a, 3).angle == pytest.approx(3.0)
-    assert power(a, -2).angle == pytest.approx(-2.0)
+    assert compose(compose(a, a), a).angle == pytest.approx(3.0)
+    assert compose(inverse(a), inverse(a)).angle == pytest.approx(-2.0)
     assert distance(PhaseU1(np.pi - 1e-13), PhaseU1(-np.pi + 1e-13)) < 1e-11
 
 
@@ -124,7 +125,6 @@ def test_matrix_group_ops():
     v = MatrixUn(random_unitary(rng, 3))
     assert np.allclose(compose(u, v).mat, u.mat @ v.mat)
     assert is_identity(compose(u, inverse(u)), 1e-12)
-    assert distance(power(u, 2), compose(u, u)) < 1e-12
     with pytest.raises(VariantMismatch):
         compose(u, MatrixUn(np.eye(2)))
     with pytest.raises(VariantMismatch):
@@ -153,14 +153,17 @@ def test_free_word_reduces_across_concatenation():
     ab = ("a", "b")
     left = FreeWord((1, 2), ab)
     right = FreeWord((-2, -1, 2), ab)
-    assert compose(left, right).letters == (2,)
+    assert FreeWord(left.letters + right.letters, ab).letters == (2,)
 
 
 def test_free_word_inverse_and_names():
+    # words are loop classes, not group values: no inverse, no identity test
     ab = ("a", "b")
     w = FreeWord((1, -2), ab)
-    assert inverse(w).letters == (2, -1)
-    assert is_identity(compose(w, inverse(w)))
+    for op in (inverse, is_identity):
+        with pytest.raises(VariantMismatch, match=r"U\(1\) or U\(n\), not FreeWord"):
+            op(w)
+    assert w == FreeWord((1, 2, -2, -2), ab) and w != FreeWord((1, -2), ("a", "c"))
     assert w.as_names() == "a.b^-1"
     assert FreeWord((), ab).as_names() == "1"
 
@@ -172,12 +175,8 @@ def test_free_word_alphabet_guard():
         FreeWord((0,), ("a",))
     with pytest.raises(VariantMismatch):
         compose(FreeWord((1,), ("a",)), FreeWord((1,), ("b",)))
-
-
-def test_identity_like_variants():
-    assert identity_like(PhaseU1(2.0)).angle == 0.0
-    assert np.allclose(identity_like(MatrixUn(SX)).mat, np.eye(2))
-    assert identity_like(FreeWord((1,), ("a",))).letters == ()
+    with pytest.raises(VariantMismatch):
+        compose(FreeWord((1,), ("a",)), FreeWord((1,), ("a",)))
 
 
 def test_is_identity_is_distance_to_identity_without_building_it(monkeypatch):
@@ -186,10 +185,10 @@ def test_is_identity_is_distance_to_identity_without_building_it(monkeypatch):
         PhaseU1(0.0), PhaseU1(3e-11), PhaseU1(-1e-9), PhaseU1(np.pi), PhaseU1(nan),
         MatrixUn(np.eye(3)), MatrixUn(np.diag([1.0, np.exp(3e-11j)])), MatrixUn(SX),
         _as_unitary_loose(np.full((2, 2), nan)),
-        FreeWord((), ("a",)), FreeWord((1,), ("a",)),
     ]
+    ones = [PhaseU1(0.0) if isinstance(v, PhaseU1) else MatrixUn(np.eye(len(v.mat))) for v in values]
     for tol in (GROUP_EQ_TOL, 1e-12, 2.0, nan):
-        want = [distance(v, identity_like(v)) <= tol for v in values]
+        want = [distance(v, one) <= tol for v, one in zip(values, ones)]
         built = []
         monkeypatch.setattr(MatrixUn, "__post_init__", lambda self: built.append(self))
         got = [is_identity(v, tol) for v in values]
@@ -230,8 +229,9 @@ def test_free_word_reduction_is_idempotent_and_invertible(letters):
     w = FreeWord(tuple(letters), ab)
     again = FreeWord(w.letters, ab)
     assert again.letters == w.letters
-    assert compose(w, inverse(w)).letters == ()
-    assert compose(inverse(w), w).letters == ()
+    backwards = tuple(-l for l in reversed(w.letters))
+    assert FreeWord(w.letters + backwards, ab).letters == ()
+    assert FreeWord(backwards + w.letters, ab).letters == ()
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +320,6 @@ def test_subdivision_scalar_exact():
     assert distance(
         path_ordered_exp(steps), path_ordered_exp_subdivided(steps, 3)
     ) == 0.0
-
-
-def test_isclose_tolerance():
-    assert isclose(PhaseU1(1.0), PhaseU1(1.0 + 5e-11))
-    assert not isclose(PhaseU1(1.0), PhaseU1(1.1))
-    assert isclose(PhaseU1(1.0), PhaseU1(1.05), tol=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +447,55 @@ def test_phase_fold_rejects_a_table_of_another_variant():
     angles = transport_table(PhaseU1(0.0), [PhaseU1(0.3)])
     with pytest.raises(VariantMismatch):
         ordered_products(MatrixUn(np.eye(2)), angles, [[1]])
+
+
+def test_gaps_are_distance_per_pair_in_the_given_order():
+    # angles: |wrap_angle(a - b)| with a first, NaN kept and the tie at pi;
+    # the other order differs in the last bit once a - b leaves (-pi, pi]
+    rng, NAN = np.random.default_rng(41), float("nan")
+    a = [wrap_angle(x) for x in rng.uniform(-4, 4, 2000)] + [NAN, 0.0, np.pi, 0.0]
+    b = [wrap_angle(x) for x in rng.uniform(-4, 4, 2000)] + [0.0, NAN, 0.0, np.pi]
+    got = gaps(a, b)
+    want = [distance(PhaseU1(x), PhaseU1(y)) for x, y in zip(a, b)]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert np.array(got).tobytes() != np.array(gaps(b, a)).tobytes()
+    assert got[-2:] == [np.pi, np.pi] and np.isnan(got[-4]) and np.isnan(got[-3])
+    # matrices: one reduction over two stacks, NaN kept
+    x = np.stack([random_unitary(rng, 3) for _ in range(4)] + [np.full((3, 3), NAN)])
+    y = np.stack([random_unitary(rng, 3) for _ in range(5)])
+    got = gaps(x, y)
+    want = [distance(_as_unitary_loose(p), _as_unitary_loose(q)) for p, q in zip(x, y)]
+    assert all(type(g) is float for g in got) and np.isnan(got[-1])
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    # entries gather table slots in the form the folds return
+    angles = transport_table(PhaseU1(0.0), [PhaseU1(0.3), PhaseU1(np.pi)])
+    assert entries(angles, [2, -1, 0, -2]) == [np.pi, inverse(PhaseU1(0.3)).angle, 0.0, np.pi]
+    stack = transport_table(MatrixUn(np.eye(2)), [MatrixUn(SX), MatrixUn(1j * SY)])
+    assert np.array_equal(entries(stack, [-2, 0, 1]), [(1j * SY).conj().T, np.eye(2), SX])
+
+
+@pytest.mark.parametrize("dim", [None, 2])
+def test_tree_products_take_one_compose_step_per_edge(dim):
+    rng = np.random.default_rng(43)
+    if dim is None:
+        identity, values = PhaseU1(0.0), [PhaseU1(a) for a in rng.uniform(-4, 4, 5)]
+    else:
+        identity = MatrixUn(np.eye(dim))
+        values = [MatrixUn(random_unitary(rng, dim)) for _ in range(5)]
+    table = transport_table(identity, values)
+    codes, parents = [1, -2, 3, -4, 5, 0, -1], [0, 1, 1, 0, 2, 5, 3]
+    want = [identity]
+    for k, p in zip(codes, parents):
+        want.append(compose(entering(identity, values, k), want[p]))
+    folded = tree_products(identity, table, codes, parents)
+    got = as_values(folded)
+    if dim is None:
+        assert [g.angle for g in got] == [w.angle for w in want]
+    else:
+        assert folded.shape == (len(codes) + 1, dim, dim)
+        assert all(g.mat.tobytes() == w.mat.tobytes() for g, w in zip(got, want))
+        with pytest.raises(ValueError, match="not unitary"):
+            tree_products(identity, table * 1.1, codes, parents)
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ OPERATOR_SITES = {
         "np.diag(op.matrix).tolist() == [float(s & 5 == 5) for s in range(fock.dim)]",
     ),
     "algebra": (
-        "(fock.creator(1) + fock.annihilator(2)).adjoint() * gauge_action(1j, fock.creator(0))",
+        "(fock.creator(1) + fock.creator(2).adjoint()).adjoint() * gauge_action(1j, fock.creator(0))",
         "op.charge is None and op.parity == 'even' and op.norm_max() == 1.0 "
         "and op.apply(fock.vacuum)[0] == 0",
     ),

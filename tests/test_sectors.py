@@ -71,7 +71,6 @@ from flatnet.sectors import (
     localization_residual,
     make_window,
     plain_transporter,
-    rho_holonomy,
     rho_layer_transporter,
     telescope_residual,
     telescope_residuals,
@@ -560,7 +559,7 @@ def test_missing_entry():
     _, _, _, m = fig8_matrix_layer()
     loop = PosetPath((Step(dst=3, src=1, comp=0), Step(dst=1, src=3, comp=0)), 1, 1)
     with pytest.raises(InvalidPath, match=r"Step\(dst=3, src=1, comp=0\)"):
-        rho_holonomy(m, loop)
+        holonomy(m, loop)
 
     # every reader says the same: a disjoint pair, a missing component of an
     # overlap, a step in place at a region outside the cover, and a malformed
@@ -573,7 +572,7 @@ def test_missing_entry():
         readers = [
             lambda: coc.value(*bad),
             lambda: pot.lift(*bad),
-            lambda: nerve.step_letter(bad),
+            lambda: nerve.letters[coc.cover.codes([bad])[0]],
             lambda: window_chain(t, [(1, 0, 0), bad]),
             lambda: t.op(*bad),
         ]
@@ -583,7 +582,7 @@ def test_missing_entry():
                 lambda: holonomy(coc, hop),
                 lambda: loop_class(pres, hop),
                 lambda: z_path(t, hop),
-                lambda: rho_holonomy(coc, path_compose(hop, path_reverse(hop))),
+                lambda: holonomy(coc, path_compose(hop, path_reverse(hop))),
             ]
         for read in readers:
             with pytest.raises(InvalidPath, match=re.escape(f"step {bad} crosses no overlap")):
@@ -1029,7 +1028,7 @@ def test_fig8_commutator_holonomy():
     cover, nerve, sigma, t = fig8_matrix_layer()
     pres = pi1_presentation(nerve)
     comm = approximate_curve(cover, [0, 1, 2, 0, 3, 4, 0, 2, 1, 0, 4, 3, 0])
-    val = rho_holonomy(t, comm)
+    val = holonomy(t, comm)
     assert distance(val, MatrixUn(-np.eye(2))) <= 1e-12
     # holonomy equals evaluating the loop class through sigma
     word = loop_class(pres, comm)
@@ -1046,7 +1045,7 @@ def test_rho_holonomy_and_matrix_z_path_match_stepwise_compose():
         acc = m.identity
         for st in loop.steps:
             acc = compose(m.value(st.dst, st.src, st.comp), acc)
-        assert np.array_equal(rho_holonomy(m, loop).mat, acc.mat)
+        assert np.array_equal(holonomy(m, loop).mat, acc.mat)
         assert np.array_equal(holonomy(coc, loop).mat, acc.mat)
 
 
@@ -1061,7 +1060,7 @@ def test_fig8_classify_topological_dim2():
 def test_rho_holonomy_matches_path_ordered_exp():
     cover, nerve, _, t = fig8_matrix_layer()
     a_then_b = path_compose(generator_loop(nerve, 0), generator_loop(nerve, 1))
-    val = rho_holonomy(t, a_then_b)
+    val = holonomy(t, a_then_b)
     steps = [
         AntiHermitianUn(1j * (np.pi / 2) * SX),
         AntiHermitianUn(1j * (np.pi / 2) * SY),
@@ -1069,8 +1068,3 @@ def test_rho_holonomy_matches_path_ordered_exp():
     want = path_ordered_exp(steps)  # later steps multiply on the left
     assert distance(val, want) <= 1e-12
 
-
-def test_rho_holonomy_rejects_open_path():
-    cover, nerve, _, t = fig8_matrix_layer()
-    with pytest.raises(InvalidPath):
-        rho_holonomy(t, approximate_curve(cover, [0, 1]))
