@@ -287,11 +287,12 @@ def trivialize(
     order, lambda_r = g(r <- parent) lambda_parent, the factor read from
     the cocycle's transport table by overlap code: one ``tree_products``
     walk, one product per tree edge, so each lambda is the transport
-    along its tree path from the base (matrix lambdas checked for
-    unitarity once, as one stack).  Each non-tree edge u -> v is then
-    tested against lambda_v lambda_u^{-1}, the two-slot row
-    [-slot(u), slot(v)] of one ``products`` fold over a transport table
-    of the lambdas, compared in one ``gaps`` call with the cocycle's
+    along its tree path from the base.  The walk returns the lambdas as
+    a two-sided transport table (matrix lambdas checked for unitarity
+    once, as one stack).  Each non-tree edge u -> v is then tested
+    against lambda_v lambda_u^{-1}, the two-slot row [-slot(u), slot(v)]
+    of one ``products`` fold over that table, compared in one ``gaps``
+    call with the cocycle's
     table at the edges' codes, and the first failure is returned as a
     witness loop through that edge (its holonomy is the transported
     obstruction).
@@ -305,10 +306,10 @@ def trivialize(
     order = nerve.bfs_order
     at = {r: i for i, r in enumerate(order)}
     ups = [nerve.parent[r] for r in order[1:]]
-    lam = as_values(tree_products(ident, table, codes(ups), [at[up.src] for up in ups]))
+    lam = tree_products(ident, table, codes(ups), [at[up.src] for up in ups])
     edges = nerve.non_tree_edges
     pairs = [[-1 - at[u], 1 + at[v]] for u, v, _ in edges]
-    wants = products(ident, transport_table(ident, lam), pairs)
+    wants = products(ident, lam, pairs)
     residuals = gaps(entries(table, codes([(v, u, c) for u, v, c in edges])), wants)
     for idx, ((u, v, c), resid) in enumerate(zip(edges, residuals)):
         if not (resid <= tol):
@@ -322,30 +323,29 @@ def trivialize(
                     residual=resid,
                 ),
             )
-    return TrivializationResult(success=True, lambdas=dict(zip(order, lam)))
+    lambdas = as_values(lam[1 : len(order) + 1])
+    return TrivializationResult(success=True, lambdas=dict(zip(order, lambdas)))
 
 
-def holonomies(source, paths: Sequence[PosetPath]) -> list[GroupValue]:
+def holonomies(cocycle: TransitionCocycle, paths: Sequence[PosetPath]) -> list[GroupValue]:
     """Ordered product of transition values along each path (later steps left).
 
-    ``source`` may be a TransitionCocycle or a FlatPotentialU1.  Loops give
-    the transported loop-group value; open paths are allowed but their
-    value is chart-dependent bookkeeping, not an invariant.  All paths go
-    through one ``ordered_products`` fold over the cocycle's transport
-    table: phase rows fold float angles, matrix products are folded
-    step-major across the paths, one stacked product per step, and each
-    returned holonomy is checked for unitarity once.
+    Loops give the transported loop-group value; open paths are allowed
+    but their value is chart-dependent bookkeeping, not an invariant.
+    All paths go through one ``ordered_products`` fold over the cocycle's
+    transport table: phase rows fold float angles, matrix products are
+    folded step-major across the paths, one stacked product per step,
+    and each returned holonomy is checked for unitarity once.  A
+    potential's unwrapped sum along a path is ``lift_sum``.
     """
-    if isinstance(source, FlatPotentialU1):
-        return [PhaseU1(lift_sum(source, p)) for p in paths]
-    rows = [source.cover.codes(p.crossings()) for p in paths]
-    return ordered_products(source.identity, source._table, rows)
+    rows = [cocycle.cover.codes(p.crossings()) for p in paths]
+    return ordered_products(cocycle.identity, cocycle._table, rows)
 
 
-def holonomy(source, path: PosetPath) -> GroupValue:
+def holonomy(cocycle: TransitionCocycle, path: PosetPath) -> GroupValue:
     """``holonomies`` of one path: the one-row fold, a matrix result
     checked for unitarity once."""
-    return holonomies(source, [path])[0]
+    return holonomies(cocycle, [path])[0]
 
 
 # ---------------------------------------------------------------------------

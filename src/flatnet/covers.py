@@ -73,7 +73,6 @@ class Cover:
     overlaps: tuple[Edge, ...]
     triples: tuple[Triple, ...] = ()
     base_region: int = 0
-    kind: str = "custom"
     _components: dict[tuple[int, int], tuple[int, ...]] = field(
         init=False, compare=False, repr=False
     )
@@ -192,8 +191,6 @@ class NerveGraph:
     """
 
     cover: Cover
-    edges: tuple[Edge, ...]
-    tree_edges: frozenset[Edge]
     non_tree_edges: tuple[Edge, ...]
     parent: dict[int, Step | None] = field(compare=False)
     letters: tuple[int, ...] = field(compare=False)
@@ -251,8 +248,6 @@ def build_nerve(cover: Cover) -> NerveGraph:
     letters = two_sided(0, [number.get(e, 0) for e in cover.overlaps], neg)
     return NerveGraph(
         cover=cover,
-        edges=cover.overlaps,
-        tree_edges=frozenset(tree),
         non_tree_edges=non_tree,
         parent=parent,
         letters=letters,
@@ -265,7 +260,6 @@ class Pi1Presentation:
     """Generators (one per non-tree edge) and triangle relations."""
 
     generators: tuple[str, ...]
-    generator_edges: tuple[Edge, ...]
     relations: tuple[FreeWord, ...]
     nerve: NerveGraph = field(compare=False)
 
@@ -291,7 +285,7 @@ def pi1_presentation(nerve: NerveGraph) -> Pi1Presentation:
         word = FreeWord(tuple(l for l in letters if l != 0), nerve.generators)
         if len(word) > 0:
             relations.append(word)
-    return Pi1Presentation(nerve.generators, nerve.non_tree_edges, tuple(relations), nerve)
+    return Pi1Presentation(nerve.generators, tuple(relations), nerve)
 
 
 # ---------------------------------------------------------------------------
@@ -437,13 +431,13 @@ def circle_cover(n: int) -> Cover:
     if n < 3:
         raise InvalidCover("circle covers need at least 3 regions")
     overlaps = tuple(sorted((min(k, (k + 1) % n), max(k, (k + 1) % n), 0) for k in range(n)))
-    return Cover(regions=tuple(range(n)), overlaps=overlaps, base_region=0, kind="circle")
+    return Cover(regions=tuple(range(n)), overlaps=overlaps, base_region=0)
 
 
 def annulus_cover() -> Cover:
-    """Four sector regions around a ring; opposite sectors are disjoint."""
-    c = circle_cover(4)
-    return Cover(regions=c.regions, overlaps=c.overlaps, base_region=0, kind="annulus")
+    """Four sector regions around a ring, ``circle_cover(4)``; opposite
+    sectors are disjoint."""
+    return circle_cover(4)
 
 
 def disk_cover() -> Cover:
@@ -453,14 +447,13 @@ def disk_cover() -> Cover:
         overlaps=((0, 1, 0), (0, 2, 0), (1, 2, 0)),
         triples=((0, 1, 2, (0, 0, 0)),),
         base_region=0,
-        kind="disk",
     )
 
 
 def figure_eight_cover() -> Cover:
     """Two three-region lobes sharing a hub; free group on two generators."""
     overlaps = ((0, 1, 0), (0, 2, 0), (0, 3, 0), (0, 4, 0), (1, 2, 0), (3, 4, 0))
-    return Cover(regions=(0, 1, 2, 3, 4), overlaps=overlaps, base_region=0, kind="figure_eight")
+    return Cover(regions=(0, 1, 2, 3, 4), overlaps=overlaps, base_region=0)
 
 
 def torus_cover() -> Cover:
@@ -482,7 +475,6 @@ def torus_cover() -> Cover:
         overlaps=overlaps,
         triples=triples,
         base_region=0,
-        kind="torus",
     )
 
 

@@ -5,13 +5,7 @@ basis is indexed by occupation bitsets in little-endian mode order, and
 smeared fields are Jordan-Wigner creators.  Every mode has exactly one
 owner, so a region's modes (``OneParticleSpace.region_modes``, ascending)
 are private to it: the sector window is read from this allocation
-alone (``sectors.make_window``), with no operator built.  ``FockSpace.dim`` (2^K) is
-the one place that decides the envelope: every object of size 2^K (the
-occupation counts, the vacuum, ``FieldOp.matrix``, ``apply`` and
-``norm_max``, a window's ``charged_vector``) reads it, and past
-CAPACITY_MODES (12) modes it raises CapacityError rather than degrading.
-Creators, products, the window, ``compress`` and window chains never
-read it, so they run at any K.
+alone (``sectors.make_window``), with no operator built.
 
 Every operator is a short sum of signed partial permutations of
 occupation bitsets (``FieldOp.terms``).  A term is keyed by four mode
@@ -23,8 +17,14 @@ Products compose keys with integer bit operations, so Jordan-Wigner
 signs are exact, paired monomials cancel to exact zeros, and
 ``field(f) * field(f)`` has no term at all.  Every flipped mode is
 conditioned, and sign bits on conditioned modes are folded into the
-coefficient, so equal keys are equal operators.  Only ``matrix``,
-``apply`` and ``norm_max`` evaluate all 2^K bitsets.
+coefficient, so equal keys are equal operators.
+
+``FieldOp.column`` is the one action of an operator: the image of one
+occupation bitset, a Python int of any width, so it runs at any K.
+``FockSpace.dim`` (2^K) is the one place that decides the envelope:
+only ``FieldOp.matrix`` and ``norm_max``, which read the columns of all
+2^K bitsets, read it, and past CAPACITY_MODES (12) modes it raises
+CapacityError rather than degrading.
 
 Operators carry a support tag (the regions whose modes they were built
 from) and a grading read from their keys: a term moves
@@ -51,8 +51,8 @@ Term = tuple[int, int, int, int]  # (one, zero, flip, sign) mode bitmasks
 
 
 class CapacityError(RuntimeError):
-    """Raised by ``FockSpace.dim``, and so by every object of size 2^K,
-    past CAPACITY_MODES (12) modes."""
+    """Raised by ``FockSpace.dim``, and so by ``FieldOp.matrix`` and
+    ``norm_max``, past CAPACITY_MODES (12) modes."""
 
 
 class SupportError(ValueError):
@@ -111,27 +111,13 @@ class FockSpace:
 
     @property
     def dim(self) -> int:
-        """2^K, read by every object of that size; CapacityError past
-        CAPACITY_MODES modes."""
+        """2^K, read by ``FieldOp.matrix`` and ``norm_max``; CapacityError
+        past CAPACITY_MODES modes."""
         if self.K > CAPACITY_MODES:
             raise CapacityError(
                 f"{self.K} modes exceeds the {CAPACITY_MODES}-mode envelope of 2^K objects"
             )
         return 1 << self.K
-
-    @cached_property
-    def occupation_counts(self) -> np.ndarray:
-        idx = np.arange(self.dim, dtype=np.uint64)
-        counts = np.zeros(self.dim, dtype=np.int64)
-        for i in range(self.K):
-            counts += (idx >> np.uint64(i)).astype(np.int64) & 1
-        return counts
-
-    @property
-    def vacuum(self) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=complex)
-        v[0] = 1.0
-        return v
 
     def creator(self, mode: int) -> "FieldOp":
         """Jordan-Wigner creation operator for one mode: the one term that
@@ -158,8 +144,9 @@ class FieldOp:
     """Sum of signed partial permutations with support and grading tags.
 
     ``terms`` maps each ``(one, zero, flip, sign)`` key to its nonzero
-    coefficient (see the module docstring).  ``matrix`` is a dense copy
-    built on access, for inspection only.  ``charge`` is the common charge
+    coefficient (see the module docstring).  ``column`` is its action on
+    one occupation bitset; ``matrix`` is a dense copy built on access,
+    for inspection only.  ``charge`` is the common charge
     transfer of all terms, or None when terms of different transfer are
     mixed; ``parity`` is 'even', 'odd', or 'mixed'.  Both are read from
     the keys on first use and cached, and both raise ValueError when a
@@ -185,22 +172,25 @@ class FieldOp:
         parities = {g % 2 for g in self._grades} or {0}
         return "mixed" if len(parities) > 1 else ("odd" if parities == {1} else "even")
 
-    def _bands(self) -> dict[int, np.ndarray]:
-        """Entry (s ^ flip, s) for every bitset s, one array per flip mask."""
-        states = np.arange(self.fock.dim)
-        odd = (self.fock.occupation_counts & 1).astype(bool)
-        bands: dict[int, np.ndarray] = {}
+    def column(self, s: int) -> dict[int, complex]:
+        """Image of the occupation bitset ``s``: every term whose ``one``
+        modes are set and ``zero`` modes clear in ``s`` sends it to
+        ``s ^ flip`` with (-1)^popcount(s & sign) times its coefficient,
+        summed in term order.  Bitsets no term reaches are absent."""
+        out: dict[int, complex] = {}
         for (one, zero, flip, sign), c in self.terms.items():
-            band = np.where((states & (one | zero)) == one, np.where(odd[states & sign], -c, c), 0)
-            bands[flip] = bands[flip] + band if flip in bands else band
-        return bands
+            if s & (one | zero) == one:
+                # -0j adds nothing, signed zeros included: a lone term keeps its bits
+                out[s ^ flip] = out.get(s ^ flip, -0j) + (-c if (s & sign).bit_count() & 1 else c)
+        return out
 
     @property
     def matrix(self) -> np.ndarray:
-        states = np.arange(self.fock.dim)
+        """Dense copy for inspection: column s is ``column(s)``."""
         m = np.zeros((self.fock.dim, self.fock.dim), dtype=complex)
-        for flip, band in self._bands().items():
-            m[states ^ flip, states] = band
+        for s in range(self.fock.dim):
+            for t, v in self.column(s).items():
+                m[t, s] = v
         m.setflags(write=False)
         return m
 
@@ -243,15 +233,10 @@ class FieldOp:
         return FieldOp({((o & ~f) | (z & f), (z & ~f) | (o & f), f, a): c.conjugate()
                         for (o, z, f, a), c in self.terms.items()}, self.fock, self.support)
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        states = np.arange(self.fock.dim)
-        out = np.zeros(self.fock.dim, dtype=complex)
-        for flip, band in self._bands().items():
-            out += (band * vec)[states ^ flip]
-        return out
-
     def norm_max(self) -> float:
-        return worst(np.abs(b).max() for b in self._bands().values())
+        """Largest entry modulus over the columns of all 2^K bitsets."""
+        entries = [v for s in range(self.fock.dim) for v in self.column(s).values()]
+        return worst(np.abs(np.array(entries, dtype=complex)))
 
 
 def identity_op(fock: FockSpace) -> FieldOp:

@@ -313,22 +313,24 @@ def products(
 
 def tree_products(
     identity: GroupValue, table: TransportTable, codes: Sequence[int], parents: Sequence[int]
-) -> Folded:
-    """Products down a tree, one per edge: entry 0 is ``identity`` and
-    entry i + 1 is ``table[codes[i]]`` times entry ``parents[i]`` (a
-    parent's entry comes before its children's), so each entry is the
-    transport from the root along its tree path.  Each edge takes one
-    2-D matrix product or one wrapped angle sum, as ``compose`` takes it.
-    Returns what ``products`` returns: a list of angles, or one stack
-    checked for unitarity once."""
+) -> TransportTable:
+    """Products down a tree, one per edge, as a two-sided table.  Entry 0
+    is ``identity`` and entry i + 1 is ``table[codes[i]]`` times entry
+    ``parents[i]`` (a parent's entry comes before its children's), so
+    each entry is the transport from the root along its tree path.  Each
+    edge takes one 2-D matrix product or one wrapped angle sum, as
+    ``compose`` takes it.  Returns the table ``transport_table`` builds
+    from the entries' values: ``identity`` at slot 0, entry i at slot
+    i + 1 and its inverse at -(i + 1), the matrix entries checked for
+    unitarity once, as one stack."""
     matrix = isinstance(identity, MatrixUn)
     out = [identity.mat if matrix else identity.angle]
     for k, p in zip(codes, parents):
         out.append(table[k] @ out[p] if matrix else wrap_angle(table[k] + out[p]))
-    if matrix:
-        out = np.stack(out)
-        _require_unitary(out)
-    return out
+    if not matrix:
+        return two_sided(identity.angle, out, lambda a: wrap_angle(-a))
+    _require_unitary(np.stack(out))
+    return np.stack(two_sided(identity.mat, out, lambda m: m.conj().T))
 
 
 def as_values(folded: Folded) -> list[GroupValue]:

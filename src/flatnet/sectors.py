@@ -44,11 +44,14 @@ window), which the tests check bit for bit.
 
 The operator layer is the observable layer: ``Implementer.op``, ``z1``,
 ``SectorTransporter.op`` and ``z_path``'s operator are term sums
-(``FieldOp``), built when called, and ``compress`` (which evaluates
-only the 1 + #regions window columns), ``charge_morphism``,
-``intertwining_residual`` and ``localization_residual`` act on them.
-The window's ``implementers`` and ``columns`` are derived on first read,
-for this layer only.
+(``FieldOp``), built when called, and ``compress`` (the window rows
+of the 1 + #regions window columns), ``charge_morphism``,
+``intertwining_residual`` and ``localization_residual`` (one column, at
+the charge's window bitset) act on them.  Each reads an operator
+through ``FieldOp.column``, one occupation bitset at a time, so this
+layer builds no 2^K object and runs at any mode count.  The window's
+``implementers`` and ``columns`` are derived on first read, for this
+layer only.
 
 Sign bookkeeping: with bare Jordan-Wigner implementers, odd-charge
 implementers of disjoint regions anticommute both with and without
@@ -205,20 +208,15 @@ class WindowSubspace:
         except KeyError:
             raise ValueError(f"region {region} is not in the window") from None
 
-    def charged_vector(self, region: int) -> np.ndarray:
-        v = np.zeros(self.fock.dim, dtype=complex)
-        v[self.columns[self.position(region)]] = 1.0
-        return v
-
     def compress(self, op: FieldOp) -> np.ndarray:
-        """The window block of ``op``: entry (i, j) is op[columns[i], columns[j]],
-        each term evaluated on the window columns only."""
+        """The window block of ``op``: column j holds the window rows of
+        ``op.column(columns[j])``."""
         position = {s: i for i, s in enumerate(self.columns)}
         out = np.zeros((len(self.columns), len(self.columns)), dtype=complex)
-        for (one, zero, flip, sign), c in op.terms.items():
-            for j, s in enumerate(self.columns):
-                if s & (one | zero) == one and (i := position.get(s ^ flip)) is not None:
-                    out[i, j] += -c if (s & sign).bit_count() & 1 else c
+        for j, s in enumerate(self.columns):
+            for t, v in op.column(s).items():
+                if (i := position.get(t)) is not None:
+                    out[i, j] += v  # summed from zero, as a sparse product sums
         return out
 
 
@@ -470,7 +468,9 @@ def localization_residual(
     causally disjoint from o; both o and e overlap the ambient region.
     With partial-isometry implementers the identity holds exactly on v_o
     (not on the whole window; the vacuum column and foreign charged
-    vectors see the support projector of the chain).
+    vectors see the support projector of the chain).  The residual is
+    the largest modulus of the difference of the two operators'
+    columns (``FieldOp.column``) at v_o's window bitset.
     """
     if not cover.are_disjoint(o, e):
         raise SupportError(
@@ -484,8 +484,10 @@ def localization_residual(
             raise SupportError(f"region {r} does not meet the ambient region {ambient}")
     z_oa = z1(window, o, ambient)
     localized = z_oa * charge_morphism(window, ambient, t) * z_oa.adjoint()
-    v = window.charged_vector(o)
-    return float(np.max(np.abs(localized.apply(v) - t.apply(v))))
+    s = window.columns[window.position(o)]
+    got, want = localized.column(s), t.column(s)
+    gap = [got.get(r, 0) - want.get(r, 0) for r in got.keys() | want.keys()]
+    return worst(np.abs(np.array(gap, dtype=complex)))
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,11 @@ def adjoint(m) -> sp.csr_matrix:
     return csr(m.conj().T)
 
 
+def occupation_counts(fock) -> np.ndarray:
+    """Occupied modes of every basis state, counted one bitset at a time."""
+    return np.array([bin(s).count("1") for s in range(fock.dim)])
+
+
 def loop_creator(fock, mode) -> sp.csr_matrix:
     """Reference Jordan-Wigner creator built one basis state at a time."""
     rows, cols, vals = [], [], []
@@ -59,7 +64,7 @@ def field(fock, f) -> sp.csr_matrix:
 
 def gauge(zeta, m, fock) -> sp.csr_matrix:
     """U m U^* for the gauge unitary U = zeta^N."""
-    d = np.power(complex(zeta), fock.occupation_counts)
+    d = np.power(complex(zeta), occupation_counts(fock))
     c = m.tocoo()
     return csr(sp.coo_matrix(((d[c.row] * c.data) * d.conj()[c.col], (c.row, c.col)), shape=c.shape))
 
@@ -98,7 +103,7 @@ def scan_grades(fock, m) -> frozenset:
     if scale == 0.0:
         return frozenset()
     keep = mags > SCAN_CUTOFF * scale
-    counts = fock.occupation_counts
+    counts = occupation_counts(fock)
     return frozenset((counts[c.row[keep]] - counts[c.col[keep]]).tolist())
 
 

@@ -148,7 +148,9 @@ def test_nerve_tree_counts():
         cov = make(name)
         nerve = build_nerve(cov)
         v, e = len(cov.regions), len(cov.overlaps)
-        assert len(nerve.tree_edges) == v - 1, name
+        tree = set(cov.overlaps) - set(nerve.non_tree_edges)
+        ups = {(min(s.src, s.dst), max(s.src, s.dst), s.comp) for s in nerve.parent.values() if s}
+        assert len(tree) == v - 1 and tree == ups, name
         assert len(nerve.non_tree_edges) == e - (v - 1), name
         assert nerve.bfs_order[0] == cov.base_region
 
@@ -383,9 +385,9 @@ def scan_code(cover, step):
 
 def scan_letter(nerve, step):
     k = scan_code(nerve.cover, step)
-    if k == 0 or nerve.edges[abs(k) - 1] in nerve.tree_edges:
+    if k == 0 or nerve.cover.overlaps[abs(k) - 1] not in nerve.non_tree_edges:
         return 0
-    idx = nerve.non_tree_edges.index(nerve.edges[abs(k) - 1]) + 1
+    idx = nerve.non_tree_edges.index(nerve.cover.overlaps[abs(k) - 1]) + 1
     return idx if k > 0 else -idx
 
 
@@ -488,7 +490,7 @@ def test_step_across_non_overlapping_pair_is_invalid(cover):
 
 def test_lookup_tables_ignored_by_equality_and_rebuilt_by_replace():
     ann = annulus_cover()
-    assert ann == annulus_cover()
+    assert ann == annulus_cover() == circle_cover(4)
     moved = replace(ann, base_region=2)
     assert moved.neighbors(2) == scan_neighbors(ann, 2)
     assert moved.overlap_components(3, 0) == (0,)

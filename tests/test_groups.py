@@ -17,7 +17,6 @@ from flatnet.groups import (
     PhaseU1,
     ScalarU1,
     VariantMismatch,
-    as_values,
     compose,
     distance,
     entries,
@@ -487,13 +486,11 @@ def test_tree_products_take_one_compose_step_per_edge(dim):
     want = [identity]
     for k, p in zip(codes, parents):
         want.append(compose(entering(identity, values, k), want[p]))
-    folded = tree_products(identity, table, codes, parents)
-    got = as_values(folded)
-    if dim is None:
-        assert [g.angle for g in got] == [w.angle for w in want]
-    else:
-        assert folded.shape == (len(codes) + 1, dim, dim)
-        assert all(g.mat.tobytes() == w.mat.tobytes() for g, w in zip(got, want))
+    # the two-sided table of the products: identity, entries, inverses
+    got, want = tree_products(identity, table, codes, parents), transport_table(identity, want)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    if dim is not None:
+        assert got.shape == (2 * len(codes) + 3, dim, dim)
         with pytest.raises(ValueError, match="not unitary"):
             tree_products(identity, table * 1.1, codes, parents)
 

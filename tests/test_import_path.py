@@ -80,7 +80,7 @@ OPERATOR_SITES = {
     "algebra": (
         "(fock.creator(1) + fock.creator(2).adjoint()).adjoint() * gauge_action(1j, fock.creator(0))",
         "op.charge is None and op.parity == 'even' and op.norm_max() == 1.0 "
-        "and op.apply(fock.vacuum)[0] == 0",
+        "and np.flatnonzero(op.matrix[:, 0]).tolist() == [5]",
     ),
     "sector": (
         "z_path(twisted_transporter(make_window(fock, cover), identity_cocycle(cover, PhaseU1(0.3))), "

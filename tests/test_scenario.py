@@ -660,8 +660,8 @@ paths: {edge: [0, 1]}
 def test_reference_scenarios_build_no_fock_operator(monkeypatch):
     # the Fock tasks read the window from the mode allocation and fold one
     # entry per edge: no creator, no operator product, no window column
-    # and no implementer is built, nothing is evaluated on the 2^K
-    # bitsets, and no transporter operator is built
+    # and no implementer is built, the 2^K dimension is never read, and
+    # no transporter operator is built
     def refuse(what):
         def fail(*args):
             raise AssertionError(f"the scenario path {what}")
@@ -676,8 +676,7 @@ def test_reference_scenarios_build_no_fock_operator(monkeypatch):
     monkeypatch.setattr(scenario_module, "make_window", counted_window)
     monkeypatch.setattr(FockSpace, "creator", refuse("built a creator"))
     monkeypatch.setattr(FieldOp, "__mul__", refuse("multiplied operators"))
-    monkeypatch.setattr(FieldOp, "_bands", refuse("evaluated an operator on every bitset"))
-    monkeypatch.setattr(FockSpace, "occupation_counts", property(refuse("counted 2^K occupations")))
+    monkeypatch.setattr(FockSpace, "dim", property(refuse("read the 2^K dimension")))
     monkeypatch.setattr(SectorTransporter, "op", refuse("built a transporter operator"))
     monkeypatch.setattr(WindowSubspace, "columns", property(refuse("read the window columns")), raising=False)
     monkeypatch.setattr(WindowSubspace, "implementers", property(refuse("built the implementers")), raising=False)

@@ -38,6 +38,7 @@ from flatnet.covers import (
     torus_cover,
 )
 from flatnet.fock import (
+    CapacityError,
     FieldOp,
     FockSpace,
     OneParticleSpace,
@@ -160,7 +161,7 @@ def test_implementer_is_exact_basis_vector():
     for r in ANN.regions:
         for kappa in (1, 2):
             imp = implementer(fock, r, kappa)
-            v = imp.op.apply(fock.vacuum)
+            v = imp.op.matrix[:, 0]  # the image of the vacuum
             bits = sum(1 << m for m in imp.modes)
             want = np.zeros(fock.dim)
             want[bits] = 1.0
@@ -199,9 +200,9 @@ def test_disjoint_implementers_anticommute_uniformly():
 
 def dense_basis(w):
     """The window's columns as a dense matrix: the vacuum, then each
-    region's implementer applied to the vacuum."""
-    vac = w.fock.vacuum
-    return np.stack([vac] + [w.implementers[r].op.apply(vac) for r in w.regions], axis=1)
+    region's implementer applied to the vacuum (column 0 of its matrix)."""
+    vac = np.eye(w.fock.dim, 1, dtype=complex).ravel()
+    return np.stack([vac] + [w.implementers[r].op.matrix[:, 0] for r in w.regions], axis=1)
 
 
 def test_window_basis_orthonormal_and_projector():
@@ -214,7 +215,7 @@ def test_window_basis_orthonormal_and_projector():
     p = b @ b.conj().T
     assert np.max(np.abs(p @ p - p)) <= 1e-14
     assert np.trace(p) == pytest.approx(5.0)
-    assert np.array_equal(w.charged_vector(2), b[:, 3])
+    assert w.position(2) == 3 and w.implementers[2].op.column(0) == {w.columns[3]: 1}
     ident = w.compress(identity_op(fock))
     assert np.max(np.abs(ident - np.eye(5))) <= 1e-14
 
@@ -248,7 +249,7 @@ def test_implementer_signs_equal_the_csr_oracle():
         imp = Implementer(fock=fock, region=0, modes=modes)
         assert imp.charge == len(modes)
         bits = sum(1 << m for m in modes)
-        v = imp.op.apply(fock.vacuum)
+        v = imp.op.matrix[:, 0]
         assert v[bits] == sign and np.count_nonzero(v) == 1
         col = oracle.implementer(fock, modes)[:, 0].toarray().ravel()
         assert np.array_equal(col, v)
@@ -357,9 +358,9 @@ def test_charged_vector_gauge_covariance():
     for kappa in (1, 2):
         w = make_window(fock, ANN, kappa)
         zeta = np.exp(0.61j)
-        u = np.power(zeta, fock.occupation_counts)  # the gauge unitary zeta^N
+        u = np.power(zeta, oracle.occupation_counts(fock))  # the gauge unitary zeta^N
         for r in ANN.regions:
-            v = w.charged_vector(r)
+            v = np.eye(fock.dim)[:, w.columns[w.position(r)]]
             assert np.max(np.abs(u * v - (zeta ** kappa) * v)) <= 1e-15
 
 
@@ -614,9 +615,9 @@ def test_z_path_moves_charge_exactly():
     t = twisted_transporter(window, coc)
     p = approximate_curve(ANN, [0, 1, 2])
     chain = z_path(t, p)
-    got = chain.op.apply(window.charged_vector(0))
-    want = chain.coeff.complex_value * window.charged_vector(2)
-    assert np.max(np.abs(got - want)) <= 1e-14
+    [(dst, got)] = chain.op.column(window.columns[window.position(0)]).items()
+    assert dst == window.columns[window.position(2)]
+    assert abs(got - chain.coeff.complex_value) <= 1e-14
 
 
 def test_telescope_residual_plain_and_twisted():
@@ -801,6 +802,97 @@ def test_localization_residual_annulus():
     assert localization_residual(window, ANN, 0, 1, 2, obs) <= 1e-12
 
 
+def region_vector(rng, fock, region):
+    """A random mode vector on the region's modes."""
+    f = np.zeros(fock.K, dtype=complex)
+    modes = list(fock.space.region_modes(region))
+    f[modes] = rng.normal(size=len(modes)) + 1j * rng.normal(size=len(modes))
+    return f
+
+
+def density(fock, f):
+    """The gauge-invariant observable psi(f) psi(f)^*."""
+    return smeared_field(fock, f) * smeared_field(fock, f).adjoint()
+
+
+def oracle_morphism(window, region, mat):
+    """phi_r m phi_r^* on the CSR route."""
+    phi = oracle.implementer(window.fock, window.implementers[region].modes)
+    return oracle.csr(phi @ mat @ oracle.adjoint(phi))
+
+
+# (cover, modes per region, charge) within 12 modes; every pair of torus
+# regions overlaps, so the torus has no disjoint pair to localize across
+RESIDUAL_COVERS = [
+    (annulus_cover(), 2, 1),
+    (annulus_cover(), 2, 2),
+    (figure_eight_cover(), 2, 1),
+    (torus_cover(), 1, 1),
+]
+
+
+@pytest.mark.parametrize("index", range(len(RESIDUAL_COVERS)))
+def test_morphism_residuals_equal_the_csr_oracle_bit_for_bit(index):
+    # every (dst, src, e) and every admissible (o, ambient, e): the
+    # library reads columns of term sums, the oracle multiplies CSR
+    # matrices and reads the same window columns densely
+    cover, m, kappa = RESIDUAL_COVERS[index]
+    fock = fock_for(cover, m)
+    window = make_window(fock, cover, kappa)
+    rng = np.random.default_rng(71 + index)
+    localized = 0
+    for e in cover.regions:
+        f, g = region_vector(rng, fock, e), region_vector(rng, fock, e)
+        # psi(f)^* psi(g) + psi(g) psi(g)^*: charge zero, nonzero on the vacuum
+        t = smeared_field(fock, f).adjoint() * smeared_field(fock, g) + density(fock, g)
+        psi_f, psi_g = oracle.field(fock, f), oracle.field(fock, g)
+        mat = oracle.csr(oracle.adjoint(psi_f) @ psi_g + psi_g @ oracle.adjoint(psi_g))
+        for dst in cover.regions:
+            for src in cover.regions:
+                z = oracle.z1(window, dst, src)
+                lhs = oracle_morphism(window, dst, mat)
+                rhs = oracle.csr(z @ oracle_morphism(window, src, mat) @ oracle.adjoint(z))
+                block = oracle.compress(window, lhs)
+                got_block = window.compress(charge_morphism(window, dst, t))
+                assert got_block.tobytes() == block.tobytes() and block.any()
+                want = np.max(np.abs(block - oracle.compress(window, rhs)))
+                got = intertwining_residual(window, dst, src, t)
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+        for o in cover.regions:
+            for ambient in cover.regions:
+                if not (cover.are_disjoint(o, e) and cover.overlap_components(o, ambient)
+                        and cover.overlap_components(e, ambient)):
+                    with pytest.raises(SupportError):
+                        localization_residual(window, cover, o, ambient, e, t)
+                    continue
+                z = oracle.z1(window, o, ambient)
+                loc = oracle.csr(z @ oracle_morphism(window, ambient, mat) @ oracle.adjoint(z))
+                s = window.columns[window.position(o)]
+                col = np.zeros(fock.dim, dtype=complex)
+                for r, v in t.column(s).items():
+                    col[r] = v
+                assert col.tobytes() == mat[:, [s]].toarray().ravel().tobytes() and col.any()
+                want = np.max(np.abs(loc[:, [s]].toarray() - mat[:, [s]].toarray()))
+                got = localization_residual(window, cover, o, ambient, e, t)
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+                localized += 1
+    assert (localized == 0) == (cover == torus_cover())
+
+
+@pytest.mark.parametrize("cover, m, kappa", [(annulus_cover(), 4, 1), (circle_cover(24), 3, 2)],
+                         ids=["annulus_16_modes", "circle24_72_modes"])
+def test_localization_residual_past_the_envelope(cover, m, kappa):
+    # 16 and 72 modes, past the 12-mode envelope of the dense matrix: the
+    # residual reads one column per operator and is exactly zero
+    fock = fock_for(cover, m)
+    window = make_window(fock, cover, kappa)
+    t = density(fock, region_vector(np.random.default_rng(5), fock, 2))
+    with pytest.raises(CapacityError):
+        t.matrix
+    assert localization_residual(window, cover, 0, 1, 2, t) == 0.0
+    assert intertwining_residual(window, 0, 1, t) == 0.0
+
+
 def test_localization_preconditions():
     rng = np.random.default_rng(43)
     fock = fock_for(ANN, 2)
@@ -930,7 +1022,7 @@ def test_transition_amplitude_equals_csr_apply_bitwise():
                 p = random_crossing_path(rng, cover, int(rng.integers(0, 9)), a)
                 back = random_crossing_path(rng, cover, int(rng.integers(0, 9)), p.end)
                 q = path_compose(p, path_compose(back, path_reverse(back)))
-                v = t.window.charged_vector(a)
+                v = np.eye(t.window.fock.dim, dtype=complex)[:, t.window.columns[t.window.position(a)]]
                 zq, zp = (oracle.oracle_product(t, r.crossings()) for r in (q, p))
                 want = np.vdot(zq @ v, zp @ v)
                 got = transition_amplitude(t, p, q)
